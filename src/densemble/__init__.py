@@ -27,7 +27,6 @@ from .classifiers import (
     train,
 )
 from .datasets import (
-    LabeledSample,
     LocalDataset,
     PartitionSpec,
     PartyRule,
@@ -37,14 +36,7 @@ from .datasets import (
     split_train_test,
     write_csv,
 )
-from .density import (
-    GmmModel,
-    KdeModel,
-    gmm_fit,
-    gmm_log_density,
-    kde_fit,
-    kde_log_density,
-)
+from .density import GmmModel, KdeModel, gmm_fit, kde_fit
 from .ensemble import (
     EnsembleModel,
     ObjectiveMatrix,

@@ -12,12 +12,14 @@ party this is exactly softmax cross-entropy.
 
 Gradients across all parties are flattened into one vector so the optional
 clip-and-noise mechanism (norm clipping plus Gaussian noise) treats the
-composite model as a single unit.
+composite model as a single unit. It clips the batch-mean gradient, not each
+example's gradient, so it carries no differential-privacy (epsilon, delta)
+guarantee.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +39,11 @@ class MpceLossValue:
 
 @dataclass
 class ClipConfig:
-    """Gradient post-processing: norm clip to ``clip_norm``, Gaussian noise."""
+    """Gradient post-processing: norm clip to ``clip_norm``, Gaussian noise.
+
+    Applied to the batch-mean gradient, not per example, so this is not
+    DP-SGD and no privacy bound follows from it.
+    """
 
     clip_norm: float
     noise_sigma: float = 0.0
@@ -94,8 +100,7 @@ class TraceRow:
 def _batch_scores(ens: EnsembleModel, X: np.ndarray, y: np.ndarray):
     """Objective intermediates plus floored true-class scores for a batch."""
     om = evaluate_objective(ens, X)
-    raw = om.objective[np.arange(len(y)), y]
-    return om, np.maximum(raw, PROBABILITY_FLOOR), raw
+    return om, np.maximum(om.objective[np.arange(len(y)), y], PROBABILITY_FLOOR)
 
 
 def mpce_loss(ens: EnsembleModel, x: np.ndarray, y: int) -> MpceLossValue:
@@ -103,7 +108,7 @@ def mpce_loss(ens: EnsembleModel, x: np.ndarray, y: int) -> MpceLossValue:
     if not (0 <= y < ens.num_classes):
         raise ValueError(f"label {y} outside [0, {ens.num_classes})")
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    om, score, _ = _batch_scores(ens, X, np.array([y]))
+    om, score = _batch_scores(ens, X, np.array([y]))
     return MpceLossValue(float(-np.log(score[0])), om.weights[0])
 
 
@@ -163,7 +168,7 @@ def mpce_grad(
     """Flat loss gradient: classifier blocks in party order, then density blocks."""
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     ya = np.array([y])
-    om, score, _ = _batch_scores(ens, X, ya)
+    om, score = _batch_scores(ens, X, ya)
     blocks = _theta_grads(ens, om, X, ya, score)
     if update_density:
         blocks += _mu_grads(ens, X, ya, density_scope)
@@ -188,7 +193,7 @@ def clip_and_noise(
 
 
 def ensemble_accuracy(ens: EnsembleModel, ds: LocalDataset) -> float:
-    return float(np.mean(decide(ens, ds.features) == ds.labels))
+    return float(np.mean(decide(evaluate_objective(ens, ds.features)) == ds.labels))
 
 
 def calibrate(
@@ -220,7 +225,7 @@ def calibrate(
     for step in range(1, cfg.steps + 1):
         sel = rng.choice(n, size=min(cfg.batch, n), replace=False)
         X, y = train.features[sel], train.labels[sel]
-        om, score, _ = _batch_scores(ens, X, y)
+        om, score = _batch_scores(ens, X, y)
         loss = float(np.mean(-np.log(score)))
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite calibration loss {loss} at step {step}")

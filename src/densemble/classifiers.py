@@ -4,9 +4,11 @@ Two families are provided: softmax regression and a one-hidden-layer tanh
 MLP. Both expose the same duck-typed surface:
 
     posterior(X)            -> (n, m) simplex rows over the local label space
-    global_posterior(X, K)  -> (n, K) rows, zero-filled outside label_space
     posterior_grad(X, U)    -> flat J^T u, summed over the batch
     params / set_params     -> flat parameter vector view
+
+The module function ``global_posterior(model, X, K)`` embeds either family's
+posterior into the K-class simplex, zero-filled outside its label space.
 
 ``posterior_grad`` is the workhorse for end-to-end calibration: given an
 upstream gradient on the local posterior it backpropagates to a flat
@@ -117,9 +119,6 @@ class SoftmaxRegression:
     def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
         self.set_params(self.params - lr * np.asarray(flat_grad, dtype=np.float64))
 
-    def global_posterior(self, x: np.ndarray, K: int) -> np.ndarray:
-        return global_posterior(self, x, K)
-
 
 @dataclass
 class MlpClassifier:
@@ -208,9 +207,6 @@ class MlpClassifier:
 
     def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
         self.set_params(self.params - lr * np.asarray(flat_grad, dtype=np.float64))
-
-    def global_posterior(self, x: np.ndarray, K: int) -> np.ndarray:
-        return global_posterior(self, x, K)
 
 
 def global_posterior(model, x: np.ndarray, K: int) -> np.ndarray:

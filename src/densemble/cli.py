@@ -74,9 +74,9 @@ def _cmd_eval_zeroshot(args) -> int:
     ens = serialize.load_ensemble(args.ensemble)
     ds = read_csv(args.data, num_classes=ens.num_classes)
     om = evaluate_objective(ens, ds.features)
-    labels = np.argmax(om.objective, axis=1)
+    labels = decide(om)
     acc = float(np.mean(labels == ds.labels))
-    mm_acc = float(np.mean(max_model_decide(ens, ds.features) == ds.labels))
+    mm_acc = float(np.mean(max_model_decide(om) == ds.labels))
     print(f"ensemble accuracy   {acc:.4f}")
     print(f"max-model accuracy  {mm_acc:.4f}")
     if args.out:
@@ -127,7 +127,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+    cfg = harness.load_config(args.config)
     reports = harness.sweep(cfg, args.seeds, base_seed=args.base_seed, out_dir=args.out)
     summary = harness.sweep_summary(reports)
     print(f"{args.seeds} seeds, config {args.config}")
@@ -188,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None, help="config seed override (unused by sweep)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 

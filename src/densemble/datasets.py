@@ -10,7 +10,7 @@ optional per-class subsampling fractions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +21,6 @@ TOY_BLOB_SIGMA = 0.8
 # 100% accuracy instead of saturating.
 TOY_OVERLAP_PAIR = (1, 2)
 TOY_OVERLAP_DISTANCE = 3.2
-
-
-@dataclass
-class LabeledSample:
-    """A single feature vector with its class label."""
-
-    features: np.ndarray
-    label: int
 
 
 @dataclass
@@ -81,13 +73,6 @@ class LocalDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1] if self.features.ndim == 2 else 0
-
-    @property
-    def samples(self) -> list[LabeledSample]:
-        return [
-            LabeledSample(self.features[i], int(self.labels[i]))
-            for i in range(len(self))
-        ]
 
     def class_counts(self) -> dict[int, int]:
         vals, counts = np.unique(self.labels, return_counts=True)

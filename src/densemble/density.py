@@ -8,7 +8,7 @@ underflowing into NaN arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,6 @@ class KdeModel:
 
 def kde_fit(X: np.ndarray, bandwidth: float) -> KdeModel:
     return KdeModel(np.asarray(X, dtype=np.float64).copy(), bandwidth)
-
-
-def kde_log_density(model: KdeModel, X: np.ndarray) -> np.ndarray:
-    return model.log_density(X)
 
 
 @dataclass
@@ -218,7 +214,3 @@ def gmm_fit(
             break
         prev = ll
     return model
-
-
-def gmm_log_density(model: GmmModel, X: np.ndarray) -> np.ndarray:
-    return model.log_density(X)

@@ -9,14 +9,17 @@ p_j its shard-size prior. Subtracting the per-query max log-density before
 exponentiating keeps every weight in [0, 1] without moving the argmax, so
 parties whose density underflows simply drop out of the sum.
 
-``max_model_decide`` is the degenerate baseline that hands each query to the
-single highest-density party; forcing the ensemble's lambda weights to a
-one-hot at that party reproduces it exactly.
+``evaluate_objective`` is the only function here that runs the parties'
+classifiers and density estimators. Every decision rule below is a reduction
+of the ``ObjectiveMatrix`` it returns, so one evaluation per query set feeds
+them all. ``max_model_decide`` is the degenerate baseline that hands each
+query to the single highest-density party; forcing the ensemble's lambda
+weights to a one-hot at that party reproduces it exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,43 +112,35 @@ def evaluate_objective(ens: EnsembleModel, queries: np.ndarray) -> ObjectiveMatr
     return ObjectiveMatrix(P, L, rowmax, W, J)
 
 
-def decide(ens: EnsembleModel, queries: np.ndarray) -> np.ndarray:
+def decide(om: ObjectiveMatrix) -> np.ndarray:
     """Global labels: argmax_k J[i][k], ties toward the lowest class index."""
-    return np.argmax(evaluate_objective(ens, queries).objective, axis=1)
+    return np.argmax(om.objective, axis=1)
 
 
-def lambda_weights(ens: EnsembleModel, x: np.ndarray) -> np.ndarray:
+def lambda_weights(om: ObjectiveMatrix) -> np.ndarray:
     """Per-query posterior over parties: normalized density-prior weights."""
-    X, single = (x[None, :], True) if np.asarray(x).ndim == 1 else (x, False)
-    W = evaluate_objective(ens, X).weights
-    lam = W / W.sum(axis=1, keepdims=True)
-    return lam[0] if single else lam
+    return om.weights / om.weights.sum(axis=1, keepdims=True)
 
 
-def posterior(ens: EnsembleModel, queries: np.ndarray) -> np.ndarray:
+def posterior(om: ObjectiveMatrix) -> np.ndarray:
     """Normalized global posterior: lambda-weighted sum of party posteriors."""
-    om = evaluate_objective(ens, queries)
     return om.objective / om.weights.sum(axis=1, keepdims=True)
 
 
-def decide_with_weights(ens: EnsembleModel, queries: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def decide_with_weights(om: ObjectiveMatrix, lam: np.ndarray) -> np.ndarray:
     """Decision under externally supplied per-query party weights.
 
     Used to state the max-model equivalence as an executable check: passing a
     one-hot at the argmax-density party must reproduce ``max_model_decide``.
     """
-    om = evaluate_objective(ens, queries)
     lam = np.atleast_2d(np.asarray(lam, dtype=np.float64))
-    J = np.einsum("njk,nj->nk", om.posteriors, lam)
-    return np.argmax(J, axis=1)
+    return np.argmax(np.einsum("njk,nj->nk", om.posteriors, lam), axis=1)
 
 
-def max_model_decide(ens: EnsembleModel, queries: np.ndarray) -> np.ndarray:
+def max_model_decide(om: ObjectiveMatrix) -> np.ndarray:
     """Delegate each query to its highest-density party, ignoring priors.
 
     Ties go to the lowest party index, then the lowest class index.
     """
-    om = evaluate_objective(ens, queries)
     best = np.argmax(om.loglik, axis=1)
-    rows = om.posteriors[np.arange(len(best)), best]
-    return np.argmax(rows, axis=1)
+    return np.argmax(om.posteriors[np.arange(len(best)), best], axis=1)

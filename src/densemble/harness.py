@@ -13,7 +13,7 @@ import importlib.resources
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .calibration import (
     ClipConfig,
     TraceRow,
     calibrate,
-    ensemble_accuracy,
 )
 from .datasets import (
     LocalDataset,
@@ -38,6 +37,7 @@ from .ensemble import (
     EnsembleModel,
     PartyModel,
     build_ensemble,
+    decide,
     evaluate_objective,
     max_model_decide,
 )
@@ -119,24 +119,13 @@ class MetricsReport:
     stream_seeds: dict[str, int]
 
 
-def _clf_config_from_dict(d: dict, path: str) -> ClassifierConfig:
-    cfg = ClassifierConfig()
-    allowed = {"type", "hidden", "lr", "epochs", "batch"}
-    for key, value in d.items():
+def _dataclass_from_dict(cls, d: dict, path: str):
+    """Build ``cls`` from ``d``; a key that is not a field of ``cls`` is an error."""
+    allowed = {f.name for f in fields(cls)}
+    for key in d:
         if key not in allowed:
             raise ValueError(f"{path}.{key}: unknown field")
-        setattr(cfg, key, value)
-    return cfg
-
-
-def _est_config_from_dict(d: dict, path: str) -> EstimatorConfig:
-    cfg = EstimatorConfig()
-    allowed = {"type", "bandwidth", "components"}
-    for key, value in d.items():
-        if key not in allowed:
-            raise ValueError(f"{path}.{key}: unknown field")
-        setattr(cfg, key, value)
-    return cfg
+    return cls(**d)
 
 
 def _calibration_from_dict(d: dict, path: str) -> CalibrationConfig:
@@ -148,8 +137,7 @@ def _calibration_from_dict(d: dict, path: str) -> CalibrationConfig:
             noise_sigma=float(clip.get("noise_sigma", 0.0)),
             seed=int(clip.get("seed", 0)),
         )
-    allowed = {"lr", "batch", "steps", "update_density", "density_scope", "eval_every"}
-    unknown = set(kwargs) - allowed
+    unknown = set(kwargs) - {f.name for f in fields(CalibrationConfig)}
     if unknown:
         raise ValueError(f"{path}.{sorted(unknown)[0]}: unknown field")
     try:
@@ -178,11 +166,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ValueError("data.train_ratio: outside (0, 1)")
     parties = [
         PartyConfig(
-            classifier=_clf_config_from_dict(
-                p.get("classifier", {}), f"parties[{j}].classifier"
+            classifier=_dataclass_from_dict(
+                ClassifierConfig, p.get("classifier", {}), f"parties[{j}].classifier"
             ),
-            estimator=_est_config_from_dict(
-                p.get("estimator", {}), f"parties[{j}].estimator"
+            estimator=_dataclass_from_dict(
+                EstimatorConfig, p.get("estimator", {}), f"parties[{j}].estimator"
             ),
         )
         for j, p in enumerate(doc.get("parties", []))
@@ -201,31 +189,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
+    # The calibration block is spelled out: asdict would put clip before eval_every.
     doc = {
         "seed": cfg.seed,
-        "data": {
-            "n": cfg.data.n,
-            "num_classes": cfg.data.num_classes,
-            "train_ratio": cfg.data.train_ratio,
-        },
+        "data": asdict(cfg.data),
         "partition": cfg.partition.to_dict(),
-        "parties": [
-            {
-                "classifier": {
-                    "type": p.classifier.type,
-                    "hidden": p.classifier.hidden,
-                    "lr": p.classifier.lr,
-                    "epochs": p.classifier.epochs,
-                    "batch": p.classifier.batch,
-                },
-                "estimator": {
-                    "type": p.estimator.type,
-                    "bandwidth": p.estimator.bandwidth,
-                    "components": p.estimator.components,
-                },
-            }
-            for p in cfg.parties
-        ],
+        "parties": [asdict(p) for p in cfg.parties],
         "calibrate_from_raw": cfg.calibrate_from_raw,
     }
     if cfg.calibration is not None:
@@ -360,9 +329,9 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
 
     t0 = time.perf_counter()
     om = evaluate_objective(ens, test_ds.features)
-    ens_labels = np.argmax(om.objective, axis=1)
+    ens_labels = decide(om)
     ens_acc = float(np.mean(ens_labels == test_ds.labels))
-    mm_labels = max_model_decide(ens, test_ds.features)
+    mm_labels = max_model_decide(om)
     mm_acc = float(np.mean(mm_labels == test_ds.labels))
     local_accs = [local_accuracy(p.classifier, test_ds) for p in parties]
     timings["eval_zeroshot"] = time.perf_counter() - t0
@@ -377,7 +346,9 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
         _, trace = calibrate(
             ens, train_ds, cal_cfg, seed=seeds["batching"][-1], test=test_ds
         )
-        calibrated_acc = ensemble_accuracy(ens, test_ds)
+        # calibrate evaluates the final model at its last step; zero steps
+        # leave the model, and so its accuracy, unchanged.
+        calibrated_acc = trace[-1].test_accuracy if trace else ens_acc
         timings["calibrate"] = time.perf_counter() - t0
 
     report = MetricsReport(
@@ -391,22 +362,19 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
         stream_seeds={k: v for k, v in seeds.items() if isinstance(v, int)},
     )
     if cfg.out_dir:
-        _write_artifacts(cfg, seeds, train_ds, test_ds, shards, ens, om, report, mm_labels)
+        _write_artifacts(
+            cfg, seeds, train_ds, test_ds, shards, ens, om, report, ens_labels, mm_labels
+        )
     return report
 
 
-def _write_artifacts(cfg, seeds, train_ds, test_ds, shards, ens, om, report, mm_labels):
+def _write_artifacts(
+    cfg, seeds, train_ds, test_ds, shards, ens, om, report, ens_labels, mm_labels
+):
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     echo = config_to_dict(cfg)
-    echo["stream_seeds"] = {
-        "data": seeds["data"],
-        "split": seeds["split"],
-        "partition": seeds["partition"],
-        "init": seeds["init"],
-        "batching": seeds["batching"],
-        "noise": seeds["noise"],
-    }
+    echo["stream_seeds"] = seeds
     with open(os.path.join(out, "config.json"), "w") as fh:
         json.dump(echo, fh, indent=2)
         fh.write("\n")
@@ -415,7 +383,6 @@ def _write_artifacts(cfg, seeds, train_ds, test_ds, shards, ens, om, report, mm_
     for j, shard in enumerate(shards):
         write_csv(shard, os.path.join(out, f"shard_{j}.csv"))
     serialize.save_ensemble(ens, out)
-    ens_labels = np.argmax(om.objective, axis=1)
     serialize.write_predictions(
         os.path.join(out, "predictions_ensemble.csv"), ens_labels, om.objective
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ensemble import EnsembleModel, decide
+from .ensemble import EnsembleModel, decide, evaluate_objective
 
 CANVAS = 480
 
@@ -101,7 +101,7 @@ def plot_decision_boundary(
     xs, ys = _grid_centers(region, resolution)
     gx, gy = np.meshgrid(xs, ys)
     queries = np.column_stack([gx.ravel(), gy.ravel()])
-    grid = decide(ens, queries).reshape(resolution, resolution)
+    grid = decide(evaluate_objective(ens, queries)).reshape(resolution, resolution)
     colors = np.empty(grid.shape, dtype=object)
     for k in np.unique(grid):
         colors[grid == k] = class_color(int(k))

@@ -135,12 +135,18 @@ def save_ensemble(ens: EnsembleModel, out_dir, manifest_name: str = "ensemble.js
 
 
 def load_ensemble(manifest_path) -> EnsembleModel:
+    """Load a manifest and its parties; party files must lie in its directory."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     base = os.path.dirname(os.path.abspath(manifest_path))
     parties = []
     for entry in manifest["parties"]:
-        party = load_party(os.path.join(base, entry["model"]))
+        path = os.path.normpath(os.path.join(base, entry["model"]))
+        if os.path.isabs(entry["model"]) or os.path.commonpath([base, path]) != base:
+            raise ValueError(
+                f"manifest party path {entry['model']!r} is not inside {base}"
+            )
+        party = load_party(path)
         if party.shard_size != int(entry["shard_size"]):
             raise ValueError(
                 f"manifest shard_size {entry['shard_size']} disagrees with "

@@ -117,8 +117,8 @@ def test_criterion_03_delta_weights_reproduce_max_model(toy_ensemble):
     om = evaluate_objective(toy_ensemble, X)
     delta = np.zeros((len(X), toy_ensemble.num_parties))
     delta[np.arange(len(X)), np.argmax(om.loglik, axis=1)] = 1.0
-    forced = decide_with_weights(toy_ensemble, X, delta)
-    delegated = max_model_decide(toy_ensemble, X)
+    forced = decide_with_weights(om, delta)
+    delegated = max_model_decide(om)
     mismatches = int(np.sum(forced != delegated))
     assert mismatches == 0, f"{mismatches}/1000 label mismatches"
 

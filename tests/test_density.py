@@ -9,9 +9,7 @@ from densemble.density import (
     GmmModel,
     KdeModel,
     gmm_fit,
-    gmm_log_density,
     kde_fit,
-    kde_log_density,
 )
 
 
@@ -217,10 +215,3 @@ def test_gmm_nll_grad_matches_finite_differences():
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(got - fd) / denom < 1e-5, f"trial {trial}"
 
-
-def test_module_level_wrappers():
-    pts = np.random.default_rng(9).normal(size=(20, 2))
-    kde = kde_fit(pts, 0.3)
-    assert np.array_equal(kde_log_density(kde, pts[:5]), kde.log_density(pts[:5]))
-    gmm = gmm_fit(pts, 2, seed=0)
-    assert np.array_equal(gmm_log_density(gmm, pts[:5]), gmm.log_density(pts[:5]))

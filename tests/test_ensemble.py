@@ -50,7 +50,7 @@ def test_objective_two_party_frozen_values():
     # five-decimal values: (0.48679, 0.19715)
     assert round(float(om.objective[0, 0]), 5) == 0.48679
     assert round(float(om.objective[0, 1]), 5) == 0.19715
-    assert decide(ens, np.zeros((1, 2)))[0] == 0
+    assert decide(om)[0] == 0
 
 
 def test_objective_weight_invariants():
@@ -82,8 +82,8 @@ def test_single_party_degeneracy():
     X = rng.normal(size=(20, 2))
     om = evaluate_objective(ens, X)
     assert np.allclose(om.objective, np.tile(probs, (20, 1)), atol=1e-15)
-    assert np.array_equal(decide(ens, X), np.full(20, int(np.argmax(probs))))
-    assert np.array_equal(decide(ens, X), max_model_decide(ens, X))
+    assert np.array_equal(decide(om), np.full(20, int(np.argmax(probs))))
+    assert np.array_equal(decide(om), max_model_decide(om))
 
 
 def test_shift_invariance_of_objective_and_decisions():
@@ -107,7 +107,9 @@ def test_shift_invariance_of_objective_and_decisions():
         Ja = evaluate_objective(ens_a, X).objective
         Jb = evaluate_objective(ens_b, X).objective
         assert np.allclose(Ja, Jb, atol=1e-12)
-        assert np.array_equal(decide(ens_a, X), decide(ens_b, X))
+        assert np.array_equal(
+            decide(evaluate_objective(ens_a, X)), decide(evaluate_objective(ens_b, X))
+        )
 
 
 def test_prior_scale_invariance():
@@ -123,7 +125,9 @@ def test_prior_scale_invariance():
         ]
         builds.append(build_ensemble(parties, num_classes=3))
     assert np.allclose(builds[0].priors, builds[1].priors, atol=1e-15)
-    assert np.array_equal(decide(builds[0], X), decide(builds[1], X))
+    assert np.array_equal(
+        decide(evaluate_objective(builds[0], X)), decide(evaluate_objective(builds[1], X))
+    )
 
 
 def test_missing_class_never_wins():
@@ -136,7 +140,7 @@ def test_missing_class_never_wins():
     X = rng.normal(size=(300, 2))
     om = evaluate_objective(ens, X)
     assert np.all(om.objective[:, 3] == 0.0)
-    assert np.all(decide(ens, X) != 3)
+    assert np.all(decide(om) != 3)
 
 
 def test_lambda_weights_uniform_when_symmetric():
@@ -145,14 +149,14 @@ def test_lambda_weights_uniform_when_symmetric():
         PartyModel(ConstantClassifier([0.0, 1.0], (0, 1)), ConstantDensity(-2.0), 10),
     ]
     ens = build_ensemble(parties, num_classes=2)
-    lam = lambda_weights(ens, np.zeros(2))
+    lam = lambda_weights(evaluate_objective(ens, np.zeros(2)))[0]
     assert np.allclose(lam, [0.5, 0.5], atol=1e-15)
 
 
 def test_lambda_weights_frozen_example():
     # softmax of (0, -1): 1/(1+e^-1) = 0.73106 to five decimals
     ens = two_party_example()
-    lam = lambda_weights(ens, np.zeros(2))
+    lam = lambda_weights(evaluate_objective(ens, np.zeros(2)))[0]
     want = 1.0 / (1.0 + np.exp(-1.0))
     assert np.isclose(lam[0], want, atol=1e-12)
     assert round(float(lam[0]), 5) == 0.73106
@@ -165,7 +169,7 @@ def test_lambda_weights_floor_dominance():
         PartyModel(ConstantClassifier([0.0, 1.0], (0, 1)), ConstantDensity(-1.0), 1),
     ]
     ens = build_ensemble(parties, num_classes=2)
-    lam = lambda_weights(ens, np.zeros(2))
+    lam = lambda_weights(evaluate_objective(ens, np.zeros(2)))[0]
     assert lam[1] > 1.0 - 1e-12
     assert lam[0] < 1e-300
 
@@ -181,7 +185,7 @@ def test_lambda_weights_simplex_property():
         for _ in range(5)
     ]
     ens = build_ensemble(parties, num_classes=3)
-    lam = lambda_weights(ens, rng.normal(size=(1000, 2)))
+    lam = lambda_weights(evaluate_objective(ens, rng.normal(size=(1000, 2))))
     assert np.all(lam >= 0)
     assert np.allclose(lam.sum(axis=1), 1.0, atol=1e-12)
 
@@ -197,7 +201,7 @@ def test_normalized_posterior_rows_sum_to_one():
         for _ in range(3)
     ]
     ens = build_ensemble(parties, num_classes=4)
-    P = posterior(ens, rng.normal(size=(100, 2)))
+    P = posterior(evaluate_objective(ens, rng.normal(size=(100, 2))))
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(P >= 0)
 
@@ -205,13 +209,13 @@ def test_normalized_posterior_rows_sum_to_one():
 def test_decide_tie_breaks_to_lowest_class():
     party = PartyModel(ConstantClassifier([0.5, 0.5], (0, 1)), ConstantDensity(0.0), 1)
     ens = build_ensemble([party], num_classes=2)
-    assert decide(ens, np.zeros((3, 2)))[0] == 0
+    assert decide(evaluate_objective(ens, np.zeros((3, 2))))[0] == 0
 
 
 def test_max_model_two_party_example():
     # first party has the higher density (0 > -1); it alone labels the query
     ens = two_party_example()
-    assert max_model_decide(ens, np.zeros((1, 2)))[0] == 0
+    assert max_model_decide(evaluate_objective(ens, np.zeros((1, 2))))[0] == 0
 
 
 def test_max_model_matches_delta_weights():
@@ -230,7 +234,7 @@ def test_max_model_matches_delta_weights():
     best = np.argmax(om.loglik, axis=1)
     delta = np.zeros((1000, 4))
     delta[np.arange(1000), best] = 1.0
-    assert np.array_equal(decide_with_weights(ens, X, delta), max_model_decide(ens, X))
+    assert np.array_equal(decide_with_weights(om, delta), max_model_decide(om))
 
 
 def test_agreeing_parties_decide_their_class():
@@ -240,7 +244,7 @@ def test_agreeing_parties_decide_their_class():
     ]
     ens = build_ensemble(parties, num_classes=3)
     X = np.random.default_rng(8).normal(size=(20, 2))
-    assert np.all(decide(ens, X) == 2)
+    assert np.all(decide(evaluate_objective(ens, X)) == 2)
 
 
 def test_queries_must_be_finite():

@@ -10,6 +10,7 @@ from conftest import ConstantClassifier, fast_experiment_doc
 
 from densemble import cli, serialize
 from densemble.datasets import read_csv
+from densemble.density import KdeModel
 from densemble.ensemble import evaluate_objective
 from densemble.harness import (
     PRESET_NAMES,
@@ -255,10 +256,40 @@ def test_calibration_run_records_trace(tmp_path):
     assert [row.step for row in report.trace] == [1, 2, 3, 4, 5, 6]
     evaluated = [row.step for row in report.trace if row.test_accuracy is not None]
     assert evaluated == [3, 6]
+    assert report.calibrated_accuracy == report.trace[-1].test_accuracy
     assert "calibrate" in report.timings
     assert (tmp_path / "trace.csv").is_file()
     metrics = (tmp_path / "metrics.csv").read_text()
     assert "calibrated," in metrics
+
+
+def test_zero_step_calibration_keeps_zero_shot_accuracy():
+    doc = fast_experiment_doc()
+    doc["calibration"] = {"steps": 0}
+    report = run_experiment(config_from_dict(doc))
+    assert report.trace == []
+    assert report.calibrated_accuracy == report.ensemble_accuracy
+
+
+def test_each_density_scored_once_per_query_set(
+    fast_config, pipeline_artifacts, monkeypatch
+):
+    calls = []
+    log_density = KdeModel.log_density
+
+    def counted(self, X):
+        calls.append(len(X))
+        return log_density(self, X)
+
+    monkeypatch.setattr(KdeModel, "log_density", counted)
+    run_experiment(fast_config)
+    assert len(calls) == len(fast_config.parties)
+
+    calls.clear()
+    _, _, out = pipeline_artifacts
+    argv = ["eval-zeroshot", "--ensemble", str(out / "ensemble.json")]
+    assert cli.main(argv + ["--data", str(out / "test.csv")]) == 0
+    assert len(calls) == len(fast_config.parties)
 
 
 def test_local_accuracy_nan_when_no_test_labels_match(pipeline_artifacts):

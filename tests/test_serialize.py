@@ -1,8 +1,11 @@
 """Model and artifact round-trips through JSON and CSV."""
 
+import json
+
 import numpy as np
 import pytest
 
+from densemble import cli
 from densemble.calibration import TraceRow
 from densemble.classifiers import MlpClassifier, SoftmaxRegression
 from densemble.density import GmmModel, kde_fit
@@ -118,13 +121,33 @@ def test_manifest_shard_size_mismatch_rejected(tmp_path):
     )
     ens = build_ensemble([party], num_classes=2)
     manifest = save_ensemble(ens, tmp_path / "model")
-    import json
-
     doc = json.loads((tmp_path / "model" / "ensemble.json").read_text())
     doc["parties"][0]["shard_size"] = 99
     (tmp_path / "model" / "ensemble.json").write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="disagrees"):
         load_ensemble(manifest)
+
+
+@pytest.mark.parametrize("escape", ["relative", "absolute"])
+def test_manifest_party_path_outside_directory_rejected(tmp_path, capsys, escape):
+    rng = np.random.default_rng(7)
+    party = PartyModel(
+        SoftmaxRegression(rng.normal(size=(2, 2)), rng.normal(size=2), (0, 1)),
+        kde_fit(rng.normal(size=(5, 2)), 0.2),
+        10,
+    )
+    manifest = save_ensemble(build_ensemble([party], num_classes=2), tmp_path / "model")
+    outside = tmp_path / "party_0.json"
+    outside.write_bytes((tmp_path / "model" / "party_0.json").read_bytes())
+    entry = "../party_0.json" if escape == "relative" else str(outside)
+    doc = json.loads((tmp_path / "model" / "ensemble.json").read_text())
+    doc["parties"][0]["model"] = entry
+    (tmp_path / "model" / "ensemble.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="not inside"):
+        load_ensemble(manifest)
+    rc = cli.main(["eval-zeroshot", "--ensemble", manifest, "--data", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert entry in capsys.readouterr().err
 
 
 def test_predictions_round_trip(tmp_path):
