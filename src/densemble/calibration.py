@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers import _LocalIndex
 from .datasets import LocalDataset
 from .ensemble import EnsembleModel, evaluate_objective, decide
 
@@ -118,13 +119,10 @@ def _theta_grads(ens: EnsembleModel, om, X: np.ndarray, y: np.ndarray, score: np
     coeff = om.weights / score[:, None]
     for j, party in enumerate(ens.parties):
         clf = party.classifier
-        space = clf.label_space
-        U = np.zeros((len(y), len(space)))
-        pos = {c: i for i, c in enumerate(space)}
-        for i, label in enumerate(y):
-            li = pos.get(int(label))
-            if li is not None:
-                U[i, li] = -coeff[i, j]
+        pos = _LocalIndex(clf.label_space).positions(y)
+        rows = np.flatnonzero(pos >= 0)
+        U = np.zeros((len(y), len(clf.label_space)))
+        U[rows, pos[rows]] = -coeff[rows, j]
         grads.append(clf.posterior_grad(X, U))
     return grads
 
@@ -140,8 +138,7 @@ def _mu_grads(ens: EnsembleModel, X: np.ndarray, y: np.ndarray, scope: str) -> l
         if scope == "all":
             sel = np.arange(len(y))
         else:
-            space = set(party.classifier.label_space)
-            sel = np.array([i for i, label in enumerate(y) if int(label) in space], dtype=int)
+            sel = np.flatnonzero(_LocalIndex(party.classifier.label_space).positions(y) >= 0)
         if len(sel) == 0:
             grads.append(np.zeros(len(est.params)))
         else:

@@ -1,14 +1,22 @@
 """Per-party probabilistic classifiers with hand-derived gradients.
 
 Two families are provided: softmax regression and a one-hidden-layer tanh
-MLP. Both expose the same duck-typed surface:
+MLP. Both derive from ``FlatClassifier``, which keeps every weight of a model
+in one contiguous float64 buffer. A subclass lists its arrays in ``_names``
+(``("W", "b")`` or ``("W1", "b1", "W2", "b2")``) and each named attribute is a
+reshaped view of that buffer, so the flat vector and the arrays never drift
+apart:
 
     posterior(X)            -> (n, m) simplex rows over the local label space
     posterior_grad(X, U)    -> flat J^T u, summed over the batch
-    params / set_params     -> flat parameter vector view
+    params / set_params     -> copy of / copy into the flat buffer
+    apply_grad(g, lr)       -> buffer -= lr * g
 
-The module function ``global_posterior(model, X, K)`` embeds either family's
-posterior into the K-class simplex, zero-filled outside its label space.
+A subclass supplies only its shape check, its forward pass (hidden
+activations and posterior) and its backward pass (logit gradient to flat
+gradient, in ``_names`` order). The module function
+``global_posterior(model, X, K)`` embeds either family's posterior into the
+K-class simplex, zero-filled outside its label space.
 
 ``posterior_grad`` is the workhorse for end-to-end calibration: given an
 upstream gradient on the local posterior it backpropagates to a flat
@@ -16,8 +24,6 @@ parameter gradient without any autodiff machinery.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,37 +53,91 @@ class _LocalIndex:
 
     def __init__(self, label_space: tuple[int, ...]):
         self.label_space = tuple(sorted(label_space))
-        self._lookup = {c: i for i, c in enumerate(self.label_space)}
+        # the trailing +inf keeps every searchsorted position a valid index
+        self._sorted = np.array(self.label_space + (np.inf,))
+
+    def positions(self, labels: np.ndarray) -> np.ndarray:
+        """Local index of each label, -1 where it lies outside the space."""
+        labels = np.asarray(labels)
+        pos = np.searchsorted(self._sorted, labels)
+        return np.where(self._sorted[pos] == labels, pos, -1)
 
     def to_local(self, labels: np.ndarray) -> np.ndarray:
-        try:
-            return np.array([self._lookup[int(v)] for v in labels], dtype=np.int64)
-        except KeyError as err:
-            raise ValueError(
-                f"label {err.args[0]} outside label_space {self.label_space}"
-            ) from None
+        pos = self.positions(labels)
+        if np.any(pos < 0):
+            bad = int(np.asarray(labels)[pos < 0][0])
+            raise ValueError(f"label {bad} outside label_space {self.label_space}")
+        return pos
 
 
-@dataclass
-class SoftmaxRegression:
+class FlatClassifier:
+    """Softmax-headed classifier whose weights live in one flat buffer.
+
+    Subclasses name their arrays in ``_names``, take them positionally in
+    that order followed by ``label_space``, tag themselves with ``type_tag``
+    for serialization, and implement ``_check_shapes``, ``_forward`` and
+    ``_backward``. The named attributes are views of the buffer: modify them
+    in place, never rebind them.
+    """
+
+    _names: tuple[str, ...]
+    type_tag: str
+
+    def __init__(self, arrays, label_space):
+        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        self.label_space = tuple(sorted(int(c) for c in label_space))
+        self._check_shapes(*arrays)
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ValueError("parameters must be finite")
+        self._flat = np.concatenate([a.ravel() for a in arrays])
+        start = 0
+        for name, a in zip(self._names, arrays):
+            setattr(self, name, self._flat[start : start + a.size].reshape(a.shape))
+            start += a.size
+        self._index = _LocalIndex(self.label_space)
+
+    @property
+    def num_classes_local(self) -> int:
+        return len(self.label_space)
+
+    @property
+    def params(self) -> np.ndarray:
+        return self._flat.copy()
+
+    def set_params(self, flat: np.ndarray) -> None:
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != self._flat.shape:
+            raise ValueError(f"expected {self._flat.size} parameters, got {flat.shape}")
+        self._flat[...] = flat
+
+    def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
+        self._flat -= lr * np.asarray(flat_grad, dtype=np.float64)
+
+    def posterior(self, x: np.ndarray) -> np.ndarray:
+        X, single = _as_batch(x)
+        _, P = self._forward(X)
+        return P[0] if single else P
+
+    def posterior_grad(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+        X, _ = _as_batch(x)
+        U = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
+        H, P = self._forward(X)
+        return self._backward(X, H, _softmax_upstream_to_logits(P, U))
+
+
+class SoftmaxRegression(FlatClassifier):
     """Linear logits with a softmax head over the local label space."""
 
-    W: np.ndarray
-    b: np.ndarray
-    label_space: tuple[int, ...]
+    _names = ("W", "b")
+    type_tag = "softmax_regression"
 
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        self.label_space = tuple(sorted(int(c) for c in self.label_space))
+    def __init__(self, W, b, label_space):
+        super().__init__((W, b), label_space)
+
+    def _check_shapes(self, W, b) -> None:
         m = len(self.label_space)
-        if self.W.shape[0] != m or self.b.shape != (m,):
-            raise ValueError(
-                f"shape mismatch: W {self.W.shape}, b {self.b.shape}, {m} classes"
-            )
-        if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
-            raise ValueError("parameters must be finite")
-        self._index = _LocalIndex(self.label_space)
+        if W.shape[0] != m or b.shape != (m,):
+            raise ValueError(f"shape mismatch: W {W.shape}, b {b.shape}, {m} classes")
 
     @classmethod
     def init_random(cls, dim: int, label_space, rng: np.random.Generator) -> "SoftmaxRegression":
@@ -88,62 +148,27 @@ class SoftmaxRegression:
     def dim(self) -> int:
         return self.W.shape[1]
 
-    @property
-    def num_classes_local(self) -> int:
-        return len(self.label_space)
+    def _forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return X, softmax(X @ self.W.T + self.b)
 
-    @property
-    def params(self) -> np.ndarray:
-        return np.concatenate([self.W.ravel(), self.b])
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        nw = self.W.size
-        if flat.shape != (nw + self.b.size,):
-            raise ValueError(f"expected {nw + self.b.size} parameters, got {flat.shape}")
-        self.W = flat[:nw].reshape(self.W.shape).copy()
-        self.b = flat[nw:].copy()
-
-    def posterior(self, x: np.ndarray) -> np.ndarray:
-        X, single = _as_batch(x)
-        P = softmax(X @ self.W.T + self.b)
-        return P[0] if single else P
-
-    def posterior_grad(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-        X, _ = _as_batch(x)
-        U = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-        P = softmax(X @ self.W.T + self.b)
-        gz = _softmax_upstream_to_logits(P, U)
+    def _backward(self, X: np.ndarray, H: np.ndarray, gz: np.ndarray) -> np.ndarray:
         return np.concatenate([(gz.T @ X).ravel(), gz.sum(axis=0)])
 
-    def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
-        self.set_params(self.params - lr * np.asarray(flat_grad, dtype=np.float64))
 
-
-@dataclass
-class MlpClassifier:
+class MlpClassifier(FlatClassifier):
     """tanh-hidden-layer perceptron with a softmax head."""
 
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    label_space: tuple[int, ...]
+    _names = ("W1", "b1", "W2", "b2")
+    type_tag = "mlp"
 
-    def __post_init__(self):
-        self.W1 = np.asarray(self.W1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.W2 = np.asarray(self.W2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
-        self.label_space = tuple(sorted(int(c) for c in self.label_space))
-        h = self.W1.shape[0]
+    def __init__(self, W1, b1, W2, b2, label_space):
+        super().__init__((W1, b1, W2, b2), label_space)
+
+    def _check_shapes(self, W1, b1, W2, b2) -> None:
+        h = W1.shape[0]
         m = len(self.label_space)
-        if self.b1.shape != (h,) or self.W2.shape != (m, h) or self.b2.shape != (m,):
+        if b1.shape != (h,) or W2.shape != (m, h) or b2.shape != (m,):
             raise ValueError("layer dimensions do not chain")
-        for p in (self.W1, self.b1, self.W2, self.b2):
-            if not np.all(np.isfinite(p)):
-                raise ValueError("parameters must be finite")
-        self._index = _LocalIndex(self.label_space)
 
     @classmethod
     def init_random(
@@ -163,50 +188,15 @@ class MlpClassifier:
     def hidden(self) -> int:
         return self.W1.shape[0]
 
-    @property
-    def num_classes_local(self) -> int:
-        return len(self.label_space)
-
-    @property
-    def params(self) -> np.ndarray:
-        return np.concatenate(
-            [self.W1.ravel(), self.b1, self.W2.ravel(), self.b2]
-        )
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        sizes = [self.W1.size, self.b1.size, self.W2.size, self.b2.size]
-        if flat.shape != (sum(sizes),):
-            raise ValueError(f"expected {sum(sizes)} parameters, got {flat.shape}")
-        parts = np.split(flat, np.cumsum(sizes)[:-1])
-        self.W1 = parts[0].reshape(self.W1.shape).copy()
-        self.b1 = parts[1].copy()
-        self.W2 = parts[2].reshape(self.W2.shape).copy()
-        self.b2 = parts[3].copy()
-
     def _forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         H = np.tanh(X @ self.W1.T + self.b1)
         return H, softmax(H @ self.W2.T + self.b2)
 
-    def posterior(self, x: np.ndarray) -> np.ndarray:
-        X, single = _as_batch(x)
-        _, P = self._forward(X)
-        return P[0] if single else P
-
-    def posterior_grad(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-        X, _ = _as_batch(x)
-        U = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-        H, P = self._forward(X)
-        gz = _softmax_upstream_to_logits(P, U)
-        gW2 = gz.T @ H
-        gb2 = gz.sum(axis=0)
+    def _backward(self, X: np.ndarray, H: np.ndarray, gz: np.ndarray) -> np.ndarray:
         gpre = (gz @ self.W2) * (1.0 - H**2)
-        gW1 = gpre.T @ X
-        gb1 = gpre.sum(axis=0)
-        return np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
-
-    def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
-        self.set_params(self.params - lr * np.asarray(flat_grad, dtype=np.float64))
+        return np.concatenate(
+            [(gpre.T @ X).ravel(), gpre.sum(axis=0), (gz.T @ H).ravel(), gz.sum(axis=0)]
+        )
 
 
 def global_posterior(model, x: np.ndarray, K: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .calibration import TraceRow
-from .classifiers import MlpClassifier, SoftmaxRegression
+from .classifiers import FlatClassifier
 from .density import GmmModel, KdeModel
 from .ensemble import EnsembleModel, PartyModel, build_ensemble
 
@@ -28,39 +28,20 @@ def _decode_array(d: dict) -> np.ndarray:
 
 
 def classifier_to_dict(clf) -> dict:
-    if isinstance(clf, SoftmaxRegression):
-        return {
-            "type": "softmax_regression",
-            "label_space": list(clf.label_space),
-            "W": _encode_array(clf.W),
-            "b": _encode_array(clf.b),
-        }
-    if isinstance(clf, MlpClassifier):
-        return {
-            "type": "mlp",
-            "label_space": list(clf.label_space),
-            "W1": _encode_array(clf.W1),
-            "b1": _encode_array(clf.b1),
-            "W2": _encode_array(clf.W2),
-            "b2": _encode_array(clf.b2),
-        }
-    raise ValueError(f"unknown classifier type {type(clf).__name__}")
+    if not isinstance(clf, FlatClassifier):
+        raise ValueError(f"unknown classifier type {type(clf).__name__}")
+    doc = {"type": clf.type_tag, "label_space": list(clf.label_space)}
+    doc.update((name, _encode_array(getattr(clf, name))) for name in clf._names)
+    return doc
 
 
 def classifier_from_dict(d: dict):
     kind = d.get("type")
+    cls = {c.type_tag: c for c in FlatClassifier.__subclasses__()}.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown classifier type {kind!r}")
     space = tuple(int(c) for c in d["label_space"])
-    if kind == "softmax_regression":
-        return SoftmaxRegression(_decode_array(d["W"]), _decode_array(d["b"]), space)
-    if kind == "mlp":
-        return MlpClassifier(
-            _decode_array(d["W1"]),
-            _decode_array(d["b1"]),
-            _decode_array(d["W2"]),
-            _decode_array(d["b2"]),
-            space,
-        )
-    raise ValueError(f"unknown classifier type {kind!r}")
+    return cls(*(_decode_array(d[name]) for name in cls._names), space)
 
 
 def estimator_to_dict(est) -> dict:
@@ -104,14 +85,22 @@ def save_party(party: PartyModel, path) -> None:
         fh.write("\n")
 
 
+def _malformed(path, what: str, err: Exception) -> ValueError:
+    detail = f"missing key {err}" if isinstance(err, KeyError) else str(err)
+    return ValueError(f"{path}: malformed {what}: {detail}")
+
+
 def load_party(path) -> PartyModel:
     with open(path) as fh:
         doc = json.load(fh)
-    return PartyModel(
-        classifier_from_dict(doc["classifier"]),
-        estimator_from_dict(doc["estimator"]),
-        int(doc["shard_size"]),
-    )
+    try:
+        return PartyModel(
+            classifier_from_dict(doc["classifier"]),
+            estimator_from_dict(doc["estimator"]),
+            int(doc["shard_size"]),
+        )
+    except (KeyError, TypeError) as err:
+        raise _malformed(path, "party file", err) from None
 
 
 def save_ensemble(ens: EnsembleModel, out_dir, manifest_name: str = "ensemble.json") -> str:
@@ -138,22 +127,28 @@ def load_ensemble(manifest_path) -> EnsembleModel:
     """Load a manifest and its parties; party files must lie in its directory."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    try:
+        num_classes = int(manifest["num_classes"])
+        entries = [(e["model"], int(e["shard_size"])) for e in manifest["parties"]]
+        for model, _ in entries:
+            if not isinstance(model, str):
+                raise TypeError(f"party model {model!r} is not a string")
+    except (KeyError, TypeError, ValueError) as err:
+        raise _malformed(manifest_path, "manifest", err) from None
     base = os.path.dirname(os.path.abspath(manifest_path))
     parties = []
-    for entry in manifest["parties"]:
-        path = os.path.normpath(os.path.join(base, entry["model"]))
-        if os.path.isabs(entry["model"]) or os.path.commonpath([base, path]) != base:
-            raise ValueError(
-                f"manifest party path {entry['model']!r} is not inside {base}"
-            )
+    for model, shard_size in entries:
+        path = os.path.normpath(os.path.join(base, model))
+        if os.path.isabs(model) or os.path.commonpath([base, path]) != base:
+            raise ValueError(f"manifest party path {model!r} is not inside {base}")
         party = load_party(path)
-        if party.shard_size != int(entry["shard_size"]):
+        if party.shard_size != shard_size:
             raise ValueError(
-                f"manifest shard_size {entry['shard_size']} disagrees with "
-                f"{entry['model']} ({party.shard_size})"
+                f"manifest shard_size {shard_size} disagrees with "
+                f"{model} ({party.shard_size})"
             )
         parties.append(party)
-    return build_ensemble(parties, num_classes=int(manifest["num_classes"]))
+    return build_ensemble(parties, num_classes=num_classes)
 
 
 def write_predictions(path, labels: np.ndarray, objective: np.ndarray | None = None) -> None:

@@ -13,6 +13,8 @@ from densemble.calibration import (
     calibrate,
     clip_and_noise,
     ensemble_accuracy,
+    _batch_scores,
+    _theta_grads,
     mpce_grad,
     mpce_loss,
 )
@@ -379,3 +381,23 @@ def test_calibrate_validation():
         CalibrationConfig(batch=0)
     with pytest.raises(ValueError):
         CalibrationConfig(density_scope="sometimes")
+
+
+def test_theta_grads_match_per_sample_loop_reference():
+    rng = np.random.default_rng(21)
+    ens = build_ensemble(
+        [make_party(rng, (0, 1)), make_party(rng, (1, 3), kind="mlp"), make_party(rng, (2,))],
+        num_classes=4,
+    )
+    X = rng.normal(size=(16, 2))
+    y = rng.integers(0, 4, 16)
+    om, score = _batch_scores(ens, X, y)
+    got = _theta_grads(ens, om, X, y, score)
+    coeff = om.weights / score[:, None]
+    for j, party in enumerate(ens.parties):
+        space = party.classifier.label_space
+        U = np.zeros((len(y), len(space)))
+        for i, label in enumerate(y):
+            if label in space:
+                U[i, space.index(label)] = -coeff[i, j]
+        assert got[j].tobytes() == party.classifier.posterior_grad(X, U).tobytes()

@@ -222,3 +222,33 @@ def test_init_random_shapes_and_scales():
     assert mlp.W1.shape == (32, 2) and mlp.W2.shape == (3, 32)
     assert np.array_equal(mlp.b1, np.zeros(32))
     assert np.array_equal(mlp.b2, np.zeros(3))
+
+
+@pytest.mark.parametrize("make", [random_softmax, random_mlp], ids=["softmax", "mlp"])
+def test_params_never_alias_and_apply_grad_is_exact(make):
+    rng = np.random.default_rng(12)
+    proto = make(rng)
+    cls, space = type(proto), proto.label_space
+    arrays = [getattr(proto, name).copy() for name in proto._names]
+    model = cls(*arrays, space)
+    before = model.params
+    for a in arrays:
+        a += 1.0  # the constructor copied the caller's arrays
+    assert model.params.tobytes() == before.tobytes()
+
+    p = model.params
+    g = rng.normal(size=p.size)
+    model.apply_grad(g, 0.3)
+    assert p.tobytes() == before.tobytes()  # params handed out a copy
+    twin = cls(*arrays, space)
+    twin.set_params(before)
+    twin.set_params(twin.params - 0.3 * g)
+    assert model.params.tobytes() == twin.params.tobytes()
+
+    flat = rng.normal(size=p.size)
+    model.set_params(flat)
+    flat[:] = 0.0  # set_params copied its argument
+    assert not np.any(model.params == 0.0)
+    # the named arrays are views of the flat buffer, in _names order
+    views = np.concatenate([getattr(model, name).ravel() for name in model._names])
+    assert views.tobytes() == model.params.tobytes()

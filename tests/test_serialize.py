@@ -186,3 +186,32 @@ def test_trace_bad_header_rejected(tmp_path):
     path.write_text("a,b\n")
     with pytest.raises(ValueError, match="line 1"):
         read_trace(path)
+
+
+MALFORMED = {
+    "numeric-model": ("ensemble.json", lambda doc: doc["parties"][0].update(model=5)),
+    "missing-model": ("ensemble.json", lambda doc: doc["parties"][0].pop("model")),
+    "missing-shard-size": ("ensemble.json", lambda doc: doc["parties"][0].pop("shard_size")),
+    "party-missing-array": ("party_0.json", lambda doc: doc["classifier"].pop("W")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_manifest_or_party_file_exits_2(tmp_path, capsys, case):
+    rng = np.random.default_rng(8)
+    party = PartyModel(
+        SoftmaxRegression(rng.normal(size=(2, 2)), rng.normal(size=2), (0, 1)),
+        kde_fit(rng.normal(size=(5, 2)), 0.2),
+        10,
+    )
+    manifest = save_ensemble(build_ensemble([party], num_classes=2), tmp_path / "model")
+    name, mutate = MALFORMED[case]
+    path = tmp_path / "model" / name
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="malformed"):
+        load_ensemble(manifest)
+    rc = cli.main(["eval-zeroshot", "--ensemble", manifest, "--data", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert name in capsys.readouterr().err
