@@ -73,8 +73,8 @@ class CalibrationConfig:
     steps: int = 2000
     update_density: bool = False
     density_scope: str = "matching"
-    clip: ClipConfig | None = None
     eval_every: int = 50
+    clip: ClipConfig | None = None
 
     def __post_init__(self):
         if not (self.lr > 0):

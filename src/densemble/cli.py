@@ -32,7 +32,7 @@ def _cmd_partition(args) -> int:
     ds = read_csv(args.data)
     spec = PartitionSpec.load(args.spec)
     if args.seed is not None:
-        spec = PartitionSpec(spec.parties, seed=args.seed)
+        spec = replace(spec, seed=args.seed)
     shards = partition(ds, spec)
     os.makedirs(args.out, exist_ok=True)
     for j, shard in enumerate(shards):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonconfig import from_json, to_json
+
 TOY_CIRCLE_RADIUS = 4.0
 TOY_BLOB_SIGMA = 0.8
 # Pulling one adjacent pair of blobs to this centre distance creates a single
@@ -91,12 +93,12 @@ class PartyRule:
     fraction: float = 1.0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class PartitionSpec:
-    """Label-biased partition assignment: one rule per party plus an RNG seed."""
+    """Label-biased partition assignment: an RNG seed plus one rule per party."""
 
-    parties: list[PartyRule]
     seed: int = 0
+    parties: list[PartyRule]
 
     def __post_init__(self):
         if not self.parties:
@@ -119,32 +121,15 @@ class PartitionSpec:
     def covered_classes(self) -> set[int]:
         return {c for rule in self.parties for c in rule.classes}
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "parties": [
-                {"classes": list(r.classes), "fraction": r.fraction}
-                for r in self.parties
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PartitionSpec":
-        parties = [
-            PartyRule(tuple(int(c) for c in p["classes"]), float(p.get("fraction", 1.0)))
-            for p in d["parties"]
-        ]
-        return cls(parties=parties, seed=int(d.get("seed", 0)))
-
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(to_json(self), fh, indent=2)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "PartitionSpec":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return from_json(cls, json.load(fh))
 
 
 def toy_blob_means(num_classes: int) -> np.ndarray:

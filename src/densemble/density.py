@@ -91,10 +91,6 @@ class GmmModel:
         self.weights, self.means, self.variances = w, mu, var
 
     @property
-    def num_components(self) -> int:
-        return self.means.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.means.shape[1]
 

@@ -73,13 +73,11 @@ class ObjectiveMatrix:
     """All intermediates of one batched objective evaluation.
 
     Shapes for n queries, N parties, K classes:
-        posteriors (n, N, K), loglik (n, N), rowmax (n,),
-        weights (n, N), objective (n, K).
+        posteriors (n, N, K), loglik (n, N), weights (n, N), objective (n, K).
     """
 
     posteriors: np.ndarray
     loglik: np.ndarray
-    rowmax: np.ndarray
     weights: np.ndarray
     objective: np.ndarray
 
@@ -109,7 +107,7 @@ def evaluate_objective(ens: EnsembleModel, queries: np.ndarray) -> ObjectiveMatr
     rowmax = L.max(axis=1)
     W = ens.priors[None, :] * np.exp(L - rowmax[:, None])
     J = np.einsum("njk,nj->nk", P, W)
-    return ObjectiveMatrix(P, L, rowmax, W, J)
+    return ObjectiveMatrix(P, L, W, J)
 
 
 def decide(om: ObjectiveMatrix) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 An experiment is fully described by an ``ExperimentConfig``: data geometry,
 partition rules, per-party model choices, and an optional calibration block.
+The config dataclasses are the JSON file format (``jsonconfig`` reads and
+writes them), and each block range-checks itself in ``__post_init__``.
 All randomness descends from one root seed, split into four named streams
 (data, init, batching, noise) so reruns and sweeps are reproducible while
 stages stay independently perturbable.
@@ -13,17 +15,12 @@ import importlib.resources
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import classifiers, serialize
-from .calibration import (
-    CalibrationConfig,
-    ClipConfig,
-    TraceRow,
-    calibrate,
-)
+from .calibration import CalibrationConfig, TraceRow, calibrate
 from .datasets import (
     LocalDataset,
     PartitionSpec,
@@ -34,13 +31,13 @@ from .datasets import (
 )
 from .density import gmm_fit, kde_fit
 from .ensemble import (
-    EnsembleModel,
     PartyModel,
     build_ensemble,
     decide,
     evaluate_objective,
     max_model_decide,
 )
+from .jsonconfig import from_json, to_json
 
 PRESET_NAMES = ("toy3", "splitA", "splitB", "splitC", "splitD")
 
@@ -51,6 +48,12 @@ class DataConfig:
     num_classes: int = 5
     train_ratio: float = 0.7
 
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"n must be nonnegative, got {self.n}")
+        if not (0 < self.train_ratio < 1):
+            raise ValueError(f"train_ratio {self.train_ratio} outside (0, 1)")
+
 
 @dataclass
 class ClassifierConfig:
@@ -60,6 +63,16 @@ class ClassifierConfig:
     epochs: int = 1
     batch: int = 32
 
+    def __post_init__(self):
+        if not (self.lr > 0):
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be at least 1, got {self.batch}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be at least 1, got {self.hidden}")
+
 
 @dataclass
 class EstimatorConfig:
@@ -67,28 +80,32 @@ class EstimatorConfig:
     bandwidth: float = 0.1
     components: int = 4
 
+    def __post_init__(self):
+        if not (self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        if self.components < 1:
+            raise ValueError(f"components must be at least 1, got {self.components}")
+
 
 @dataclass
 class PartyConfig:
-    classifier: ClassifierConfig
-    estimator: EstimatorConfig
+    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
+    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    """Everything needed to rerun an experiment deterministically."""
+    """Everything needed to rerun an experiment; field order is JSON key order."""
 
     seed: int = 0
     data: DataConfig = field(default_factory=DataConfig)
-    partition: PartitionSpec = None
+    partition: PartitionSpec
     parties: list[PartyConfig] = field(default_factory=list)
-    calibration: CalibrationConfig | None = None
     calibrate_from_raw: bool = False
+    calibration: CalibrationConfig | None = None
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.partition is None:
-            raise ValueError("partition: missing")
         if len(self.parties) != len(self.partition.parties):
             raise ValueError(
                 f"parties: got {len(self.parties)} model configs for "
@@ -119,119 +136,35 @@ class MetricsReport:
     stream_seeds: dict[str, int]
 
 
-def _dataclass_from_dict(cls, d: dict, path: str):
-    """Build ``cls`` from ``d``; a key that is not a field of ``cls`` is an error."""
-    allowed = {f.name for f in fields(cls)}
-    for key in d:
-        if key not in allowed:
-            raise ValueError(f"{path}.{key}: unknown field")
-    return cls(**d)
-
-
-def _calibration_from_dict(d: dict, path: str) -> CalibrationConfig:
-    kwargs = dict(d)
-    clip = kwargs.pop("clip", None)
-    if clip is not None:
-        clip = ClipConfig(
-            clip_norm=float(clip["clip_norm"]),
-            noise_sigma=float(clip.get("noise_sigma", 0.0)),
-            seed=int(clip.get("seed", 0)),
-        )
-    unknown = set(kwargs) - {f.name for f in fields(CalibrationConfig)}
-    if unknown:
-        raise ValueError(f"{path}.{sorted(unknown)[0]}: unknown field")
-    try:
-        return CalibrationConfig(clip=clip, **kwargs)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}: {err}") from None
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Parse and validate a config document; errors name the failing field."""
-    if "partition" not in doc:
-        raise ValueError("partition: missing")
-    try:
-        part = PartitionSpec.from_dict(doc["partition"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"partition: {err}") from None
-    data_doc = doc.get("data", {})
-    data = DataConfig(
-        n=int(data_doc.get("n", 2000)),
-        num_classes=int(data_doc.get("num_classes", 5)),
-        train_ratio=float(data_doc.get("train_ratio", 0.7)),
-    )
-    if data.n < 0:
-        raise ValueError("data.n: must be nonnegative")
-    if not (0 < data.train_ratio < 1):
-        raise ValueError("data.train_ratio: outside (0, 1)")
-    parties = [
-        PartyConfig(
-            classifier=_dataclass_from_dict(
-                ClassifierConfig, p.get("classifier", {}), f"parties[{j}].classifier"
-            ),
-            estimator=_dataclass_from_dict(
-                EstimatorConfig, p.get("estimator", {}), f"parties[{j}].estimator"
-            ),
-        )
-        for j, p in enumerate(doc.get("parties", []))
-    ]
-    cal = doc.get("calibration")
-    calibration = _calibration_from_dict(cal, "calibration") if cal else None
-    return ExperimentConfig(
-        seed=int(doc.get("seed", 0)),
-        data=data,
-        partition=part,
-        parties=parties,
-        calibration=calibration,
-        calibrate_from_raw=bool(doc.get("calibrate_from_raw", False)),
-        out_dir=doc.get("out_dir"),
-    )
+    """Parse and validate a config document; errors name the failing field.
+
+    A top-level ``stream_seeds`` (the derived seeds every ``config.json``
+    echo carries) is ignored, so an echo loads as the config that wrote it.
+    """
+    if isinstance(doc, dict):
+        doc = {k: v for k, v in doc.items() if k != "stream_seeds"}
+    return from_json(ExperimentConfig, doc)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    # The calibration block is spelled out: asdict would put clip before eval_every.
-    doc = {
-        "seed": cfg.seed,
-        "data": asdict(cfg.data),
-        "partition": cfg.partition.to_dict(),
-        "parties": [asdict(p) for p in cfg.parties],
-        "calibrate_from_raw": cfg.calibrate_from_raw,
-    }
-    if cfg.calibration is not None:
-        c = cfg.calibration
-        doc["calibration"] = {
-            "lr": c.lr,
-            "batch": c.batch,
-            "steps": c.steps,
-            "update_density": c.update_density,
-            "density_scope": c.density_scope,
-            "eval_every": c.eval_every,
-        }
-        if c.clip is not None:
-            doc["calibration"]["clip"] = {
-                "clip_norm": c.clip.clip_norm,
-                "noise_sigma": c.clip.noise_sigma,
-                "seed": c.clip.seed,
-            }
-    return doc
+    return to_json(cfg, skip=("out_dir",))
 
 
 def load_config(name_or_path: str) -> ExperimentConfig:
     """Load a config from a file path or a shipped preset name."""
     if os.path.exists(name_or_path):
         with open(name_or_path) as fh:
-            return config_from_dict(json.load(fh))
-    if name_or_path in PRESET_NAMES:
-        text = (
-            importlib.resources.files("densemble")
-            .joinpath(f"presets/{name_or_path}.json")
-            .read_text()
+            text = fh.read()
+    elif name_or_path in PRESET_NAMES:
+        preset = importlib.resources.files("densemble") / f"presets/{name_or_path}.json"
+        text = preset.read_text()
+    else:
+        raise ValueError(
+            f"config {name_or_path!r} is neither a file nor a preset "
+            f"(presets: {', '.join(PRESET_NAMES)})"
         )
-        return config_from_dict(json.loads(text))
-    raise ValueError(
-        f"config {name_or_path!r} is neither a file nor a preset "
-        f"(presets: {', '.join(PRESET_NAMES)})"
-    )
+    return config_from_dict(json.loads(text))
 
 
 def stream_seeds(root_seed: int, num_parties: int) -> dict:
@@ -286,7 +219,7 @@ def prepare_data(
     """Generate, split, and partition the experiment's dataset."""
     full = generate_toy(seeds["data"], cfg.data.n, cfg.data.num_classes)
     train_ds, test_ds = split_train_test(full, cfg.data.train_ratio, seeds["split"])
-    spec = PartitionSpec(cfg.partition.parties, seed=seeds["partition"])
+    spec = replace(cfg.partition, seed=seeds["partition"])
     return train_ds, test_ds, partition(train_ds, spec)
 
 

@@ -1,5 +1,7 @@
 """Data generation, partitioning, and CSV round-trip behavior."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,16 @@ def test_partition_spec_json_round_trip(tmp_path):
     assert loaded.seed == 17
     assert [r.classes for r in loaded.parties] == [r.classes for r in spec.parties]
     assert [r.fraction for r in loaded.parties] == [r.fraction for r in spec.parties]
+
+
+def test_partition_spec_save_bytes_are_pinned(tmp_path):
+    spec = PartitionSpec(parties=[PartyRule((0, 1)), PartyRule((2,), 0.5)], seed=4)
+    path = tmp_path / "spec.json"
+    spec.save(path)
+    rules = [{"classes": [0, 1], "fraction": 1.0}, {"classes": [2], "fraction": 0.5}]
+    expected = json.dumps({"seed": 4, "parties": rules}, indent=2) + "\n"
+    assert path.read_text() == expected
+    assert PartitionSpec.load(path) == spec
 
 
 def test_csv_round_trip_bitwise(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from conftest import ConstantClassifier, fast_experiment_doc
 
 from densemble import cli, serialize
+from densemble.calibration import CalibrationConfig
 from densemble.datasets import read_csv
 from densemble.density import KdeModel
 from densemble.ensemble import evaluate_objective
@@ -123,6 +124,121 @@ def test_config_errors_name_the_field():
 
     # base was never mutated by the per-case copies
     assert base == fast_experiment_doc()
+
+
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def mutate(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+
+    return mutate
+
+
+MALFORMED_CONFIGS = {
+    "clip-without-clip-norm": (
+        _set("calibration", {"clip": {"noise_sigma": 0.1}}),
+        "calibration.clip.clip_norm",
+    ),
+    "calibration-list": (_set("calibration", [1]), "calibration"),
+    "parties-object": (_set("parties", {"0": {}}), "parties"),
+    "classifier-number": (_set("parties", 0, "classifier", 3), "parties[0].classifier"),
+    "data-typo": (_set("data", "num_clases", 5), "data.num_clases"),
+    "top-level-typo": (_set("calibrate_from_rwa", True), "calibrate_from_rwa"),
+    "clip-typo": (
+        _set("calibration", {"clip": {"clip_norm": 1.0, "nosie_sigma": 0.1}}),
+        "calibration.clip.nosie_sigma",
+    ),
+    "partition-rule-typo": (
+        _set("partition", "parties", 0, "fractoin", 1.0),
+        "partition.parties[0].fractoin",
+    ),
+    "n-as-string": (_set("data", "n", "2000"), "data.n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_exits_2(case, tmp_path, capsys):
+    mutate, field_path = MALFORMED_CONFIGS[case]
+    doc = fast_experiment_doc()
+    mutate(doc)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["train-local", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field_path}:"), err
+
+
+def test_partition_spec_without_parties_exits_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    cli.main(["gen-data", "--n", "30", "--classes", "3", "--out", str(data)])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 0}))
+    argv = ["partition", "--data", str(data), "--spec", str(spec)]
+    assert cli.main(argv + ["--out", str(tmp_path / "shards")]) == 2
+    assert "error: parties: missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "block,key,bad",
+    [
+        ("classifier", "lr", -0.1),
+        ("classifier", "lr", 0),
+        ("classifier", "epochs", -1),
+        ("classifier", "batch", 0),
+        ("classifier", "hidden", 0),
+        ("estimator", "bandwidth", 0),
+        ("estimator", "components", 0),
+    ],
+)
+def test_model_config_range_checked_at_load(block, key, bad):
+    doc = fast_experiment_doc()
+    doc["parties"][1][block][key] = bad
+    with pytest.raises(ValueError, match=rf"^parties\[1\]\.{block}: {key} "):
+        config_from_dict(doc)
+
+
+def test_model_config_bounds_are_inclusive_where_stated():
+    doc = fast_experiment_doc()
+    doc["parties"][1]["classifier"].update(epochs=0, batch=1, hidden=1)
+    doc["parties"][1]["estimator"].update(type="gmm", components=1)
+    cfg = config_from_dict(doc)
+    assert cfg.parties[1].classifier.epochs == 0
+    assert cfg.parties[1].estimator.components == 1
+
+
+def test_empty_calibration_block_means_default_calibration():
+    doc = fast_experiment_doc()
+    doc["calibration"] = {}
+    assert config_from_dict(doc).calibration == CalibrationConfig()
+
+
+def test_calibration_echo_key_order():
+    doc = fast_experiment_doc()
+    doc["calibration"] = {"clip": {"clip_norm": 2}, "steps": 3}
+    echo = config_to_dict(config_from_dict(doc))
+    assert list(echo) == [
+        "seed", "data", "partition", "parties", "calibrate_from_raw", "calibration"
+    ]
+    cal = echo["calibration"]
+    assert list(cal) == [
+        "lr", "batch", "steps", "update_density", "density_scope", "eval_every", "clip"
+    ]
+    assert cal["clip"] == {"clip_norm": 2.0, "noise_sigma": 0.0, "seed": 0}
+    assert type(cal["clip"]["clip_norm"]) is float
+
+
+def test_config_echo_reloads_and_reruns_identically(pipeline_artifacts, tmp_path):
+    _, _, out = pipeline_artifacts
+    echo = json.loads((out / "config.json").read_text())
+    cfg = load_config(str(out / "config.json"))
+    del echo["stream_seeds"]
+    assert config_to_dict(cfg) == echo
+    run_experiment(replace(cfg, out_dir=str(tmp_path)))
+    for name in ("metrics.csv", "predictions_ensemble.csv", "predictions_max_model.csv"):
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
 
 # ----------------------------------------------------------- seed streams
