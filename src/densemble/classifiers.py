@@ -240,13 +240,16 @@ def train(
     onehot = np.eye(m)[y_local]
     for _ in range(epochs):
         order = rng.permutation(n)
+        X_epoch, Y_epoch = X[order], onehot[order]
         for start in range(0, n, batch):
-            sel = order[start : start + batch]
-            P = model.posterior(X[sel])
-            # dCE/dP = -onehot/P; chaining through softmax gives (P - onehot)
-            upstream = -onehot[sel] / np.maximum(P, 1e-300)
-            g = model.posterior_grad(X[sel], upstream) / len(sel)
-            model.apply_grad(g, lr)
+            Xb = X_epoch[start : start + batch]
+            Yb = Y_epoch[start : start + batch]
+            # one forward pass feeds both the loss derivative and _backward
+            H, P = model._forward(Xb)
+            # dCE/dP = -onehot/P, chained through the softmax Jacobian; the
+            # algebraically equal (P - onehot) would round differently
+            gz = _softmax_upstream_to_logits(P, -Yb / np.maximum(P, 1e-300))
+            model.apply_grad(model._backward(Xb, H, gz) / len(Xb), lr)
     return model
 
 

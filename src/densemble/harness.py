@@ -106,6 +106,18 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        k = self.data.num_classes
+        for i, rule in enumerate(self.partition.parties):
+            outside = sorted(c for c in rule.classes if not 0 <= c < k)
+            if outside:
+                raise ValueError(
+                    f"partition.parties[{i}].classes: {outside} outside [0, {k})"
+                )
+        missing = set(range(k)) - self.partition.covered_classes
+        if missing:
+            raise ValueError(
+                f"partition: classes {sorted(missing)} not assigned to any party"
+            )
         if len(self.parties) != len(self.partition.parties):
             raise ValueError(
                 f"parties: got {len(self.parties)} model configs for "

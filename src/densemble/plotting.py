@@ -120,12 +120,10 @@ def plot_density(estimator, region, resolution: int, path) -> None:
     lo, hi = float(logd.min()), float(logd.max())
     span = hi - lo
     t = np.zeros_like(logd) if span == 0 else (logd - lo) / span
-    colors = np.empty(logd.shape, dtype=object)
-    for row in range(resolution):
-        for col in range(resolution):
-            rgb = tuple(
-                int(round(a + t[row, col] * (b - a)))
-                for a, b in zip(DENSITY_LOW, DENSITY_HIGH)
-            )
-            colors[row, col] = f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
-    _svg_grid(path, colors)
+    # np.rint rounds half to even, as Python's round does
+    code = np.zeros(logd.shape, dtype=np.int64)
+    for a, b in zip(DENSITY_LOW, DENSITY_HIGH):
+        code = code << 8 | np.rint(a + t * (b - a)).astype(np.int64)
+    distinct, cell_index = np.unique(code, return_inverse=True)
+    names = np.array([f"#{c:06x}" for c in distinct], dtype=object)
+    _svg_grid(path, names[cell_index].reshape(logd.shape))

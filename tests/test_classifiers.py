@@ -132,6 +132,39 @@ def test_train_deterministic():
     assert np.array_equal(params[0], params[1])
 
 
+def reference_train(model, ds, lr, epochs, batch, seed):
+    """Per-batch posterior, then posterior_grad: the unfused SGD loop."""
+    y_local = model._index.to_local(ds.labels)
+    rng = np.random.default_rng(seed)
+    onehot = np.eye(model.num_classes_local)[y_local]
+    for _ in range(epochs):
+        order = rng.permutation(len(ds))
+        for start in range(0, len(ds), batch):
+            sel = order[start : start + batch]
+            P = model.posterior(ds.features[sel])
+            upstream = -onehot[sel] / np.maximum(P, 1e-300)
+            model.apply_grad(model.posterior_grad(ds.features[sel], upstream) / len(sel), lr)
+    return model
+
+
+@pytest.mark.parametrize("family", ["softmax", "mlp"])
+def test_train_bitwise_equals_unfused_reference(family):
+    full = generate_toy(3, 300, 5)
+    spec = PartitionSpec(parties=[PartyRule((0, 2, 3), 1.0), PartyRule((1, 4), 1.0)], seed=0)
+    shard = partition(full, spec)[0]
+
+    def fresh():
+        rng = np.random.default_rng(11)
+        if family == "softmax":
+            return SoftmaxRegression.init_random(2, (0, 2, 3), rng)
+        return MlpClassifier.init_random(2, (0, 2, 3), 12, rng)
+
+    # batch 23 leaves a short last batch in every epoch
+    got = train(fresh(), shard, lr=0.1, epochs=15, batch=23, seed=4).params
+    want = reference_train(fresh(), shard, lr=0.1, epochs=15, batch=23, seed=4).params
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _fd_posterior_grad(model, x, u, eps=1e-5):
     """Central finite differences of posterior(x) . u over flat parameters."""
     flat = model.params.copy()

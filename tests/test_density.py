@@ -1,8 +1,11 @@
 """Density estimator correctness against probability-domain oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from densemble import density
 from densemble.density import (
     GMM_VARIANCE_FLOOR,
     LOG_DENSITY_FLOOR,
@@ -68,6 +71,73 @@ def test_kde_far_query_floored():
     model = kde_fit(np.zeros((3, 2)), 0.1)
     val = model.log_density(np.array([1e4, 1e4]))[0]
     assert val == LOG_DENSITY_FLOOR
+
+
+def reference_kde_log_density(model, X):
+    """The unblocked formula: whole-batch temporaries, exp on every term."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    h2 = model.bandwidth**2
+    sq = (
+        np.sum(X**2, axis=1)[:, None]
+        + np.sum(model.points**2, axis=1)[None, :]
+        - 2.0 * X @ model.points.T
+    )
+    np.maximum(sq, 0.0, out=sq)
+    log_kernels = -sq / (2.0 * h2)
+    top = np.max(log_kernels, axis=1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    lse = np.squeeze(top, axis=1) + np.log(np.sum(np.exp(log_kernels - top), axis=1))
+    norm = np.log(len(model.points)) + 0.5 * model.dim * np.log(2.0 * np.pi * h2)
+    return np.maximum(lse - norm, LOG_DENSITY_FLOOR)
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_kde_block_of_one_row_matches_reference():
+    # m > _BLOCK_BYTES / 8 points leave room for a single row per block
+    rng = np.random.default_rng(0)
+    m = density._BLOCK_BYTES // 8 + 37
+    model = kde_fit(rng.normal(size=(m, 2)), 0.3)
+    X = rng.normal(size=(5, 2)) * 2.0
+    assert max(1, density._BLOCK_BYTES // (8 * m)) == 1
+    assert_bitwise_equal(model.log_density(X), reference_kde_log_density(model, X))
+
+
+def test_kde_ragged_last_block_matches_reference():
+    rng = np.random.default_rng(1)
+    for d, m, h in [(2, 560, 0.1), (3, 701, 0.05), (1, 33, 1.0), (5, 900, 0.4)]:
+        model = kde_fit(rng.normal(size=(m, d)) * 2.0, h)
+        rows = density._BLOCK_BYTES // (8 * m)
+        n = 3 * rows + 17
+        # near, mid-range and far queries: most kernel terms underflow
+        X = rng.normal(size=(n, d)) * rng.choice([0.5, 3.0, 12.0], size=(n, 1))
+        assert_bitwise_equal(model.log_density(X), reference_kde_log_density(model, X))
+
+
+def test_kde_all_floored_matches_reference():
+    rng = np.random.default_rng(2)
+    model = kde_fit(rng.normal(size=(300, 2)), 0.1)
+    X = rng.normal(size=(50, 2)) + 500.0
+    got = model.log_density(X)
+    assert np.all(got == LOG_DENSITY_FLOOR)
+    assert_bitwise_equal(got, reference_kde_log_density(model, X))
+
+
+def test_kde_peak_memory_is_one_product():
+    n, m = 20000, 560
+    rng = np.random.default_rng(3)
+    model = kde_fit(rng.normal(size=(m, 2)), 0.1)
+    X = rng.normal(size=(n, 2)) * 4.0
+    tracemalloc.start()
+    try:
+        model.log_density(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * m * 8, peak / (n * m * 8)
 
 
 def test_kde_validation():

@@ -156,6 +156,11 @@ MALFORMED_CONFIGS = {
         "partition.parties[0].fractoin",
     ),
     "n-as-string": (_set("data", "n", "2000"), "data.n"),
+    "class-outside-num-classes": (
+        _set("data", "num_classes", 3),
+        "partition.parties[1].classes",
+    ),
+    "class-not-assigned": (_set("data", "num_classes", 6), "partition"),
 }
 
 
@@ -169,6 +174,22 @@ def test_malformed_config_exits_2(case, tmp_path, capsys):
     assert cli.main(["train-local", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field_path}:"), err
+
+
+@pytest.mark.parametrize(
+    "num_classes,message",
+    [
+        (3, "partition.parties[1].classes: [3] outside [0, 3)"),
+        (6, "partition: classes [5] not assigned to any party"),
+    ],
+    ids=["outside", "not-assigned"],
+)
+def test_partition_rules_checked_against_num_classes(num_classes, message):
+    doc = fast_experiment_doc()
+    doc["data"]["num_classes"] = num_classes
+    with pytest.raises(ValueError) as err:
+        config_from_dict(doc)
+    assert str(err.value) == message
 
 
 def test_partition_spec_without_parties_exits_2(tmp_path, capsys):

@@ -8,7 +8,14 @@ import pytest
 from conftest import ConstantClassifier, ConstantDensity
 from densemble.density import kde_fit
 from densemble.ensemble import PartyModel, build_ensemble
-from densemble.plotting import plot_decision_boundary, plot_density
+from densemble.plotting import (
+    DENSITY_HIGH,
+    DENSITY_LOW,
+    _grid_centers,
+    _svg_grid,
+    plot_decision_boundary,
+    plot_density,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -125,3 +132,33 @@ def test_region_and_resolution_validation(tmp_path):
         plot_decision_boundary(constant_ensemble(), (1, 1, -1, 1), 4, tmp_path / "x.svg")
     with pytest.raises(ValueError):
         plot_decision_boundary(constant_ensemble(), (-1, 1, -1, 1), 0, tmp_path / "x.svg")
+
+
+def reference_plot_density(estimator, region, resolution, path):
+    """The per-cell colour loop that plot_density vectorises."""
+    xs, ys = _grid_centers(region, resolution)
+    gx, gy = np.meshgrid(xs, ys)
+    queries = np.column_stack([gx.ravel(), gy.ravel()])
+    logd = estimator.log_density(queries).reshape(resolution, resolution)
+    lo, hi = float(logd.min()), float(logd.max())
+    span = hi - lo
+    t = np.zeros_like(logd) if span == 0 else (logd - lo) / span
+    colors = np.empty(logd.shape, dtype=object)
+    for row in range(resolution):
+        for col in range(resolution):
+            rgb = tuple(
+                int(round(a + t[row, col] * (b - a)))
+                for a, b in zip(DENSITY_LOW, DENSITY_HIGH)
+            )
+            colors[row, col] = f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+    _svg_grid(path, colors)
+
+
+@pytest.mark.parametrize("resolution", [1, 7, 60])
+def test_density_svg_bytes_match_per_cell_reference(tmp_path, resolution):
+    rng = np.random.default_rng(resolution)
+    model = kde_fit(rng.normal(size=(200, 2)) * 1.5, 0.3)
+    region = (-6.0, 6.0, -6.0, 6.0)
+    plot_density(model, region, resolution, tmp_path / "new.svg")
+    reference_plot_density(model, region, resolution, tmp_path / "ref.svg")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()

@@ -1,0 +1,136 @@
+"""Byte-compare the CLI outputs of two densemble checkouts.
+
+    python tools/golden.py PARENT_ROOT CHANGE_ROOT OUT
+
+Runs one fixed set of ``densemble`` commands against the ``src`` of each
+checkout, with one BLAS thread, in ``OUT/parent`` and ``OUT/change``. Every
+command's printed output is kept next to its artifacts. Then every file is
+compared byte for byte, except ``metrics.json``, whose ``timings`` differ
+from run to run. Exits 1 if a command fails, or if a file differs or exists
+on one side only.
+
+The configs that set calibration steps are written once to ``OUT/configs``
+from PARENT_ROOT's presets, so both sides read the same inputs.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import json
+import os
+import subprocess
+import sys
+
+CALIBRATION = {
+    "toy3-raw": ("toy3", {"steps": 300}),
+    "splitD-density": (
+        "splitD",
+        {
+            "steps": 300,
+            "update_density": True,
+            "clip": {"clip_norm": 1.0, "noise_sigma": 0.1},
+        },
+    ),
+    "splitA": ("splitA", {"steps": 300}),
+    "splitC": ("splitC", {"steps": 300}),
+}
+
+COMMANDS = {
+    "toy3-seed0": ["train-local", "--config", "toy3", "--seed", "0", "--out", "toy3-seed0"],
+    "toy3-seed1": ["train-local", "--config", "toy3", "--seed", "1", "--out", "toy3-seed1"],
+    "splitB": ["train-local", "--config", "splitB", "--out", "splitB"],
+    "toy3-raw": [
+        "calibrate", "--config", "../configs/toy3-raw.json", "--from-raw",
+        "--out", "toy3-raw",
+    ],
+    "splitD-density": [
+        "calibrate", "--config", "../configs/splitD-density.json",
+        "--out", "splitD-density",
+    ],
+    "splitA": ["calibrate", "--config", "../configs/splitA.json", "--out", "splitA"],
+    "splitC": ["calibrate", "--config", "../configs/splitC.json", "--out", "splitC"],
+    "gen-data": ["gen-data", "--seed", "7", "--n", "3000", "--out", "queries.csv"],
+    "eval-zeroshot": [
+        "eval-zeroshot", "--ensemble", "toy3-seed0/ensemble.json",
+        "--data", "queries.csv", "--out", "queries_predictions.csv",
+    ],
+    "plot-boundary": [
+        "plot", "--ensemble", "toy3-seed0/ensemble.json",
+        "--data", "toy3-seed0/test.csv", "--resolution", "100", "--out", "boundary.svg",
+    ],
+    "plot-density": [
+        "plot", "--ensemble", "toy3-seed0/ensemble.json", "--density", "0",
+        "--resolution", "150", "--out", "density0.svg",
+    ],
+    "sweep": ["sweep", "--config", "toy3", "--seeds", "2", "--out", "sweep"],
+}
+
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def write_configs(parent_root: str, out: str) -> None:
+    os.makedirs(os.path.join(out, "configs"), exist_ok=True)
+    for name, (preset, calibration) in CALIBRATION.items():
+        with open(os.path.join(parent_root, "src/densemble/presets", f"{preset}.json")) as fh:
+            doc = json.load(fh)
+        doc["calibration"] = calibration
+        with open(os.path.join(out, "configs", f"{name}.json"), "w") as fh:
+            json.dump(doc, fh, indent=2)
+
+
+def run_side(root: str, workdir: str) -> list[str]:
+    """Run every command in ``workdir`` against ``root``; one message per failure."""
+    os.makedirs(workdir, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"), **ONE_THREAD)
+    failed = []
+    for name, args in COMMANDS.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "densemble.cli", *args],
+            cwd=workdir, env=env, capture_output=True, text=True,
+        )
+        with open(os.path.join(workdir, f"{name}.stdout"), "w") as fh:
+            fh.write(proc.stdout)
+        if proc.returncode != 0:
+            failed.append(f"{name} (exit {proc.returncode}): {proc.stderr.strip()}")
+    return failed
+
+
+def files_under(top: str) -> set[str]:
+    return {
+        os.path.relpath(os.path.join(d, f), top)
+        for d, _, names in os.walk(top)
+        for f in names
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        print("usage: python tools/golden.py PARENT_ROOT CHANGE_ROOT OUT", file=sys.stderr)
+        return 2
+    parent_root, change_root, out = argv
+    write_configs(parent_root, out)
+    sides = {"parent": parent_root, "change": change_root}
+    failed = []
+    for side, root in sides.items():
+        print(f"running {side}: {root}", flush=True)
+        failed += [f"{side}: {msg}" for msg in run_side(root, os.path.join(out, side))]
+    a, b = (os.path.join(out, side) for side in sides)
+    files_a, files_b = files_under(a), files_under(b)
+    compared = sorted(p for p in files_a & files_b if os.path.basename(p) != "metrics.json")
+    differ = [
+        p for p in compared
+        if not filecmp.cmp(os.path.join(a, p), os.path.join(b, p), shallow=False)
+    ]
+    one_side = sorted(files_a ^ files_b)
+    print(f"{len(compared)} files compared, {len(differ)} differ, {len(one_side)} on one side only")
+    for msg in failed:
+        print(f"FAILED {msg}")
+    for p in differ:
+        print(f"DIFFERS {p}")
+    for p in one_side:
+        print(f"ONE SIDE {p}")
+    return 1 if failed or differ or one_side else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
