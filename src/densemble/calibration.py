@@ -25,7 +25,7 @@ import numpy as np
 
 from .classifiers import _LocalIndex
 from .datasets import LocalDataset
-from .ensemble import EnsembleModel, evaluate_objective, decide
+from .ensemble import EnsembleModel, evaluate_objective, decide, log_density_table
 
 PROBABILITY_FLOOR = 1e-12
 
@@ -189,8 +189,12 @@ def clip_and_noise(
     return out
 
 
-def ensemble_accuracy(ens: EnsembleModel, ds: LocalDataset) -> float:
-    return float(np.mean(decide(evaluate_objective(ens, ds.features)) == ds.labels))
+def ensemble_accuracy(
+    ens: EnsembleModel, ds: LocalDataset, loglik: np.ndarray | None = None
+) -> float:
+    """Share of ``ds`` the ensemble labels correctly; ``loglik`` as in
+    ``evaluate_objective``."""
+    return float(np.mean(decide(evaluate_objective(ens, ds.features, loglik)) == ds.labels))
 
 
 def calibrate(
@@ -205,7 +209,10 @@ def calibrate(
     Each step samples a batch, averages per-sample gradients into one flat
     vector, optionally clips and noises it, and applies -lr * grad to every
     party. Held-out accuracy is recorded every ``eval_every`` steps and at
-    the final step. Deterministic for fixed seeds.
+    the final step. Deterministic for fixed seeds. When no estimator can
+    change (``update_density`` off, or no party's estimator has
+    ``nll_grad``), the held-out set's log-density table is computed at the
+    first evaluation and reused by every later one.
     """
     if len(train) == 0:
         raise ValueError("calibration needs a nonempty training set")
@@ -218,6 +225,10 @@ def calibrate(
         else None
     )
     n = len(train)
+    densities_fixed = not cfg.update_density or not any(
+        hasattr(p.estimator, "nll_grad") for p in ens.parties
+    )
+    test_loglik = None
     trace: list[TraceRow] = []
     for step in range(1, cfg.steps + 1):
         sel = rng.choice(n, size=min(cfg.batch, n), replace=False)
@@ -244,6 +255,8 @@ def calibrate(
                     est.set_params(est.params - cfg.lr * block)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
-            acc = ensemble_accuracy(ens, test)
+            if densities_fixed and test_loglik is None:
+                test_loglik = log_density_table(ens, test.features)
+            acc = ensemble_accuracy(ens, test, test_loglik)
         trace.append(TraceRow(step, loss, acc))
     return ens, trace

@@ -17,8 +17,16 @@ import numpy as np
 
 from . import harness, plotting, serialize
 from .calibration import CalibrationConfig
-from .datasets import PartitionSpec, generate_toy, partition, read_csv, write_csv
+from .datasets import LocalDataset, PartitionSpec, generate_toy, partition, read_csv, write_csv
 from .ensemble import decide, evaluate_objective, max_model_decide
+
+
+def _read_data(path: str, num_classes: int) -> LocalDataset:
+    """``read_csv`` that rejects a file with a header and no rows."""
+    ds = read_csv(path, num_classes=num_classes)
+    if len(ds) == 0:
+        raise ValueError(f"{path}: no data rows")
+    return ds
 
 
 def _cmd_gen_data(args) -> int:
@@ -72,7 +80,7 @@ def _cmd_train_local(args) -> int:
 
 def _cmd_eval_zeroshot(args) -> int:
     ens = serialize.load_ensemble(args.ensemble)
-    ds = read_csv(args.data, num_classes=ens.num_classes)
+    ds = _read_data(args.data, ens.num_classes)
     om = evaluate_objective(ens, ds.features)
     labels = decide(om)
     acc = float(np.mean(labels == ds.labels))
@@ -102,7 +110,7 @@ def _cmd_plot(args) -> int:
     ens = serialize.load_ensemble(args.ensemble)
     points = labels = None
     if args.data:
-        ds = read_csv(args.data, num_classes=ens.num_classes)
+        ds = _read_data(args.data, ens.num_classes)
         points, labels = ds.features, ds.labels
         pad = 1.0
         region = (

@@ -20,8 +20,16 @@ the whole query batch, and cheap in memory:
 - ``exp(x)`` is exactly ``0.0`` in double precision for every
   ``x < -745.14``. Kernel terms below ``_EXP_CUTOFF`` are written as that
   zero instead of being passed to ``np.exp``, whose vector path is about
-  ten times slower on underflowing inputs. Every addend of each row sum
-  keeps its bits, so the sums do too.
+  ten times slower on underflowing inputs.
+- The kept terms are gathered into one contiguous run, exp'd there and
+  scattered back over a zeroed block. A masked ``np.exp(..., where=)``
+  over the scattered mask runs the vector loop once per short run, about
+  9 ns per element; the contiguous run costs about 1 ns per value, with
+  the same bits per value. The run lives in the block's rows of the spent
+  cross term, so the only extra memory is its 8-byte-per-term index.
+  Every addend of each row sum keeps its bits, so the sums do too.
+- Queries must be finite: a NaN or infinite query row would otherwise
+  come out as a floored density instead of NaN.
 """
 
 from __future__ import annotations
@@ -33,10 +41,21 @@ import numpy as np
 # exp(-745) is the smallest positive normal double; anything lower is 0 anyway.
 LOG_DENSITY_FLOOR = -745.0
 GMM_VARIANCE_FLOOR = 1e-6
-# Byte budget of the row block that the KDE kernel tail works in.
-_BLOCK_BYTES = 1 << 20
+# Byte budget of the row block that the KDE kernel tail works in; the block's
+# kept-term index can take as much again.
+_BLOCK_BYTES = 1 << 19
 # Below this, exp underflows to exactly 0.0 in double precision.
 _EXP_CUTOFF = -750.0
+
+
+def _queries(X: np.ndarray, dim: int) -> np.ndarray:
+    """Queries as a finite (n, dim) float64 matrix, or ValueError."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != dim:
+        raise ValueError(f"query dim {X.shape[1]} != model dim {dim}")
+    if not np.isfinite(X).all():
+        raise ValueError("queries must be finite")
+    return X
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -68,12 +87,10 @@ class KdeModel:
         """Mean-of-kernels log-density, evaluated batched and floored.
 
         The GEMM covers the whole batch; the kernel tail runs on row blocks
-        and skips exps that underflow (module docstring), bit for bit the
-        unblocked formula.
+        and exps only the terms that do not underflow, as one contiguous run
+        (module docstring), bit for bit the unblocked formula.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.dim:
-            raise ValueError(f"query dim {X.shape[1]} != model dim {self.dim}")
+        X = _queries(X, self.dim)
         n, m = X.shape[0], len(self.points)
         h2 = self.bandwidth**2
         # (n, m) squared distances without materialising the difference tensor
@@ -97,10 +114,17 @@ class KdeModel:
             top = np.where(np.isfinite(top), top, 0.0)
             np.subtract(b, top[:, None], out=b)
             np.greater_equal(b, _EXP_CUTOFF, out=k)
-            np.exp(b, out=b, where=k)
-            # exp results are >= 0 and skipped entries are < _EXP_CUTOFF, so
-            # this writes the exact 0.0 that exp would have returned for them
-            np.maximum(b, 0.0, out=b)
+            # exp the kept terms as one contiguous run, gathered into this
+            # block's rows of cross (spent once subtracted), then scatter
+            # them back over the 0.0 that exp returns below _EXP_CUTOFF
+            idx = np.flatnonzero(k)
+            flat = b.ravel()
+            vals = cross[r0:r1].ravel()[: len(idx)]
+            # mode="clip": the default "raise" buffers out in a temporary
+            np.take(flat, idx, out=vals, mode="clip")
+            np.exp(vals, out=vals)
+            b.fill(0.0)
+            flat[idx] = vals
             lse[r0:r1] = top + np.log(np.sum(b, axis=1))
         norm = np.log(m) + 0.5 * self.dim * np.log(2.0 * np.pi * h2)
         return np.maximum(lse - norm, LOG_DENSITY_FLOOR)
@@ -142,9 +166,7 @@ class GmmModel:
 
     def component_log_densities(self, X: np.ndarray) -> np.ndarray:
         """(n, m) log N(x | mu_m, diag(var_m)) for each component."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.dim:
-            raise ValueError(f"query dim {X.shape[1]} != model dim {self.dim}")
+        X = _queries(X, self.dim)
         diff = X[:, None, :] - self.means[None, :, :]
         mahal = np.sum(diff**2 / self.variances[None, :, :], axis=2)
         log_norm = 0.5 * (

@@ -10,11 +10,14 @@ exponentiating keeps every weight in [0, 1] without moving the argmax, so
 parties whose density underflows simply drop out of the sum.
 
 ``evaluate_objective`` is the only function here that runs the parties'
-classifiers and density estimators. Every decision rule below is a reduction
-of the ``ObjectiveMatrix`` it returns, so one evaluation per query set feeds
-them all. ``max_model_decide`` is the degenerate baseline that hands each
-query to the single highest-density party; forcing the ensemble's lambda
-weights to a one-hot at that party reproduces it exactly.
+classifiers, and ``log_density_table`` the only one that runs their density
+estimators. Every decision rule below is a reduction of the
+``ObjectiveMatrix`` that ``evaluate_objective`` returns, so one evaluation
+per query set feeds them all. A caller whose estimators cannot change may
+pass a query set's log-density table back in instead of scoring it again.
+``max_model_decide`` is the degenerate baseline that hands each query to the
+single highest-density party; forcing the ensemble's lambda weights to a
+one-hot at that party reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -94,8 +97,19 @@ def build_ensemble(parties: list[PartyModel], num_classes: int | None = None) ->
     return EnsembleModel(parties, sizes / sizes.sum(), num_classes)
 
 
-def evaluate_objective(ens: EnsembleModel, queries: np.ndarray) -> ObjectiveMatrix:
-    """Score every query against every class; pure given frozen parties."""
+def log_density_table(ens: EnsembleModel, X: np.ndarray) -> np.ndarray:
+    """(n, N) log-density of every query under every party's estimator."""
+    return np.stack([p.estimator.log_density(X) for p in ens.parties], axis=1)
+
+
+def evaluate_objective(
+    ens: EnsembleModel, queries: np.ndarray, loglik: np.ndarray | None = None
+) -> ObjectiveMatrix:
+    """Score every query against every class; pure given frozen parties.
+
+    ``loglik`` is ``log_density_table(ens, queries)`` when the caller already
+    holds it for these queries and estimators; otherwise it is computed here.
+    """
     X = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if not np.all(np.isfinite(X)):
         raise ValueError("queries must be finite")
@@ -103,7 +117,7 @@ def evaluate_objective(ens: EnsembleModel, queries: np.ndarray) -> ObjectiveMatr
     P = np.stack(
         [global_posterior(p.classifier, X, K) for p in ens.parties], axis=1
     )
-    L = np.stack([p.estimator.log_density(X) for p in ens.parties], axis=1)
+    L = log_density_table(ens, X) if loglik is None else loglik
     rowmax = L.max(axis=1)
     W = ens.priors[None, :] * np.exp(L - rowmax[:, None])
     J = np.einsum("njk,nj->nk", P, W)

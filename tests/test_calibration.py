@@ -20,7 +20,7 @@ from densemble.calibration import (
 )
 from densemble.classifiers import MlpClassifier, SoftmaxRegression
 from densemble.datasets import LocalDataset, generate_toy
-from densemble.density import GmmModel, kde_fit
+from densemble.density import GmmModel, KdeModel, kde_fit
 from densemble.ensemble import PartyModel, build_ensemble, evaluate_objective
 
 
@@ -401,3 +401,43 @@ def test_theta_grads_match_per_sample_loop_reference():
             if label in space:
                 U[i, space.index(label)] = -coeff[i, j]
         assert got[j].tobytes() == party.classifier.posterior_grad(X, U).tobytes()
+
+
+def _count_test_set_scoring(monkeypatch, cls, test):
+    """Count ``cls.log_density`` calls on the held-out set's rows."""
+    calls = []
+    original = cls.log_density
+
+    def counted(self, X):
+        if np.shape(X) == test.features.shape and np.array_equal(X, test.features):
+            calls.append(id(self))
+        return original(self, X)
+
+    monkeypatch.setattr(cls, "log_density", counted)
+    return calls
+
+
+def test_calibrate_scores_fixed_test_densities_once(monkeypatch):
+    ens, data = _small_trained_setup()
+    test = data.subset(np.arange(0, len(data), 3), data.label_space)
+    cfg = CalibrationConfig(steps=10, batch=16, eval_every=2)
+    calls = _count_test_set_scoring(monkeypatch, KdeModel, test)
+    _, trace = calibrate(ens, data, cfg, seed=2, test=test)
+    assert sum(r.test_accuracy is not None for r in trace) == 5
+    assert sorted(calls) == sorted(id(p.estimator) for p in ens.parties)
+
+
+def test_calibrate_rescores_updated_gmm_test_densities(monkeypatch):
+    rng = np.random.default_rng(12)
+    full = generate_toy(12, 200, 2)
+    test = full.subset(np.arange(0, len(full), 4), full.label_space)
+    gmm = GmmModel(np.array([0.5, 0.5]), rng.normal(size=(2, 2)), np.ones((2, 2)))
+    clf = SoftmaxRegression.init_random(2, (0, 1), rng)
+    ens = build_ensemble([PartyModel(clf, gmm, len(full))], num_classes=2)
+    calls = _count_test_set_scoring(monkeypatch, GmmModel, test)
+    cfg = CalibrationConfig(lr=0.01, steps=10, batch=16, eval_every=2, update_density=True)
+    calibrate(ens, full, cfg, seed=0, test=test)
+    assert calls == [id(gmm)] * 5
+    calls.clear()
+    calibrate(ens, full, replace(cfg, update_density=False), seed=0, test=test)
+    assert calls == [id(gmm)]

@@ -73,20 +73,26 @@ def test_kde_far_query_floored():
     assert val == LOG_DENSITY_FLOOR
 
 
-def reference_kde_log_density(model, X):
-    """The unblocked formula: whole-batch temporaries, exp on every term."""
+def reference_exp_inputs(model, X):
+    """(n, m) kernel terms minus their row max: what the formula exps."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    h2 = model.bandwidth**2
     sq = (
         np.sum(X**2, axis=1)[:, None]
         + np.sum(model.points**2, axis=1)[None, :]
         - 2.0 * X @ model.points.T
     )
     np.maximum(sq, 0.0, out=sq)
-    log_kernels = -sq / (2.0 * h2)
+    log_kernels = -sq / (2.0 * model.bandwidth**2)
     top = np.max(log_kernels, axis=1, keepdims=True)
     top = np.where(np.isfinite(top), top, 0.0)
-    lse = np.squeeze(top, axis=1) + np.log(np.sum(np.exp(log_kernels - top), axis=1))
+    return log_kernels - top, np.squeeze(top, axis=1)
+
+
+def reference_kde_log_density(model, X):
+    """The unblocked formula: whole-batch temporaries, exp on every term."""
+    shifted, top = reference_exp_inputs(model, X)
+    lse = top + np.log(np.sum(np.exp(shifted), axis=1))
+    h2 = model.bandwidth**2
     norm = np.log(len(model.points)) + 0.5 * model.dim * np.log(2.0 * np.pi * h2)
     return np.maximum(lse - norm, LOG_DENSITY_FLOOR)
 
@@ -124,6 +130,65 @@ def test_kde_all_floored_matches_reference():
     got = model.log_density(X)
     assert np.all(got == LOG_DENSITY_FLOOR)
     assert_bitwise_equal(got, reference_kde_log_density(model, X))
+
+
+def test_kde_subnormal_terms_match_reference():
+    # points on a line, 0.5 h apart, from 37 h to 39 h from the queries:
+    # relative to the nearest point, the far terms' exp inputs reach -745 to
+    # -708, where exp returns subnormals; they are kept and must sum exactly
+    h = 0.1
+    near = np.zeros((1, 2))
+    far = np.stack([np.linspace(37.0 * h, 39.0 * h, 400), np.zeros(400)], axis=1)
+    model = kde_fit(np.concatenate([near, far]), h)
+    X = np.random.default_rng(4).normal(size=(30, 2)) * 0.01
+    shifted, _ = reference_exp_inputs(model, X)
+    sub = (shifted >= -745.13) & (shifted <= -708.4)
+    assert sub.sum() > 1000
+    assert np.all(np.exp(shifted[sub]) < np.finfo(np.float64).tiny)
+    assert_bitwise_equal(model.log_density(X), reference_kde_log_density(model, X))
+
+
+def test_kde_only_row_max_kept_matches_reference():
+    # points 10 apart with h = 0.1: every other term is below -5000
+    rng = np.random.default_rng(5)
+    pts = np.stack([10.0 * np.arange(200), np.zeros(200)], axis=1)
+    model = kde_fit(pts, 0.1)
+    X = pts[rng.integers(0, 200, size=150)] + rng.normal(size=(150, 2)) * 0.05
+    shifted, _ = reference_exp_inputs(model, X)
+    assert np.all(np.sum(shifted >= density._EXP_CUTOFF, axis=1) == 1)
+    assert_bitwise_equal(model.log_density(X), reference_kde_log_density(model, X))
+
+
+def test_kde_every_term_kept_matches_reference():
+    rng = np.random.default_rng(6)
+    model = kde_fit(rng.normal(size=(700, 3)), 1.0)
+    X = rng.normal(size=(400, 3))
+    shifted, _ = reference_exp_inputs(model, X)
+    assert np.all(shifted >= density._EXP_CUTOFF)
+    assert_bitwise_equal(model.log_density(X), reference_kde_log_density(model, X))
+
+
+def test_kde_random_shapes_match_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        d = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 1500))
+        m = int(rng.integers(1, 1200))
+        h = float(rng.uniform(0.02, 1.0))
+        model = kde_fit(rng.normal(size=(m, d)), h)
+        X = rng.normal(size=(n, d)) * rng.choice([0.3, 1.0, 3.0], size=(n, 1))
+        assert_bitwise_equal(model.log_density(X), reference_kde_log_density(model, X))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_log_density_rejects_non_finite_queries(bad):
+    kde = kde_fit(np.zeros((3, 2)), 0.1)
+    gmm = GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
+    X = np.zeros((4, 2))
+    X[2, 1] = bad
+    for model in (kde, gmm):
+        with pytest.raises(ValueError, match="queries must be finite"):
+            model.log_density(X)
 
 
 def test_kde_peak_memory_is_one_product():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -566,6 +567,25 @@ def test_cli_plot_boundary_and_density(pipeline_artifacts, tmp_path):
     )
     assert rc == 0
     assert dsvg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["eval-zeroshot"], ["plot", "--resolution", "8", "--out", "plot.svg"]],
+    ids=["eval-zeroshot", "plot"],
+)
+def test_cli_header_only_data_exits_2(pipeline_artifacts, tmp_path, monkeypatch, capsys, command):
+    _, _, out = pipeline_artifacts
+    data = tmp_path / "empty.csv"
+    data.write_text("f0,f1,label\n")
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], "--ensemble", str(out / "ensemble.json"), "--data", str(data)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv + command[1:])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+    assert not (tmp_path / "plot.svg").exists()
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -9,8 +9,11 @@ compared byte for byte, except ``metrics.json``, whose ``timings`` differ
 from run to run. Exits 1 if a command fails, or if a file differs or exists
 on one side only.
 
-The configs that set calibration steps are written once to ``OUT/configs``
-from PARENT_ROOT's presets, so both sides read the same inputs.
+The configs that set calibration steps or a KDE bandwidth are written once
+to ``OUT/configs`` from PARENT_ROOT's presets, so both sides read the same
+inputs. ``toy3-narrow`` (bandwidth 0.03) drops over 90 % of the kernel
+terms below the exp cutoff and puts a few per query in the subnormal range,
+so its scoring and density plot cover the exact KDE tail's sparse case.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ CALIBRATION = {
     "splitA": ("splitA", {"steps": 300}),
     "splitC": ("splitC", {"steps": 300}),
 }
+
+# config name -> (preset, KDE bandwidth for every party)
+BANDWIDTH = {"toy3-narrow": ("toy3", 0.03)}
 
 COMMANDS = {
     "toy3-seed0": ["train-local", "--config", "toy3", "--seed", "0", "--out", "toy3-seed0"],
@@ -63,6 +69,17 @@ COMMANDS = {
         "--resolution", "150", "--out", "density0.svg",
     ],
     "sweep": ["sweep", "--config", "toy3", "--seeds", "2", "--out", "sweep"],
+    "toy3-narrow": [
+        "train-local", "--config", "../configs/toy3-narrow.json", "--out", "toy3-narrow",
+    ],
+    "toy3-narrow-eval": [
+        "eval-zeroshot", "--ensemble", "toy3-narrow/ensemble.json",
+        "--data", "queries.csv", "--out", "toy3-narrow_predictions.csv",
+    ],
+    "toy3-narrow-density": [
+        "plot", "--ensemble", "toy3-narrow/ensemble.json", "--density", "1",
+        "--resolution", "150", "--out", "toy3-narrow-density1.svg",
+    ],
 }
 
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -70,12 +87,22 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 
 def write_configs(parent_root: str, out: str) -> None:
     os.makedirs(os.path.join(out, "configs"), exist_ok=True)
+    docs = {}
     for name, (preset, calibration) in CALIBRATION.items():
-        with open(os.path.join(parent_root, "src/densemble/presets", f"{preset}.json")) as fh:
-            doc = json.load(fh)
-        doc["calibration"] = calibration
+        docs[name] = read_preset(parent_root, preset)
+        docs[name]["calibration"] = calibration
+    for name, (preset, bandwidth) in BANDWIDTH.items():
+        docs[name] = read_preset(parent_root, preset)
+        for party in docs[name]["parties"]:
+            party["estimator"]["bandwidth"] = bandwidth
+    for name, doc in docs.items():
         with open(os.path.join(out, "configs", f"{name}.json"), "w") as fh:
             json.dump(doc, fh, indent=2)
+
+
+def read_preset(root: str, preset: str) -> dict:
+    with open(os.path.join(root, "src/densemble/presets", f"{preset}.json")) as fh:
+        return json.load(fh)
 
 
 def run_side(root: str, workdir: str) -> list[str]:
