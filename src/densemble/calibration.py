@@ -10,11 +10,15 @@ party's classifier receives upstream gradient -(w_j / score) on its local
 posterior entry for y, so high-density parties update fastest. With a single
 party this is exactly softmax cross-entropy.
 
-Gradients across all parties are flattened into one vector so the optional
-clip-and-noise mechanism (norm clipping plus Gaussian noise) treats the
-composite model as a single unit. It clips the batch-mean gradient, not each
-example's gradient, so it carries no differential-privacy (epsilon, delta)
-guarantee.
+One calibration step updates one list of trainable models: every
+classifier, then, when ``update_density`` is on, each estimator that has
+``nll_grad`` (a mixture; a kernel estimator has no parameters). Each model
+contributes one gradient block, the blocks are flattened into one vector so
+the optional clip-and-noise mechanism (norm clipping plus Gaussian noise)
+treats the composite model as a single unit, and each model takes its slice
+through its own ``apply_grad(g, lr)``. The mechanism clips the batch-mean
+gradient, not each example's gradient, so it carries no differential-privacy
+(epsilon, delta) guarantee.
 """
 
 from __future__ import annotations
@@ -127,32 +131,29 @@ def _theta_grads(ens: EnsembleModel, om, X: np.ndarray, y: np.ndarray, score: np
     return grads
 
 
-def _mu_grads(ens: EnsembleModel, X: np.ndarray, y: np.ndarray, scope: str) -> list[np.ndarray]:
-    """Per-party flat density gradients (NLL), empty block when nonparametric."""
-    grads = []
-    for party in ens.parties:
-        est = party.estimator
-        if not hasattr(est, "nll_grad"):
-            grads.append(np.zeros(0))
-            continue
+def _trainable(ens: EnsembleModel, update_density: bool) -> list:
+    """(party, model) for each model a step updates, in flat-gradient order:
+    every classifier, then, with ``update_density``, each estimator that has
+    ``nll_grad`` (kernel estimators have no parameters)."""
+    models = [(party, party.classifier) for party in ens.parties]
+    if update_density:
+        models += [(p, p.estimator) for p in ens.parties if hasattr(p.estimator, "nll_grad")]
+    return models
+
+
+def _step_grad(ens: EnsembleModel, trainable: list, X, y, scope: str):
+    """Floored true-class scores and one loss-gradient block per
+    ``trainable`` model, each summed over the batch. An estimator's block is
+    its NLL gradient over the batch rows in ``scope``."""
+    om, score = _batch_scores(ens, X, y)
+    blocks = _theta_grads(ens, om, X, y, score)
+    for party, est in trainable[ens.num_parties :]:
         if scope == "all":
             sel = np.arange(len(y))
         else:
             sel = np.flatnonzero(_LocalIndex(party.classifier.label_space).positions(y) >= 0)
-        if len(sel) == 0:
-            grads.append(np.zeros(len(est.params)))
-        else:
-            grads.append(est.nll_grad(X[sel]))
-    return grads
-
-
-def _flatten(blocks: list[np.ndarray]) -> tuple[np.ndarray, list[slice]]:
-    slices, start = [], 0
-    for b in blocks:
-        slices.append(slice(start, start + len(b)))
-        start += len(b)
-    flat = np.concatenate(blocks) if blocks else np.zeros(0)
-    return flat, slices
+        blocks.append(est.nll_grad(X[sel]) if len(sel) else np.zeros(len(est.params)))
+    return score, blocks
 
 
 def mpce_grad(
@@ -162,15 +163,12 @@ def mpce_grad(
     update_density: bool = False,
     density_scope: str = "matching",
 ) -> np.ndarray:
-    """Flat loss gradient: classifier blocks in party order, then density blocks."""
+    """Flat loss gradient: classifier blocks in party order, then the blocks
+    of the estimators that have ``nll_grad``."""
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    ya = np.array([y])
-    om, score = _batch_scores(ens, X, ya)
-    blocks = _theta_grads(ens, om, X, ya, score)
-    if update_density:
-        blocks += _mu_grads(ens, X, ya, density_scope)
-    flat, _ = _flatten(blocks)
-    return flat
+    trainable = _trainable(ens, update_density)
+    _, blocks = _step_grad(ens, trainable, X, np.array([y]), density_scope)
+    return np.concatenate(blocks)
 
 
 def clip_and_noise(
@@ -208,11 +206,11 @@ def calibrate(
 
     Each step samples a batch, averages per-sample gradients into one flat
     vector, optionally clips and noises it, and applies -lr * grad to every
-    party. Held-out accuracy is recorded every ``eval_every`` steps and at
-    the final step. Deterministic for fixed seeds. When no estimator can
-    change (``update_density`` off, or no party's estimator has
-    ``nll_grad``), the held-out set's log-density table is computed at the
-    first evaluation and reused by every later one.
+    trainable model. Held-out accuracy is recorded every ``eval_every``
+    steps and at the final step. Deterministic for fixed seeds. When no
+    estimator can change (``update_density`` off, or no party's estimator
+    has ``nll_grad``), the held-out set's log-density table is computed at
+    the first evaluation and reused by every later one.
     """
     if len(train) == 0:
         raise ValueError("calibration needs a nonempty training set")
@@ -225,34 +223,24 @@ def calibrate(
         else None
     )
     n = len(train)
-    densities_fixed = not cfg.update_density or not any(
-        hasattr(p.estimator, "nll_grad") for p in ens.parties
-    )
+    trainable = _trainable(ens, cfg.update_density)
+    # no estimator trains, so the held-out densities never change
+    densities_fixed = len(trainable) == ens.num_parties
     test_loglik = None
     trace: list[TraceRow] = []
     for step in range(1, cfg.steps + 1):
         sel = rng.choice(n, size=min(cfg.batch, n), replace=False)
         X, y = train.features[sel], train.labels[sel]
-        om, score = _batch_scores(ens, X, y)
+        score, blocks = _step_grad(ens, trainable, X, y, cfg.density_scope)
         loss = float(np.mean(-np.log(score)))
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite calibration loss {loss} at step {step}")
-        blocks = _theta_grads(ens, om, X, y, score)
-        if cfg.update_density:
-            blocks += _mu_grads(ens, X, y, cfg.density_scope)
-        blocks = [b / len(sel) for b in blocks]
-        flat, slices = _flatten(blocks)
+        flat = np.concatenate(blocks) / len(sel)
         if cfg.clip is not None:
             flat = clip_and_noise(flat, cfg.clip, noise_rng)
-        N = ens.num_parties
-        for j, party in enumerate(ens.parties):
-            party.classifier.apply_grad(flat[slices[j]], cfg.lr)
-        if cfg.update_density:
-            for j, party in enumerate(ens.parties):
-                block = flat[slices[N + j]]
-                if len(block):
-                    est = party.estimator
-                    est.set_params(est.params - cfg.lr * block)
+        ends = np.cumsum([len(b) for b in blocks])
+        for (_, model), g in zip(trainable, np.split(flat, ends[:-1])):
+            model.apply_grad(g, cfg.lr)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
             if densities_fixed and test_loglik is None:

@@ -75,9 +75,10 @@ class FlatClassifier:
 
     Subclasses name their arrays in ``_names``, take them positionally in
     that order followed by ``label_space``, tag themselves with ``type_tag``
-    for serialization, and implement ``_check_shapes``, ``_forward`` and
-    ``_backward``. The named attributes are views of the buffer: modify them
-    in place, never rebind them.
+    and list their stored order in ``file_fields`` (``label_space``, then the
+    arrays) for serialization, and implement ``_check_shapes``, ``_forward``
+    and ``_backward``. The named attributes are views of the buffer: modify
+    them in place, never rebind them.
     """
 
     _names: tuple[str, ...]
@@ -85,6 +86,8 @@ class FlatClassifier:
 
     def __init__(self, arrays, label_space):
         arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        if any(a.ndim == 0 for a in arrays):
+            raise ValueError("parameters must be arrays, not scalars")
         self.label_space = tuple(sorted(int(c) for c in label_space))
         self._check_shapes(*arrays)
         if not all(np.all(np.isfinite(a)) for a in arrays):
@@ -129,6 +132,7 @@ class SoftmaxRegression(FlatClassifier):
     """Linear logits with a softmax head over the local label space."""
 
     _names = ("W", "b")
+    file_fields = ("label_space", *_names)
     type_tag = "softmax_regression"
 
     def __init__(self, W, b, label_space):
@@ -159,6 +163,7 @@ class MlpClassifier(FlatClassifier):
     """tanh-hidden-layer perceptron with a softmax head."""
 
     _names = ("W1", "b1", "W2", "b2")
+    file_fields = ("label_space", *_names)
     type_tag = "mlp"
 
     def __init__(self, W1, b1, W2, b2, label_space):

@@ -21,11 +21,14 @@ from .datasets import LocalDataset, PartitionSpec, generate_toy, partition, read
 from .ensemble import decide, evaluate_objective, max_model_decide
 
 
-def _read_data(path: str, num_classes: int) -> LocalDataset:
-    """``read_csv`` that rejects a file with a header and no rows."""
-    ds = read_csv(path, num_classes=num_classes)
+def _read_data(path: str, ens) -> LocalDataset:
+    """``read_csv`` that rejects a header-only file or a wrong feature count."""
+    ds = read_csv(path, num_classes=ens.num_classes)
     if len(ds) == 0:
         raise ValueError(f"{path}: no data rows")
+    dim = ens.parties[0].estimator.dim
+    if ds.dim != dim:
+        raise ValueError(f"{path}: {ds.dim} features, ensemble expects {dim}")
     return ds
 
 
@@ -80,7 +83,7 @@ def _cmd_train_local(args) -> int:
 
 def _cmd_eval_zeroshot(args) -> int:
     ens = serialize.load_ensemble(args.ensemble)
-    ds = _read_data(args.data, ens.num_classes)
+    ds = _read_data(args.data, ens)
     om = evaluate_objective(ens, ds.features)
     labels = decide(om)
     acc = float(np.mean(labels == ds.labels))
@@ -110,7 +113,7 @@ def _cmd_plot(args) -> int:
     ens = serialize.load_ensemble(args.ensemble)
     points = labels = None
     if args.data:
-        ds = _read_data(args.data, ens.num_classes)
+        ds = _read_data(args.data, ens)
         points, labels = ds.features, ds.labels
         pad = 1.0
         region = (

@@ -1,9 +1,11 @@
 """Per-party density estimators: Gaussian KDE and diagonal-covariance GMM.
 
 Both estimators expose ``log_density(X) -> (n,)`` so downstream code can mix
-estimator families freely. Log-densities are floored at ``LOG_DENSITY_FLOOR``
-so a query far from every shard exponentiates to a clean zero instead of
-underflowing into NaN arithmetic.
+estimator families freely. Like the classifiers, both carry a ``type_tag``
+and ``file_fields`` for ``serialize``; ``GmmModel.apply_grad`` matches
+``FlatClassifier.apply_grad``. Log-densities are floored at
+``LOG_DENSITY_FLOOR`` so a query far from every shard exponentiates to a
+clean zero instead of underflowing into NaN arithmetic.
 
 ``KdeModel.log_density`` is exact to the bit with respect to the plain
 formula ``logsumexp(-max(|x|^2 + |p|^2 - 2 x.p^T, 0) / 2h^2) - norm`` over
@@ -70,6 +72,9 @@ class KdeModel:
 
     points: np.ndarray
     bandwidth: float
+
+    type_tag = "kde"
+    file_fields = ("bandwidth", "points")
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -148,6 +153,9 @@ class GmmModel:
     means: np.ndarray
     variances: np.ndarray
 
+    type_tag = "gmm"
+    file_fields = ("weights", "means", "variances")
+
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         mu = np.asarray(self.means, dtype=np.float64)
@@ -202,6 +210,9 @@ class GmmModel:
         )
         logits = flat[2 * m * d :]
         self.weights = np.exp(logits - _logsumexp(logits, axis=0))
+
+    def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
+        self.set_params(self.params - lr * flat_grad)
 
     def nll_grad(self, X: np.ndarray) -> np.ndarray:
         """Gradient of -log p(x) in ``params`` layout, summed over rows of X."""

@@ -123,6 +123,11 @@ class ExperimentConfig:
                 f"parties: got {len(self.parties)} model configs for "
                 f"{len(self.partition.parties)} partition rules"
             )
+        clip = self.calibration.clip if self.calibration is not None else None
+        if clip is not None and clip.seed != 0:
+            raise ValueError(
+                "calibration.clip.seed: set by the pipeline from the top-level seed; change seed"
+            )
         for j, pc in enumerate(self.parties):
             if pc.classifier.type not in ("softmax_regression", "mlp"):
                 raise ValueError(

@@ -1,8 +1,10 @@
 """JSON round-trip for models and CSV emitters for predictions and traces.
 
-Arrays are stored as ``{"shape": [...], "data": [row-major floats]}`` so a
-load reproduces the exact parameter values (JSON floats carry full double
-precision).
+One codec serves every model: ``model_to_dict`` writes ``{"type": type_tag}``
+and then each of the class's ``file_fields``, and ``model_from_dict`` picks
+the class by tag among those a party-file slot allows. Arrays are stored as
+``{"shape": [...], "data": [row-major floats]}`` so a load reproduces the
+exact parameter values (JSON floats carry full double precision).
 """
 
 from __future__ import annotations
@@ -18,66 +20,50 @@ from .density import GmmModel, KdeModel
 from .ensemble import EnsembleModel, PartyModel, build_ensemble
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=np.float64)
-    return {"shape": list(a.shape), "data": a.ravel().tolist()}
+_CLASSIFIERS = tuple(FlatClassifier.__subclasses__())
+_ESTIMATORS = (KdeModel, GmmModel)
 
 
-def _decode_array(d: dict) -> np.ndarray:
-    return np.array(d["data"], dtype=np.float64).reshape(d["shape"])
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return {"shape": list(value.shape), "data": value.ravel().tolist()}
+    return list(value) if isinstance(value, tuple) else value
 
 
-def classifier_to_dict(clf) -> dict:
-    if not isinstance(clf, FlatClassifier):
-        raise ValueError(f"unknown classifier type {type(clf).__name__}")
-    doc = {"type": clf.type_tag, "label_space": list(clf.label_space)}
-    doc.update((name, _encode_array(getattr(clf, name))) for name in clf._names)
+def _decode(value):
+    """An array object, a list of ints (a label space) or a float."""
+    if isinstance(value, dict):
+        return np.array(value["data"], dtype=np.float64).reshape(value["shape"])
+    if isinstance(value, list):
+        return tuple(int(c) for c in value)
+    return float(value)
+
+
+def model_to_dict(model) -> dict:
+    """``{"type": type_tag, <field>: <value>, ...}`` in ``file_fields`` order."""
+    if type(model) not in _CLASSIFIERS + _ESTIMATORS:
+        raise ValueError(f"unknown model type {type(model).__name__}")
+    doc = {"type": model.type_tag}
+    doc.update((name, _encode(getattr(model, name))) for name in model.file_fields)
     return doc
 
 
-def classifier_from_dict(d: dict):
-    kind = d.get("type")
-    cls = {c.type_tag: c for c in FlatClassifier.__subclasses__()}.get(kind)
+def model_from_dict(d: dict, classes: tuple = _CLASSIFIERS + _ESTIMATORS):
+    """Rebuild a model of one of ``classes`` from ``model_to_dict`` output."""
+    kind = d["type"]
+    cls = {c.type_tag: c for c in classes}.get(kind)
     if cls is None:
-        raise ValueError(f"unknown classifier type {kind!r}")
-    space = tuple(int(c) for c in d["label_space"])
-    return cls(*(_decode_array(d[name]) for name in cls._names), space)
-
-
-def estimator_to_dict(est) -> dict:
-    if isinstance(est, KdeModel):
-        return {
-            "type": "kde",
-            "bandwidth": est.bandwidth,
-            "points": _encode_array(est.points),
-        }
-    if isinstance(est, GmmModel):
-        return {
-            "type": "gmm",
-            "weights": _encode_array(est.weights),
-            "means": _encode_array(est.means),
-            "variances": _encode_array(est.variances),
-        }
-    raise ValueError(f"unknown estimator type {type(est).__name__}")
-
-
-def estimator_from_dict(d: dict):
-    kind = d.get("type")
-    if kind == "kde":
-        return KdeModel(_decode_array(d["points"]), float(d["bandwidth"]))
-    if kind == "gmm":
-        return GmmModel(
-            _decode_array(d["weights"]),
-            _decode_array(d["means"]),
-            _decode_array(d["variances"]),
-        )
-    raise ValueError(f"unknown estimator type {kind!r}")
+        raise ValueError(f"unknown model type {kind!r}")
+    unknown = sorted(set(d) - {"type", *cls.file_fields})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {kind!r} model")
+    return cls(**{name: _decode(d[name]) for name in cls.file_fields})
 
 
 def save_party(party: PartyModel, path) -> None:
     doc = {
-        "classifier": classifier_to_dict(party.classifier),
-        "estimator": estimator_to_dict(party.estimator),
+        "classifier": model_to_dict(party.classifier),
+        "estimator": model_to_dict(party.estimator),
         "shard_size": party.shard_size,
     }
     with open(path, "w") as fh:
@@ -95,16 +81,16 @@ def load_party(path) -> PartyModel:
         doc = json.load(fh)
     try:
         return PartyModel(
-            classifier_from_dict(doc["classifier"]),
-            estimator_from_dict(doc["estimator"]),
+            model_from_dict(doc["classifier"], _CLASSIFIERS),
+            model_from_dict(doc["estimator"], _ESTIMATORS),
             int(doc["shard_size"]),
         )
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise _malformed(path, "party file", err) from None
 
 
-def save_ensemble(ens: EnsembleModel, out_dir, manifest_name: str = "ensemble.json") -> str:
-    """Write party_<j>.json files plus a manifest listing them.
+def save_ensemble(ens: EnsembleModel, out_dir) -> str:
+    """Write party_<j>.json files plus an ensemble.json manifest listing them.
 
     Party paths in the manifest are relative to the manifest's directory.
     Returns the manifest path.
@@ -116,7 +102,7 @@ def save_ensemble(ens: EnsembleModel, out_dir, manifest_name: str = "ensemble.js
         save_party(party, os.path.join(out_dir, name))
         entries.append({"model": name, "shard_size": party.shard_size})
     manifest = {"num_classes": ens.num_classes, "parties": entries}
-    path = os.path.join(out_dir, manifest_name)
+    path = os.path.join(out_dir, "ensemble.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

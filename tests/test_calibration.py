@@ -1,5 +1,6 @@
 """Calibration loss, gradient flow, clipping, and the training loop."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -441,3 +442,58 @@ def test_calibrate_rescores_updated_gmm_test_densities(monkeypatch):
     calls.clear()
     calibrate(ens, full, replace(cfg, update_density=False), seed=0, test=test)
     assert calls == [id(gmm)]
+
+
+def _mixed_kde_gmm_setup():
+    """Three parties (KDE, GMM, GMM) and a one-sample train set whose label
+    only the first two parties can see."""
+    rng = np.random.default_rng(31)
+    kde_party = make_party(rng, (0, 1))
+    mlp = make_party(rng, (1, 2), kind="mlp").classifier
+    other = make_party(rng, (3,)).classifier
+    # 0.25 and 0.03 do not survive the log/exp round trip of set_params
+    variances = np.array([[0.03, 1.3], [3.7, 0.9]])
+    gmms = [
+        GmmModel(np.array([0.25, 0.75]), rng.normal(size=(2, 2)), variances) for _ in range(2)
+    ]
+    parties = [kde_party, PartyModel(mlp, gmms[0], 20), PartyModel(other, gmms[1], 10)]
+    ens = build_ensemble(parties, num_classes=4)
+    x, y = rng.normal(size=2), 1
+    train = LocalDataset(x[None, :], np.array([y]), (y,), 4)
+    cfg = CalibrationConfig(lr=0.05, batch=1, steps=1, update_density=True, clip=None)
+    return ens, train, cfg
+
+
+def test_calibrate_step_applies_mpce_grad_blocks_bitwise():
+    ens, train, cfg = _mixed_kde_gmm_setup()
+    x, y = train.features[0], int(train.labels[0])
+    flat = mpce_grad(ens, x, y, update_density=True)
+    models = [p.classifier for p in ens.parties]
+    models += [p.estimator for p in ens.parties if isinstance(p.estimator, GmmModel)]
+    assert len(flat) == sum(len(m.params) for m in models)
+    expected = []
+    start = 0
+    for m in models:
+        block = flat[start : start + len(m.params)]
+        start += len(m.params)
+        ref = copy.deepcopy(m)
+        ref.set_params(m.params - cfg.lr * block)
+        expected.append(ref)
+    calibrate(ens, train, cfg, seed=0)
+    for m, ref in zip(models, expected):
+        names = ("weights", "means", "variances") if isinstance(m, GmmModel) else ("params",)
+        for name in names:
+            assert getattr(m, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def test_calibrate_gmm_without_matching_sample_takes_zero_step():
+    ens, train, cfg = _mixed_kde_gmm_setup()
+    gmm = ens.parties[2].estimator
+    ref = copy.deepcopy(gmm)
+    ref.set_params(gmm.params - cfg.lr * np.zeros(len(gmm.params)))
+    # the zero step is not a bitwise identity
+    assert ref.variances.tobytes() != gmm.variances.tobytes()
+    assert ref.weights.tobytes() != gmm.weights.tobytes()
+    calibrate(ens, train, cfg, seed=0)
+    for name in ("weights", "means", "variances"):
+        assert getattr(gmm, name).tobytes() == getattr(ref, name).tobytes(), name

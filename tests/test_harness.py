@@ -148,6 +148,10 @@ MALFORMED_CONFIGS = {
     "classifier-number": (_set("parties", 0, "classifier", 3), "parties[0].classifier"),
     "data-typo": (_set("data", "num_clases", 5), "data.num_clases"),
     "top-level-typo": (_set("calibrate_from_rwa", True), "calibrate_from_rwa"),
+    "clip-seed": (
+        _set("calibration", {"clip": {"clip_norm": 1.0, "seed": 3}}),
+        "calibration.clip.seed",
+    ),
     "clip-typo": (
         _set("calibration", {"clip": {"clip_norm": 1.0, "nosie_sigma": 0.1}}),
         "calibration.clip.nosie_sigma",
@@ -569,11 +573,14 @@ def test_cli_plot_boundary_and_density(pipeline_artifacts, tmp_path):
     assert dsvg.read_text().startswith("<svg")
 
 
-@pytest.mark.parametrize(
+DATA_COMMANDS = pytest.mark.parametrize(
     "command",
     [["eval-zeroshot"], ["plot", "--resolution", "8", "--out", "plot.svg"]],
     ids=["eval-zeroshot", "plot"],
 )
+
+
+@DATA_COMMANDS
 def test_cli_header_only_data_exits_2(pipeline_artifacts, tmp_path, monkeypatch, capsys, command):
     _, _, out = pipeline_artifacts
     data = tmp_path / "empty.csv"
@@ -585,6 +592,20 @@ def test_cli_header_only_data_exits_2(pipeline_artifacts, tmp_path, monkeypatch,
         rc = cli.main(argv + command[1:])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {data}: no data rows\n"
+    assert not (tmp_path / "plot.svg").exists()
+
+
+@DATA_COMMANDS
+def test_cli_wrong_feature_count_exits_2(
+    pipeline_artifacts, tmp_path, monkeypatch, capsys, command
+):
+    _, _, out = pipeline_artifacts
+    data = tmp_path / "one.csv"
+    data.write_text("f0,label\n0.5,0\n-1.0,1\n")
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], "--ensemble", str(out / "ensemble.json"), "--data", str(data)]
+    assert cli.main(argv + command[1:]) == 2
+    assert capsys.readouterr().err == f"error: {data}: 1 features, ensemble expects 2\n"
     assert not (tmp_path / "plot.svg").exists()
 
 

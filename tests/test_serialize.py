@@ -11,12 +11,10 @@ from densemble.classifiers import MlpClassifier, SoftmaxRegression
 from densemble.density import GmmModel, kde_fit
 from densemble.ensemble import PartyModel, build_ensemble
 from densemble.serialize import (
-    classifier_from_dict,
-    classifier_to_dict,
-    estimator_from_dict,
-    estimator_to_dict,
     load_ensemble,
     load_party,
+    model_from_dict,
+    model_to_dict,
     read_predictions,
     read_trace,
     save_ensemble,
@@ -29,7 +27,7 @@ from densemble.serialize import (
 def test_softmax_round_trip():
     rng = np.random.default_rng(0)
     clf = SoftmaxRegression(rng.normal(size=(2, 3)), rng.normal(size=2), (1, 4))
-    back = classifier_from_dict(classifier_to_dict(clf))
+    back = model_from_dict(model_to_dict(clf))
     assert isinstance(back, SoftmaxRegression)
     assert back.label_space == (1, 4)
     assert np.array_equal(back.W, clf.W)
@@ -39,7 +37,7 @@ def test_softmax_round_trip():
 def test_mlp_round_trip():
     rng = np.random.default_rng(1)
     mlp = MlpClassifier.init_random(2, (0, 2, 3), 8, rng)
-    back = classifier_from_dict(classifier_to_dict(mlp))
+    back = model_from_dict(model_to_dict(mlp))
     assert isinstance(back, MlpClassifier)
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(getattr(back, name), getattr(mlp, name))
@@ -48,7 +46,7 @@ def test_mlp_round_trip():
 def test_kde_round_trip():
     rng = np.random.default_rng(2)
     kde = kde_fit(rng.normal(size=(15, 2)), 0.37)
-    back = estimator_from_dict(estimator_to_dict(kde))
+    back = model_from_dict(model_to_dict(kde))
     assert back.bandwidth == 0.37
     assert np.array_equal(back.points, kde.points)
 
@@ -56,7 +54,7 @@ def test_kde_round_trip():
 def test_gmm_round_trip():
     rng = np.random.default_rng(3)
     gmm = GmmModel(np.array([0.4, 0.6]), rng.normal(size=(2, 2)), rng.uniform(0.5, 2, (2, 2)))
-    back = estimator_from_dict(estimator_to_dict(gmm))
+    back = model_from_dict(model_to_dict(gmm))
     assert np.array_equal(back.weights, gmm.weights)
     assert np.array_equal(back.means, gmm.means)
     assert np.array_equal(back.variances, gmm.variances)
@@ -64,11 +62,36 @@ def test_gmm_round_trip():
 
 def test_unknown_types_rejected():
     with pytest.raises(ValueError, match="unknown"):
-        classifier_from_dict({"type": "forest", "label_space": [0]})
+        model_from_dict({"type": "forest", "label_space": [0]})
     with pytest.raises(ValueError, match="unknown"):
-        estimator_from_dict({"type": "flow"})
+        model_from_dict({"type": "flow"})
     with pytest.raises(ValueError, match="unknown"):
-        classifier_to_dict(object())
+        model_to_dict(object())
+
+
+@pytest.mark.parametrize(
+    "make,keys",
+    [
+        (
+            lambda rng: SoftmaxRegression(rng.normal(size=(2, 2)), rng.normal(size=2), (0, 1)),
+            ["type", "label_space", "W", "b"],
+        ),
+        (
+            lambda rng: MlpClassifier.init_random(2, (0, 1), 3, rng),
+            ["type", "label_space", "W1", "b1", "W2", "b2"],
+        ),
+        (lambda rng: kde_fit(rng.normal(size=(4, 2)), 0.5), ["type", "bandwidth", "points"]),
+        (
+            lambda rng: GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2))),
+            ["type", "weights", "means", "variances"],
+        ),
+    ],
+    ids=["softmax_regression", "mlp", "kde", "gmm"],
+)
+def test_model_json_key_order(make, keys):
+    doc = model_to_dict(make(np.random.default_rng(9)))
+    assert list(doc) == keys
+    assert list(json.loads(json.dumps(doc))) == keys
 
 
 def test_party_file_round_trip(tmp_path):
@@ -193,6 +216,12 @@ MALFORMED = {
     "missing-model": ("ensemble.json", lambda doc: doc["parties"][0].pop("model")),
     "missing-shard-size": ("ensemble.json", lambda doc: doc["parties"][0].pop("shard_size")),
     "party-missing-array": ("party_0.json", lambda doc: doc["classifier"].pop("W")),
+    "party-array-as-number": ("party_0.json", lambda doc: doc["classifier"].update(W=3.0)),
+    "party-unknown-key": ("party_0.json", lambda doc: doc["estimator"].update(extra=1)),
+    "estimator-classifier-tag": (
+        "party_0.json", lambda doc: doc.update(estimator=dict(doc["classifier"])),
+    ),
+    "estimator-not-object": ("party_0.json", lambda doc: doc.update(estimator=[])),
 }
 
 

@@ -9,11 +9,15 @@ compared byte for byte, except ``metrics.json``, whose ``timings`` differ
 from run to run. Exits 1 if a command fails, or if a file differs or exists
 on one side only.
 
-The configs that set calibration steps or a KDE bandwidth are written once
-to ``OUT/configs`` from PARENT_ROOT's presets, so both sides read the same
+The configs that set calibration or estimator fields are written once to
+``OUT/configs`` from PARENT_ROOT's presets, so both sides read the same
 inputs. ``toy3-narrow`` (bandwidth 0.03) drops over 90 % of the kernel
 terms below the exp cutoff and puts a few per query in the subnormal range,
 so its scoring and density plot cover the exact KDE tail's sparse case.
+``toy3-mixed`` gives toy3's third party a GMM and calibrates with
+``update_density``, clipping and noise, so the flat gradient mixes KDE
+parties (no density block) with a GMM party; ``splitD-density-eval`` loads
+GMM files written after density updates and scores queries with them.
 """
 
 from __future__ import annotations
@@ -24,22 +28,21 @@ import os
 import subprocess
 import sys
 
-CALIBRATION = {
-    "toy3-raw": ("toy3", {"steps": 300}),
-    "splitD-density": (
-        "splitD",
-        {
-            "steps": 300,
-            "update_density": True,
-            "clip": {"clip_norm": 1.0, "noise_sigma": 0.1},
-        },
-    ),
-    "splitA": ("splitA", {"steps": 300}),
-    "splitC": ("splitC", {"steps": 300}),
+DENSITY_CLIP = {
+    "steps": 300,
+    "update_density": True,
+    "clip": {"clip_norm": 1.0, "noise_sigma": 0.1},
 }
 
-# config name -> (preset, KDE bandwidth for every party)
-BANDWIDTH = {"toy3-narrow": ("toy3", 0.03)}
+# config name -> (preset, calibration block or None, {party: estimator fields})
+CONFIGS = {
+    "toy3-raw": ("toy3", {"steps": 300}, {}),
+    "splitD-density": ("splitD", DENSITY_CLIP, {}),
+    "splitA": ("splitA", {"steps": 300}, {}),
+    "splitC": ("splitC", {"steps": 300}, {}),
+    "toy3-narrow": ("toy3", None, {j: {"bandwidth": 0.03} for j in range(3)}),
+    "toy3-mixed": ("toy3", DENSITY_CLIP, {2: {"type": "gmm", "components": 4}}),
+}
 
 COMMANDS = {
     "toy3-seed0": ["train-local", "--config", "toy3", "--seed", "0", "--out", "toy3-seed0"],
@@ -55,7 +58,14 @@ COMMANDS = {
     ],
     "splitA": ["calibrate", "--config", "../configs/splitA.json", "--out", "splitA"],
     "splitC": ["calibrate", "--config", "../configs/splitC.json", "--out", "splitC"],
+    "toy3-mixed": [
+        "calibrate", "--config", "../configs/toy3-mixed.json", "--out", "toy3-mixed",
+    ],
     "gen-data": ["gen-data", "--seed", "7", "--n", "3000", "--out", "queries.csv"],
+    "splitD-density-eval": [
+        "eval-zeroshot", "--ensemble", "splitD-density/ensemble.json",
+        "--data", "queries.csv", "--out", "splitD-density_predictions.csv",
+    ],
     "eval-zeroshot": [
         "eval-zeroshot", "--ensemble", "toy3-seed0/ensemble.json",
         "--data", "queries.csv", "--out", "queries_predictions.csv",
@@ -87,15 +97,12 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 
 def write_configs(parent_root: str, out: str) -> None:
     os.makedirs(os.path.join(out, "configs"), exist_ok=True)
-    docs = {}
-    for name, (preset, calibration) in CALIBRATION.items():
-        docs[name] = read_preset(parent_root, preset)
-        docs[name]["calibration"] = calibration
-    for name, (preset, bandwidth) in BANDWIDTH.items():
-        docs[name] = read_preset(parent_root, preset)
-        for party in docs[name]["parties"]:
-            party["estimator"]["bandwidth"] = bandwidth
-    for name, doc in docs.items():
+    for name, (preset, calibration, estimators) in CONFIGS.items():
+        doc = read_preset(parent_root, preset)
+        if calibration is not None:
+            doc["calibration"] = calibration
+        for j, fields in estimators.items():
+            doc["parties"][j]["estimator"].update(fields)
         with open(os.path.join(out, "configs", f"{name}.json"), "w") as fh:
             json.dump(doc, fh, indent=2)
 
