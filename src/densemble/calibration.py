@@ -102,16 +102,21 @@ class TraceRow:
     test_accuracy: float | None = None
 
 
-def _batch_scores(ens: EnsembleModel, X: np.ndarray, y: np.ndarray):
-    """Objective intermediates plus floored true-class scores for a batch."""
-    om = evaluate_objective(ens, X)
+def _batch_scores(ens: EnsembleModel, X: np.ndarray, y: np.ndarray, loglik=None):
+    """Objective intermediates plus floored true-class scores for a batch;
+    ``loglik`` as in ``evaluate_objective``."""
+    om = evaluate_objective(ens, X, loglik)
     return om, np.maximum(om.objective[np.arange(len(y)), y], PROBABILITY_FLOOR)
+
+
+def _check_label(ens: EnsembleModel, y: int) -> None:
+    if not (0 <= y < ens.num_classes):
+        raise ValueError(f"label {y} outside [0, {ens.num_classes})")
 
 
 def mpce_loss(ens: EnsembleModel, x: np.ndarray, y: int) -> MpceLossValue:
     """Negative log density-weighted true-class score for one sample."""
-    if not (0 <= y < ens.num_classes):
-        raise ValueError(f"label {y} outside [0, {ens.num_classes})")
+    _check_label(ens, y)
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     om, score = _batch_scores(ens, X, np.array([y]))
     return MpceLossValue(float(-np.log(score[0])), om.weights[0])
@@ -141,11 +146,12 @@ def _trainable(ens: EnsembleModel, update_density: bool) -> list:
     return models
 
 
-def _step_grad(ens: EnsembleModel, trainable: list, X, y, scope: str):
+def _step_grad(ens: EnsembleModel, trainable: list, X, y, scope: str, loglik=None):
     """Floored true-class scores and one loss-gradient block per
     ``trainable`` model, each summed over the batch. An estimator's block is
-    its NLL gradient over the batch rows in ``scope``."""
-    om, score = _batch_scores(ens, X, y)
+    its NLL gradient over the batch rows in ``scope``. ``loglik`` as in
+    ``evaluate_objective``."""
+    om, score = _batch_scores(ens, X, y, loglik)
     blocks = _theta_grads(ens, om, X, y, score)
     for party, est in trainable[ens.num_parties :]:
         if scope == "all":
@@ -165,6 +171,7 @@ def mpce_grad(
 ) -> np.ndarray:
     """Flat loss gradient: classifier blocks in party order, then the blocks
     of the estimators that have ``nll_grad``."""
+    _check_label(ens, y)
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     trainable = _trainable(ens, update_density)
     _, blocks = _step_grad(ens, trainable, X, np.array([y]), density_scope)
@@ -209,8 +216,11 @@ def calibrate(
     trainable model. Held-out accuracy is recorded every ``eval_every``
     steps and at the final step. Deterministic for fixed seeds. When no
     estimator can change (``update_density`` off, or no party's estimator
-    has ``nll_grad``), the held-out set's log-density table is computed at
-    the first evaluation and reused by every later one.
+    has ``nll_grad``) and there is a step to take, the training set's and
+    the held-out set's log-density tables are each computed once, before
+    the first step: every batch takes its rows of the training table, and
+    every evaluation the whole held-out table. A row of the table is
+    bitwise the row a fresh batch would score, so caching moves no bits.
     """
     if len(train) == 0:
         raise ValueError("calibration needs a nonempty training set")
@@ -224,14 +234,19 @@ def calibrate(
     )
     n = len(train)
     trainable = _trainable(ens, cfg.update_density)
-    # no estimator trains, so the held-out densities never change
-    densities_fixed = len(trainable) == ens.num_parties
-    test_loglik = None
+    # no estimator trains, so no density ever changes: score each set once
+    densities_fixed = len(trainable) == ens.num_parties and cfg.steps > 0
+    train_loglik = test_loglik = None
+    if densities_fixed:
+        train_loglik = log_density_table(ens, train.features)
+        if test is not None:
+            test_loglik = log_density_table(ens, test.features)
     trace: list[TraceRow] = []
     for step in range(1, cfg.steps + 1):
         sel = rng.choice(n, size=min(cfg.batch, n), replace=False)
         X, y = train.features[sel], train.labels[sel]
-        score, blocks = _step_grad(ens, trainable, X, y, cfg.density_scope)
+        loglik = None if train_loglik is None else train_loglik[sel]
+        score, blocks = _step_grad(ens, trainable, X, y, cfg.density_scope, loglik)
         loss = float(np.mean(-np.log(score)))
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite calibration loss {loss} at step {step}")
@@ -243,8 +258,6 @@ def calibrate(
             model.apply_grad(g, cfg.lr)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
-            if densities_fixed and test_loglik is None:
-                test_loglik = log_density_table(ens, test.features)
             acc = ensemble_accuracy(ens, test, test_loglik)
         trace.append(TraceRow(step, loss, acc))
     return ens, trace

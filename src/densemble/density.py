@@ -8,17 +8,18 @@ and ``file_fields`` for ``serialize``; ``GmmModel.apply_grad`` matches
 clean zero instead of underflowing into NaN arithmetic.
 
 ``KdeModel.log_density`` is exact to the bit with respect to the plain
-formula ``logsumexp(-max(|x|^2 + |p|^2 - 2 x.p^T, 0) / 2h^2) - norm`` over
-the whole query batch, and cheap in memory:
+formula ``logsumexp(-sum_c (x_c - p_c)^2 / 2h^2) - norm`` over the whole
+query batch, and cheap in memory:
 
-- The cross term ``2.0 * X @ points.T`` is one GEMM over the whole batch.
-  It is the only step whose bits depend on the rows around a row (BLAS
-  blocks the product by shape), so it is never split.
-- Every later step is elementwise or a per-row reduction, so it runs on
-  row blocks of that product in one reused buffer of about
-  ``_BLOCK_BYTES``. Blocking cannot move the bits of such steps. Peak
-  memory is the product plus one block, not four (queries x points)
-  temporaries.
+- There is no GEMM. Squared distances are summed one dimension at a time,
+  ``(x_0 - p_0)^2 + (x_1 - p_1)^2 + ...``, in that order; a sum of squares
+  needs no clamp at 0, unlike the Gram form ``|x|^2 + |p|^2 - 2 x.p^T``.
+- Every step is elementwise or a per-row reduction, so the whole kernel runs
+  on row blocks of about ``_BLOCK_BYTES`` in two reused buffers, and no
+  (queries x points) array is formed. Blocking cannot move the bits of such
+  steps, and neither can the batch: a batch's rows are bitwise the same rows
+  of a full-table call, so callers may score a query set once and gather
+  rows from the result.
 - ``exp(x)`` is exactly ``0.0`` in double precision for every
   ``x < -745.14``. Kernel terms below ``_EXP_CUTOFF`` are written as that
   zero instead of being passed to ``np.exp``, whose vector path is about
@@ -27,9 +28,10 @@ the whole query batch, and cheap in memory:
   scattered back over a zeroed block. A masked ``np.exp(..., where=)``
   over the scattered mask runs the vector loop once per short run, about
   9 ns per element; the contiguous run costs about 1 ns per value, with
-  the same bits per value. The run lives in the block's rows of the spent
-  cross term, so the only extra memory is its 8-byte-per-term index.
-  Every addend of each row sum keeps its bits, so the sums do too.
+  the same bits per value. The run lives in the second block buffer, spent
+  once the distances are summed, so the only extra memory is its
+  8-byte-per-term index. Every addend of each row sum keeps its bits, so
+  the sums do too.
 - Queries must be finite: a NaN or infinite query row would otherwise
   come out as a floored density instead of NaN.
 """
@@ -43,8 +45,8 @@ import numpy as np
 # exp(-745) is the smallest positive normal double; anything lower is 0 anyway.
 LOG_DENSITY_FLOOR = -745.0
 GMM_VARIANCE_FLOOR = 1e-6
-# Byte budget of the row block that the KDE kernel tail works in; the block's
-# kept-term index can take as much again.
+# Byte budget of each of the two row blocks that the KDE kernel works in; the
+# block's kept-term index can take as much again.
 _BLOCK_BYTES = 1 << 19
 # Below this, exp underflows to exactly 0.0 in double precision.
 _EXP_CUTOFF = -750.0
@@ -91,27 +93,29 @@ class KdeModel:
     def log_density(self, X: np.ndarray) -> np.ndarray:
         """Mean-of-kernels log-density, evaluated batched and floored.
 
-        The GEMM covers the whole batch; the kernel tail runs on row blocks
-        and exps only the terms that do not underflow, as one contiguous run
-        (module docstring), bit for bit the unblocked formula.
+        Every step runs on row blocks and is elementwise or per-row, and only
+        the terms that do not underflow are exp'd, as one contiguous run
+        (module docstring): a row's bits never depend on its batch.
         """
         X = _queries(X, self.dim)
         n, m = X.shape[0], len(self.points)
         h2 = self.bandwidth**2
-        # (n, m) squared distances without materialising the difference tensor
-        cross = 2.0 * X @ self.points.T
-        xx = np.sum(X**2, axis=1)
-        pp = np.sum(self.points**2, axis=1)
+        pts = self.points.T.copy()  # (d, m): each dimension's row contiguous
         rows = max(1, _BLOCK_BYTES // (8 * m))
         buf = np.empty((min(rows, n), m))
+        tmp = np.empty(buf.shape)
         kept = np.empty(buf.shape, dtype=bool)
         lse = np.empty(n)
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
-            b, k = buf[: r1 - r0], kept[: r1 - r0]
-            np.add(xx[r0:r1, None], pp[None, :], out=b)
-            np.subtract(b, cross[r0:r1], out=b)
-            np.maximum(b, 0.0, out=b)
+            b, t, k = buf[: r1 - r0], tmp[: r1 - r0], kept[: r1 - r0]
+            # squared distances, summed one dimension at a time
+            np.subtract(X[r0:r1, :1], pts[0], out=b)
+            np.square(b, out=b)
+            for c in range(1, self.dim):
+                np.subtract(X[r0:r1, c : c + 1], pts[c], out=t)
+                np.square(t, out=t)
+                np.add(b, t, out=b)
             np.negative(b, out=b)
             np.divide(b, 2.0 * h2, out=b)
             # logsumexp along rows, as _logsumexp computes it
@@ -119,12 +123,12 @@ class KdeModel:
             top = np.where(np.isfinite(top), top, 0.0)
             np.subtract(b, top[:, None], out=b)
             np.greater_equal(b, _EXP_CUTOFF, out=k)
-            # exp the kept terms as one contiguous run, gathered into this
-            # block's rows of cross (spent once subtracted), then scatter
-            # them back over the 0.0 that exp returns below _EXP_CUTOFF
+            # exp the kept terms as one contiguous run, gathered into the
+            # scratch block (spent once the distances are summed), then
+            # scatter them back over the 0.0 that exp returns below _EXP_CUTOFF
             idx = np.flatnonzero(k)
             flat = b.ravel()
-            vals = cross[r0:r1].ravel()[: len(idx)]
+            vals = t.ravel()[: len(idx)]
             # mode="clip": the default "raise" buffers out in a temporary
             np.take(flat, idx, out=vals, mode="clip")
             np.exp(vals, out=vals)

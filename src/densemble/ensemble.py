@@ -14,7 +14,9 @@ classifiers, and ``log_density_table`` the only one that runs their density
 estimators. Every decision rule below is a reduction of the
 ``ObjectiveMatrix`` that ``evaluate_objective`` returns, so one evaluation
 per query set feeds them all. A caller whose estimators cannot change may
-pass a query set's log-density table back in instead of scoring it again.
+pass a query set's log-density table back in instead of scoring it again, or
+the rows of a larger set's table: a row's log-densities do not depend on the
+rows scored with it.
 ``max_model_decide`` is the degenerate baseline that hands each query to the
 single highest-density party; forcing the ensemble's lambda weights to a
 one-hot at that party reproduces it exactly.

@@ -15,7 +15,9 @@ from densemble.calibration import (
     clip_and_noise,
     ensemble_accuracy,
     _batch_scores,
+    _step_grad,
     _theta_grads,
+    _trainable,
     mpce_grad,
     mpce_loss,
 )
@@ -23,6 +25,7 @@ from densemble.classifiers import MlpClassifier, SoftmaxRegression
 from densemble.datasets import LocalDataset, generate_toy
 from densemble.density import GmmModel, KdeModel, kde_fit
 from densemble.ensemble import PartyModel, build_ensemble, evaluate_objective
+from densemble.harness import load_config, prepare_data, stream_seeds
 
 
 def softmax(z):
@@ -113,6 +116,13 @@ def test_loss_label_validation():
     ens = build_ensemble([party], num_classes=1)
     with pytest.raises(ValueError):
         mpce_loss(ens, np.zeros(2), 1)
+
+
+@pytest.mark.parametrize("label", [-1, 5])
+def test_grad_label_validation(label):
+    ens, _ = _small_trained_setup()
+    with pytest.raises(ValueError, match=f"label {label} outside"):
+        mpce_grad(ens, np.zeros(2), label)
 
 
 def _fd_mpce_grad(ens, x, y, eps=1e-5):
@@ -442,6 +452,90 @@ def test_calibrate_rescores_updated_gmm_test_densities(monkeypatch):
     calls.clear()
     calibrate(ens, full, replace(cfg, update_density=False), seed=0, test=test)
     assert calls == [id(gmm)]
+
+
+def _count_scoring(monkeypatch, cls):
+    """Record the row count of every ``cls.log_density`` call."""
+    rows = []
+    original = cls.log_density
+
+    def counted(self, X):
+        rows.append(len(X))
+        return original(self, X)
+
+    monkeypatch.setattr(cls, "log_density", counted)
+    return rows
+
+
+def test_calibrate_scores_fixed_train_densities_once(monkeypatch):
+    ens, data = _small_trained_setup()
+    test = data.subset(np.arange(0, len(data), 3), data.label_space)
+    rows = _count_scoring(monkeypatch, KdeModel)
+    calibrate(ens, data, CalibrationConfig(steps=0), seed=2, test=test)
+    assert rows == []
+    calibrate(ens, data, CalibrationConfig(steps=10, batch=16, eval_every=2), seed=2, test=test)
+    assert sorted(rows) == sorted([len(data), len(test)] * ens.num_parties)
+
+
+def test_calibrate_rescores_updated_gmm_train_batches(monkeypatch):
+    rng = np.random.default_rng(12)
+    full = generate_toy(12, 200, 2)
+    gmm = GmmModel(np.array([0.5, 0.5]), rng.normal(size=(2, 2)), np.ones((2, 2)))
+    clf = SoftmaxRegression.init_random(2, (0, 1), rng)
+    ens = build_ensemble([PartyModel(clf, gmm, len(full))], num_classes=2)
+    rows = _count_scoring(monkeypatch, GmmModel)
+    cfg = CalibrationConfig(lr=0.01, steps=10, batch=16, update_density=True)
+    calibrate(ens, full, cfg, seed=0)
+    assert rows == [16] * 10
+    rows.clear()
+    calibrate(ens, full, replace(cfg, update_density=False), seed=0)
+    assert rows == [len(full)]
+
+
+def _fresh_scoring_calibrate(ens, train, cfg, seed):
+    """``calibrate`` without clipping or held-out evaluation, scoring every
+    batch's log-densities afresh; returns the per-step losses."""
+    rng = np.random.default_rng(seed)
+    trainable = _trainable(ens, cfg.update_density)
+    losses = []
+    for _ in range(cfg.steps):
+        sel = rng.choice(len(train), size=min(cfg.batch, len(train)), replace=False)
+        X, y = train.features[sel], train.labels[sel]
+        score, blocks = _step_grad(ens, trainable, X, y, cfg.density_scope)
+        losses.append(float(np.mean(-np.log(score))))
+        flat = np.concatenate(blocks) / len(sel)
+        ends = np.cumsum([len(b) for b in blocks])
+        for (_, model), g in zip(trainable, np.split(flat, ends[:-1])):
+            model.apply_grad(g, cfg.lr)
+    return losses
+
+
+@pytest.mark.parametrize("preset", ["toy3", "splitA"])
+def test_cached_train_densities_match_fresh_scoring_bitwise(preset):
+    cfg = load_config(preset)
+    train, _, shards = prepare_data(cfg, stream_seeds(0, len(cfg.parties)))
+
+    def raw_ensemble():
+        rng = np.random.default_rng(0)
+        return build_ensemble(
+            [
+                PartyModel(
+                    SoftmaxRegression.init_random(2, shard.label_space, rng),
+                    kde_fit(shard.features, pcfg.estimator.bandwidth),
+                    len(shard),
+                )
+                for pcfg, shard in zip(cfg.parties, shards)
+            ],
+            num_classes=cfg.data.num_classes,
+        )
+
+    cal = CalibrationConfig(lr=0.05, batch=64, steps=40)
+    cached, trace = calibrate(raw_ensemble(), train, cal, seed=4)
+    fresh = raw_ensemble()
+    losses = _fresh_scoring_calibrate(fresh, train, cal, seed=4)
+    assert [r.loss for r in trace] == losses
+    for a, b in zip(all_params(cached), all_params(fresh)):
+        assert a.tobytes() == b.tobytes()
 
 
 def _mixed_kde_gmm_setup():

@@ -14,6 +14,7 @@ from densemble.density import (
     gmm_fit,
     kde_fit,
 )
+from densemble.harness import load_config, prepare_data, stream_seeds
 
 
 def brute_kde_log(points, h, x):
@@ -63,8 +64,7 @@ def test_kde_batch_equals_per_query():
     X = rng.normal(size=(10, 2))
     batch = model.log_density(X)
     singles = np.array([model.log_density(X[i])[0] for i in range(10)])
-    # matmul kernels differ by batch shape, so agreement is to rounding only
-    assert np.allclose(batch, singles, rtol=1e-12, atol=0.0)
+    assert_bitwise_equal(batch, singles)
 
 
 def test_kde_far_query_floored():
@@ -73,24 +73,37 @@ def test_kde_far_query_floored():
     assert val == LOG_DENSITY_FLOOR
 
 
-def reference_exp_inputs(model, X):
-    """(n, m) kernel terms minus their row max: what the formula exps."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+def reference_sq_dist(model, X):
+    """(n, m) squared distances, summed over dimensions in order."""
+    sq = (X[:, 0, None] - model.points[None, :, 0]) ** 2
+    for c in range(1, model.dim):
+        sq = sq + (X[:, c, None] - model.points[None, :, c]) ** 2
+    return sq
+
+
+def gram_sq_dist(model, X):
+    """(n, m) squared distances by |x|^2 + |p|^2 - 2 x.p^T, clamped at 0:
+    the kernel's arithmetic before it summed one dimension at a time."""
     sq = (
         np.sum(X**2, axis=1)[:, None]
         + np.sum(model.points**2, axis=1)[None, :]
         - 2.0 * X @ model.points.T
     )
-    np.maximum(sq, 0.0, out=sq)
-    log_kernels = -sq / (2.0 * model.bandwidth**2)
+    return np.maximum(sq, 0.0)
+
+
+def reference_exp_inputs(model, X, sq_dist=reference_sq_dist):
+    """(n, m) kernel terms minus their row max: what the formula exps."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    log_kernels = -sq_dist(model, X) / (2.0 * model.bandwidth**2)
     top = np.max(log_kernels, axis=1, keepdims=True)
     top = np.where(np.isfinite(top), top, 0.0)
     return log_kernels - top, np.squeeze(top, axis=1)
 
 
-def reference_kde_log_density(model, X):
+def reference_kde_log_density(model, X, sq_dist=reference_sq_dist):
     """The unblocked formula: whole-batch temporaries, exp on every term."""
-    shifted, top = reference_exp_inputs(model, X)
+    shifted, top = reference_exp_inputs(model, X, sq_dist)
     lse = top + np.log(np.sum(np.exp(shifted), axis=1))
     h2 = model.bandwidth**2
     norm = np.log(len(model.points)) + 0.5 * model.dim * np.log(2.0 * np.pi * h2)
@@ -180,6 +193,39 @@ def test_kde_random_shapes_match_reference():
         assert_bitwise_equal(model.log_density(X), reference_kde_log_density(model, X))
 
 
+def test_kde_within_1e_11_of_gram_formula():
+    # the kernel once formed squared distances as |x|^2 + |p|^2 - 2 x.p^T;
+    # summing (x_c - p_c)^2 per dimension moved the bits, by this much
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        d = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 1500))
+        m = int(rng.integers(1, 1200))
+        h = float(rng.uniform(0.02, 1.0))
+        model = kde_fit(rng.normal(size=(m, d)), h)
+        X = rng.normal(size=(n, d)) * rng.choice([0.3, 1.0, 3.0], size=(n, 1))
+        gram = reference_kde_log_density(model, X, gram_sq_dist)
+        assert np.max(np.abs(model.log_density(X) - gram)) <= 1e-11
+
+
+@pytest.mark.parametrize("preset", ["toy3", "splitA", "splitB", "splitC"])
+def test_kde_batch_rows_equal_full_table_rows(preset):
+    # calibration gathers batch rows from a table scored once over the
+    # training set; that is exact only if a row's bits ignore its batch
+    cfg = load_config(preset)
+    rng = np.random.default_rng(9)
+    for seed in range(3):
+        train, _, shards = prepare_data(cfg, stream_seeds(seed, len(cfg.parties)))
+        kde = [(p.estimator, s) for p, s in zip(cfg.parties, shards) if p.estimator.type == "kde"]
+        assert kde
+        for ec, shard in kde:
+            model = kde_fit(shard.features, ec.bandwidth)
+            full = model.log_density(train.features)
+            for _ in range(50):
+                sel = rng.choice(len(train), size=64, replace=False)
+                assert_bitwise_equal(model.log_density(train.features[sel]), full[sel])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_log_density_rejects_non_finite_queries(bad):
     kde = kde_fit(np.zeros((3, 2)), 0.1)
@@ -203,6 +249,23 @@ def test_kde_peak_memory_is_one_product():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * n * m * 8, peak / (n * m * 8)
+
+
+def test_kde_peak_memory_is_a_few_blocks():
+    # the distance block, its scratch twin, the kept mask and the kept-term
+    # index are each at most _BLOCK_BYTES; the output and the finite check
+    # are O(n). No (queries x points) array is formed.
+    n, m = 20000, 560
+    rng = np.random.default_rng(3)
+    model = kde_fit(rng.normal(size=(m, 2)), 0.1)
+    X = rng.normal(size=(n, 2)) * 4.0
+    tracemalloc.start()
+    try:
+        model.log_density(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * density._BLOCK_BYTES + 16 * n, peak / density._BLOCK_BYTES
 
 
 def test_kde_validation():

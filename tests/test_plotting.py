@@ -1,13 +1,19 @@
 """SVG rendering of decision grids and density heatmaps."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from conftest import ConstantClassifier, ConstantDensity
+from densemble.classifiers import SoftmaxRegression
 from densemble.density import kde_fit
 from densemble.ensemble import PartyModel, build_ensemble
+from densemble.harness import load_config, prepare_data, stream_seeds
+from densemble.serialize import save_ensemble
 from densemble.plotting import (
     DENSITY_HIGH,
     DENSITY_LOW,
@@ -162,3 +168,41 @@ def test_density_svg_bytes_match_per_cell_reference(tmp_path, resolution):
     plot_density(model, region, resolution, tmp_path / "new.svg")
     reference_plot_density(model, region, resolution, tmp_path / "ref.svg")
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+# Run the CLI in a child and print the child's own peak RSS (KiB on Linux).
+MAXRSS_CHILD = (
+    "import resource, sys\n"
+    "from densemble import cli\n"
+    "assert cli.main(sys.argv[1:]) == 0\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+)
+
+
+@pytest.mark.parametrize("args", [[], ["--density", "0"]], ids=["boundary", "density"])
+def test_plot_at_resolution_400_stays_under_300_mb(tmp_path, args):
+    # toy3's shards: 160000 grid queries against about 560 points per party
+    # would be a 717 MB (queries x points) array if the kernel formed one
+    cfg = load_config("toy3")
+    _, _, shards = prepare_data(cfg, stream_seeds(0, len(cfg.parties)))
+    rng = np.random.default_rng(0)
+    parties = [
+        PartyModel(
+            SoftmaxRegression.init_random(2, shard.label_space, rng),
+            kde_fit(shard.features, pcfg.estimator.bandwidth),
+            len(shard),
+        )
+        for pcfg, shard in zip(cfg.parties, shards)
+    ]
+    manifest = save_ensemble(build_ensemble(parties, cfg.data.num_classes), tmp_path / "ens")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    argv = ["plot", "--ensemble", manifest, "--resolution", "400", *args]
+    proc = subprocess.run(
+        [sys.executable, "-c", MAXRSS_CHILD, *argv, "--out", str(tmp_path / "plot.svg")],
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    peak_mb = int(proc.stdout.split()[-1]) / 1024
+    assert peak_mb < 300, peak_mb

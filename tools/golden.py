@@ -7,7 +7,10 @@ checkout, with one BLAS thread, in ``OUT/parent`` and ``OUT/change``. Every
 command's printed output is kept next to its artifacts. Then every file is
 compared byte for byte, except ``metrics.json``, whose ``timings`` differ
 from run to run. Exits 1 if a command fails, or if a file differs or exists
-on one side only.
+on one side only. Under each CSV that differs, it says whether every
+integer column (labels, indices, steps) is equal, and gives the largest
+absolute difference in each other numeric column, so a deliberate bit move
+reads as "labels equal, |delta| <= x" straight from the output.
 
 The configs that set calibration or estimator fields are written once to
 ``OUT/configs`` from PARENT_ROOT's presets, so both sides read the same
@@ -22,6 +25,7 @@ GMM files written after density updates and scores queries with them.
 
 from __future__ import annotations
 
+import csv
 import filecmp
 import json
 import os
@@ -137,6 +141,48 @@ def files_under(top: str) -> set[str]:
     }
 
 
+def _parses(cells: list[str], kind) -> bool:
+    try:
+        for c in cells:
+            kind(c)
+    except ValueError:
+        return False
+    return True
+
+
+def explain_csv(path_a: str, path_b: str) -> list[str]:
+    """One line per finding on how two CSV files with one header row differ."""
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+        return ["headers differ"]
+    if len(rows_a) != len(rows_b):
+        return [f"{len(rows_a) - 1} rows against {len(rows_b) - 1}"]
+    header, body_a, body_b = rows_a[0], rows_a[1:], rows_b[1:]
+    if any(len(r) != len(header) for r in body_a + body_b):
+        return ["ragged rows"]
+    equal, unequal, deltas = [], [], []
+    for k, name in enumerate(header):
+        pairs = [(ra[k], rb[k]) for ra, rb in zip(body_a, body_b)]
+        cells = [c for pair in pairs for c in pair if c != ""]
+        same = all(a == b for a, b in pairs)
+        if _parses(cells, int) or not _parses(cells, float):
+            (equal if same else unequal).append(name)
+        elif any((a == "") != (b == "") for a, b in pairs):
+            unequal.append(name)
+        else:
+            worst = max((abs(float(a) - float(b)) for a, b in pairs if a != ""), default=0.0)
+            deltas.append(f"{name} {worst:.3g}")
+    lines = []
+    if equal:
+        lines.append(f"equal: {', '.join(equal)}")
+    if unequal:
+        lines.append(f"NOT EQUAL: {', '.join(unequal)}")
+    if deltas:
+        lines.append(f"max |delta|: {', '.join(deltas)}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print("usage: python tools/golden.py PARENT_ROOT CHANGE_ROOT OUT", file=sys.stderr)
@@ -161,6 +207,9 @@ def main(argv: list[str]) -> int:
         print(f"FAILED {msg}")
     for p in differ:
         print(f"DIFFERS {p}")
+        if p.endswith(".csv"):
+            for line in explain_csv(os.path.join(a, p), os.path.join(b, p)):
+                print(f"    {line}")
     for p in one_side:
         print(f"ONE SIDE {p}")
     return 1 if failed or differ or one_side else 0
