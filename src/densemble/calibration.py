@@ -19,6 +19,16 @@ treats the composite model as a single unit, and each model takes its slice
 through its own ``apply_grad(g, lr)``. The mechanism clips the batch-mean
 gradient, not each example's gradient, so it carries no differential-privacy
 (epsilon, delta) guarantee.
+
+A step runs one forward pass per party and keeps it for the backward pass:
+each classifier's ``forward`` state feeds both ``evaluate_objective`` and the
+classifier's ``backward``, and a training mixture's component table, saved
+by its ``log_density``, feeds its ``nll_grad`` through the rows in the
+density scope. Every mode takes this one path (``mpce_grad``, either scope,
+clipping with or without noise), and it gives the bits of the unfused
+``posterior_grad``/``nll_grad`` composition. What a run never changes is
+computed once per run: each party's local label positions over the training
+labels, and the flat gradient's block layout.
 """
 
 from __future__ import annotations
@@ -102,11 +112,21 @@ class TraceRow:
     test_accuracy: float | None = None
 
 
-def _batch_scores(ens: EnsembleModel, X: np.ndarray, y: np.ndarray, loglik=None):
+def _batch_scores(
+    ens: EnsembleModel, X: np.ndarray, y: np.ndarray, loglik=None, states=None
+):
     """Objective intermediates plus floored true-class scores for a batch;
-    ``loglik`` as in ``evaluate_objective``."""
-    om = evaluate_objective(ens, X, loglik)
+    ``loglik`` and ``states`` as in ``evaluate_objective``."""
+    om = evaluate_objective(ens, X, loglik, states)
     return om, np.maximum(om.objective[np.arange(len(y)), y], PROBABILITY_FLOOR)
+
+
+def _label_positions(ens: EnsembleModel, y: np.ndarray) -> np.ndarray:
+    """(n, N) local index of each label in each party's label space, -1
+    where the party cannot see it."""
+    return np.stack(
+        [_LocalIndex(p.classifier.label_space).positions(y) for p in ens.parties], axis=1
+    )
 
 
 def _check_label(ens: EnsembleModel, y: int) -> None:
@@ -122,43 +142,54 @@ def mpce_loss(ens: EnsembleModel, x: np.ndarray, y: int) -> MpceLossValue:
     return MpceLossValue(float(-np.log(score[0])), om.weights[0])
 
 
-def _theta_grads(ens: EnsembleModel, om, X: np.ndarray, y: np.ndarray, score: np.ndarray) -> list[np.ndarray]:
-    """Per-party flat classifier gradients, summed over the batch."""
+def _theta_grads(
+    ens: EnsembleModel, states: list, om, X: np.ndarray, pos: np.ndarray, score: np.ndarray
+) -> list[np.ndarray]:
+    """Per-party flat classifier gradients, summed over the batch, each the
+    classifier's backward pass from its ``forward(X)`` state; ``pos`` is
+    ``_label_positions`` of the batch labels."""
     grads = []
     coeff = om.weights / score[:, None]
-    for j, party in enumerate(ens.parties):
+    for j, (party, state) in enumerate(zip(ens.parties, states)):
         clf = party.classifier
-        pos = _LocalIndex(clf.label_space).positions(y)
-        rows = np.flatnonzero(pos >= 0)
-        U = np.zeros((len(y), len(clf.label_space)))
-        U[rows, pos[rows]] = -coeff[rows, j]
-        grads.append(clf.posterior_grad(X, U))
+        rows = np.flatnonzero(pos[:, j] >= 0)
+        U = np.zeros((len(X), len(clf.label_space)))
+        U[rows, pos[rows, j]] = -coeff[rows, j]
+        grads.append(clf.backward(X, state, U))
     return grads
 
 
 def _trainable(ens: EnsembleModel, update_density: bool) -> list:
-    """(party, model) for each model a step updates, in flat-gradient order:
-    every classifier, then, with ``update_density``, each estimator that has
-    ``nll_grad`` (kernel estimators have no parameters)."""
-    models = [(party, party.classifier) for party in ens.parties]
+    """(party index, model) for each model a step updates, in flat-gradient
+    order: every classifier, then, with ``update_density``, each estimator
+    that has ``nll_grad`` (kernel estimators have no parameters)."""
+    models = list(enumerate(p.classifier for p in ens.parties))
     if update_density:
-        models += [(p, p.estimator) for p in ens.parties if hasattr(p.estimator, "nll_grad")]
+        models += [
+            (j, p.estimator) for j, p in enumerate(ens.parties) if hasattr(p.estimator, "nll_grad")
+        ]
     return models
 
 
-def _step_grad(ens: EnsembleModel, trainable: list, X, y, scope: str, loglik=None):
+def _step_grad(ens: EnsembleModel, trainable: list, X, y, pos, scope: str, loglik=None):
     """Floored true-class scores and one loss-gradient block per
-    ``trainable`` model, each summed over the batch. An estimator's block is
-    its NLL gradient over the batch rows in ``scope``. ``loglik`` as in
-    ``evaluate_objective``."""
-    om, score = _batch_scores(ens, X, y, loglik)
-    blocks = _theta_grads(ens, om, X, y, score)
-    for party, est in trainable[ens.num_parties :]:
-        if scope == "all":
-            sel = np.arange(len(y))
+    ``trainable`` model, each summed over the batch, from one forward pass
+    per party. An estimator's block is its NLL gradient over the batch rows
+    in ``scope``. ``pos`` is ``_label_positions`` of y. ``loglik`` as in
+    ``evaluate_objective``, given only when no estimator trains."""
+    states = [p.classifier.forward(X) for p in ens.parties]
+    saved = {j: {} for j, _ in trainable[ens.num_parties :]}
+    if loglik is None:
+        loglik = log_density_table(ens, X, saved)
+    om, score = _batch_scores(ens, X, y, loglik, states)
+    blocks = _theta_grads(ens, states, om, X, pos, score)
+    for j, est in trainable[ens.num_parties :]:
+        rows = slice(None) if scope == "all" else np.flatnonzero(pos[:, j] >= 0)
+        Xs = X[rows]
+        if len(Xs):
+            blocks.append(est.nll_grad(Xs, {k: v[rows] for k, v in saved[j].items()}))
         else:
-            sel = np.flatnonzero(_LocalIndex(party.classifier.label_space).positions(y) >= 0)
-        blocks.append(est.nll_grad(X[sel]) if len(sel) else np.zeros(len(est.params)))
+            blocks.append(np.zeros(len(est.params)))
     return score, blocks
 
 
@@ -174,7 +205,8 @@ def mpce_grad(
     _check_label(ens, y)
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     trainable = _trainable(ens, update_density)
-    _, blocks = _step_grad(ens, trainable, X, np.array([y]), density_scope)
+    y = np.array([y])
+    _, blocks = _step_grad(ens, trainable, X, y, _label_positions(ens, y), density_scope)
     return np.concatenate(blocks)
 
 
@@ -208,6 +240,7 @@ def calibrate(
     cfg: CalibrationConfig,
     seed: int = 0,
     test: LocalDataset | None = None,
+    test_loglik: np.ndarray | None = None,
 ) -> tuple[EnsembleModel, list[TraceRow]]:
     """Run mini-batch gradient calibration in place; returns (ens, trace).
 
@@ -221,6 +254,9 @@ def calibrate(
     the first step: every batch takes its rows of the training table, and
     every evaluation the whole held-out table. A row of the table is
     bitwise the row a fresh batch would score, so caching moves no bits.
+    ``test_loglik`` is ``log_density_table(ens, test.features)`` when the
+    caller already holds it; it is used only while no estimator can change,
+    and otherwise the held-out set is rescored at every evaluation.
     """
     if len(train) == 0:
         raise ValueError("calibration needs a nonempty training set")
@@ -234,28 +270,35 @@ def calibrate(
     )
     n = len(train)
     trainable = _trainable(ens, cfg.update_density)
+    # each model's slice of the flat gradient
+    ends = np.cumsum([len(model.params) for _, model in trainable]).tolist()
+    layout = [slice(a, b) for a, b in zip([0] + ends, ends)]
+    train_pos = _label_positions(ens, train.labels)
     # no estimator trains, so no density ever changes: score each set once
     densities_fixed = len(trainable) == ens.num_parties and cfg.steps > 0
-    train_loglik = test_loglik = None
+    train_loglik = None
     if densities_fixed:
         train_loglik = log_density_table(ens, train.features)
-        if test is not None:
+        if test is not None and test_loglik is None:
             test_loglik = log_density_table(ens, test.features)
+    else:
+        test_loglik = None  # estimators train: rescore at every evaluation
     trace: list[TraceRow] = []
     for step in range(1, cfg.steps + 1):
         sel = rng.choice(n, size=min(cfg.batch, n), replace=False)
         X, y = train.features[sel], train.labels[sel]
         loglik = None if train_loglik is None else train_loglik[sel]
-        score, blocks = _step_grad(ens, trainable, X, y, cfg.density_scope, loglik)
+        score, blocks = _step_grad(
+            ens, trainable, X, y, train_pos[sel], cfg.density_scope, loglik
+        )
         loss = float(np.mean(-np.log(score)))
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite calibration loss {loss} at step {step}")
         flat = np.concatenate(blocks) / len(sel)
         if cfg.clip is not None:
             flat = clip_and_noise(flat, cfg.clip, noise_rng)
-        ends = np.cumsum([len(b) for b in blocks])
-        for (_, model), g in zip(trainable, np.split(flat, ends[:-1])):
-            model.apply_grad(g, cfg.lr)
+        for (_, model), part in zip(trainable, layout):
+            model.apply_grad(flat[part], cfg.lr)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
             acc = ensemble_accuracy(ens, test, test_loglik)

@@ -7,8 +7,11 @@ in one contiguous float64 buffer. A subclass lists its arrays in ``_names``
 reshaped view of that buffer, so the flat vector and the arrays never drift
 apart:
 
-    posterior(X)            -> (n, m) simplex rows over the local label space
-    posterior_grad(X, U)    -> flat J^T u, summed over the batch
+    forward(X)              -> state (H, P): hidden activations and the
+                               (n, m) local posterior of a batch
+    backward(X, state, U)   -> flat J^T u, summed over the batch, from that state
+    posterior(X)            -> P alone: (n, m) simplex rows over the local label space
+    posterior_grad(X, U)    -> backward(X, forward(X), U)
     params / set_params     -> copy of / copy into the flat buffer
     apply_grad(g, lr)       -> buffer -= lr * g
 
@@ -18,9 +21,12 @@ gradient, in ``_names`` order). The module function
 ``global_posterior(model, X, K)`` embeds either family's posterior into the
 K-class simplex, zero-filled outside its label space.
 
-``posterior_grad`` is the workhorse for end-to-end calibration: given an
-upstream gradient on the local posterior it backpropagates to a flat
-parameter gradient without any autodiff machinery.
+End-to-end calibration saves for backward by hand, as autodiff frameworks
+do: each step runs ``forward`` once per party, forms the objective from the
+state's ``P``, and hands the same state to ``backward`` with the upstream
+gradient on the local posterior, so no forward pass is repeated.
+``posterior_grad`` is the unfused composition, the reference the fused step
+is tested against.
 """
 
 from __future__ import annotations
@@ -31,14 +37,16 @@ from .datasets import LocalDataset
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    # in place after the first subtraction: the same bits, fewer temporaries
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_upstream_to_logits(P: np.ndarray, U: np.ndarray) -> np.ndarray:
     # d loss / d logits given d loss / d softmax: P*(U - <P, U>)
-    return P * (U - np.sum(P * U, axis=1, keepdims=True))
+    return P * (U - (P * U).sum(axis=1, keepdims=True))
 
 
 def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -116,16 +124,26 @@ class FlatClassifier:
     def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
         self._flat -= lr * np.asarray(flat_grad, dtype=np.float64)
 
+    def forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """State ``(H, P)`` of one forward pass over an (n, dim) batch: the
+        hidden activations and the (n, m) local posterior."""
+        return self._forward(X)
+
+    def backward(self, X: np.ndarray, state: tuple, upstream: np.ndarray) -> np.ndarray:
+        """Flat gradient of ``sum(upstream * P)``, summed over the batch, from
+        the ``forward(X)`` state of the same batch."""
+        H, P = state
+        U = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
+        return self._backward(X, H, _softmax_upstream_to_logits(P, U))
+
     def posterior(self, x: np.ndarray) -> np.ndarray:
         X, single = _as_batch(x)
-        _, P = self._forward(X)
+        _, P = self.forward(X)
         return P[0] if single else P
 
     def posterior_grad(self, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         X, _ = _as_batch(x)
-        U = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-        H, P = self._forward(X)
-        return self._backward(X, H, _softmax_upstream_to_logits(P, U))
+        return self.backward(X, self.forward(X), upstream)
 
 
 class SoftmaxRegression(FlatClassifier):
@@ -153,7 +171,9 @@ class SoftmaxRegression(FlatClassifier):
         return self.W.shape[1]
 
     def _forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return X, softmax(X @ self.W.T + self.b)
+        Z = X @ self.W.T
+        Z += self.b
+        return X, softmax(Z)
 
     def _backward(self, X: np.ndarray, H: np.ndarray, gz: np.ndarray) -> np.ndarray:
         return np.concatenate([(gz.T @ X).ravel(), gz.sum(axis=0)])
@@ -194,8 +214,12 @@ class MlpClassifier(FlatClassifier):
         return self.W1.shape[0]
 
     def _forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        H = np.tanh(X @ self.W1.T + self.b1)
-        return H, softmax(H @ self.W2.T + self.b2)
+        H = X @ self.W1.T
+        H += self.b1
+        np.tanh(H, out=H)
+        Z = H @ self.W2.T
+        Z += self.b2
+        return H, softmax(Z)
 
     def _backward(self, X: np.ndarray, H: np.ndarray, gz: np.ndarray) -> np.ndarray:
         gpre = (gz @ self.W2) * (1.0 - H**2)
@@ -204,17 +228,20 @@ class MlpClassifier(FlatClassifier):
         )
 
 
-def global_posterior(model, x: np.ndarray, K: int) -> np.ndarray:
+def global_posterior(model, x: np.ndarray, K: int, P: np.ndarray | None = None) -> np.ndarray:
     """Embed the local posterior into the K-class simplex, zeros elsewhere.
 
     Entries for classes outside the model's label space are identically 0 so
-    absent classes stay silent in any downstream weighted sum.
+    absent classes stay silent in any downstream weighted sum. ``P`` is the
+    model's posterior for the batch x when the caller already holds it (a
+    ``forward`` state's); otherwise it is computed here.
     """
     space = model.label_space
     if K < len(space) or (space and K <= max(space)):
         raise ValueError(f"K={K} cannot hold label_space {space}")
     X, single = _as_batch(x)
-    P = model.posterior(X)
+    if P is None:
+        P = model.posterior(X)
     out = np.zeros((X.shape[0], K))
     out[:, list(space)] = P
     return out[0] if single else out

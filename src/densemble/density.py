@@ -3,9 +3,11 @@
 Both estimators expose ``log_density(X) -> (n,)`` so downstream code can mix
 estimator families freely. Like the classifiers, both carry a ``type_tag``
 and ``file_fields`` for ``serialize``; ``GmmModel.apply_grad`` matches
-``FlatClassifier.apply_grad``. Log-densities are floored at
-``LOG_DENSITY_FLOOR`` so a query far from every shard exponentiates to a
-clean zero instead of underflowing into NaN arithmetic.
+``FlatClassifier.apply_grad``, and ``GmmModel.log_density`` can hand back
+its component table so that a calibration step's ``nll_grad`` reuses it, as
+the classifiers' ``backward`` reuses their ``forward`` state. Log-densities
+are floored at ``LOG_DENSITY_FLOOR`` so a query far from every shard
+exponentiates to a clean zero instead of underflowing into NaN arithmetic.
 
 ``KdeModel.log_density`` is exact to the bit with respect to the plain
 formula ``logsumexp(-sum_c (x_c - p_c)^2 / 2h^2) - norm`` over the whole
@@ -186,15 +188,24 @@ class GmmModel:
         )
         return -0.5 * mahal - log_norm[None, :]
 
-    def responsibilities(self, X: np.ndarray) -> np.ndarray:
-        """(n, m) posterior component memberships."""
+    def log_density(self, X: np.ndarray, saved: dict | None = None) -> np.ndarray:
+        """Floored log p(x) per row. A dict passed as ``saved`` receives the
+        joint table ``logj`` (log w_m + log N(x | m), (n, m)) and its unfloored
+        row logsumexp ``lse``, which ``nll_grad`` takes back for these rows,
+        or any subset of them, instead of scoring them again."""
         logj = self.component_log_densities(X) + np.log(self.weights)[None, :]
-        logj -= _logsumexp(logj, axis=1)[:, None]
-        return np.exp(logj)
+        lse = _logsumexp(logj, axis=1)
+        if saved is not None:
+            saved.update(logj=logj, lse=lse)
+        return np.maximum(lse, LOG_DENSITY_FLOOR)
 
-    def log_density(self, X: np.ndarray) -> np.ndarray:
-        logj = self.component_log_densities(X) + np.log(self.weights)[None, :]
-        return np.maximum(_logsumexp(logj, axis=1), LOG_DENSITY_FLOOR)
+    def responsibilities(self, X: np.ndarray, saved: dict | None = None) -> np.ndarray:
+        """(n, m) posterior component memberships; ``saved`` is what
+        ``log_density`` stored for the rows of X, or None to score them."""
+        if saved is None:
+            saved = {}
+            self.log_density(X, saved)
+        return np.exp(saved["logj"] - saved["lse"][:, None])
 
     @property
     def params(self) -> np.ndarray:
@@ -218,10 +229,12 @@ class GmmModel:
     def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
         self.set_params(self.params - lr * flat_grad)
 
-    def nll_grad(self, X: np.ndarray) -> np.ndarray:
-        """Gradient of -log p(x) in ``params`` layout, summed over rows of X."""
+    def nll_grad(self, X: np.ndarray, saved: dict | None = None) -> np.ndarray:
+        """Gradient of -log p(x) in ``params`` layout, summed over rows of X;
+        ``saved`` as in ``responsibilities``. Every step is per row, so the
+        rows of a larger batch's ``saved`` tables give the same bits."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        resp = self.responsibilities(X)
+        resp = self.responsibilities(X, saved)
         diff = X[:, None, :] - self.means[None, :, :]
         g_mean = -np.sum(resp[:, :, None] * diff / self.variances[None, :, :], axis=0)
         g_logvar = -0.5 * np.sum(

@@ -9,14 +9,18 @@ p_j its shard-size prior. Subtracting the per-query max log-density before
 exponentiating keeps every weight in [0, 1] without moving the argmax, so
 parties whose density underflows simply drop out of the sum.
 
-``evaluate_objective`` is the only function here that runs the parties'
-classifiers, and ``log_density_table`` the only one that runs their density
+``evaluate_objective`` is the only function here that forms J, and
+``log_density_table`` the only one that runs the parties' density
 estimators. Every decision rule below is a reduction of the
 ``ObjectiveMatrix`` that ``evaluate_objective`` returns, so one evaluation
 per query set feeds them all. A caller whose estimators cannot change may
 pass a query set's log-density table back in instead of scoring it again, or
 the rows of a larger set's table: a row's log-densities do not depend on the
-rows scored with it.
+rows scored with it. A calibration step passes in the classifiers'
+``forward`` states and a log-density table whose mixture parties kept their
+component tables, and runs each backward pass on those: one forward pass per
+party per step. Scoring runs the classifiers here and keeps only their
+posteriors, never the hidden activations a backward pass would need.
 ``max_model_decide`` is the degenerate baseline that hands each query to the
 single highest-density party; forcing the ensemble's lambda weights to a
 one-hot at that party reproduces it exactly.
@@ -99,25 +103,46 @@ def build_ensemble(parties: list[PartyModel], num_classes: int | None = None) ->
     return EnsembleModel(parties, sizes / sizes.sum(), num_classes)
 
 
-def log_density_table(ens: EnsembleModel, X: np.ndarray) -> np.ndarray:
-    """(n, N) log-density of every query under every party's estimator."""
-    return np.stack([p.estimator.log_density(X) for p in ens.parties], axis=1)
+def log_density_table(
+    ens: EnsembleModel, X: np.ndarray, saved: dict | None = None
+) -> np.ndarray:
+    """(n, N) log-density of every query under every party's estimator.
+
+    ``saved`` maps party indices to dicts; each of those parties' estimators
+    stores in its dict what its ``nll_grad`` takes back for these rows
+    (``GmmModel.log_density``).
+    """
+    saved = {} if saved is None else saved
+    return np.stack(
+        [
+            p.estimator.log_density(X, saved[j]) if j in saved else p.estimator.log_density(X)
+            for j, p in enumerate(ens.parties)
+        ],
+        axis=1,
+    )
 
 
 def evaluate_objective(
-    ens: EnsembleModel, queries: np.ndarray, loglik: np.ndarray | None = None
+    ens: EnsembleModel,
+    queries: np.ndarray,
+    loglik: np.ndarray | None = None,
+    states: list | None = None,
 ) -> ObjectiveMatrix:
     """Score every query against every class; pure given frozen parties.
 
     ``loglik`` is ``log_density_table(ens, queries)`` when the caller already
     holds it for these queries and estimators; otherwise it is computed here.
+    ``states`` is each party's ``classifier.forward(queries)`` state when the
+    caller holds them for a backward pass; otherwise each classifier's
+    posterior is computed here and nothing else of its forward pass is kept.
     """
     X = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if not np.all(np.isfinite(X)):
         raise ValueError("queries must be finite")
     K = ens.num_classes
+    local = [None] * ens.num_parties if states is None else [P for _, P in states]
     P = np.stack(
-        [global_posterior(p.classifier, X, K) for p in ens.parties], axis=1
+        [global_posterior(p.classifier, X, K, Pj) for p, Pj in zip(ens.parties, local)], axis=1
     )
     L = log_density_table(ens, X) if loglik is None else loglik
     rowmax = L.max(axis=1)

@@ -293,8 +293,11 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
         cal_cfg = cfg.calibration
         if cal_cfg.clip is not None:
             cal_cfg = replace(cal_cfg, clip=replace(cal_cfg.clip, seed=seeds["noise"]))
+        # the zero-shot log-densities are the held-out table while no
+        # estimator changes; calibrate rescores them otherwise
         _, trace = calibrate(
-            ens, train_ds, cal_cfg, seed=seeds["batching"][-1], test=test_ds
+            ens, train_ds, cal_cfg, seed=seeds["batching"][-1], test=test_ds,
+            test_loglik=om.loglik,
         )
         # calibrate evaluates the final model at its last step; zero steps
         # leave the model, and so its accuracy, unchanged.

@@ -14,13 +14,20 @@ class ConstantClassifier:
         self.label_space = tuple(sorted(label_space))
         self.dim = 2
 
+    def forward(self, X):
+        return None, np.tile(self.probs, (len(X), 1))
+
+    def backward(self, X, state, upstream):
+        return np.zeros(0)
+
     def posterior(self, x):
         X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        P = np.tile(self.probs, (X.shape[0], 1))
+        _, P = self.forward(X)
         return P[0] if np.asarray(x).ndim == 1 else P
 
     def posterior_grad(self, x, upstream):
-        return np.zeros(0)
+        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        return self.backward(X, self.forward(X), upstream)
 
     @property
     def params(self):

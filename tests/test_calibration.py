@@ -15,13 +15,14 @@ from densemble.calibration import (
     clip_and_noise,
     ensemble_accuracy,
     _batch_scores,
+    _label_positions,
     _step_grad,
     _theta_grads,
     _trainable,
     mpce_grad,
     mpce_loss,
 )
-from densemble.classifiers import MlpClassifier, SoftmaxRegression
+from densemble.classifiers import FlatClassifier, MlpClassifier, SoftmaxRegression
 from densemble.datasets import LocalDataset, generate_toy
 from densemble.density import GmmModel, KdeModel, kde_fit
 from densemble.ensemble import PartyModel, build_ensemble, evaluate_objective
@@ -402,8 +403,9 @@ def test_theta_grads_match_per_sample_loop_reference():
     )
     X = rng.normal(size=(16, 2))
     y = rng.integers(0, 4, 16)
-    om, score = _batch_scores(ens, X, y)
-    got = _theta_grads(ens, om, X, y, score)
+    states = [p.classifier.forward(X) for p in ens.parties]
+    om, score = _batch_scores(ens, X, y, None, states)
+    got = _theta_grads(ens, states, om, X, _label_positions(ens, y), score)
     coeff = om.weights / score[:, None]
     for j, party in enumerate(ens.parties):
         space = party.classifier.label_space
@@ -419,10 +421,10 @@ def _count_test_set_scoring(monkeypatch, cls, test):
     calls = []
     original = cls.log_density
 
-    def counted(self, X):
+    def counted(self, X, *saved):
         if np.shape(X) == test.features.shape and np.array_equal(X, test.features):
             calls.append(id(self))
-        return original(self, X)
+        return original(self, X, *saved)
 
     monkeypatch.setattr(cls, "log_density", counted)
     return calls
@@ -459,9 +461,9 @@ def _count_scoring(monkeypatch, cls):
     rows = []
     original = cls.log_density
 
-    def counted(self, X):
+    def counted(self, X, *saved):
         rows.append(len(X))
-        return original(self, X)
+        return original(self, X, *saved)
 
     monkeypatch.setattr(cls, "log_density", counted)
     return rows
@@ -501,7 +503,8 @@ def _fresh_scoring_calibrate(ens, train, cfg, seed):
     for _ in range(cfg.steps):
         sel = rng.choice(len(train), size=min(cfg.batch, len(train)), replace=False)
         X, y = train.features[sel], train.labels[sel]
-        score, blocks = _step_grad(ens, trainable, X, y, cfg.density_scope)
+        pos = _label_positions(ens, y)
+        score, blocks = _step_grad(ens, trainable, X, y, pos, cfg.density_scope)
         losses.append(float(np.mean(-np.log(score))))
         flat = np.concatenate(blocks) / len(sel)
         ends = np.cumsum([len(b) for b in blocks])
@@ -539,8 +542,9 @@ def test_cached_train_densities_match_fresh_scoring_bitwise(preset):
 
 
 def _mixed_kde_gmm_setup():
-    """Three parties (KDE, GMM, GMM) and a one-sample train set whose label
-    only the first two parties can see."""
+    """Three parties (softmax on a KDE, an MLP on a GMM, a one-class softmax
+    on a GMM) and a one-sample train set whose label only the first two
+    parties can see."""
     rng = np.random.default_rng(31)
     kde_party = make_party(rng, (0, 1))
     mlp = make_party(rng, (1, 2), kind="mlp").classifier
@@ -591,3 +595,79 @@ def test_calibrate_gmm_without_matching_sample_takes_zero_step():
     calibrate(ens, train, cfg, seed=0)
     for name in ("weights", "means", "variances"):
         assert getattr(gmm, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def _unfused_step_grad(ens, X, y, scope):
+    """The step from public pieces, each scoring its rows afresh: the
+    objective, every classifier's ``posterior_grad``, then every mixture's
+    ``nll_grad`` over the rows in ``scope``."""
+    om = evaluate_objective(ens, X)
+    score = np.maximum(om.objective[np.arange(len(y)), y], PROBABILITY_FLOOR)
+    coeff = om.weights / score[:, None]
+    blocks = []
+    for j, party in enumerate(ens.parties):
+        space = party.classifier.label_space
+        U = np.zeros((len(y), len(space)))
+        for i, label in enumerate(y):
+            if label in space:
+                U[i, space.index(label)] = -coeff[i, j]
+        blocks.append(party.classifier.posterior_grad(X, U))
+    for party in ens.parties:
+        est = party.estimator
+        if isinstance(est, GmmModel):
+            space = party.classifier.label_space
+            rows = [i for i, label in enumerate(y) if scope == "all" or label in space]
+            blocks.append(est.nll_grad(X[rows]) if rows else np.zeros(len(est.params)))
+    return score, blocks
+
+
+@pytest.mark.parametrize("scope", ["matching", "all"])
+def test_fused_step_matches_unfused_oracle_bitwise(scope):
+    ens, _, _ = _mixed_kde_gmm_setup()
+    rng = np.random.default_rng(41)
+    trainable = _trainable(ens, update_density=True)
+    X = rng.normal(size=(24, 2))
+    # a mixed batch, then one only the first party can see (zero GMM blocks)
+    for y in (rng.integers(0, 4, 24), np.zeros(24, dtype=np.int64)):
+        got_score, got = _step_grad(ens, trainable, X, y, _label_positions(ens, y), scope)
+        want_score, want = _unfused_step_grad(ens, X, y, scope)
+        assert got_score.tobytes() == want_score.tobytes()
+        assert len(got) == len(want) == 5
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("scope", ["matching", "all"])
+def test_calibration_step_runs_one_forward_pass_per_party(monkeypatch, scope):
+    ens, _, _ = _mixed_kde_gmm_setup()
+    rng = np.random.default_rng(42)
+    train = LocalDataset(rng.normal(size=(40, 2)), rng.integers(0, 4, 40), (0, 1, 2, 3), 4)
+    test = LocalDataset(rng.normal(size=(10, 2)), rng.integers(0, 4, 10), (0, 1, 2, 3), 4)
+    calls = []
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def counted(self, X, *rest):
+            calls.append((name, id(self), len(X)))
+            return original(self, X, *rest)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(FlatClassifier, "forward")
+    counting(GmmModel, "log_density")
+    counting(GmmModel, "component_log_densities")
+    cfg = CalibrationConfig(
+        lr=0.01, batch=8, steps=7, eval_every=3, update_density=True, density_scope=scope
+    )
+    _, trace = calibrate(ens, train, cfg, seed=0, test=test)
+    evals = sum(r.test_accuracy is not None for r in trace)
+    assert evals == 3
+    per_pass = [8] * cfg.steps + [len(test)] * evals
+    for party in ens.parties:
+        rows = [n for name, i, n in calls if name == "forward" and i == id(party.classifier)]
+        assert sorted(rows) == sorted(per_pass)
+    for gmm in (p.estimator for p in ens.parties[1:]):
+        for name in ("log_density", "component_log_densities"):
+            rows = [n for c, i, n in calls if c == name and i == id(gmm)]
+            assert sorted(rows) == sorted(per_pass)

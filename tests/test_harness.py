@@ -20,6 +20,7 @@ from densemble.harness import (
     config_to_dict,
     load_config,
     local_accuracy,
+    prepare_data,
     run_experiment,
     stream_seeds,
     sweep,
@@ -432,6 +433,24 @@ def test_each_density_scored_once_per_query_set(
     argv = ["eval-zeroshot", "--ensemble", str(out / "ensemble.json")]
     assert cli.main(argv + ["--data", str(out / "test.csv")]) == 0
     assert len(calls) == len(fast_config.parties)
+
+
+def test_calibrated_run_reuses_zero_shot_densities(monkeypatch):
+    doc = fast_experiment_doc()
+    doc["calibration"] = {"lr": 1e-3, "batch": 32, "steps": 6, "eval_every": 3}
+    cfg = config_from_dict(doc)
+    train_ds, test_ds, _ = prepare_data(cfg, stream_seeds(cfg.seed, len(cfg.parties)))
+    calls = []
+    log_density = KdeModel.log_density
+
+    def counted(self, X):
+        calls.append(len(X))
+        return log_density(self, X)
+
+    monkeypatch.setattr(KdeModel, "log_density", counted)
+    run_experiment(cfg)
+    # zero-shot scores the held-out set, calibrate only the training set
+    assert sorted(calls) == sorted([len(test_ds), len(train_ds)] * len(cfg.parties))
 
 
 def test_local_accuracy_nan_when_no_test_labels_match(pipeline_artifacts):

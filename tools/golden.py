@@ -21,6 +21,8 @@ so its scoring and density plot cover the exact KDE tail's sparse case.
 ``update_density``, clipping and noise, so the flat gradient mixes KDE
 parties (no density block) with a GMM party; ``splitD-density-eval`` loads
 GMM files written after density updates and scores queries with them.
+``splitD-density-all`` updates the GMMs with ``density_scope`` "all" and no
+clipping, so every batch row feeds every mixture's gradient.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ DENSITY_CLIP = {
 CONFIGS = {
     "toy3-raw": ("toy3", {"steps": 300}, {}),
     "splitD-density": ("splitD", DENSITY_CLIP, {}),
+    "splitD-density-all": (
+        "splitD", {"steps": 300, "update_density": True, "density_scope": "all"}, {}
+    ),
     "splitA": ("splitA", {"steps": 300}, {}),
     "splitC": ("splitC", {"steps": 300}, {}),
     "toy3-narrow": ("toy3", None, {j: {"bandwidth": 0.03} for j in range(3)}),
@@ -59,6 +64,10 @@ COMMANDS = {
     "splitD-density": [
         "calibrate", "--config", "../configs/splitD-density.json",
         "--out", "splitD-density",
+    ],
+    "splitD-density-all": [
+        "calibrate", "--config", "../configs/splitD-density-all.json",
+        "--out", "splitD-density-all",
     ],
     "splitA": ["calibrate", "--config", "../configs/splitA.json", "--out", "splitA"],
     "splitC": ["calibrate", "--config", "../configs/splitC.json", "--out", "splitC"],
