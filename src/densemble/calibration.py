@@ -28,7 +28,8 @@ density scope. Every mode takes this one path (``mpce_grad``, either scope,
 clipping with or without noise), and it gives the bits of the unfused
 ``posterior_grad``/``nll_grad`` composition. What a run never changes is
 computed once per run: each party's local label positions over the training
-labels, and the flat gradient's block layout.
+labels, the flat gradient's block layout, and the log-densities of the
+training and held-out sets under every estimator that does not train.
 """
 
 from __future__ import annotations
@@ -175,12 +176,16 @@ def _step_grad(ens: EnsembleModel, trainable: list, X, y, pos, scope: str, logli
     """Floored true-class scores and one loss-gradient block per
     ``trainable`` model, each summed over the batch, from one forward pass
     per party. An estimator's block is its NLL gradient over the batch rows
-    in ``scope``. ``pos`` is ``_label_positions`` of y. ``loglik`` as in
-    ``evaluate_objective``, given only when no estimator trains."""
+    in ``scope``. ``pos`` is ``_label_positions`` of y. ``loglik``, when
+    given, is an (n, N) table whose columns for the estimators that do not
+    train already hold the batch's log-densities; the training mixtures are
+    scored into their columns here. Otherwise every party is scored."""
     states = [p.classifier.forward(X) for p in ens.parties]
     saved = {j: {} for j, _ in trainable[ens.num_parties :]}
     if loglik is None:
         loglik = log_density_table(ens, X, saved)
+    elif saved:
+        log_density_table(ens, X, saved, parties=list(saved), out=loglik)
     om, score = _batch_scores(ens, X, y, loglik, states)
     blocks = _theta_grads(ens, states, om, X, pos, score)
     for j, est in trainable[ens.num_parties :]:
@@ -247,16 +252,17 @@ def calibrate(
     Each step samples a batch, averages per-sample gradients into one flat
     vector, optionally clips and noises it, and applies -lr * grad to every
     trainable model. Held-out accuracy is recorded every ``eval_every``
-    steps and at the final step. Deterministic for fixed seeds. When no
-    estimator can change (``update_density`` off, or no party's estimator
-    has ``nll_grad``) and there is a step to take, the training set's and
-    the held-out set's log-density tables are each computed once, before
-    the first step: every batch takes its rows of the training table, and
-    every evaluation the whole held-out table. A row of the table is
-    bitwise the row a fresh batch would score, so caching moves no bits.
-    ``test_loglik`` is ``log_density_table(ens, test.features)`` when the
-    caller already holds it; it is used only while no estimator can change,
-    and otherwise the held-out set is rescored at every evaluation.
+    steps and at the final step. Deterministic for fixed seeds. When there
+    is a step to take, every estimator that does not train (all of them
+    unless ``update_density`` is on; kernel estimators always) scores the
+    training set and the held-out set once, before the first step: every
+    batch takes its rows of the training table, and every evaluation the
+    whole held-out table. Only the training mixtures are rescored, on each
+    batch and at each evaluation. A row of a table is bitwise the row a
+    fresh batch would score, so caching moves no bits. ``test_loglik`` is
+    ``log_density_table(ens, test.features)`` when the caller already holds
+    it; its columns for the estimators that do not train are used as the
+    held-out table's.
     """
     if len(train) == 0:
         raise ValueError("calibration needs a nonempty training set")
@@ -274,22 +280,22 @@ def calibrate(
     ends = np.cumsum([len(model.params) for _, model in trainable]).tolist()
     layout = [slice(a, b) for a, b in zip([0] + ends, ends)]
     train_pos = _label_positions(ens, train.labels)
-    # no estimator trains, so no density ever changes: score each set once
-    densities_fixed = len(trainable) == ens.num_parties and cfg.steps > 0
-    train_loglik = None
-    if densities_fixed:
-        train_loglik = log_density_table(ens, train.features)
+    # score each set once under the estimators that never change; the
+    # training mixtures' columns are scored afresh before every use
+    moving = [j for j, _ in trainable[ens.num_parties :]]
+    fixed = [j for j in range(ens.num_parties) if j not in moving]
+    if cfg.steps > 0:
+        train_loglik = log_density_table(ens, train.features, parties=fixed)
         if test is not None and test_loglik is None:
-            test_loglik = log_density_table(ens, test.features)
-    else:
-        test_loglik = None  # estimators train: rescore at every evaluation
+            test_loglik = log_density_table(ens, test.features, parties=fixed)
+        elif test is not None:
+            test_loglik = np.array(test_loglik, dtype=np.float64)  # written below
     trace: list[TraceRow] = []
     for step in range(1, cfg.steps + 1):
         sel = rng.choice(n, size=min(cfg.batch, n), replace=False)
         X, y = train.features[sel], train.labels[sel]
-        loglik = None if train_loglik is None else train_loglik[sel]
         score, blocks = _step_grad(
-            ens, trainable, X, y, train_pos[sel], cfg.density_scope, loglik
+            ens, trainable, X, y, train_pos[sel], cfg.density_scope, train_loglik[sel]
         )
         loss = float(np.mean(-np.log(score)))
         if not np.isfinite(loss):
@@ -301,6 +307,7 @@ def calibrate(
             model.apply_grad(flat[part], cfg.lr)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
+            log_density_table(ens, test.features, parties=moving, out=test_loglik)
             acc = ensemble_accuracy(ens, test, test_loglik)
         trace.append(TraceRow(step, loss, acc))
     return ens, trace

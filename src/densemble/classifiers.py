@@ -16,10 +16,14 @@ apart:
     apply_grad(g, lr)       -> buffer -= lr * g
 
 A subclass supplies only its shape check, its forward pass (hidden
-activations and posterior) and its backward pass (logit gradient to flat
-gradient, in ``_names`` order). The module function
-``global_posterior(model, X, K)`` embeds either family's posterior into the
-K-class simplex, zero-filled outside its label space.
+activations and posterior) and its backward pass
+``_backward(X, H, gz, out)``: from the (n, m) logit gradient ``gz`` it writes
+each parameter's gradient block, summed over the batch, into ``out``, the
+``_views`` of a flat gradient buffer in ``_names`` order, with
+``np.matmul(..., out=)`` and ``np.add.reduce(..., out=)``; it allocates no
+flat vector. The module function ``global_posterior(model, X, K)`` embeds
+either family's posterior into the K-class simplex, zero-filled outside its
+label space.
 
 End-to-end calibration saves for backward by hand, as autodiff frameworks
 do: each step runs ``forward`` once per party, forms the objective from the
@@ -27,6 +31,16 @@ state's ``P``, and hands the same state to ``backward`` with the upstream
 gradient on the local posterior, so no forward pass is repeated.
 ``posterior_grad`` is the unfused composition, the reference the fused step
 is tested against.
+
+Local training (``train``) runs ``_forward`` once per minibatch and chains
+the cross-entropy's ``-onehot/P`` through the softmax Jacobian.
+
+Both paths write through the same views: each classifier owns one scratch
+flat gradient, viewed once when it is built (and again when it is copied or
+unpickled, since those rebuild each array on its own). ``train`` divides the
+scratch by the batch size and hands it to ``apply_grad``; ``backward``
+returns a copy of it. Neither allocates a gradient per block or concatenates
+blocks.
 """
 
 from __future__ import annotations
@@ -37,10 +51,11 @@ from .datasets import LocalDataset
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    # in place after the first subtraction: the same bits, fewer temporaries
-    e = z - z.max(axis=-1, keepdims=True)
+    # in place after the first subtraction, and the ufunc reductions that
+    # ndarray.max and .sum wrap: the same bits, fewer temporaries and calls
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -101,11 +116,22 @@ class FlatClassifier:
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValueError("parameters must be finite")
         self._flat = np.concatenate([a.ravel() for a in arrays])
-        start = 0
-        for name, a in zip(self._names, arrays):
-            setattr(self, name, self._flat[start : start + a.size].reshape(a.shape))
-            start += a.size
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        self._layout = [(i, j, a.shape) for i, j, a in zip([0] + ends, ends, arrays)]
+        # backward's scratch gradient, viewed once; each call returns a copy
+        self._grad = np.empty_like(self._flat)
+        self._bind_views()
         self._index = _LocalIndex(self.label_space)
+
+    def _bind_views(self) -> None:
+        for name, view in zip(self._names, self._views(self._flat)):
+            setattr(self, name, view)
+        self._grad_views = self._views(self._grad)
+
+    def __setstate__(self, state: dict) -> None:
+        # copy and pickle rebuild each array on its own; view the buffers again
+        self.__dict__.update(state)
+        self._bind_views()
 
     @property
     def num_classes_local(self) -> int:
@@ -121,6 +147,12 @@ class FlatClassifier:
             raise ValueError(f"expected {self._flat.size} parameters, got {flat.shape}")
         self._flat[...] = flat
 
+    def _views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views of a flat buffer of ``params`` length, shaped like the named
+        arrays and in ``_names`` order: the arrays themselves over the
+        parameter buffer, or the blocks ``_backward`` fills over a gradient."""
+        return tuple(flat[i:j].reshape(shape) for i, j, shape in self._layout)
+
     def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
         self._flat -= lr * np.asarray(flat_grad, dtype=np.float64)
 
@@ -131,10 +163,11 @@ class FlatClassifier:
 
     def backward(self, X: np.ndarray, state: tuple, upstream: np.ndarray) -> np.ndarray:
         """Flat gradient of ``sum(upstream * P)``, summed over the batch, from
-        the ``forward(X)`` state of the same batch."""
+        the ``forward(X)`` state of the same batch, as a new vector."""
         H, P = state
         U = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-        return self._backward(X, H, _softmax_upstream_to_logits(P, U))
+        self._backward(X, H, _softmax_upstream_to_logits(P, U), self._grad_views)
+        return self._grad.copy()
 
     def posterior(self, x: np.ndarray) -> np.ndarray:
         X, single = _as_batch(x)
@@ -175,8 +208,10 @@ class SoftmaxRegression(FlatClassifier):
         Z += self.b
         return X, softmax(Z)
 
-    def _backward(self, X: np.ndarray, H: np.ndarray, gz: np.ndarray) -> np.ndarray:
-        return np.concatenate([(gz.T @ X).ravel(), gz.sum(axis=0)])
+    def _backward(self, X: np.ndarray, H: np.ndarray, gz: np.ndarray, out: tuple) -> None:
+        gW, gb = out
+        np.matmul(gz.T, X, out=gW)
+        np.add.reduce(gz, axis=0, out=gb)
 
 
 class MlpClassifier(FlatClassifier):
@@ -221,11 +256,14 @@ class MlpClassifier(FlatClassifier):
         Z += self.b2
         return H, softmax(Z)
 
-    def _backward(self, X: np.ndarray, H: np.ndarray, gz: np.ndarray) -> np.ndarray:
-        gpre = (gz @ self.W2) * (1.0 - H**2)
-        return np.concatenate(
-            [(gpre.T @ X).ravel(), gpre.sum(axis=0), (gz.T @ H).ravel(), gz.sum(axis=0)]
-        )
+    def _backward(self, X: np.ndarray, H: np.ndarray, gz: np.ndarray, out: tuple) -> None:
+        gW1, gb1, gW2, gb2 = out
+        gpre = gz @ self.W2
+        gpre *= 1.0 - H**2
+        np.matmul(gpre.T, X, out=gW1)
+        np.add.reduce(gpre, axis=0, out=gb1)
+        np.matmul(gz.T, H, out=gW2)
+        np.add.reduce(gz, axis=0, out=gb2)
 
 
 def global_posterior(model, x: np.ndarray, K: int, P: np.ndarray | None = None) -> np.ndarray:
@@ -257,8 +295,11 @@ def train(
 ):
     """Mini-batch SGD on the local cross-entropy; mutates and returns model.
 
-    Deterministic for a fixed seed: per-epoch shuffles come from a private
-    generator seeded here.
+    Each step runs one forward pass, chains ``-onehot/P`` through the
+    softmax Jacobian to the logits, has ``_backward`` write the batch-summed
+    gradient into the model's scratch gradient, divides that by the batch
+    size and applies it. Deterministic for a fixed seed: per-epoch shuffles
+    come from a private generator seeded here.
     """
     if len(ds) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -270,6 +311,7 @@ def train(
     n = len(ds)
     m = model.num_classes_local
     onehot = np.eye(m)[y_local]
+    g, views = model._grad, model._grad_views
     for _ in range(epochs):
         order = rng.permutation(n)
         X_epoch, Y_epoch = X[order], onehot[order]
@@ -281,7 +323,9 @@ def train(
             # dCE/dP = -onehot/P, chained through the softmax Jacobian; the
             # algebraically equal (P - onehot) would round differently
             gz = _softmax_upstream_to_logits(P, -Yb / np.maximum(P, 1e-300))
-            model.apply_grad(model._backward(Xb, H, gz) / len(Xb), lr)
+            model._backward(Xb, H, gz, views)
+            g /= len(Xb)
+            model.apply_grad(g, lr)
     return model
 
 

@@ -178,11 +178,16 @@ class GmmModel:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def component_log_densities(self, X: np.ndarray) -> np.ndarray:
-        """(n, m) log N(x | mu_m, diag(var_m)) for each component."""
+    def component_log_densities(self, X: np.ndarray, saved: dict | None = None) -> np.ndarray:
+        """(n, m) log N(x | mu_m, diag(var_m)) for each component. A dict
+        passed as ``saved`` receives the (n, m, d) ``diff`` (x - mu_m) and
+        ``scaled`` (diff**2 / var_m) that the table is summed from."""
         X = _queries(X, self.dim)
         diff = X[:, None, :] - self.means[None, :, :]
-        mahal = np.sum(diff**2 / self.variances[None, :, :], axis=2)
+        scaled = diff**2 / self.variances[None, :, :]
+        if saved is not None:
+            saved.update(diff=diff, scaled=scaled)
+        mahal = np.sum(scaled, axis=2)
         log_norm = 0.5 * (
             self.dim * np.log(2.0 * np.pi) + np.sum(np.log(self.variances), axis=1)
         )
@@ -190,10 +195,11 @@ class GmmModel:
 
     def log_density(self, X: np.ndarray, saved: dict | None = None) -> np.ndarray:
         """Floored log p(x) per row. A dict passed as ``saved`` receives the
-        joint table ``logj`` (log w_m + log N(x | m), (n, m)) and its unfloored
-        row logsumexp ``lse``, which ``nll_grad`` takes back for these rows,
-        or any subset of them, instead of scoring them again."""
-        logj = self.component_log_densities(X) + np.log(self.weights)[None, :]
+        joint table ``logj`` (log w_m + log N(x | m), (n, m)), its unfloored
+        row logsumexp ``lse`` and the ``component_log_densities``
+        intermediates, which ``nll_grad`` takes back for these rows, or any
+        subset of them, instead of forming them again."""
+        logj = self.component_log_densities(X, saved) + np.log(self.weights)[None, :]
         lse = _logsumexp(logj, axis=1)
         if saved is not None:
             saved.update(logj=logj, lse=lse)
@@ -231,16 +237,17 @@ class GmmModel:
 
     def nll_grad(self, X: np.ndarray, saved: dict | None = None) -> np.ndarray:
         """Gradient of -log p(x) in ``params`` layout, summed over rows of X;
-        ``saved`` as in ``responsibilities``. Every step is per row, so the
-        rows of a larger batch's ``saved`` tables give the same bits."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        ``saved`` is what ``log_density`` stored for the rows of X, or None to
+        score them. Every step is per row, so the rows of a larger batch's
+        ``saved`` tables give the same bits."""
+        if saved is None:
+            saved = {}
+            self.log_density(X, saved)
         resp = self.responsibilities(X, saved)
-        diff = X[:, None, :] - self.means[None, :, :]
-        g_mean = -np.sum(resp[:, :, None] * diff / self.variances[None, :, :], axis=0)
-        g_logvar = -0.5 * np.sum(
-            resp[:, :, None] * (diff**2 / self.variances[None, :, :] - 1.0), axis=0
-        )
-        g_logit = X.shape[0] * self.weights - resp.sum(axis=0)
+        w = resp[:, :, None]
+        g_mean = -np.sum(w * saved["diff"] / self.variances[None, :, :], axis=0)
+        g_logvar = -0.5 * np.sum(w * (saved["scaled"] - 1.0), axis=0)
+        g_logit = len(resp) * self.weights - resp.sum(axis=0)
         return np.concatenate([g_mean.ravel(), g_logvar.ravel(), g_logit])
 
 

@@ -104,22 +104,30 @@ def build_ensemble(parties: list[PartyModel], num_classes: int | None = None) ->
 
 
 def log_density_table(
-    ens: EnsembleModel, X: np.ndarray, saved: dict | None = None
+    ens: EnsembleModel,
+    X: np.ndarray,
+    saved: dict | None = None,
+    parties: list[int] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """(n, N) log-density of every query under every party's estimator.
 
     ``saved`` maps party indices to dicts; each of those parties' estimators
     stores in its dict what its ``nll_grad`` takes back for these rows
-    (``GmmModel.log_density``).
+    (``GmmModel.log_density``). ``parties`` limits scoring to those party
+    indices, and ``out`` is an (n, N) table to score into: columns of the
+    other parties are left as they are (unset in a new table), so a caller
+    that holds the columns of estimators that do not change rescores only
+    the others.
     """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     saved = {} if saved is None else saved
-    return np.stack(
-        [
-            p.estimator.log_density(X, saved[j]) if j in saved else p.estimator.log_density(X)
-            for j, p in enumerate(ens.parties)
-        ],
-        axis=1,
-    )
+    if out is None:
+        out = np.empty((len(X), ens.num_parties))
+    for j in range(ens.num_parties) if parties is None else parties:
+        est = ens.parties[j].estimator
+        out[:, j] = est.log_density(X, saved[j]) if j in saved else est.log_density(X)
+    return out
 
 
 def evaluate_objective(

@@ -11,6 +11,7 @@ from densemble.calibration import (
     PROBABILITY_FLOOR,
     CalibrationConfig,
     ClipConfig,
+    TraceRow,
     calibrate,
     clip_and_noise,
     ensemble_accuracy,
@@ -24,7 +25,7 @@ from densemble.calibration import (
 )
 from densemble.classifiers import FlatClassifier, MlpClassifier, SoftmaxRegression
 from densemble.datasets import LocalDataset, generate_toy
-from densemble.density import GmmModel, KdeModel, kde_fit
+from densemble.density import GmmModel, KdeModel, gmm_fit, kde_fit
 from densemble.ensemble import PartyModel, build_ensemble, evaluate_objective
 from densemble.harness import load_config, prepare_data, stream_seeds
 
@@ -494,23 +495,26 @@ def test_calibrate_rescores_updated_gmm_train_batches(monkeypatch):
     assert rows == [len(full)]
 
 
-def _fresh_scoring_calibrate(ens, train, cfg, seed):
-    """``calibrate`` without clipping or held-out evaluation, scoring every
-    batch's log-densities afresh; returns the per-step losses."""
+def _fresh_scoring_calibrate(ens, train, cfg, seed, test=None):
+    """``calibrate`` without clipping, scoring every batch's and every
+    held-out evaluation's log-densities afresh; returns the trace."""
     rng = np.random.default_rng(seed)
     trainable = _trainable(ens, cfg.update_density)
-    losses = []
-    for _ in range(cfg.steps):
+    trace = []
+    for step in range(1, cfg.steps + 1):
         sel = rng.choice(len(train), size=min(cfg.batch, len(train)), replace=False)
         X, y = train.features[sel], train.labels[sel]
         pos = _label_positions(ens, y)
         score, blocks = _step_grad(ens, trainable, X, y, pos, cfg.density_scope)
-        losses.append(float(np.mean(-np.log(score))))
         flat = np.concatenate(blocks) / len(sel)
         ends = np.cumsum([len(b) for b in blocks])
         for (_, model), g in zip(trainable, np.split(flat, ends[:-1])):
             model.apply_grad(g, cfg.lr)
-    return losses
+        acc = None
+        if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
+            acc = ensemble_accuracy(ens, test)
+        trace.append(TraceRow(step, float(np.mean(-np.log(score))), acc))
+    return trace
 
 
 @pytest.mark.parametrize("preset", ["toy3", "splitA"])
@@ -535,10 +539,43 @@ def test_cached_train_densities_match_fresh_scoring_bitwise(preset):
     cal = CalibrationConfig(lr=0.05, batch=64, steps=40)
     cached, trace = calibrate(raw_ensemble(), train, cal, seed=4)
     fresh = raw_ensemble()
-    losses = _fresh_scoring_calibrate(fresh, train, cal, seed=4)
-    assert [r.loss for r in trace] == losses
+    assert trace == _fresh_scoring_calibrate(fresh, train, cal, seed=4)
     for a, b in zip(all_params(cached), all_params(fresh)):
         assert a.tobytes() == b.tobytes()
+
+
+def test_calibrate_scores_kde_parties_once_under_update_density(monkeypatch):
+    # toy3 with party 2 on a 4-component GMM: only the mixture trains, so
+    # the two KDE parties score the train and the held-out set once each
+    cfg = load_config("toy3")
+    train, test, shards = prepare_data(cfg, stream_seeds(0, len(cfg.parties)))
+
+    def mixed_ensemble():
+        rng = np.random.default_rng(0)
+        parties = []
+        for j, (pcfg, shard) in enumerate(zip(cfg.parties, shards)):
+            est = (
+                gmm_fit(shard.features, 4, seed=j)
+                if j == 2
+                else kde_fit(shard.features, pcfg.estimator.bandwidth)
+            )
+            clf = SoftmaxRegression.init_random(2, shard.label_space, rng)
+            parties.append(PartyModel(clf, est, len(shard)))
+        return build_ensemble(parties, num_classes=cfg.data.num_classes)
+
+    cal = CalibrationConfig(lr=0.05, batch=64, steps=20, eval_every=5, update_density=True)
+    fresh = mixed_ensemble()
+    want = _fresh_scoring_calibrate(fresh, train, cal, seed=4, test=test)
+    cached = mixed_ensemble()
+    rows = _count_scoring(monkeypatch, KdeModel)
+    _, trace = calibrate(cached, train, cal, seed=4, test=test)
+    assert sorted(rows) == sorted([len(train), len(test)] * 2)
+    assert trace == want
+    assert sum(r.test_accuracy is not None for r in trace) == 4
+    for a, b in zip(all_params(cached), all_params(fresh)):
+        assert a.tobytes() == b.tobytes()
+    gmm, ref = cached.parties[2].estimator, fresh.parties[2].estimator
+    assert gmm.params.tobytes() == ref.params.tobytes()
 
 
 def _mixed_kde_gmm_setup():
@@ -635,6 +672,13 @@ def test_fused_step_matches_unfused_oracle_bitwise(scope):
         assert len(got) == len(want) == 5
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+    # a mixture's gradient from rows of its saved table is its fresh gradient
+    rows = np.flatnonzero(rng.random(len(X)) < 0.5)
+    for gmm in (p.estimator for p in ens.parties[1:]):
+        saved = {}
+        gmm.log_density(X, saved)
+        got = gmm.nll_grad(X[rows], {k: v[rows] for k, v in saved.items()})
+        assert got.tobytes() == gmm.nll_grad(X[rows], None).tobytes()
 
 
 @pytest.mark.parametrize("scope", ["matching", "all"])

@@ -1,5 +1,8 @@
 """Classifier posteriors, zero-fill embedding, and manual gradients."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -285,3 +288,18 @@ def test_params_never_alias_and_apply_grad_is_exact(make):
     # the named arrays are views of the flat buffer, in _names order
     views = np.concatenate([getattr(model, name).ravel() for name in model._names])
     assert views.tobytes() == model.params.tobytes()
+
+
+@pytest.mark.parametrize("make", [random_softmax, random_mlp], ids=["softmax", "mlp"])
+def test_copies_view_their_own_buffers(make):
+    # a copy's named arrays and scratch gradient follow its own flat buffers
+    rng = np.random.default_rng(13)
+    model = make(rng)
+    X = rng.normal(size=(4, 3))
+    U = rng.normal(size=(4, model.num_classes_local))
+    for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        flat = rng.normal(size=model.params.size)
+        twin.set_params(flat)
+        model.set_params(flat)
+        assert twin.posterior(X).tobytes() == model.posterior(X).tobytes()
+        assert twin.posterior_grad(X, U).tobytes() == model.posterior_grad(X, U).tobytes()

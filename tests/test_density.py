@@ -413,3 +413,28 @@ def test_gmm_nll_grad_matches_finite_differences():
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(got - fd) / denom < 1e-5, f"trial {trial}"
 
+
+
+def reference_nll_grad(model, X):
+    """``nll_grad`` forming every intermediate from X afresh."""
+    resp = model.responsibilities(X)
+    diff = X[:, None, :] - model.means[None, :, :]
+    g_mean = -np.sum(resp[:, :, None] * diff / model.variances[None, :, :], axis=0)
+    g_logvar = -0.5 * np.sum(
+        resp[:, :, None] * (diff**2 / model.variances[None, :, :] - 1.0), axis=0
+    )
+    g_logit = X.shape[0] * model.weights - resp.sum(axis=0)
+    return np.concatenate([g_mean.ravel(), g_logvar.ravel(), g_logit])
+
+
+def test_gmm_nll_grad_from_saved_rows_matches_reference_bitwise():
+    rng = np.random.default_rng(9)
+    w = rng.random(4) + 0.2
+    model = GmmModel(w / w.sum(), rng.normal(size=(4, 2)), rng.uniform(0.03, 3.0, (4, 2)))
+    X = rng.normal(size=(25, 2)) * 2.0
+    saved = {}
+    model.log_density(X, saved)
+    rows = np.flatnonzero(rng.random(len(X)) < 0.6)
+    want = reference_nll_grad(model, X[rows]).tobytes()
+    assert model.nll_grad(X[rows]).tobytes() == want
+    assert model.nll_grad(X[rows], {k: v[rows] for k, v in saved.items()}).tobytes() == want

@@ -10,7 +10,11 @@ from run to run. Exits 1 if a command fails, or if a file differs or exists
 on one side only. Under each CSV that differs, it says whether every
 integer column (labels, indices, steps) is equal, and gives the largest
 absolute difference in each other numeric column, so a deliberate bit move
-reads as "labels equal, |delta| <= x" straight from the output.
+reads as "labels equal, |delta| <= x" straight from the output. Under each
+JSON file that differs (a model file, say), it says whether the keys, every
+``label_space`` and every array's shape are equal, and gives the largest
+absolute difference in each array, so a deliberate parameter move reads the
+same way.
 
 The configs that set calibration or estimator fields are written once to
 ``OUT/configs`` from PARENT_ROOT's presets, so both sides read the same
@@ -192,6 +196,45 @@ def explain_csv(path_a: str, path_b: str) -> list[str]:
     return lines
 
 
+def _leaves(doc, path: str = ""):
+    """(dotted path, value) for every leaf of a JSON document; an array object
+    ``{"shape": [...], "data": [...]}`` is one leaf, as is any list."""
+    if isinstance(doc, dict) and set(doc) != {"shape", "data"}:
+        for key, value in doc.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    else:
+        yield path, doc
+
+
+def explain_json(path_a: str, path_b: str) -> list[str]:
+    """One line per finding on how two JSON documents differ."""
+    with open(path_a) as fa, open(path_b) as fb:
+        leaves_a, leaves_b = dict(_leaves(json.load(fa))), dict(_leaves(json.load(fb)))
+    if leaves_a.keys() != leaves_b.keys():
+        return ["keys differ"]
+    equal, unequal, deltas = ["keys"], [], []
+    arrays = [k for k in leaves_a if all(isinstance(d[k], dict) for d in (leaves_a, leaves_b))]
+    if all(leaves_a[k]["shape"] == leaves_b[k]["shape"] for k in arrays):
+        equal.append("shapes")
+        for k in arrays:
+            a, b = leaves_a[k]["data"], leaves_b[k]["data"]
+            worst = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+            deltas.append(f"{k} {worst:.3g}")
+    else:
+        unequal.append("shapes")
+    for k in leaves_a:
+        if k not in arrays and leaves_a[k] != leaves_b[k]:
+            unequal.append(k)
+        elif k.endswith("label_space"):
+            equal.append(k)
+    lines = [f"equal: {', '.join(equal)}"]
+    if unequal:
+        lines.append(f"NOT EQUAL: {', '.join(unequal)}")
+    if deltas:
+        lines.append(f"max |delta|: {', '.join(deltas)}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print("usage: python tools/golden.py PARENT_ROOT CHANGE_ROOT OUT", file=sys.stderr)
@@ -216,8 +259,9 @@ def main(argv: list[str]) -> int:
         print(f"FAILED {msg}")
     for p in differ:
         print(f"DIFFERS {p}")
-        if p.endswith(".csv"):
-            for line in explain_csv(os.path.join(a, p), os.path.join(b, p)):
+        explain = {".csv": explain_csv, ".json": explain_json}.get(os.path.splitext(p)[1])
+        if explain is not None:
+            for line in explain(os.path.join(a, p), os.path.join(b, p)):
                 print(f"    {line}")
     for p in one_side:
         print(f"ONE SIDE {p}")
