@@ -32,8 +32,10 @@ gradient on the local posterior, so no forward pass is repeated.
 ``posterior_grad`` is the unfused composition, the reference the fused step
 is tested against.
 
-Local training (``train``) runs ``_forward`` once per minibatch and chains
-the cross-entropy's ``-onehot/P`` through the softmax Jacobian.
+Local training (``train``) runs ``_forward`` once per minibatch and takes
+the cross-entropy's logit gradient directly: ``P - onehot``, formed in place
+in the posterior, with no softmax Jacobian and no floor on ``P``. The
+Jacobian chain stays in ``backward``, whose upstream is not one-hot.
 
 Both paths write through the same views: each classifier owns one scratch
 flat gradient, viewed once when it is built (and again when it is copied or
@@ -295,8 +297,8 @@ def train(
 ):
     """Mini-batch SGD on the local cross-entropy; mutates and returns model.
 
-    Each step runs one forward pass, chains ``-onehot/P`` through the
-    softmax Jacobian to the logits, has ``_backward`` write the batch-summed
+    Each step runs one forward pass, takes the logit gradient ``P - onehot``
+    in place of the posterior, has ``_backward`` write the batch-summed
     gradient into the model's scratch gradient, divides that by the batch
     size and applies it. Deterministic for a fixed seed: per-epoch shuffles
     come from a private generator seeded here.
@@ -317,13 +319,9 @@ def train(
         X_epoch, Y_epoch = X[order], onehot[order]
         for start in range(0, n, batch):
             Xb = X_epoch[start : start + batch]
-            Yb = Y_epoch[start : start + batch]
-            # one forward pass feeds both the loss derivative and _backward
             H, P = model._forward(Xb)
-            # dCE/dP = -onehot/P, chained through the softmax Jacobian; the
-            # algebraically equal (P - onehot) would round differently
-            gz = _softmax_upstream_to_logits(P, -Yb / np.maximum(P, 1e-300))
-            model._backward(Xb, H, gz, views)
+            P -= Y_epoch[start : start + batch]
+            model._backward(Xb, H, P, views)
             g /= len(Xb)
             model.apply_grad(g, lr)
     return model

@@ -136,7 +136,26 @@ def test_train_deterministic():
 
 
 def reference_train(model, ds, lr, epochs, batch, seed):
-    """Per-batch posterior, then posterior_grad: the unfused SGD loop."""
+    """The unfused SGD loop: per batch a forward pass, the cross-entropy
+    logit gradient P - onehot, ``_backward`` into a fresh flat buffer, then
+    ``apply_grad``."""
+    y_local = model._index.to_local(ds.labels)
+    rng = np.random.default_rng(seed)
+    onehot = np.eye(model.num_classes_local)[y_local]
+    for _ in range(epochs):
+        order = rng.permutation(len(ds))
+        for start in range(0, len(ds), batch):
+            sel = order[start : start + batch]
+            H, P = model.forward(ds.features[sel])
+            g = np.empty(len(model.params))
+            model._backward(ds.features[sel], H, P - onehot[sel], model._views(g))
+            model.apply_grad(g / len(sel), lr)
+    return model
+
+
+def jacobian_chain_train(model, ds, lr, epochs, batch, seed):
+    """SGD that chains dCE/dP = -onehot/P through the softmax Jacobian with
+    ``posterior_grad``: algebraically the same step as ``train``."""
     y_local = model._index.to_local(ds.labels)
     rng = np.random.default_rng(seed)
     onehot = np.eye(model.num_classes_local)[y_local]
@@ -150,22 +169,29 @@ def reference_train(model, ds, lr, epochs, batch, seed):
     return model
 
 
-@pytest.mark.parametrize("family", ["softmax", "mlp"])
-def test_train_bitwise_equals_unfused_reference(family):
+def _train_fixture(family):
     full = generate_toy(3, 300, 5)
     spec = PartitionSpec(parties=[PartyRule((0, 2, 3), 1.0), PartyRule((1, 4), 1.0)], seed=0)
     shard = partition(full, spec)[0]
+    rng = np.random.default_rng(11)
+    if family == "softmax":
+        return SoftmaxRegression.init_random(2, (0, 2, 3), rng), shard
+    return MlpClassifier.init_random(2, (0, 2, 3), 12, rng), shard
 
-    def fresh():
-        rng = np.random.default_rng(11)
-        if family == "softmax":
-            return SoftmaxRegression.init_random(2, (0, 2, 3), rng)
-        return MlpClassifier.init_random(2, (0, 2, 3), 12, rng)
 
+@pytest.mark.parametrize("family", ["softmax", "mlp"])
+def test_train_bitwise_equals_unfused_reference(family):
     # batch 23 leaves a short last batch in every epoch
-    got = train(fresh(), shard, lr=0.1, epochs=15, batch=23, seed=4).params
-    want = reference_train(fresh(), shard, lr=0.1, epochs=15, batch=23, seed=4).params
+    got = train(*_train_fixture(family), lr=0.1, epochs=15, batch=23, seed=4).params
+    want = reference_train(*_train_fixture(family), lr=0.1, epochs=15, batch=23, seed=4).params
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("family", ["softmax", "mlp"])
+def test_train_agrees_with_jacobian_chain_loop(family):
+    got = train(*_train_fixture(family), lr=0.1, epochs=15, batch=23, seed=4).params
+    chained = jacobian_chain_train(*_train_fixture(family), lr=0.1, epochs=15, batch=23, seed=4)
+    assert np.allclose(got, chained.params, rtol=1e-12, atol=0.0)
 
 
 def _fd_posterior_grad(model, x, u, eps=1e-5):
