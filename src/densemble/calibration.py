@@ -10,26 +10,33 @@ party's classifier receives upstream gradient -(w_j / score) on its local
 posterior entry for y, so high-density parties update fastest. With a single
 party this is exactly softmax cross-entropy.
 
-One calibration step updates one list of trainable models: every
-classifier, then, when ``update_density`` is on, each estimator that has
-``nll_grad`` (a mixture; a kernel estimator has no parameters). Each model
-contributes one gradient block, the blocks are flattened into one vector so
-the optional clip-and-noise mechanism (norm clipping plus Gaussian noise)
-treats the composite model as a single unit, and each model takes its slice
-through its own ``apply_grad(g, lr)``. The mechanism clips the batch-mean
+One calibration step updates every classifier, then, when
+``update_density`` is on, every mixture (a kernel estimator has no
+parameters). Each model contributes one gradient block, and the blocks lie
+in one flat vector, classifiers and then mixtures in party order, so the
+optional clip-and-noise mechanism (norm clipping plus Gaussian noise) treats
+the composite model as a single unit. The mechanism clips the batch-mean
 gradient, not each example's gradient, so it carries no differential-privacy
 (epsilon, delta) guarantee.
 
 A step runs one forward pass per party and keeps it for the backward pass:
 each classifier's ``forward`` state feeds both ``evaluate_objective`` and the
-classifier's ``backward``, and a training mixture's component table, saved
-by its ``log_density``, feeds its ``nll_grad`` through the rows in the
-density scope. Every mode takes this one path (``mpce_grad``, either scope,
-clipping with or without noise), and it gives the bits of the unfused
-``posterior_grad``/``nll_grad`` composition. What a run never changes is
-computed once per run: each party's local label positions over the training
-labels, the flat gradient's block layout, and the log-densities of the
-training and held-out sets under every estimator that does not train.
+classifier's ``backward``. The training mixtures are grouped by parameter
+shape once per run, and each group is one ``GmmStack``: a step scores the
+batch under all of a stack's mixtures at once, into their columns of the
+log-density table, and the same pass feeds the stack's ``nll_grad``, which
+forms every mixture's gradient block at once. The density scope is an
+(n, S) 0/1 row mask on the stack's responsibilities. Each classifier then
+takes its slice of the flat vector through its own ``apply_grad``, and each
+stack its mixtures' blocks through one ``apply_grad``, which leaves every
+mixture's arrays as views of its row of the stack. Every mode takes this one
+path (``mpce_grad``, either scope, clipping with or without noise), and it
+gives the bits of the unfused per-party ``posterior_grad``/``nll_grad``
+composition and of ``set_params(params - lr * g)``. What a run never changes
+is computed once per run: each party's local label positions over the
+training labels, the flat gradient's block layout and stacks, and the
+log-densities of the training and held-out sets under every estimator that
+does not train.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import numpy as np
 
 from .classifiers import _LocalIndex
 from .datasets import LocalDataset
+from .density import GmmModel, GmmStack
 from .ensemble import EnsembleModel, evaluate_objective, decide, log_density_table
 
 PROBABILITY_FLOOR = 1e-12
@@ -160,42 +168,80 @@ def _theta_grads(
     return grads
 
 
-def _trainable(ens: EnsembleModel, update_density: bool) -> list:
-    """(party index, model) for each model a step updates, in flat-gradient
-    order: every classifier, then, with ``update_density``, each estimator
-    that has ``nll_grad`` (kernel estimators have no parameters)."""
-    models = list(enumerate(p.classifier for p in ens.parties))
-    if update_density:
-        models += [
-            (j, p.estimator) for j, p in enumerate(ens.parties) if hasattr(p.estimator, "nll_grad")
-        ]
-    return models
+@dataclass
+class _Plan:
+    """What every step of a run updates, worked out once per run.
+
+    The flat gradient holds every classifier's block in party order, then,
+    with ``update_density``, every mixture's block in party order.
+    ``classifiers`` pairs each classifier with its slice of it. ``stacks``
+    groups the training mixtures by parameter shape: per shape, their party
+    indices, a ``GmmStack`` of them and the (S, P) index of their blocks in
+    the flat gradient. ``fixed`` lists the parties whose estimator never
+    changes.
+    """
+
+    size: int
+    classifiers: list[tuple[object, slice]]
+    stacks: list[tuple[list[int], GmmStack, np.ndarray]]
+    fixed: list[int]
+
+    def apply_grad(self, flat: np.ndarray, lr: float) -> None:
+        """Step every trainable model by -lr times its part of ``flat``."""
+        for clf, part in self.classifiers:
+            clf.apply_grad(flat[part], lr)
+        for _, stack, idx in self.stacks:
+            stack.apply_grad(flat[idx], lr)
 
 
-def _step_grad(ens: EnsembleModel, trainable: list, X, y, pos, scope: str, loglik=None):
-    """Floored true-class scores and one loss-gradient block per
-    ``trainable`` model, each summed over the batch, from one forward pass
-    per party. An estimator's block is its NLL gradient over the batch rows
-    in ``scope``. ``pos`` is ``_label_positions`` of y. ``loglik``, when
-    given, is an (n, N) table whose columns for the estimators that do not
-    train already hold the batch's log-densities; the training mixtures are
-    scored into their columns here. Otherwise every party is scored."""
+def _plan(ens: EnsembleModel, update_density: bool) -> _Plan:
+    """The step plan: every classifier, then, with ``update_density``, each
+    mixture (kernel estimators have no parameters)."""
+    ends = np.cumsum([p.classifier.params.size for p in ens.parties]).tolist()
+    classifiers = [
+        (p.classifier, slice(a, b)) for p, a, b in zip(ens.parties, [0] + ends, ends)
+    ]
+    size = ends[-1]
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for j, party in enumerate(ens.parties):
+        if update_density and isinstance(party.estimator, GmmModel):
+            groups.setdefault(party.estimator.means.shape, []).append((j, size))
+            size += party.estimator.params.size
+    stacks = []
+    for members in groups.values():
+        cols = [j for j, _ in members]
+        stack = GmmStack(ens.parties[j].estimator for j in cols)
+        width = stack.models[0].params.size
+        idx = np.array([start for _, start in members])[:, None] + np.arange(width)
+        stacks.append((cols, stack, idx))
+    moving = {j for cols, _, _ in stacks for j in cols}
+    fixed = [j for j in range(ens.num_parties) if j not in moving]
+    return _Plan(size, classifiers, stacks, fixed)
+
+
+def _step_grad(ens: EnsembleModel, plan: _Plan, X, y, pos, scope: str, loglik=None):
+    """Floored true-class scores and the flat loss gradient, summed over the
+    batch, from one forward pass per party: each classifier's backward pass,
+    then each stack's NLL gradients over the batch rows in ``scope``. ``pos``
+    is ``_label_positions`` of y. ``loglik``, when given, is an (n, N) table
+    whose columns for the estimators that do not train already hold the
+    batch's log-densities; the stacks are scored into the others here.
+    Otherwise every party is scored."""
     states = [p.classifier.forward(X) for p in ens.parties]
-    saved = {j: {} for j, _ in trainable[ens.num_parties :]}
     if loglik is None:
-        loglik = log_density_table(ens, X, saved)
-    elif saved:
-        log_density_table(ens, X, saved, parties=list(saved), out=loglik)
+        loglik = log_density_table(ens, X, parties=plan.fixed)
+    stack_states = []
+    for cols, stack, _ in plan.stacks:
+        state, loglik[:, cols] = stack.forward(X)
+        stack_states.append(state)
     om, score = _batch_scores(ens, X, y, loglik, states)
-    blocks = _theta_grads(ens, states, om, X, pos, score)
-    for j, est in trainable[ens.num_parties :]:
-        rows = slice(None) if scope == "all" else np.flatnonzero(pos[:, j] >= 0)
-        Xs = X[rows]
-        if len(Xs):
-            blocks.append(est.nll_grad(Xs, {k: v[rows] for k, v in saved[j].items()}))
-        else:
-            blocks.append(np.zeros(len(est.params)))
-    return score, blocks
+    grad = np.empty(plan.size)
+    for (_, part), block in zip(plan.classifiers, _theta_grads(ens, states, om, X, pos, score)):
+        grad[part] = block
+    for (cols, stack, idx), state in zip(plan.stacks, stack_states):
+        mask = None if scope == "all" else (pos[:, cols] >= 0).astype(np.float64)
+        grad[idx] = stack.nll_grad(state, mask)
+    return score, grad
 
 
 def mpce_grad(
@@ -206,13 +252,12 @@ def mpce_grad(
     density_scope: str = "matching",
 ) -> np.ndarray:
     """Flat loss gradient: classifier blocks in party order, then the blocks
-    of the estimators that have ``nll_grad``."""
+    of the mixtures."""
     _check_label(ens, y)
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    trainable = _trainable(ens, update_density)
     y = np.array([y])
-    _, blocks = _step_grad(ens, trainable, X, y, _label_positions(ens, y), density_scope)
-    return np.concatenate(blocks)
+    plan = _plan(ens, update_density)
+    return _step_grad(ens, plan, X, y, _label_positions(ens, y), density_scope)[1]
 
 
 def clip_and_noise(
@@ -257,12 +302,12 @@ def calibrate(
     unless ``update_density`` is on; kernel estimators always) scores the
     training set and the held-out set once, before the first step: every
     batch takes its rows of the training table, and every evaluation the
-    whole held-out table. Only the training mixtures are rescored, on each
-    batch and at each evaluation. A row of a table is bitwise the row a
-    fresh batch would score, so caching moves no bits. ``test_loglik`` is
-    ``log_density_table(ens, test.features)`` when the caller already holds
-    it; its columns for the estimators that do not train are used as the
-    held-out table's.
+    whole held-out table. Only the training mixtures are rescored, one
+    stack at a time, on each batch and at each evaluation. A row of a table
+    is bitwise the row a fresh batch would score, so caching moves no bits.
+    ``test_loglik`` is ``log_density_table(ens, test.features)`` when the
+    caller already holds it; its columns for the estimators that do not
+    train are used as the held-out table's.
     """
     if len(train) == 0:
         raise ValueError("calibration needs a nonempty training set")
@@ -275,39 +320,34 @@ def calibrate(
         else None
     )
     n = len(train)
-    trainable = _trainable(ens, cfg.update_density)
-    # each model's slice of the flat gradient
-    ends = np.cumsum([len(model.params) for _, model in trainable]).tolist()
-    layout = [slice(a, b) for a, b in zip([0] + ends, ends)]
+    plan = _plan(ens, cfg.update_density)
     train_pos = _label_positions(ens, train.labels)
     # score each set once under the estimators that never change; the
     # training mixtures' columns are scored afresh before every use
-    moving = [j for j, _ in trainable[ens.num_parties :]]
-    fixed = [j for j in range(ens.num_parties) if j not in moving]
     if cfg.steps > 0:
-        train_loglik = log_density_table(ens, train.features, parties=fixed)
+        train_loglik = log_density_table(ens, train.features, parties=plan.fixed)
         if test is not None and test_loglik is None:
-            test_loglik = log_density_table(ens, test.features, parties=fixed)
+            test_loglik = log_density_table(ens, test.features, parties=plan.fixed)
         elif test is not None:
             test_loglik = np.array(test_loglik, dtype=np.float64)  # written below
     trace: list[TraceRow] = []
     for step in range(1, cfg.steps + 1):
         sel = rng.choice(n, size=min(cfg.batch, n), replace=False)
         X, y = train.features[sel], train.labels[sel]
-        score, blocks = _step_grad(
-            ens, trainable, X, y, train_pos[sel], cfg.density_scope, train_loglik[sel]
+        score, grad = _step_grad(
+            ens, plan, X, y, train_pos[sel], cfg.density_scope, train_loglik[sel]
         )
         loss = float(np.mean(-np.log(score)))
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite calibration loss {loss} at step {step}")
-        flat = np.concatenate(blocks) / len(sel)
+        flat = grad / len(sel)
         if cfg.clip is not None:
             flat = clip_and_noise(flat, cfg.clip, noise_rng)
-        for (_, model), part in zip(trainable, layout):
-            model.apply_grad(flat[part], cfg.lr)
+        plan.apply_grad(flat, cfg.lr)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
-            log_density_table(ens, test.features, parties=moving, out=test_loglik)
+            for cols, stack, _ in plan.stacks:
+                test_loglik[:, cols] = stack.log_density(test.features)
             acc = ensemble_accuracy(ens, test, test_loglik)
         trace.append(TraceRow(step, loss, acc))
     return ens, trace

@@ -2,12 +2,24 @@
 
 Both estimators expose ``log_density(X) -> (n,)`` so downstream code can mix
 estimator families freely. Like the classifiers, both carry a ``type_tag``
-and ``file_fields`` for ``serialize``; ``GmmModel.apply_grad`` matches
-``FlatClassifier.apply_grad``, and ``GmmModel.log_density`` can hand back
-its component table so that a calibration step's ``nll_grad`` reuses it, as
-the classifiers' ``backward`` reuses their ``forward`` state. Log-densities
-are floored at ``LOG_DENSITY_FLOOR`` so a query far from every shard
-exponentiates to a clean zero instead of underflowing into NaN arithmetic.
+and ``file_fields`` for ``serialize``, and ``GmmModel.apply_grad`` matches
+``FlatClassifier.apply_grad``. Log-densities are floored at
+``LOG_DENSITY_FLOOR`` so a query far from every shard exponentiates to a
+clean zero instead of underflowing into NaN arithmetic. Every estimator
+rejects non-finite parameters when it is built, so a party file holding a
+NaN fails to load instead of scoring NaN or silently dropping a point.
+
+The mixture arithmetic is written once, for S mixtures of one shape (m, d)
+stacked along a leading axis: the component table, the joint table and its
+logsumexp, the NLL gradient and the parameter step (``_gmm_*``).
+``GmmModel`` runs it on a stack of one; ``GmmStack`` runs it on all the
+mixtures a calibration run trains, so a step scores its batch, forms every
+mixture's gradient and moves every mixture's parameters in one pass, not
+one per party. Every element passes through the same operations either
+way, so a stacked row has the bits of its mixture alone. ``forward`` hands
+back the component table with the floored densities, and ``nll_grad``
+takes it back, as the classifiers' ``backward`` takes their ``forward``
+state; its 0/1 row mask selects each mixture's rows.
 
 ``KdeModel.log_density`` is exact to the bit with respect to the plain
 formula ``logsumexp(-sum_c (x_c - p_c)^2 / 2h^2) - norm`` over the whole
@@ -16,6 +28,9 @@ query batch, and cheap in memory:
 - There is no GEMM. Squared distances are summed one dimension at a time,
   ``(x_0 - p_0)^2 + (x_1 - p_1)^2 + ...``, in that order; a sum of squares
   needs no clamp at 0, unlike the Gram form ``|x|^2 + |p|^2 - 2 x.p^T``.
+  The sum is divided by ``-2h^2`` in one step: IEEE division rounds the
+  magnitude alone, so this has the bits of negating it and dividing by
+  ``2h^2``.
 - Every step is elementwise or a per-row reduction, so the whole kernel runs
   on row blocks of about ``_BLOCK_BYTES`` in two reused buffers, and no
   (queries x points) array is formed. Blocking cannot move the bits of such
@@ -84,6 +99,8 @@ class KdeModel:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("KDE needs a nonempty (n, d) point matrix")
+        if not (np.isfinite(self.bandwidth) and np.isfinite(pts).all()):
+            raise ValueError("parameters must be finite")
         if not (self.bandwidth > 0.0):
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         self.points = pts
@@ -118,8 +135,7 @@ class KdeModel:
                 np.subtract(X[r0:r1, c : c + 1], pts[c], out=t)
                 np.square(t, out=t)
                 np.add(b, t, out=b)
-            np.negative(b, out=b)
-            np.divide(b, 2.0 * h2, out=b)
+            np.divide(b, -2.0 * h2, out=b)
             # logsumexp along rows, as _logsumexp computes it
             top = np.max(b, axis=1)
             top = np.where(np.isfinite(top), top, 0.0)
@@ -145,6 +161,71 @@ def kde_fit(X: np.ndarray, bandwidth: float) -> KdeModel:
     return KdeModel(np.asarray(X, dtype=np.float64).copy(), bandwidth)
 
 
+def _gmm_table(X: np.ndarray, means: np.ndarray, variances: np.ndarray):
+    """Component table of S stacked mixtures of one shape (m, d) at the rows
+    of X: ``diff`` (x - mu) and ``scaled`` ((x - mu)**2 / var), both
+    (n, S, m, d), and log N(x | mu, diag(var)), (n, S, m)."""
+    diff = X[:, None, None, :] - means[None]
+    scaled = diff**2 / variances[None]
+    mahal = np.sum(scaled, axis=3)
+    log_norm = 0.5 * (means.shape[2] * np.log(2.0 * np.pi) + np.sum(np.log(variances), axis=2))
+    return diff, scaled, -0.5 * mahal - log_norm[None]
+
+
+def _gmm_joint(table: np.ndarray, weights: np.ndarray):
+    """The joint table ``logj`` (log w + log N(x | component)) and its
+    unfloored logsumexp over components, ``lse``."""
+    logj = table + np.log(weights)
+    return logj, _logsumexp(logj, axis=-1)
+
+
+def _gmm_resp(logj: np.ndarray, lse: np.ndarray) -> np.ndarray:
+    """Posterior component memberships from ``_gmm_joint``'s tables."""
+    return np.exp(logj - lse[..., None])
+
+
+def _gmm_nll_grad(diff, scaled, logj, lse, weights, variances, mask=None) -> np.ndarray:
+    """(S, 2md + m) gradients of -log p(x), summed over rows, in ``params``
+    layout (means, log-variances, weight logits), one row per mixture.
+
+    ``mask`` is an (n, S) 0/1 table of the rows each mixture sums over, or
+    None for every row. A masked row enters each sum as a signed zero, and
+    numpy starts every sum at +0.0, so the sum keeps the bits of the sum over
+    the mixture's own rows alone; a mixture with no rows gets +0.0.
+    """
+    resp = _gmm_resp(logj, lse)
+    count = len(resp)
+    if mask is not None:
+        resp *= mask[:, :, None]
+        count = np.sum(mask, axis=0)[:, None]
+    w = resp[..., None]
+    S, m, d = variances.shape
+    grad = np.empty((S, 2 * m * d + m))
+    grad[:, : m * d] = -np.sum(w * diff / variances[None], axis=0).reshape(S, m * d)
+    grad[:, m * d : 2 * m * d] = -0.5 * np.sum(w * (scaled - 1.0), axis=0).reshape(S, m * d)
+    grad[:, 2 * m * d :] = count * weights - np.sum(resp, axis=0)
+    if mask is not None:
+        grad[count[:, 0] == 0] = 0.0
+    return grad
+
+
+def _gmm_step(weights, means, variances, grad: np.ndarray, lr: float):
+    """(weights, means, variances) after one step of -lr * grad on S stacked
+    mixtures, ``grad`` (S, 2md + m) in ``params`` layout: means and
+    log-variances move, variances are floored at ``GMM_VARIANCE_FLOOR`` and
+    weights are the softmax of the moved logits."""
+    S, m, d = means.shape
+    if grad.shape != (S, 2 * m * d + m):
+        raise ValueError(f"expected {S} x {2 * m * d + m} gradients, got {grad.shape}")
+    step = lr * grad
+    means = means - step[:, : m * d].reshape(S, m, d)
+    log_var = np.log(variances) - step[:, m * d : 2 * m * d].reshape(S, m, d)
+    variances = np.maximum(np.exp(log_var), GMM_VARIANCE_FLOOR)
+    logits = np.log(weights) - step[:, 2 * m * d :]
+    weights = np.exp(logits - _logsumexp(logits, axis=-1)[:, None])
+    return weights, means, variances
+
+
 @dataclass
 class GmmModel:
     """Gaussian mixture with diagonal covariances.
@@ -153,6 +234,10 @@ class GmmModel:
         weights: (m,) mixture weights summing to 1.
         means: (m, d) component means.
         variances: (m, d) per-dimension variances, floored away from zero.
+
+    Scoring, ``nll_grad`` and ``apply_grad`` run the stacked mixture
+    arithmetic on a stack of one; ``params``/``set_params`` are the flat
+    parameter view that the gradient's layout follows.
     """
 
     weights: np.ndarray
@@ -168,6 +253,8 @@ class GmmModel:
         var = np.asarray(self.variances, dtype=np.float64)
         if mu.ndim != 2 or w.shape != (mu.shape[0],) or var.shape != mu.shape:
             raise ValueError("inconsistent GMM parameter shapes")
+        if not (np.isfinite(w).all() and np.isfinite(mu).all() and np.isfinite(var).all()):
+            raise ValueError("parameters must be finite")
         if np.any(w < 0) or not np.isclose(w.sum(), 1.0):
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         if np.any(var <= 0):
@@ -178,40 +265,26 @@ class GmmModel:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def component_log_densities(self, X: np.ndarray, saved: dict | None = None) -> np.ndarray:
-        """(n, m) log N(x | mu_m, diag(var_m)) for each component. A dict
-        passed as ``saved`` receives the (n, m, d) ``diff`` (x - mu_m) and
-        ``scaled`` (diff**2 / var_m) that the table is summed from."""
-        X = _queries(X, self.dim)
-        diff = X[:, None, :] - self.means[None, :, :]
-        scaled = diff**2 / self.variances[None, :, :]
-        if saved is not None:
-            saved.update(diff=diff, scaled=scaled)
-        mahal = np.sum(scaled, axis=2)
-        log_norm = 0.5 * (
-            self.dim * np.log(2.0 * np.pi) + np.sum(np.log(self.variances), axis=1)
-        )
-        return -0.5 * mahal - log_norm[None, :]
+    def _table(self, X: np.ndarray):
+        """``_gmm_table`` at the rows of X, on a stack of one."""
+        return _gmm_table(_queries(X, self.dim), self.means[None], self.variances[None])
 
-    def log_density(self, X: np.ndarray, saved: dict | None = None) -> np.ndarray:
-        """Floored log p(x) per row. A dict passed as ``saved`` receives the
-        joint table ``logj`` (log w_m + log N(x | m), (n, m)), its unfloored
-        row logsumexp ``lse`` and the ``component_log_densities``
-        intermediates, which ``nll_grad`` takes back for these rows, or any
-        subset of them, instead of forming them again."""
-        logj = self.component_log_densities(X, saved) + np.log(self.weights)[None, :]
-        lse = _logsumexp(logj, axis=1)
-        if saved is not None:
-            saved.update(logj=logj, lse=lse)
-        return np.maximum(lse, LOG_DENSITY_FLOOR)
+    def _joint(self, X: np.ndarray):
+        """``_gmm_table`` and ``_gmm_joint`` at the rows of X, on a stack of one."""
+        diff, scaled, table = self._table(X)
+        return (diff, scaled, *_gmm_joint(table, self.weights[None]))
 
-    def responsibilities(self, X: np.ndarray, saved: dict | None = None) -> np.ndarray:
-        """(n, m) posterior component memberships; ``saved`` is what
-        ``log_density`` stored for the rows of X, or None to score them."""
-        if saved is None:
-            saved = {}
-            self.log_density(X, saved)
-        return np.exp(saved["logj"] - saved["lse"][:, None])
+    def component_log_densities(self, X: np.ndarray) -> np.ndarray:
+        """(n, m) log N(x | mu_m, diag(var_m)) for each component."""
+        return self._table(X)[2][:, 0]
+
+    def log_density(self, X: np.ndarray) -> np.ndarray:
+        """Floored log p(x) per row."""
+        return np.maximum(self._joint(X)[3][:, 0], LOG_DENSITY_FLOOR)
+
+    def responsibilities(self, X: np.ndarray) -> np.ndarray:
+        """(n, m) posterior component memberships."""
+        return _gmm_resp(*self._joint(X)[2:])[:, 0]
 
     @property
     def params(self) -> np.ndarray:
@@ -233,22 +306,60 @@ class GmmModel:
         self.weights = np.exp(logits - _logsumexp(logits, axis=0))
 
     def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
-        self.set_params(self.params - lr * flat_grad)
+        """One step of -lr * flat_grad in ``params`` layout."""
+        g = np.asarray(flat_grad, dtype=np.float64)[None]
+        stepped = _gmm_step(self.weights[None], self.means[None], self.variances[None], g, lr)
+        self.weights, self.means, self.variances = (a[0] for a in stepped)
 
-    def nll_grad(self, X: np.ndarray, saved: dict | None = None) -> np.ndarray:
-        """Gradient of -log p(x) in ``params`` layout, summed over rows of X;
-        ``saved`` is what ``log_density`` stored for the rows of X, or None to
-        score them. Every step is per row, so the rows of a larger batch's
-        ``saved`` tables give the same bits."""
-        if saved is None:
-            saved = {}
-            self.log_density(X, saved)
-        resp = self.responsibilities(X, saved)
-        w = resp[:, :, None]
-        g_mean = -np.sum(w * saved["diff"] / self.variances[None, :, :], axis=0)
-        g_logvar = -0.5 * np.sum(w * (saved["scaled"] - 1.0), axis=0)
-        g_logit = len(resp) * self.weights - resp.sum(axis=0)
-        return np.concatenate([g_mean.ravel(), g_logvar.ravel(), g_logit])
+    def nll_grad(self, X: np.ndarray) -> np.ndarray:
+        """Gradient of -log p(x) in ``params`` layout, summed over rows of X."""
+        state = self._joint(X)
+        return _gmm_nll_grad(*state, self.weights[None], self.variances[None])[0]
+
+
+class GmmStack:
+    """S mixtures of one shape (m, d) as stacked arrays, stepped together.
+
+    ``weights`` is (S, m), ``means`` and ``variances`` (S, m, d); row s holds
+    the parameters of ``models[s]``. Calibration scores a batch for all S
+    mixtures in one ``forward``, forms all S gradients in one ``nll_grad``
+    and takes one ``apply_grad`` step, where a mixture at a time would repeat
+    each of those numpy calls S times. Every element goes through the same
+    operations as in ``GmmModel``'s methods, so each row keeps its bits.
+    """
+
+    def __init__(self, models):
+        self.models = list(models)
+        if len({g.means.shape for g in self.models}) != 1:
+            raise ValueError("a GMM stack needs mixtures of one shape")
+        self.weights = np.stack([g.weights for g in self.models])
+        self.means = np.stack([g.means for g in self.models])
+        self.variances = np.stack([g.variances for g in self.models])
+
+    def forward(self, X: np.ndarray):
+        """(state, L): what ``nll_grad`` takes back for these rows, and the
+        (n, S) floored log-densities."""
+        X = _queries(X, self.means.shape[2])
+        diff, scaled, table = _gmm_table(X, self.means, self.variances)
+        logj, lse = _gmm_joint(table, self.weights)
+        return (diff, scaled, logj, lse), np.maximum(lse, LOG_DENSITY_FLOOR)
+
+    def log_density(self, X: np.ndarray) -> np.ndarray:
+        """(n, S) floored log p(x) under every mixture."""
+        return self.forward(X)[1]
+
+    def nll_grad(self, state, mask: np.ndarray | None = None) -> np.ndarray:
+        """(S, P) gradients of -log p(x) from a ``forward`` state, each row
+        summed over its mixture's rows of ``mask`` (n, S), or over every row."""
+        return _gmm_nll_grad(*state, self.weights, self.variances, mask)
+
+    def apply_grad(self, grad: np.ndarray, lr: float) -> None:
+        """One step of -lr * grad, (S, P); each model's arrays become views of
+        its row of the new stack."""
+        stepped = _gmm_step(self.weights, self.means, self.variances, grad, lr)
+        self.weights, self.means, self.variances = stepped
+        for s, model in enumerate(self.models):
+            model.weights, model.means, model.variances = (a[s] for a in stepped)
 
 
 def _seed_means(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -296,12 +407,11 @@ def gmm_fit(
     model = GmmModel(weights, means, variances)
     prev = -np.inf
     for _ in range(max_iter):
-        logj = model.component_log_densities(X) + np.log(model.weights)[None, :]
-        log_px = _logsumexp(logj, axis=1)
+        logj, log_px = _gmm_joint(model.component_log_densities(X), model.weights)
         ll = float(np.mean(log_px))
         if loglik_trace is not None:
             loglik_trace.append(ll)
-        resp = np.exp(logj - log_px[:, None])
+        resp = _gmm_resp(logj, log_px)
         mass = resp.sum(axis=0)
         mass = np.maximum(mass, 1e-12)
         means = (resp.T @ X) / mass[:, None]

@@ -11,16 +11,17 @@ parties whose density underflows simply drop out of the sum.
 
 ``evaluate_objective`` is the only function here that forms J, and
 ``log_density_table`` the only one that runs the parties' density
-estimators. Every decision rule below is a reduction of the
-``ObjectiveMatrix`` that ``evaluate_objective`` returns, so one evaluation
-per query set feeds them all. A caller whose estimators cannot change may
-pass a query set's log-density table back in instead of scoring it again, or
-the rows of a larger set's table: a row's log-densities do not depend on the
-rows scored with it. A calibration step passes in the classifiers'
-``forward`` states and a log-density table whose mixture parties kept their
-component tables, and runs each backward pass on those: one forward pass per
-party per step. Scoring runs the classifiers here and keeps only their
-posteriors, never the hidden activations a backward pass would need.
+estimators one party at a time. Every decision rule below is a reduction of
+the ``ObjectiveMatrix`` that ``evaluate_objective`` returns, so one
+evaluation per query set feeds them all. A caller whose estimators cannot
+change may pass a query set's log-density table back in instead of scoring
+it again, or the rows of a larger set's table: a row's log-densities do not
+depend on the rows scored with it. A calibration step passes in the
+classifiers' ``forward`` states and a log-density table whose training
+mixtures' columns its ``GmmStack`` filled, all of them in one pass, and runs
+each backward pass on those: one forward pass per party per step. Scoring
+runs the classifiers here and keeps only their posteriors, never the hidden
+activations a backward pass would need.
 ``max_model_decide`` is the degenerate baseline that hands each query to the
 single highest-density party; forcing the ensemble's lambda weights to a
 one-hot at that party reproduces it exactly.
@@ -104,29 +105,17 @@ def build_ensemble(parties: list[PartyModel], num_classes: int | None = None) ->
 
 
 def log_density_table(
-    ens: EnsembleModel,
-    X: np.ndarray,
-    saved: dict | None = None,
-    parties: list[int] | None = None,
-    out: np.ndarray | None = None,
+    ens: EnsembleModel, X: np.ndarray, parties: list[int] | None = None
 ) -> np.ndarray:
     """(n, N) log-density of every query under every party's estimator.
 
-    ``saved`` maps party indices to dicts; each of those parties' estimators
-    stores in its dict what its ``nll_grad`` takes back for these rows
-    (``GmmModel.log_density``). ``parties`` limits scoring to those party
-    indices, and ``out`` is an (n, N) table to score into: columns of the
-    other parties are left as they are (unset in a new table), so a caller
-    that holds the columns of estimators that do not change rescores only
-    the others.
+    ``parties`` limits scoring to those party indices; the other columns are
+    left unset, for a caller that scores those estimators another way.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    saved = {} if saved is None else saved
-    if out is None:
-        out = np.empty((len(X), ens.num_parties))
+    out = np.empty((len(X), ens.num_parties))
     for j in range(ens.num_parties) if parties is None else parties:
-        est = ens.parties[j].estimator
-        out[:, j] = est.log_density(X, saved[j]) if j in saved else est.log_density(X)
+        out[:, j] = ens.parties[j].estimator.log_density(X)
     return out
 
 

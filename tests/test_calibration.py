@@ -17,15 +17,15 @@ from densemble.calibration import (
     ensemble_accuracy,
     _batch_scores,
     _label_positions,
+    _plan,
     _step_grad,
     _theta_grads,
-    _trainable,
     mpce_grad,
     mpce_loss,
 )
 from densemble.classifiers import FlatClassifier, MlpClassifier, SoftmaxRegression
 from densemble.datasets import LocalDataset, generate_toy
-from densemble.density import GmmModel, KdeModel, gmm_fit, kde_fit
+from densemble.density import GMM_VARIANCE_FLOOR, GmmModel, GmmStack, KdeModel, gmm_fit, kde_fit
 from densemble.ensemble import PartyModel, build_ensemble, evaluate_objective
 from densemble.harness import load_config, prepare_data, stream_seeds
 
@@ -422,10 +422,10 @@ def _count_test_set_scoring(monkeypatch, cls, test):
     calls = []
     original = cls.log_density
 
-    def counted(self, X, *saved):
+    def counted(self, X):
         if np.shape(X) == test.features.shape and np.array_equal(X, test.features):
             calls.append(id(self))
-        return original(self, X, *saved)
+        return original(self, X)
 
     monkeypatch.setattr(cls, "log_density", counted)
     return calls
@@ -449,24 +449,26 @@ def test_calibrate_rescores_updated_gmm_test_densities(monkeypatch):
     clf = SoftmaxRegression.init_random(2, (0, 1), rng)
     ens = build_ensemble([PartyModel(clf, gmm, len(full))], num_classes=2)
     calls = _count_test_set_scoring(monkeypatch, GmmModel, test)
+    stacked = _count_test_set_scoring(monkeypatch, GmmStack, test)
     cfg = CalibrationConfig(lr=0.01, steps=10, batch=16, eval_every=2, update_density=True)
     calibrate(ens, full, cfg, seed=0, test=test)
-    assert calls == [id(gmm)] * 5
-    calls.clear()
+    # one stacked scoring per evaluation; the mixture's own method never runs
+    assert len(stacked) == 5 and calls == []
+    stacked.clear()
     calibrate(ens, full, replace(cfg, update_density=False), seed=0, test=test)
-    assert calls == [id(gmm)]
+    assert calls == [id(gmm)] and stacked == []
 
 
-def _count_scoring(monkeypatch, cls):
-    """Record the row count of every ``cls.log_density`` call."""
+def _count_scoring(monkeypatch, cls, name="log_density"):
+    """Record the row count of every ``cls.<name>`` call."""
     rows = []
-    original = cls.log_density
+    original = getattr(cls, name)
 
-    def counted(self, X, *saved):
+    def counted(self, X):
         rows.append(len(X))
-        return original(self, X, *saved)
+        return original(self, X)
 
-    monkeypatch.setattr(cls, "log_density", counted)
+    monkeypatch.setattr(cls, name, counted)
     return rows
 
 
@@ -487,29 +489,33 @@ def test_calibrate_rescores_updated_gmm_train_batches(monkeypatch):
     clf = SoftmaxRegression.init_random(2, (0, 1), rng)
     ens = build_ensemble([PartyModel(clf, gmm, len(full))], num_classes=2)
     rows = _count_scoring(monkeypatch, GmmModel)
+    stacked = _count_scoring(monkeypatch, GmmStack, "forward")
     cfg = CalibrationConfig(lr=0.01, steps=10, batch=16, update_density=True)
     calibrate(ens, full, cfg, seed=0)
-    assert rows == [16] * 10
-    rows.clear()
+    assert stacked == [16] * 10 and rows == []
+    stacked.clear()
     calibrate(ens, full, replace(cfg, update_density=False), seed=0)
-    assert rows == [len(full)]
+    assert rows == [len(full)] and stacked == []
 
 
 def _fresh_scoring_calibrate(ens, train, cfg, seed, test=None):
     """``calibrate`` without clipping, scoring every batch's and every
-    held-out evaluation's log-densities afresh; returns the trace."""
+    held-out evaluation's log-densities afresh and stepping one model at a
+    time; returns the trace."""
     rng = np.random.default_rng(seed)
-    trainable = _trainable(ens, cfg.update_density)
     trace = []
     for step in range(1, cfg.steps + 1):
         sel = rng.choice(len(train), size=min(cfg.batch, len(train)), replace=False)
         X, y = train.features[sel], train.labels[sel]
         pos = _label_positions(ens, y)
-        score, blocks = _step_grad(ens, trainable, X, y, pos, cfg.density_scope)
-        flat = np.concatenate(blocks) / len(sel)
-        ends = np.cumsum([len(b) for b in blocks])
-        for (_, model), g in zip(trainable, np.split(flat, ends[:-1])):
-            model.apply_grad(g, cfg.lr)
+        plan = _plan(ens, cfg.update_density)
+        score, grad = _step_grad(ens, plan, X, y, pos, cfg.density_scope)
+        flat = grad / len(sel)
+        for clf, part in plan.classifiers:
+            clf.apply_grad(flat[part], cfg.lr)
+        for cols, _, idx in plan.stacks:
+            for j, rows in zip(cols, idx):
+                ens.parties[j].estimator.apply_grad(flat[rows], cfg.lr)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
             acc = ensemble_accuracy(ens, test)
@@ -662,23 +668,67 @@ def _unfused_step_grad(ens, X, y, scope):
 def test_fused_step_matches_unfused_oracle_bitwise(scope):
     ens, _, _ = _mixed_kde_gmm_setup()
     rng = np.random.default_rng(41)
-    trainable = _trainable(ens, update_density=True)
+    plan = _plan(ens, update_density=True)
     X = rng.normal(size=(24, 2))
     # a mixed batch, then one only the first party can see (zero GMM blocks)
     for y in (rng.integers(0, 4, 24), np.zeros(24, dtype=np.int64)):
-        got_score, got = _step_grad(ens, trainable, X, y, _label_positions(ens, y), scope)
+        got_score, got = _step_grad(ens, plan, X, y, _label_positions(ens, y), scope)
         want_score, want = _unfused_step_grad(ens, X, y, scope)
         assert got_score.tobytes() == want_score.tobytes()
-        assert len(got) == len(want) == 5
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-    # a mixture's gradient from rows of its saved table is its fresh gradient
-    rows = np.flatnonzero(rng.random(len(X)) < 0.5)
-    for gmm in (p.estimator for p in ens.parties[1:]):
-        saved = {}
-        gmm.log_density(X, saved)
-        got = gmm.nll_grad(X[rows], {k: v[rows] for k, v in saved.items()})
-        assert got.tobytes() == gmm.nll_grad(X[rows], None).tobytes()
+        assert len(want) == 5
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+def _interleaved_shapes_setup():
+    """A softmax party on a KDE, then four GMM parties whose component
+    counts alternate 3, 4, 3, 4, so the two stacks interleave in the flat
+    gradient; labels 0 and 4 are seen only by the first and the last party."""
+    rng = np.random.default_rng(33)
+    parties = [make_party(rng, (0, 1))]
+    for space, m in (((1, 2), 3), ((3,), 4), ((2, 3), 3), ((0, 4), 4)):
+        clf = make_party(rng, space, kind="mlp" if m == 3 else "softmax").classifier
+        w = rng.random(m) + 0.2
+        gmm = GmmModel(w / w.sum(), rng.normal(size=(m, 2)), rng.uniform(0.03, 3.0, (m, 2)))
+        parties.append(PartyModel(clf, gmm, int(rng.integers(5, 30))))
+    return build_ensemble(parties, num_classes=5)
+
+
+@pytest.mark.parametrize("scope", ["matching", "all"])
+def test_stacked_step_matches_per_model_oracle_bitwise(scope):
+    ens = _interleaved_shapes_setup()
+    plan = _plan(ens, update_density=True)
+    assert [cols for cols, _, _ in plan.stacks] == [[1, 3], [2, 4]]
+    models = [p.classifier for p in ens.parties] + [p.estimator for p in ens.parties[1:]]
+    rng = np.random.default_rng(43)
+    X = rng.normal(size=(24, 2))
+    # a mixed batch, then one only parties 0 and 4 can see: in the matching
+    # scope the GMMs of parties 1-3 have no rows and take a zero step
+    for first, y in ((True, rng.integers(0, 5, 24)), (False, np.zeros(24, dtype=np.int64))):
+        score, grad = _step_grad(ens, plan, X, y, _label_positions(ens, y), scope)
+        want_score, want = _unfused_step_grad(ens, X, y, scope)
+        assert score.tobytes() == want_score.tobytes()
+        assert grad.tobytes() == np.concatenate(want).tobytes()
+        # the first step is large enough that the steepest log-variance falls
+        # 20 nats, below the floor
+        lr = 0.05
+        if first:
+            lr = 20.0 / max(
+                b[g.means.size : 2 * g.means.size].max() for g, b in zip(models[5:], want[5:])
+            )
+        refs = []
+        for model, block in zip(models, want):
+            ref = copy.deepcopy(model)
+            ref.set_params(model.params - lr * block)
+            refs.append(ref)
+        plan.apply_grad(grad, lr)
+        for model, ref in zip(models, refs):
+            gmm = isinstance(model, GmmModel)
+            for name in ("weights", "means", "variances") if gmm else ("params",):
+                assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), name
+        if first:
+            assert any(np.any(g.variances == GMM_VARIANCE_FLOOR) for g in models[5:])
+        elif scope == "matching":
+            assert all(not b.any() for b in want[5:8])
 
 
 @pytest.mark.parametrize("scope", ["matching", "all"])
@@ -699,6 +749,7 @@ def test_calibration_step_runs_one_forward_pass_per_party(monkeypatch, scope):
         monkeypatch.setattr(cls, name, counted)
 
     counting(FlatClassifier, "forward")
+    counting(GmmStack, "forward")
     counting(GmmModel, "log_density")
     counting(GmmModel, "component_log_densities")
     cfg = CalibrationConfig(
@@ -711,7 +762,9 @@ def test_calibration_step_runs_one_forward_pass_per_party(monkeypatch, scope):
     for party in ens.parties:
         rows = [n for name, i, n in calls if name == "forward" and i == id(party.classifier)]
         assert sorted(rows) == sorted(per_pass)
-    for gmm in (p.estimator for p in ens.parties[1:]):
-        for name in ("log_density", "component_log_densities"):
-            rows = [n for c, i, n in calls if c == name and i == id(gmm)]
-            assert sorted(rows) == sorted(per_pass)
+    # both mixtures share one stack: one scoring per step and per evaluation
+    stacked = [(i, n) for name, i, n in calls if name == "forward" and i not in
+               {id(p.classifier) for p in ens.parties}]
+    assert len({i for i, _ in stacked}) == 1
+    assert sorted(n for _, n in stacked) == sorted(per_pass)
+    assert not any(name != "forward" for name, _, _ in calls)

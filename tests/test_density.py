@@ -10,6 +10,7 @@ from densemble.density import (
     GMM_VARIANCE_FLOOR,
     LOG_DENSITY_FLOOR,
     GmmModel,
+    GmmStack,
     KdeModel,
     gmm_fit,
     kde_fit,
@@ -427,14 +428,77 @@ def reference_nll_grad(model, X):
     return np.concatenate([g_mean.ravel(), g_logvar.ravel(), g_logit])
 
 
-def test_gmm_nll_grad_from_saved_rows_matches_reference_bitwise():
+def test_gmm_nll_grad_over_masked_rows_matches_reference_bitwise():
+    # a stack of three mixtures, each summing over its own rows of the batch:
+    # every row is bitwise the reference over its mixture's rows alone, and a
+    # mixture with no rows gets an exact +0.0 block
     rng = np.random.default_rng(9)
-    w = rng.random(4) + 0.2
-    model = GmmModel(w / w.sum(), rng.normal(size=(4, 2)), rng.uniform(0.03, 3.0, (4, 2)))
+    models = []
+    for _ in range(3):
+        w = rng.random(4) + 0.2
+        models.append(
+            GmmModel(w / w.sum(), rng.normal(size=(4, 2)), rng.uniform(0.03, 3.0, (4, 2)))
+        )
     X = rng.normal(size=(25, 2)) * 2.0
-    saved = {}
-    model.log_density(X, saved)
-    rows = np.flatnonzero(rng.random(len(X)) < 0.6)
-    want = reference_nll_grad(model, X[rows]).tobytes()
-    assert model.nll_grad(X[rows]).tobytes() == want
-    assert model.nll_grad(X[rows], {k: v[rows] for k, v in saved.items()}).tobytes() == want
+    mask = (rng.random((len(X), 3)) < 0.6).astype(np.float64)
+    mask[:, 2] = 0.0
+    stack = GmmStack(models)
+    state, L = stack.forward(X)
+    got = stack.nll_grad(state, mask)
+    whole = stack.nll_grad(state)
+    for s, model in enumerate(models):
+        rows = np.flatnonzero(mask[:, s])
+        want = reference_nll_grad(model, X[rows]) if len(rows) else np.zeros(got.shape[1])
+        assert got[s].tobytes() == want.tobytes()
+        assert whole[s].tobytes() == reference_nll_grad(model, X).tobytes()
+        assert model.nll_grad(X).tobytes() == whole[s].tobytes()
+        assert_bitwise_equal(L[:, s], model.log_density(X))
+
+
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        ("gmm", "weights", np.nan),
+        ("gmm", "means", np.nan),
+        ("gmm", "means", np.inf),
+        ("gmm", "variances", np.nan),
+        ("gmm", "variances", np.inf),
+        ("kde", "points", np.nan),
+        ("kde", "points", -np.inf),
+        ("kde", "bandwidth", np.inf),
+        ("kde", "bandwidth", np.nan),
+    ],
+)
+def test_estimators_reject_non_finite_parameters(make, field, value):
+    if make == "gmm":
+        fields = dict(
+            weights=np.array([0.5, 0.5]), means=np.zeros((2, 2)), variances=np.ones((2, 2))
+        )
+        cls = GmmModel
+    else:
+        fields = dict(points=np.zeros((3, 2)), bandwidth=0.5)
+        cls = KdeModel
+    if np.ndim(fields[field]):
+        fields[field] = fields[field].copy()
+        fields[field].flat[1] = value
+    else:
+        fields[field] = value
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        cls(**fields)
+
+
+def test_gmm_apply_grad_matches_set_params_bitwise():
+    # the stacked step against params/set_params, with a step that pushes a
+    # variance down to the floor; 0.25 and 0.03 do not survive log/exp
+    rng = np.random.default_rng(10)
+    variances = np.array([[0.03, 1.3, 0.25], [3.7, 0.9, 2.0]])
+    model = GmmModel(np.array([0.25, 0.75]), rng.normal(size=(2, 3)), variances)
+    g = rng.normal(size=len(model.params))
+    g[6 + 2] = 1e4  # the log-variance of variances[0, 2]
+    for lr in (0.05, 1.0):
+        ref = GmmModel(model.weights.copy(), model.means.copy(), model.variances.copy())
+        ref.set_params(model.params - lr * g)
+        model.apply_grad(g, lr)
+        for name in ("weights", "means", "variances"):
+            assert_bitwise_equal(getattr(model, name), getattr(ref, name))
+    assert model.variances[0, 2] == GMM_VARIANCE_FLOOR

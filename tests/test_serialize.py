@@ -222,6 +222,9 @@ MALFORMED = {
         "party_0.json", lambda doc: doc.update(estimator=dict(doc["classifier"])),
     ),
     "estimator-not-object": ("party_0.json", lambda doc: doc.update(estimator=[])),
+    "estimator-nan-point": (
+        "party_0.json", lambda doc: doc["estimator"]["points"]["data"].__setitem__(3, np.nan),
+    ),
 }
 
 

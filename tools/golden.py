@@ -27,6 +27,9 @@ parties (no density block) with a GMM party; ``splitD-density-eval`` loads
 GMM files written after density updates and scores queries with them.
 ``splitD-density-all`` updates the GMMs with ``density_scope`` "all" and no
 clipping, so every batch row feeds every mixture's gradient.
+``splitD-mixed-shapes`` gives parties 1 and 4 three-component mixtures and
+updates densities with clipping and noise, so two stacks of mixtures (three
+and four components) interleave in the flat gradient.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ CONFIGS = {
     "splitC": ("splitC", {"steps": 300}, {}),
     "toy3-narrow": ("toy3", None, {j: {"bandwidth": 0.03} for j in range(3)}),
     "toy3-mixed": ("toy3", DENSITY_CLIP, {2: {"type": "gmm", "components": 4}}),
+    "splitD-mixed-shapes": ("splitD", DENSITY_CLIP, {j: {"components": 3} for j in (1, 4)}),
 }
 
 COMMANDS = {
@@ -77,6 +81,10 @@ COMMANDS = {
     "splitC": ["calibrate", "--config", "../configs/splitC.json", "--out", "splitC"],
     "toy3-mixed": [
         "calibrate", "--config", "../configs/toy3-mixed.json", "--out", "toy3-mixed",
+    ],
+    "splitD-mixed-shapes": [
+        "calibrate", "--config", "../configs/splitD-mixed-shapes.json",
+        "--out", "splitD-mixed-shapes",
     ],
     "gen-data": ["gen-data", "--seed", "7", "--n", "3000", "--out", "queries.csv"],
     "splitD-density-eval": [
