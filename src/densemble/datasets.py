@@ -237,12 +237,22 @@ def partition(ds: LocalDataset, spec: PartitionSpec) -> list[LocalDataset]:
 def write_csv(ds: LocalDataset, path) -> None:
     """Write ``f0,...,f{d-1},label`` rows with full round-trip float precision."""
     d = ds.dim
+    columns = [map(repr, ds.features[:, i].tolist()) for i in range(d)]
+    columns.append(map(str, ds.labels.tolist()))
+    _write_columns(path, [f"f{i}" for i in range(d)] + ["label"], columns)
+
+
+def _write_columns(path, header: list[str], columns: list) -> None:
+    """Write a CSV from its header and one iterable of cell strings per column.
+
+    Formatting a whole column in one ``map`` and joining the rows gives the
+    bytes of formatting cell by cell, in a fraction of the time.
+    """
     with open(path, "w") as fh:
-        fh.write(",".join([f"f{i}" for i in range(d)] + ["label"]) + "\n")
-        for i in range(len(ds)):
-            row = [repr(float(v)) for v in ds.features[i]]
-            row.append(str(int(ds.labels[i])))
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n")
+        rows = "\n".join(map(",".join, zip(*columns)))
+        if rows:
+            fh.write(rows + "\n")
 
 
 def read_csv(path, num_classes: int | None = None) -> LocalDataset:

@@ -32,11 +32,11 @@ query batch, and cheap in memory:
   magnitude alone, so this has the bits of negating it and dividing by
   ``2h^2``.
 - Every step is elementwise or a per-row reduction, so the whole kernel runs
-  on row blocks of about ``_BLOCK_BYTES`` in two reused buffers, and no
-  (queries x points) array is formed. Blocking cannot move the bits of such
-  steps, and neither can the batch: a batch's rows are bitwise the same rows
-  of a full-table call, so callers may score a query set once and gather
-  rows from the result.
+  on row blocks of about ``_BLOCK_BYTES`` in two reused buffers per worker
+  (below), and no (queries x points) array is formed. Blocking cannot move
+  the bits of such steps, and neither can the batch: a batch's rows are
+  bitwise the same rows of a full-table call, so callers may score a query
+  set once and gather rows from the result.
 - ``exp(x)`` is exactly ``0.0`` in double precision for every
   ``x < -745.14``. Kernel terms below ``_EXP_CUTOFF`` are written as that
   zero instead of being passed to ``np.exp``, whose vector path is about
@@ -51,10 +51,26 @@ query batch, and cheap in memory:
   the sums do too.
 - Queries must be finite: a NaN or infinite query row would otherwise
   come out as a floored density instead of NaN.
+
+Large batches are scored on several threads; numpy releases the GIL inside
+each ufunc, so the row blocks run in parallel. The worker count is the
+number of CPUs in the process's affinity mask (``taskset -c 0`` gives one),
+capped so that each worker has at least ``_BLOCKS_PER_WORKER`` (8) row
+blocks, several ms of kernel work: a batch of fewer than 16 blocks
+(toy3's training and test sets, or a calibration batch) starts no thread.
+The calling thread scores blocks too, every worker takes the next block
+from one shared counter, and every thread is joined before
+``log_density`` returns. Each worker has its own block buffers, which the
+calling thread allocates, so peak memory is a few blocks per worker plus
+O(queries). Each row goes through the same operations in the same order on
+whichever thread takes it, and each thread writes only its own rows, so the
+result has the same bits for any worker count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +83,9 @@ GMM_VARIANCE_FLOOR = 1e-6
 _BLOCK_BYTES = 1 << 19
 # Below this, exp underflows to exactly 0.0 in double precision.
 _EXP_CUTOFF = -750.0
+# A KDE batch gets one more scoring thread per this many row blocks (several
+# ms of kernel work), up to one thread per CPU.
+_BLOCKS_PER_WORKER = 8
 
 
 def _queries(X: np.ndarray, dim: int) -> np.ndarray:
@@ -114,47 +133,110 @@ class KdeModel:
 
         Every step runs on row blocks and is elementwise or per-row, and only
         the terms that do not underflow are exp'd, as one contiguous run
-        (module docstring): a row's bits never depend on its batch.
+        (module docstring): a row's bits never depend on its batch, nor on
+        the number of threads that score the blocks.
         """
         X = _queries(X, self.dim)
         n, m = X.shape[0], len(self.points)
         h2 = self.bandwidth**2
         pts = self.points.T.copy()  # (d, m): each dimension's row contiguous
         rows = max(1, _BLOCK_BYTES // (8 * m))
-        buf = np.empty((min(rows, n), m))
-        tmp = np.empty(buf.shape)
-        kept = np.empty(buf.shape, dtype=bool)
+        blocks = -(-n // rows)
+        workers = max(1, min(_cpu_count(), blocks // _BLOCKS_PER_WORKER))
+        # every worker's buffers come from the calling thread, before any
+        # thread starts: buffers allocated in a worker land in its own
+        # malloc arena and raise peak RSS
+        shape = (min(rows, n), m)
+        buffers = [
+            (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
+            for _ in range(workers)
+        ]
         lse = np.empty(n)
-        for r0 in range(0, n, rows):
-            r1 = min(r0 + rows, n)
-            b, t, k = buf[: r1 - r0], tmp[: r1 - r0], kept[: r1 - r0]
-            # squared distances, summed one dimension at a time
-            np.subtract(X[r0:r1, :1], pts[0], out=b)
-            np.square(b, out=b)
-            for c in range(1, self.dim):
-                np.subtract(X[r0:r1, c : c + 1], pts[c], out=t)
-                np.square(t, out=t)
-                np.add(b, t, out=b)
-            np.divide(b, -2.0 * h2, out=b)
-            # logsumexp along rows, as _logsumexp computes it
-            top = np.max(b, axis=1)
-            top = np.where(np.isfinite(top), top, 0.0)
-            np.subtract(b, top[:, None], out=b)
-            np.greater_equal(b, _EXP_CUTOFF, out=k)
-            # exp the kept terms as one contiguous run, gathered into the
-            # scratch block (spent once the distances are summed), then
-            # scatter them back over the 0.0 that exp returns below _EXP_CUTOFF
-            idx = np.flatnonzero(k)
-            flat = b.ravel()
-            vals = t.ravel()[: len(idx)]
-            # mode="clip": the default "raise" buffers out in a temporary
-            np.take(flat, idx, out=vals, mode="clip")
-            np.exp(vals, out=vals)
-            b.fill(0.0)
-            flat[idx] = vals
-            lse[r0:r1] = top + np.log(np.sum(b, axis=1))
+        starts = iter(range(0, n, rows))
+        lock = threading.Lock()
+
+        def work(buf, tmp, kept):
+            while True:
+                with lock:
+                    r0 = next(starts, None)
+                if r0 is None:
+                    return
+                rs = slice(r0, r0 + rows)
+                _kde_block(X[rs], pts, -2.0 * h2, buf, tmp, kept, lse[rs])
+
+        _run_on_threads(work, buffers)
         norm = np.log(m) + 0.5 * self.dim * np.log(2.0 * np.pi * h2)
         return np.maximum(lse - norm, LOG_DENSITY_FLOOR)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_on_threads(work, args: list) -> None:
+    """Run ``work(*a)`` for each ``a`` in ``args``, the first on this thread.
+
+    Every other call gets its own thread, and all of them are joined before
+    this returns. An exception raised in a thread is raised here once every
+    thread has joined, so nothing is left running either way.
+    """
+    errors = []
+
+    def guarded(*a):
+        try:
+            work(*a)
+        except BaseException as e:  # re-raised on the calling thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=guarded, args=a) for a in args[1:]]
+    for t in threads:
+        t.start()
+    try:
+        work(*args[0])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
+def _kde_block(x, pts, scale, buf, tmp, kept, out) -> None:
+    """Write the kernel logsumexp of each row of ``x`` to ``out``.
+
+    ``pts`` is the (d, m) point table, ``scale`` is ``-2h^2``, and ``buf``,
+    ``tmp`` and ``kept`` are (rows, m) buffers with at least ``len(x)`` rows,
+    which this overwrites.
+    """
+    b, t, k = buf[: len(x)], tmp[: len(x)], kept[: len(x)]
+    # squared distances, summed one dimension at a time
+    np.subtract(x[:, :1], pts[0], out=b)
+    np.square(b, out=b)
+    for c in range(1, len(pts)):
+        np.subtract(x[:, c : c + 1], pts[c], out=t)
+        np.square(t, out=t)
+        np.add(b, t, out=b)
+    np.divide(b, scale, out=b)
+    # logsumexp along rows, as _logsumexp computes it
+    top = np.max(b, axis=1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    np.subtract(b, top[:, None], out=b)
+    np.greater_equal(b, _EXP_CUTOFF, out=k)
+    # exp the kept terms as one contiguous run, gathered into the scratch
+    # block (spent once the distances are summed), then scatter them back
+    # over the 0.0 that exp returns below _EXP_CUTOFF
+    idx = np.flatnonzero(k)
+    flat = b.ravel()
+    vals = t.ravel()[: len(idx)]
+    # mode="clip": the default "raise" buffers out in a temporary
+    np.take(flat, idx, out=vals, mode="clip")
+    np.exp(vals, out=vals)
+    b.fill(0.0)
+    flat[idx] = vals
+    out[:] = top + np.log(np.sum(b, axis=1))
 
 
 def kde_fit(X: np.ndarray, bandwidth: float) -> KdeModel:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .calibration import TraceRow
 from .classifiers import FlatClassifier
+from .datasets import _write_columns
 from .density import GmmModel, KdeModel
 from .ensemble import EnsembleModel, PartyModel, build_ensemble
 
@@ -139,16 +140,13 @@ def load_ensemble(manifest_path) -> EnsembleModel:
 
 def write_predictions(path, labels: np.ndarray, objective: np.ndarray | None = None) -> None:
     """CSV ``query_index,label`` with optional per-class objective columns."""
-    with open(path, "w") as fh:
-        header = ["query_index", "label"]
-        if objective is not None:
-            header += [f"j{k}" for k in range(objective.shape[1])]
-        fh.write(",".join(header) + "\n")
-        for i, label in enumerate(labels):
-            row = [str(i), str(int(label))]
-            if objective is not None:
-                row += [repr(float(v)) for v in objective[i]]
-            fh.write(",".join(row) + "\n")
+    labels = np.asarray(labels, dtype=np.int64)
+    header = ["query_index", "label"]
+    columns = [map(str, range(len(labels))), map(str, labels.tolist())]
+    if objective is not None:
+        header += [f"j{k}" for k in range(objective.shape[1])]
+        columns += [map(repr, col.tolist()) for col in objective.T]
+    _write_columns(path, header, columns)
 
 
 def read_predictions(path) -> np.ndarray:

@@ -227,6 +227,27 @@ def test_csv_round_trip_bitwise(tmp_path):
     assert back.num_classes == 5
 
 
+
+def reference_write_csv(ds, path):
+    """The cell-by-cell writer: one ``repr``/``str`` per cell, row by row."""
+    with open(path, "w") as fh:
+        fh.write(",".join([f"f{i}" for i in range(ds.dim)] + ["label"]) + "\n")
+        for i in range(len(ds)):
+            row = [repr(float(v)) for v in ds.features[i]]
+            row.append(str(int(ds.labels[i])))
+            fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 500])
+def test_csv_bytes_match_cell_by_cell_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    feats = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-320, 300, size=(n, 3))
+    ds = LocalDataset(feats, rng.integers(0, 4, size=n), (0, 1, 2, 3), 4)
+    write_csv(ds, tmp_path / "got.csv")
+    reference_write_csv(ds, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("f0,f1,label\n")

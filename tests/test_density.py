@@ -1,5 +1,7 @@
 """Density estimator correctness against probability-domain oracles."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -252,7 +254,8 @@ def test_kde_peak_memory_is_one_product():
     assert peak <= 1.25 * n * m * 8, peak / (n * m * 8)
 
 
-def test_kde_peak_memory_is_a_few_blocks():
+def test_kde_peak_memory_is_a_few_blocks(monkeypatch):
+    monkeypatch.setattr(density, "_cpu_count", lambda: 1)
     # the distance block, its scratch twin, the kept mask and the kept-term
     # index are each at most _BLOCK_BYTES; the output and the finite check
     # are O(n). No (queries x points) array is formed.
@@ -267,6 +270,132 @@ def test_kde_peak_memory_is_a_few_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * density._BLOCK_BYTES + 16 * n, peak / density._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_kde_peak_memory_is_a_few_blocks_per_worker(monkeypatch, workers):
+    # each worker has its own four blocks (see above); the output and the
+    # finite check stay O(n), whatever the worker count
+    monkeypatch.setattr(density, "_cpu_count", lambda: workers)
+    started = count_threads(monkeypatch)
+    n, m = 20000, 560
+    rng = np.random.default_rng(3)
+    model = kde_fit(rng.normal(size=(m, 2)), 0.1)
+    X = rng.normal(size=(n, 2)) * 4.0
+    tracemalloc.start()
+    try:
+        model.log_density(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(started) == workers - 1
+    bound = workers * 4 * density._BLOCK_BYTES + 16 * n
+    assert peak <= bound, peak / density._BLOCK_BYTES
+
+
+def count_threads(monkeypatch):
+    """Record every thread the density module starts; returns the list."""
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(density.threading, "Thread", CountingThread)
+    return started
+
+
+def blocks_of(m, n_blocks, extra):
+    """Rows in a batch of ``n_blocks`` full row blocks plus ``extra`` rows."""
+    return n_blocks * (density._BLOCK_BYTES // (8 * m)) + extra
+
+
+@pytest.mark.parametrize(
+    "d, m, h, n, threads",
+    [
+        # ragged last block, three workers, wide and narrow kernels
+        (2, 560, 0.3, blocks_of(560, 30, 17), 2),
+        (2, 560, 0.03, blocks_of(560, 30, 17), 2),
+        # 18 blocks give two shares of 8: the third CPU gets no worker
+        (3, 701, 0.3, blocks_of(701, 17, 5), 1),
+        (3, 701, 0.03, blocks_of(701, 17, 5), 1),
+    ],
+)
+def test_kde_bits_equal_for_any_worker_count(monkeypatch, d, m, h, n, threads):
+    rng = np.random.default_rng(10)
+    model = kde_fit(rng.normal(size=(m, d)) * 2.0, h)
+    X = rng.normal(size=(n, d)) * rng.choice([0.5, 3.0, 12.0], size=(n, 1))
+    started = count_threads(monkeypatch)
+    monkeypatch.setattr(density, "_cpu_count", lambda: 1)
+    serial = model.log_density(X)
+    assert started == []
+    monkeypatch.setattr(density, "_cpu_count", lambda: 3)
+    threaded = model.log_density(X)
+    assert len(started) == threads
+    assert_bitwise_equal(threaded, serial)
+    assert_bitwise_equal(serial, reference_kde_log_density(model, X))
+
+
+def test_kde_threads_take_every_block_once_under_fast_switching(monkeypatch):
+    # more workers than cores, switching every microsecond: a block taken
+    # twice or skipped would leave its rows of the output uninitialised
+    rng = np.random.default_rng(11)
+    model = kde_fit(rng.normal(size=(4000, 2)), 0.2)
+    X = rng.normal(size=(blocks_of(4000, 160, 3), 2)) * 2.0
+    monkeypatch.setattr(density, "_cpu_count", lambda: 8)
+    started = count_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = model.log_density(X)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == 7
+    monkeypatch.setattr(density, "_cpu_count", lambda: 1)
+    assert_bitwise_equal(got, model.log_density(X))
+
+
+@pytest.mark.parametrize("n_blocks, threads", [(15, 0), (16, 1)])
+def test_kde_starts_a_thread_per_eight_blocks(monkeypatch, n_blocks, threads):
+    monkeypatch.setattr(density, "_cpu_count", lambda: 4)
+    started = count_threads(monkeypatch)
+    rng = np.random.default_rng(12)
+    model = kde_fit(rng.normal(size=(560, 2)), 0.1)
+    model.log_density(rng.normal(size=(blocks_of(560, n_blocks, 0), 2)))
+    assert len(started) == threads
+
+
+@pytest.mark.parametrize("raiser", ["worker", "caller"])
+def test_kde_error_on_any_thread_is_raised_after_every_join(monkeypatch, raiser):
+    monkeypatch.setattr(density, "_cpu_count", lambda: 3)
+    worker_ran = threading.Event()
+    score = density._kde_block
+
+    def flaky_block(*args):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker:
+            worker_ran.set()
+        else:
+            # the caller waits until a worker has taken a block
+            assert worker_ran.wait(timeout=10.0)
+        if on_worker == (raiser == "worker"):
+            raise RuntimeError(f"{raiser} failed")
+        score(*args)
+
+    monkeypatch.setattr(density, "_kde_block", flaky_block)
+    rng = np.random.default_rng(13)
+    model = kde_fit(rng.normal(size=(560, 2)), 0.1)
+    X = rng.normal(size=(blocks_of(560, 40, 1), 2))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{raiser} failed"):
+        model.log_density(X)
+    assert threading.active_count() == before
+
+
+def test_kde_empty_batch():
+    model = kde_fit(np.random.default_rng(14).normal(size=(560, 3)), 0.1)
+    assert model.log_density(np.zeros((0, 3))).shape == (0,)
 
 
 def test_kde_validation():

@@ -189,6 +189,35 @@ def test_predictions_without_objective(tmp_path):
     assert path.read_text() == "query_index,label\n0,0\n1,1\n"
 
 
+
+def reference_write_predictions(path, labels, objective=None):
+    """The cell-by-cell writer: one ``str``/``repr`` per cell, row by row."""
+    with open(path, "w") as fh:
+        header = ["query_index", "label"]
+        if objective is not None:
+            header += [f"j{k}" for k in range(objective.shape[1])]
+        fh.write(",".join(header) + "\n")
+        for i, label in enumerate(labels):
+            row = [str(i), str(int(label))]
+            if objective is not None:
+                row += [repr(float(v)) for v in objective[i]]
+            fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 500])
+@pytest.mark.parametrize("with_objective", [False, True])
+def test_predictions_bytes_match_cell_by_cell_writer(tmp_path, n, with_objective):
+    rng = np.random.default_rng(n)
+    labels = rng.integers(0, 4, size=n)
+    # magnitudes from subnormal to near overflow, and signed zeros
+    J = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-320, 300, size=(n, 4))
+    J[:, 0] = np.where(rng.random(n) < 0.3, -0.0, J[:, 0])
+    J = J if with_objective else None
+    write_predictions(tmp_path / "got.csv", labels, J)
+    reference_write_predictions(tmp_path / "want.csv", labels, J)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_trace_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     trace = [
