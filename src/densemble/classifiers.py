@@ -1,8 +1,12 @@
 """Per-party probabilistic classifiers with hand-derived gradients.
 
 Two families are provided: softmax regression and a one-hidden-layer tanh
-MLP. Both derive from ``FlatClassifier``, which keeps every weight of a model
-in one contiguous float64 buffer. A subclass lists its arrays in ``_names``
+MLP. ``FAMILIES`` maps each one's ``type_tag`` to its class, and is the only
+list of classifier families: config validation, ``harness.build_party`` and
+``serialize`` all read it, and each class builds itself from its config block
+and its party's shard with ``from_config(cfg, shard, seed)``. Both derive
+from ``FlatClassifier``, which keeps every weight of a model in one
+contiguous float64 buffer. A subclass lists its arrays in ``_names``
 (``("W", "b")`` or ``("W1", "b1", "W2", "b2")``) and each named attribute is a
 reshaped view of that buffer, so the flat vector and the arrays never drift
 apart:
@@ -101,9 +105,10 @@ class FlatClassifier:
     Subclasses name their arrays in ``_names``, take them positionally in
     that order followed by ``label_space``, tag themselves with ``type_tag``
     and list their stored order in ``file_fields`` (``label_space``, then the
-    arrays) for serialization, and implement ``_check_shapes``, ``_forward``
-    and ``_backward``. The named attributes are views of the buffer: modify
-    them in place, never rebind them.
+    arrays) for serialization, and implement ``from_config``,
+    ``_check_shapes``, ``_forward`` and ``_backward``; a subclass is a
+    family once it is in ``FAMILIES``. The named attributes are views of the
+    buffer: modify them in place, never rebind them.
     """
 
     _names: tuple[str, ...]
@@ -201,6 +206,10 @@ class SoftmaxRegression(FlatClassifier):
         m = len(label_space)
         return cls(0.25 * rng.standard_normal((m, dim)), np.zeros(m), tuple(label_space))
 
+    @classmethod
+    def from_config(cls, cfg, shard: LocalDataset, seed: int) -> "SoftmaxRegression":
+        return cls.init_random(shard.dim, shard.label_space, np.random.default_rng(seed))
+
     @property
     def dim(self) -> int:
         return self.W.shape[1]
@@ -242,6 +251,12 @@ class MlpClassifier(FlatClassifier):
         W2 = rng.standard_normal((m, hidden)) / np.sqrt(hidden)
         return cls(W1, np.zeros(hidden), W2, np.zeros(m), tuple(label_space))
 
+    @classmethod
+    def from_config(cls, cfg, shard: LocalDataset, seed: int) -> "MlpClassifier":
+        return cls.init_random(
+            shard.dim, shard.label_space, cfg.hidden, np.random.default_rng(seed)
+        )
+
     @property
     def dim(self) -> int:
         return self.W1.shape[1]
@@ -266,6 +281,9 @@ class MlpClassifier(FlatClassifier):
         np.add.reduce(gpre, axis=0, out=gb1)
         np.matmul(gz.T, H, out=gW2)
         np.add.reduce(gz, axis=0, out=gb2)
+
+
+FAMILIES = {c.type_tag: c for c in (SoftmaxRegression, MlpClassifier)}
 
 
 def global_posterior(model, x: np.ndarray, K: int, P: np.ndarray | None = None) -> np.ndarray:

@@ -2,12 +2,16 @@
 
 Both estimators expose ``log_density(X) -> (n,)`` so downstream code can mix
 estimator families freely. Like the classifiers, both carry a ``type_tag``
-and ``file_fields`` for ``serialize``, and ``GmmModel.apply_grad`` matches
-``FlatClassifier.apply_grad``. Log-densities are floored at
-``LOG_DENSITY_FLOOR`` so a query far from every shard exponentiates to a
-clean zero instead of underflowing into NaN arithmetic. Every estimator
-rejects non-finite parameters when it is built, so a party file holding a
-NaN fails to load instead of scoring NaN or silently dropping a point.
+and ``file_fields`` for ``serialize`` and build themselves from their config
+block and their party's shard with ``from_config(cfg, shard, seed)``, and
+``FAMILIES`` maps each tag to its class: it is the only list of estimator
+families that config validation, ``harness.build_party`` and ``serialize``
+read. ``GmmModel.apply_grad`` matches ``FlatClassifier.apply_grad``.
+Log-densities are floored at ``LOG_DENSITY_FLOOR`` so a query far from every
+shard exponentiates to a clean zero instead of underflowing into NaN
+arithmetic. Every estimator rejects non-finite parameters when it is built,
+so a party file holding a NaN fails to load instead of scoring NaN or
+silently dropping a point.
 
 The mixture arithmetic is written once, for S mixtures of one shape (m, d)
 stacked along a leading axis: the component table, the joint table and its
@@ -123,6 +127,10 @@ class KdeModel:
         if not (self.bandwidth > 0.0):
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         self.points = pts
+
+    @classmethod
+    def from_config(cls, cfg, shard, seed: int) -> "KdeModel":
+        return kde_fit(shard.features, cfg.bandwidth)
 
     @property
     def dim(self) -> int:
@@ -343,6 +351,10 @@ class GmmModel:
             raise ValueError("variances must be positive")
         self.weights, self.means, self.variances = w, mu, var
 
+    @classmethod
+    def from_config(cls, cfg, shard, seed: int) -> "GmmModel":
+        return gmm_fit(shard.features, cfg.components, seed=seed)
+
     @property
     def dim(self) -> int:
         return self.means.shape[1]
@@ -505,3 +517,6 @@ def gmm_fit(
             break
         prev = ll
     return model
+
+
+FAMILIES = {c.type_tag: c for c in (KdeModel, GmmModel)}

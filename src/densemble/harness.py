@@ -3,7 +3,11 @@
 An experiment is fully described by an ``ExperimentConfig``: data geometry,
 partition rules, per-party model choices, and an optional calibration block.
 The config dataclasses are the JSON file format (``jsonconfig`` reads and
-writes them), and each block range-checks itself in ``__post_init__``.
+writes them), and each block range-checks itself in ``__post_init__``. A
+party's model ``type`` must be a key of ``classifiers.FAMILIES`` or
+``density.FAMILIES``, and ``build_party`` builds each model through that
+table's ``from_config``. Apart from the two config blocks' default
+``type``, this module names no model family.
 All randomness descends from one root seed, split into four named streams
 (data, init, batching, noise) so reruns and sweeps are reproducible while
 stages stay independently perturbable.
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import classifiers, serialize
+from . import classifiers, density, serialize
 from .calibration import CalibrationConfig, TraceRow, calibrate
 from .datasets import (
     LocalDataset,
@@ -29,7 +33,6 @@ from .datasets import (
     split_train_test,
     write_csv,
 )
-from .density import gmm_fit, kde_fit
 from .ensemble import (
     PartyModel,
     build_ensemble,
@@ -129,14 +132,13 @@ class ExperimentConfig:
                 "calibration.clip.seed: set by the pipeline from the top-level seed; change seed"
             )
         for j, pc in enumerate(self.parties):
-            if pc.classifier.type not in ("softmax_regression", "mlp"):
-                raise ValueError(
-                    f"parties[{j}].classifier.type: unknown {pc.classifier.type!r}"
-                )
-            if pc.estimator.type not in ("kde", "gmm"):
-                raise ValueError(
-                    f"parties[{j}].estimator.type: unknown {pc.estimator.type!r}"
-                )
+            for block, families in (
+                ("classifier", classifiers.FAMILIES),
+                ("estimator", density.FAMILIES),
+            ):
+                kind = getattr(pc, block).type
+                if kind not in families:
+                    raise ValueError(f"parties[{j}].{block}.type: unknown {kind!r}")
 
 
 @dataclass
@@ -209,24 +211,18 @@ def build_party(
     train_seed: int,
     pretrain: bool,
 ) -> PartyModel:
-    """Initialize, optionally train, and bundle one party's models."""
-    rng = np.random.default_rng(init_seed)
-    cc = pcfg.classifier
-    if cc.type == "softmax_regression":
-        clf = classifiers.SoftmaxRegression.init_random(shard.dim, shard.label_space, rng)
-    else:
-        clf = classifiers.MlpClassifier.init_random(
-            shard.dim, shard.label_space, cc.hidden, rng
-        )
+    """Initialize, optionally train, and bundle one party's models.
+
+    Each model's class is its config block's ``type`` in its module's
+    ``FAMILIES``; any other ``type`` raises ``KeyError``.
+    """
+    cc, ec = pcfg.classifier, pcfg.estimator
+    clf = classifiers.FAMILIES[cc.type].from_config(cc, shard, init_seed)
     if pretrain:
         classifiers.train(
             clf, shard, lr=cc.lr, epochs=cc.epochs, batch=cc.batch, seed=train_seed
         )
-    ec = pcfg.estimator
-    if ec.type == "kde":
-        est = kde_fit(shard.features, ec.bandwidth)
-    else:
-        est = gmm_fit(shard.features, ec.components, seed=est_seed)
+    est = density.FAMILIES[ec.type].from_config(ec, shard, est_seed)
     return PartyModel(clf, est, len(shard))
 
 

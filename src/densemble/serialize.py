@@ -1,10 +1,16 @@
 """JSON round-trip for models and CSV emitters for predictions and traces.
 
 One codec serves every model: ``model_to_dict`` writes ``{"type": type_tag}``
-and then each of the class's ``file_fields``, and ``model_from_dict`` picks
-the class by tag among those a party-file slot allows. Arrays are stored as
-``{"shape": [...], "data": [row-major floats]}`` so a load reproduces the
-exact parameter values (JSON floats carry full double precision).
+and then each of the class's ``file_fields``, and ``model_from_dict`` looks
+the tag up in a family table: ``classifiers.FAMILIES`` for a party file's
+``classifier`` slot, ``density.FAMILIES`` for its ``estimator`` slot, and
+both for a bare model. No other class is written or read. Arrays are stored
+as ``{"shape": [...], "data": [row-major floats]}`` so a load reproduces the
+exact parameter values (JSON floats carry full double precision). Scalar
+fields, label spaces, shard sizes and the class count are read with
+``jsonconfig.from_json``, so each needs its exact JSON type: a fractional or
+boolean ``shard_size``, a string ``num_classes`` or ``bandwidth`` and a
+fractional label are rejected, not coerced.
 """
 
 from __future__ import annotations
@@ -14,15 +20,13 @@ import os
 
 import numpy as np
 
+from . import classifiers, density
 from .calibration import TraceRow
-from .classifiers import FlatClassifier
 from .datasets import _write_columns
-from .density import GmmModel, KdeModel
 from .ensemble import EnsembleModel, PartyModel, build_ensemble
+from .jsonconfig import from_json
 
-
-_CLASSIFIERS = tuple(FlatClassifier.__subclasses__())
-_ESTIMATORS = (KdeModel, GmmModel)
+_MODELS = {**classifiers.FAMILIES, **density.FAMILIES}
 
 
 def _encode(value):
@@ -31,34 +35,35 @@ def _encode(value):
     return list(value) if isinstance(value, tuple) else value
 
 
-def _decode(value):
+def _decode(name: str, value):
     """An array object, a list of ints (a label space) or a float."""
     if isinstance(value, dict):
         return np.array(value["data"], dtype=np.float64).reshape(value["shape"])
     if isinstance(value, list):
-        return tuple(int(c) for c in value)
-    return float(value)
+        return from_json(tuple[int, ...], value, name)
+    return from_json(float, value, name)
 
 
 def model_to_dict(model) -> dict:
     """``{"type": type_tag, <field>: <value>, ...}`` in ``file_fields`` order."""
-    if type(model) not in _CLASSIFIERS + _ESTIMATORS:
+    if _MODELS.get(getattr(model, "type_tag", None)) is not type(model):
         raise ValueError(f"unknown model type {type(model).__name__}")
     doc = {"type": model.type_tag}
     doc.update((name, _encode(getattr(model, name))) for name in model.file_fields)
     return doc
 
 
-def model_from_dict(d: dict, classes: tuple = _CLASSIFIERS + _ESTIMATORS):
-    """Rebuild a model of one of ``classes`` from ``model_to_dict`` output."""
+def model_from_dict(d: dict, families: dict = _MODELS):
+    """Rebuild a model of one of ``families`` (tag -> class) from
+    ``model_to_dict`` output."""
     kind = d["type"]
-    cls = {c.type_tag: c for c in classes}.get(kind)
+    cls = families.get(kind)
     if cls is None:
         raise ValueError(f"unknown model type {kind!r}")
     unknown = sorted(set(d) - {"type", *cls.file_fields})
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {kind!r} model")
-    return cls(**{name: _decode(d[name]) for name in cls.file_fields})
+    return cls(**{name: _decode(name, d[name]) for name in cls.file_fields})
 
 
 def save_party(party: PartyModel, path) -> None:
@@ -82,9 +87,9 @@ def load_party(path) -> PartyModel:
         doc = json.load(fh)
     try:
         return PartyModel(
-            model_from_dict(doc["classifier"], _CLASSIFIERS),
-            model_from_dict(doc["estimator"], _ESTIMATORS),
-            int(doc["shard_size"]),
+            model_from_dict(doc["classifier"], classifiers.FAMILIES),
+            model_from_dict(doc["estimator"], density.FAMILIES),
+            from_json(int, doc["shard_size"], "shard_size"),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise _malformed(path, "party file", err) from None
@@ -115,11 +120,14 @@ def load_ensemble(manifest_path) -> EnsembleModel:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     try:
-        num_classes = int(manifest["num_classes"])
-        entries = [(e["model"], int(e["shard_size"])) for e in manifest["parties"]]
-        for model, _ in entries:
-            if not isinstance(model, str):
-                raise TypeError(f"party model {model!r} is not a string")
+        num_classes = from_json(int, manifest["num_classes"], "num_classes")
+        entries = [
+            (
+                from_json(str, e["model"], f"parties[{i}].model"),
+                from_json(int, e["shard_size"], f"parties[{i}].shard_size"),
+            )
+            for i, e in enumerate(manifest["parties"])
+        ]
     except (KeyError, TypeError, ValueError) as err:
         raise _malformed(manifest_path, "manifest", err) from None
     base = os.path.dirname(os.path.abspath(manifest_path))

@@ -16,6 +16,7 @@ from densemble.density import KdeModel
 from densemble.ensemble import evaluate_objective
 from densemble.harness import (
     PRESET_NAMES,
+    build_party,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -286,6 +287,15 @@ def test_stream_seeds_shapes_and_distinctness():
 
 
 # ------------------------------------------------------------- pipelines
+
+
+def test_build_party_rejects_unknown_family(fast_config):
+    _, _, shards = prepare_data(fast_config, stream_seeds(0, 3))
+    for block in ("classifier", "estimator"):
+        pcfg = fast_config.parties[0]
+        pcfg = replace(pcfg, **{block: replace(getattr(pcfg, block), type="forest")})
+        with pytest.raises(KeyError, match="forest"):
+            build_party(pcfg, shards[0], 1, 2, 3, pretrain=False)
 
 
 def test_single_party_ensemble_equals_its_classifier():

@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from densemble import cli
+from densemble import classifiers, cli, density
 from densemble.calibration import TraceRow
 from densemble.classifiers import MlpClassifier, SoftmaxRegression
+from densemble.datasets import generate_toy
 from densemble.density import GmmModel, kde_fit
 from densemble.ensemble import PartyModel, build_ensemble
+from densemble.harness import ClassifierConfig, EstimatorConfig
 from densemble.serialize import (
     load_ensemble,
     load_party,
@@ -68,6 +70,16 @@ def test_unknown_types_rejected():
     with pytest.raises(ValueError, match="unknown"):
         model_to_dict(object())
 
+    # a classifier subclass is written only if its family table holds it,
+    # whether it inherits its parent's tag or has one of its own
+    class Stray(SoftmaxRegression):
+        pass
+
+    for tag in (SoftmaxRegression.type_tag, "stray"):
+        Stray.type_tag = tag
+        with pytest.raises(ValueError, match="unknown model type Stray"):
+            model_to_dict(Stray(np.zeros((2, 2)), np.zeros(2), (0, 1)))
+
 
 @pytest.mark.parametrize(
     "make,keys",
@@ -92,6 +104,33 @@ def test_model_json_key_order(make, keys):
     doc = model_to_dict(make(np.random.default_rng(9)))
     assert list(doc) == keys
     assert list(json.loads(json.dumps(doc))) == keys
+
+
+FAMILIES = {**classifiers.FAMILIES, **density.FAMILIES}
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_family_table_builds_and_round_trips_each_family(tag):
+    cls = FAMILIES[tag]
+    assert cls.type_tag == tag
+    if tag in classifiers.FAMILIES:
+        cfg = ClassifierConfig(hidden=3)
+    else:
+        cfg = EstimatorConfig(components=2)
+    shard = generate_toy(0, 30, 3)
+    model = cls.from_config(cfg, shard, seed=5)
+    assert type(model) is cls
+    back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    assert type(back) is cls
+    for name in cls.file_fields:
+        want, got = getattr(model, name), getattr(back, name)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+def test_config_default_types_are_family_keys():
+    assert ClassifierConfig().type in classifiers.FAMILIES
+    assert EstimatorConfig().type in density.FAMILIES
 
 
 def test_party_file_round_trip(tmp_path):
@@ -253,6 +292,18 @@ MALFORMED = {
     "estimator-not-object": ("party_0.json", lambda doc: doc.update(estimator=[])),
     "estimator-nan-point": (
         "party_0.json", lambda doc: doc["estimator"]["points"]["data"].__setitem__(3, np.nan),
+    ),
+    "party-fractional-shard-size": ("party_0.json", lambda doc: doc.update(shard_size=10.9)),
+    "party-boolean-shard-size": ("party_0.json", lambda doc: doc.update(shard_size=True)),
+    "manifest-boolean-shard-size": (
+        "ensemble.json", lambda doc: doc["parties"][0].update(shard_size=True),
+    ),
+    "manifest-string-num-classes": ("ensemble.json", lambda doc: doc.update(num_classes="2")),
+    "party-fractional-label": (
+        "party_0.json", lambda doc: doc["classifier"].update(label_space=[0.2, 1.9]),
+    ),
+    "estimator-string-bandwidth": (
+        "party_0.json", lambda doc: doc["estimator"].update(bandwidth="0.2"),
     ),
 }
 
