@@ -10,7 +10,7 @@ party's classifier receives upstream gradient -(w_j / score) on its local
 posterior entry for y, so high-density parties update fastest. With a single
 party this is exactly softmax cross-entropy.
 
-One calibration step updates every classifier, then, when
+One calibration step updates every classifier with parameters, then, when
 ``update_density`` is on, every mixture (a kernel estimator has no
 parameters). Each model contributes one gradient block, and the blocks lie
 in one flat vector, classifiers and then mixtures in party order, so the
@@ -19,24 +19,29 @@ the composite model as a single unit. The mechanism clips the batch-mean
 gradient, not each example's gradient, so it carries no differential-privacy
 (epsilon, delta) guarantee.
 
-A step runs one forward pass per party and keeps it for the backward pass:
-each classifier's ``forward`` state feeds both ``evaluate_objective`` and the
-classifier's ``backward``. The training mixtures are grouped by parameter
-shape once per run, and each group is one ``GmmStack``: a step scores the
-batch under all of a stack's mixtures at once, into their columns of the
-log-density table, and the same pass feeds the stack's ``nll_grad``, which
-forms every mixture's gradient block at once. The density scope is an
-(n, S) 0/1 row mask on the stack's responsibilities. Each classifier then
-takes its slice of the flat vector through its own ``apply_grad``, and each
-stack its mixtures' blocks through one ``apply_grad``, which leaves every
-mixture's arrays as views of its row of the stack. Every mode takes this one
-path (``mpce_grad``, either scope, clipping with or without noise), and it
-gives the bits of the unfused per-party ``posterior_grad``/``nll_grad``
-composition and of ``set_params(params - lr * g)``. What a run never changes
-is computed once per run: each party's local label positions over the
-training labels, the flat gradient's block layout and stacks, and the
-log-densities of the training and held-out sets under every estimator that
-does not train.
+The trainable models are grouped into stacks once per run, by one rule for
+both kinds: models of one family and parameter shapes share a stack, a
+``ClassifierStack`` for classifiers and a ``GmmStack`` for mixtures. A step
+runs one forward pass per stack and keeps it for the backward pass. Each
+classifier stack scores the batch for all its members at once, and one
+indexed assignment puts the (S, n, m) posteriors into the (n, N, K)
+posterior table that ``evaluate_objective`` takes; the same state feeds the
+stack's ``backward``, whose (S, n, m) upstream is built by one scatter. A
+classifier without parameters joins no stack: it is scored through its
+``posterior``, as an estimator that does not train is, and has no gradient
+block. Each mixture stack scores the batch into its columns of the
+log-density table, and the same pass feeds its ``nll_grad``, which forms
+every mixture's gradient block at once; the density scope is an (n, S) 0/1
+row mask on the stack's responsibilities. Each stack then takes its
+members' blocks of the flat vector through one ``apply_grad``, which leaves
+every member's arrays as views of its row of the stack. Every mode takes
+this one path (``mpce_grad``, either scope, clipping with or without noise),
+and it gives the bits of the unfused per-party composition of ``forward``,
+``backward`` and ``nll_grad``, and of each model stepped alone. What a run
+never changes is computed once per run: each party's local label positions
+over the training labels, the flat gradient's block layout and stacks, and
+the log-densities of the training and held-out sets under every estimator
+that does not train.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import _LocalIndex
+from .classifiers import ClassifierStack, FlatClassifier, _LocalIndex, global_posterior
 from .datasets import LocalDataset
 from .density import GmmModel, GmmStack
 from .ensemble import EnsembleModel, evaluate_objective, decide, log_density_table
@@ -122,11 +127,11 @@ class TraceRow:
 
 
 def _batch_scores(
-    ens: EnsembleModel, X: np.ndarray, y: np.ndarray, loglik=None, states=None
+    ens: EnsembleModel, X: np.ndarray, y: np.ndarray, loglik=None, posteriors=None
 ):
     """Objective intermediates plus floored true-class scores for a batch;
-    ``loglik`` and ``states`` as in ``evaluate_objective``."""
-    om = evaluate_objective(ens, X, loglik, states)
+    ``loglik`` and ``posteriors`` as in ``evaluate_objective``."""
+    om = evaluate_objective(ens, X, loglik, posteriors)
     return om, np.maximum(om.objective[np.arange(len(y)), y], PROBABILITY_FLOOR)
 
 
@@ -151,94 +156,113 @@ def mpce_loss(ens: EnsembleModel, x: np.ndarray, y: int) -> MpceLossValue:
     return MpceLossValue(float(-np.log(score[0])), om.weights[0])
 
 
-def _theta_grads(
-    ens: EnsembleModel, states: list, om, X: np.ndarray, pos: np.ndarray, score: np.ndarray
-) -> list[np.ndarray]:
-    """Per-party flat classifier gradients, summed over the batch, each the
-    classifier's backward pass from its ``forward(X)`` state; ``pos`` is
-    ``_label_positions`` of the batch labels."""
-    grads = []
-    coeff = om.weights / score[:, None]
-    for j, (party, state) in enumerate(zip(ens.parties, states)):
-        clf = party.classifier
-        rows = np.flatnonzero(pos[:, j] >= 0)
-        U = np.zeros((len(X), len(clf.label_space)))
-        U[rows, pos[rows, j]] = -coeff[rows, j]
-        grads.append(clf.backward(X, state, U))
-    return grads
-
-
 @dataclass
 class _Plan:
     """What every step of a run updates, worked out once per run.
 
     The flat gradient holds every classifier's block in party order, then,
-    with ``update_density``, every mixture's block in party order.
-    ``classifiers`` pairs each classifier with its slice of it. ``stacks``
-    groups the training mixtures by parameter shape: per shape, their party
-    indices, a ``GmmStack`` of them and the (S, P) index of their blocks in
-    the flat gradient. ``fixed`` lists the parties whose estimator never
+    with ``update_density``, every mixture's block in party order. The
+    trainable models are grouped into stacks by family and parameter
+    shapes: ``classifiers`` holds a ``ClassifierStack`` per group and
+    ``mixtures`` a ``GmmStack``, each as (party indices, stack, the (S, P)
+    index of its members' blocks in the flat gradient). ``slots`` indexes,
+    per classifier stack, the (party, class) cells of the (n, N, K)
+    posterior table that its (S, n, m) posteriors fill: an (S, 1) party
+    column and the (S, m) label spaces. ``frozen`` lists the parties whose
+    classifier has no parameters, and ``fixed`` those whose estimator never
     changes.
     """
 
     size: int
-    classifiers: list[tuple[object, slice]]
-    stacks: list[tuple[list[int], GmmStack, np.ndarray]]
+    classifiers: list[tuple[list[int], ClassifierStack, np.ndarray]]
+    mixtures: list[tuple[list[int], GmmStack, np.ndarray]]
+    slots: list[tuple[np.ndarray, np.ndarray]]
+    frozen: list[int]
     fixed: list[int]
 
     def apply_grad(self, flat: np.ndarray, lr: float) -> None:
         """Step every trainable model by -lr times its part of ``flat``."""
-        for clf, part in self.classifiers:
-            clf.apply_grad(flat[part], lr)
-        for _, stack, idx in self.stacks:
+        for _, stack, idx in self.classifiers + self.mixtures:
             stack.apply_grad(flat[idx], lr)
 
 
-def _plan(ens: EnsembleModel, update_density: bool) -> _Plan:
-    """The step plan: every classifier, then, with ``update_density``, each
-    mixture (kernel estimators have no parameters)."""
-    ends = np.cumsum([p.classifier.params.size for p in ens.parties]).tolist()
-    classifiers = [
-        (p.classifier, slice(a, b)) for p, a, b in zip(ens.parties, [0] + ends, ends)
-    ]
-    size = ends[-1]
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    for j, party in enumerate(ens.parties):
-        if update_density and isinstance(party.estimator, GmmModel):
-            groups.setdefault(party.estimator.means.shape, []).append((j, size))
-            size += party.estimator.params.size
+def _stacks(members, key, make, start: int) -> tuple[list, int]:
+    """Stacks of the (party index, model) pairs ``members``, whose blocks
+    lie from ``start`` on in the flat gradient in that order. Models of equal
+    ``(type_tag, key(model))`` share one stack, ``make(models)``, in order of
+    first appearance. Returns (party indices, stack, (S, P) block index) per
+    stack, and the end of the blocks."""
+    starts, groups = {}, {}
+    for j, model in members:
+        starts[j] = start
+        start += model.params.size
+        groups.setdefault((model.type_tag, key(model)), []).append(j)
+    models = dict(members)
     stacks = []
-    for members in groups.values():
-        cols = [j for j, _ in members]
-        stack = GmmStack(ens.parties[j].estimator for j in cols)
-        width = stack.models[0].params.size
-        idx = np.array([start for _, start in members])[:, None] + np.arange(width)
-        stacks.append((cols, stack, idx))
-    moving = {j for cols, _, _ in stacks for j in cols}
+    for cols in groups.values():
+        width = models[cols[0]].params.size
+        idx = np.array([starts[j] for j in cols])[:, None] + np.arange(width)
+        stacks.append((cols, make(models[j] for j in cols), idx))
+    return stacks, start
+
+
+def _plan(ens: EnsembleModel, update_density: bool) -> _Plan:
+    """The step plan: every classifier with parameters, then, with
+    ``update_density``, each mixture (kernel estimators have no
+    parameters)."""
+    clfs = [(j, p.classifier) for j, p in enumerate(ens.parties)]
+    trained = [(j, c) for j, c in clfs if isinstance(c, FlatClassifier)]
+    classifiers, size = _stacks(trained, lambda c: c.shapes, ClassifierStack, 0)
+    gmms = [(j, p.estimator) for j, p in enumerate(ens.parties)]
+    gmms = [(j, g) for j, g in gmms if update_density and isinstance(g, GmmModel)]
+    mixtures, size = _stacks(gmms, lambda g: g.means.shape, GmmStack, size)
+    slots = [
+        (np.array(cols)[:, None], np.array([ens.parties[j].classifier.label_space for j in cols]))
+        for cols, _, _ in classifiers
+    ]
+    frozen = [j for j, c in clfs if not isinstance(c, FlatClassifier)]
+    moving = {j for j, _ in gmms}
     fixed = [j for j in range(ens.num_parties) if j not in moving]
-    return _Plan(size, classifiers, stacks, fixed)
+    return _Plan(size, classifiers, mixtures, slots, frozen, fixed)
 
 
 def _step_grad(ens: EnsembleModel, plan: _Plan, X, y, pos, scope: str, loglik=None):
     """Floored true-class scores and the flat loss gradient, summed over the
-    batch, from one forward pass per party: each classifier's backward pass,
-    then each stack's NLL gradients over the batch rows in ``scope``. ``pos``
-    is ``_label_positions`` of y. ``loglik``, when given, is an (n, N) table
-    whose columns for the estimators that do not train already hold the
-    batch's log-densities; the stacks are scored into the others here.
-    Otherwise every party is scored."""
-    states = [p.classifier.forward(X) for p in ens.parties]
+    batch, from one forward pass per stack: each classifier stack's backward
+    pass, then each mixture stack's NLL gradients over the batch rows in
+    ``scope``. A classifier without parameters is scored through its
+    ``posterior`` and takes no gradient. ``pos`` is ``_label_positions`` of
+    y. ``loglik``, when given, is an (n, N) table whose columns for the
+    estimators that do not train already hold the batch's log-densities; the
+    mixture stacks are scored into the others here. Otherwise every party is
+    scored."""
+    n, K = len(X), ens.num_classes
+    post = np.zeros((n, ens.num_parties, K))
+    states = []
+    for (_, stack, _), (rows, spaces) in zip(plan.classifiers, plan.slots):
+        state = stack.forward(X)
+        post[:, rows, spaces] = state[1].transpose(1, 0, 2)
+        states.append(state)
+    for j in plan.frozen:
+        post[:, j] = global_posterior(ens.parties[j].classifier, X, K)
     if loglik is None:
         loglik = log_density_table(ens, X, parties=plan.fixed)
-    stack_states = []
-    for cols, stack, _ in plan.stacks:
+    mixture_states = []
+    for cols, stack, _ in plan.mixtures:
         state, loglik[:, cols] = stack.forward(X)
-        stack_states.append(state)
-    om, score = _batch_scores(ens, X, y, loglik, states)
+        mixture_states.append(state)
+    om, score = _batch_scores(ens, X, y, loglik, post)
     grad = np.empty(plan.size)
-    for (_, part), block in zip(plan.classifiers, _theta_grads(ens, states, om, X, pos, score)):
-        grad[part] = block
-    for (cols, stack, idx), state in zip(plan.stacks, stack_states):
+    coeff = om.weights / score[:, None]
+    batch = np.arange(n)
+    for (cols, stack, idx), state in zip(plan.classifiers, states):
+        # upstream -coeff at each row's label, where the classifier sees it;
+        # rows it cannot see write into a spare last column, dropped after
+        m = state[1].shape[2]
+        U = np.zeros((len(cols), n, m + 1))
+        U[np.arange(len(cols))[:, None], batch, pos[:, cols].T] = -coeff[:, cols].T
+        grad[idx] = stack.backward(X, state, U[..., :m])
+    for (cols, stack, idx), state in zip(plan.mixtures, mixture_states):
         mask = None if scope == "all" else (pos[:, cols] >= 0).astype(np.float64)
         grad[idx] = stack.nll_grad(state, mask)
     return score, grad
@@ -346,7 +370,7 @@ def calibrate(
         plan.apply_grad(flat, cfg.lr)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
-            for cols, stack, _ in plan.stacks:
+            for cols, stack, _ in plan.mixtures:
                 test_loglik[:, cols] = stack.log_density(test.features)
             acc = ensemble_accuracy(ens, test, test_loglik)
         trace.append(TraceRow(step, loss, acc))

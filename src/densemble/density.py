@@ -5,7 +5,7 @@ estimator families freely. Like the classifiers, both carry a ``type_tag``
 and ``file_fields`` for ``serialize`` and build themselves from their config
 block and their party's shard with ``from_config(cfg, shard, seed)``, and
 ``FAMILIES`` maps each tag to its class: it is the only list of estimator
-families that config validation, ``harness.build_party`` and ``serialize``
+families that config validation, ``harness.build_parties`` and ``serialize``
 read. ``GmmModel.apply_grad`` matches ``FlatClassifier.apply_grad``.
 Log-densities are floored at ``LOG_DENSITY_FLOOR`` so a query far from every
 shard exponentiates to a clean zero instead of underflowing into NaN
@@ -90,6 +90,9 @@ _EXP_CUTOFF = -750.0
 # A KDE batch gets one more scoring thread per this many row blocks (several
 # ms of kernel work), up to one thread per CPU.
 _BLOCKS_PER_WORKER = 8
+# Byte budget of each (rows, S, m, d) table of a ``GmmStack.log_density``
+# row block.
+_GMM_BLOCK_BYTES = 1 << 15
 
 
 def _queries(X: np.ndarray, dim: int) -> np.ndarray:
@@ -326,8 +329,8 @@ class GmmModel:
         variances: (m, d) per-dimension variances, floored away from zero.
 
     Scoring, ``nll_grad`` and ``apply_grad`` run the stacked mixture
-    arithmetic on a stack of one; ``params``/``set_params`` are the flat
-    parameter view that the gradient's layout follows.
+    arithmetic on a stack of one; ``params`` is the flat parameter vector
+    whose layout the gradient follows.
     """
 
     weights: np.ndarray
@@ -376,28 +379,12 @@ class GmmModel:
         """Floored log p(x) per row."""
         return np.maximum(self._joint(X)[3][:, 0], LOG_DENSITY_FLOOR)
 
-    def responsibilities(self, X: np.ndarray) -> np.ndarray:
-        """(n, m) posterior component memberships."""
-        return _gmm_resp(*self._joint(X)[2:])[:, 0]
-
     @property
     def params(self) -> np.ndarray:
         """Flat view for gradient updates: means, log-variances, weight logits."""
         return np.concatenate(
             [self.means.ravel(), np.log(self.variances).ravel(), np.log(self.weights)]
         )
-
-    def set_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        m, d = self.means.shape
-        if flat.shape != (2 * m * d + m,):
-            raise ValueError(f"expected {2 * m * d + m} parameters, got {flat.shape}")
-        self.means = flat[: m * d].reshape(m, d).copy()
-        self.variances = np.maximum(
-            np.exp(flat[m * d : 2 * m * d].reshape(m, d)), GMM_VARIANCE_FLOOR
-        )
-        logits = flat[2 * m * d :]
-        self.weights = np.exp(logits - _logsumexp(logits, axis=0))
 
     def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
         """One step of -lr * flat_grad in ``params`` layout."""
@@ -439,8 +426,19 @@ class GmmStack:
         return (diff, scaled, logj, lse), np.maximum(lse, LOG_DENSITY_FLOOR)
 
     def log_density(self, X: np.ndarray) -> np.ndarray:
-        """(n, S) floored log p(x) under every mixture."""
-        return self.forward(X)[1]
+        """(n, S) floored log p(x) under every mixture.
+
+        The rows are scored in blocks whose (rows, S, m, d) tables stay
+        within ``_GMM_BLOCK_BYTES``, so memory does not grow with the query
+        count. Every step of ``forward`` is elementwise or a reduction within
+        a row, so the blocks give the bits of one whole-batch ``forward``.
+        """
+        X = _queries(X, self.means.shape[2])
+        rows = max(1, _GMM_BLOCK_BYTES // (8 * self.means.size))
+        out = np.empty((len(X), len(self.models)))
+        for r0 in range(0, len(X), rows):
+            out[r0 : r0 + rows] = self.forward(X[r0 : r0 + rows])[1]
+        return out
 
     def nll_grad(self, state, mask: np.ndarray | None = None) -> np.ndarray:
         """(S, P) gradients of -log p(x) from a ``forward`` state, each row

@@ -17,11 +17,11 @@ evaluation per query set feeds them all. A caller whose estimators cannot
 change may pass a query set's log-density table back in instead of scoring
 it again, or the rows of a larger set's table: a row's log-densities do not
 depend on the rows scored with it. A calibration step passes in the
-classifiers' ``forward`` states and a log-density table whose training
-mixtures' columns its ``GmmStack`` filled, all of them in one pass, and runs
-each backward pass on those: one forward pass per party per step. Scoring
-runs the classifiers here and keeps only their posteriors, never the hidden
-activations a backward pass would need.
+posterior table that its classifier stacks' ``forward`` passes filled and a
+log-density table whose training mixtures' columns its mixture stacks
+filled, and runs each backward pass on the same forward states: one forward
+pass per stack per step. Scoring runs the classifiers here and keeps only
+their posteriors, never the hidden activations a backward pass would need.
 ``max_model_decide`` is the degenerate baseline that hands each query to the
 single highest-density party; forcing the ensemble's lambda weights to a
 one-hot at that party reproduces it exactly.
@@ -123,24 +123,24 @@ def evaluate_objective(
     ens: EnsembleModel,
     queries: np.ndarray,
     loglik: np.ndarray | None = None,
-    states: list | None = None,
+    posteriors: np.ndarray | None = None,
 ) -> ObjectiveMatrix:
     """Score every query against every class; pure given frozen parties.
 
     ``loglik`` is ``log_density_table(ens, queries)`` when the caller already
     holds it for these queries and estimators; otherwise it is computed here.
-    ``states`` is each party's ``classifier.forward(queries)`` state when the
-    caller holds them for a backward pass; otherwise each classifier's
-    posterior is computed here and nothing else of its forward pass is kept.
+    ``posteriors`` is the (n, N, K) table of every party's zero-filled
+    posterior when the caller already holds it, from the forward passes it
+    keeps for a backward pass; otherwise each classifier's posterior is
+    computed here and nothing else of its forward pass is kept.
     """
     X = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if not np.all(np.isfinite(X)):
         raise ValueError("queries must be finite")
     K = ens.num_classes
-    local = [None] * ens.num_parties if states is None else [P for _, P in states]
-    P = np.stack(
-        [global_posterior(p.classifier, X, K, Pj) for p, Pj in zip(ens.parties, local)], axis=1
-    )
+    P = posteriors
+    if P is None:
+        P = np.stack([global_posterior(p.classifier, X, K) for p in ens.parties], axis=1)
     L = log_density_table(ens, X) if loglik is None else loglik
     rowmax = L.max(axis=1)
     W = ens.priors[None, :] * np.exp(L - rowmax[:, None])

@@ -5,9 +5,12 @@ partition rules, per-party model choices, and an optional calibration block.
 The config dataclasses are the JSON file format (``jsonconfig`` reads and
 writes them), and each block range-checks itself in ``__post_init__``. A
 party's model ``type`` must be a key of ``classifiers.FAMILIES`` or
-``density.FAMILIES``, and ``build_party`` builds each model through that
+``density.FAMILIES``, and ``build_parties`` builds each model through that
 table's ``from_config``. Apart from the two config blocks' default
-``type``, this module names no model family.
+``type``, this module names no model family. Local training runs the
+classifiers in lockstep groups: parties whose classifiers share family,
+parameter shapes, shard size and training settings train as one stack, so
+a preset of many like parties (splitD's seven) takes one minibatch loop.
 All randomness descends from one root seed, split into four named streams
 (data, init, batching, noise) so reruns and sweeps are reproducible while
 stages stay independently perturbable.
@@ -203,27 +206,52 @@ def stream_seeds(root_seed: int, num_parties: int) -> dict:
     }
 
 
-def build_party(
-    pcfg: PartyConfig,
-    shard: LocalDataset,
-    init_seed: int,
-    est_seed: int,
-    train_seed: int,
-    pretrain: bool,
-) -> PartyModel:
-    """Initialize, optionally train, and bundle one party's models.
+def build_parties(
+    party_cfgs: list[PartyConfig], shards: list[LocalDataset], seeds: dict, pretrain: bool
+) -> list[PartyModel]:
+    """Initialize every party's classifier, optionally train them, then fit
+    every estimator, and bundle each party's models.
 
-    Each model's class is its config block's ``type`` in its module's
-    ``FAMILIES``; any other ``type`` raises ``KeyError``.
+    Party j's classifier starts from ``seeds["init"][2 * j]``, trains on
+    ``seeds["batching"][j]`` and its estimator fits on
+    ``seeds["init"][2 * j + 1]``. Classifiers whose family, parameter
+    shapes, shard size, ``lr``, ``epochs`` and ``batch`` all match train in
+    lockstep, in one ``classifiers.train`` call; each ends with the bits it
+    would have trained to alone. Each model's class is its config block's
+    ``type`` in its module's ``FAMILIES``; any other ``type`` raises
+    ``KeyError``.
     """
-    cc, ec = pcfg.classifier, pcfg.estimator
-    clf = classifiers.FAMILIES[cc.type].from_config(cc, shard, init_seed)
-    if pretrain:
-        classifiers.train(
-            clf, shard, lr=cc.lr, epochs=cc.epochs, batch=cc.batch, seed=train_seed
+    clfs = [
+        classifiers.FAMILIES[pc.classifier.type].from_config(
+            pc.classifier, shard, seeds["init"][2 * j]
         )
-    est = density.FAMILIES[ec.type].from_config(ec, shard, est_seed)
-    return PartyModel(clf, est, len(shard))
+        for j, (pc, shard) in enumerate(zip(party_cfgs, shards))
+    ]
+    if pretrain:
+        groups: dict[tuple, list[int]] = {}
+        for j, (pc, clf, shard) in enumerate(zip(party_cfgs, clfs, shards)):
+            cc = pc.classifier
+            key = (clf.type_tag, clf.shapes, len(shard), cc.lr, cc.epochs, cc.batch)
+            groups.setdefault(key, []).append(j)
+        for (*_, lr, epochs, batch), members in groups.items():
+            classifiers.train(
+                [clfs[j] for j in members],
+                [shards[j] for j in members],
+                lr=lr,
+                epochs=epochs,
+                batch=batch,
+                seed=[seeds["batching"][j] for j in members],
+            )
+    return [
+        PartyModel(
+            clf,
+            density.FAMILIES[pc.estimator.type].from_config(
+                pc.estimator, shard, seeds["init"][2 * j + 1]
+            ),
+            len(shard),
+        )
+        for j, (pc, clf, shard) in enumerate(zip(party_cfgs, clfs, shards))
+    ]
 
 
 def prepare_data(
@@ -259,17 +287,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     timings["data"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parties = [
-        build_party(
-            pcfg,
-            shard,
-            init_seed=seeds["init"][2 * j],
-            est_seed=seeds["init"][2 * j + 1],
-            train_seed=seeds["batching"][j],
-            pretrain=not cfg.calibrate_from_raw,
-        )
-        for j, (pcfg, shard) in enumerate(zip(cfg.parties, shards))
-    ]
+    parties = build_parties(cfg.parties, shards, seeds, pretrain=not cfg.calibrate_from_raw)
     ens = build_ensemble(parties, num_classes=cfg.data.num_classes)
     timings["train_local"] = time.perf_counter() - t0
 

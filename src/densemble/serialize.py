@@ -10,7 +10,10 @@ exact parameter values (JSON floats carry full double precision). Scalar
 fields, label spaces, shard sizes and the class count are read with
 ``jsonconfig.from_json``, so each needs its exact JSON type: a fractional or
 boolean ``shard_size``, a string ``num_classes`` or ``bandwidth`` and a
-fractional label are rejected, not coerced.
+fractional label are rejected, not coerced. An array's ``shape`` must be a
+list of non-negative integers and its ``data`` a flat list of JSON numbers,
+as many as the shape holds: a string or boolean cell, or a ``-1`` extent for
+numpy to infer, is rejected too.
 """
 
 from __future__ import annotations
@@ -38,10 +41,27 @@ def _encode(value):
 def _decode(name: str, value):
     """An array object, a list of ints (a label space) or a float."""
     if isinstance(value, dict):
-        return np.array(value["data"], dtype=np.float64).reshape(value["shape"])
+        return _decode_array(name, value)
     if isinstance(value, list):
         return from_json(tuple[int, ...], value, name)
     return from_json(float, value, name)
+
+
+def _decode_array(name: str, value: dict) -> np.ndarray:
+    """An array object read strictly: ``shape`` is a list of non-negative
+    integers and ``data`` a list of JSON numbers (no booleans, strings or
+    nested lists), one per cell, or ValueError."""
+    shape = from_json(tuple[int, ...], value["shape"], f"{name}.shape")
+    if any(s < 0 for s in shape):
+        raise ValueError(f"{name}.shape: negative extent in {list(shape)}")
+    data = value["data"]
+    if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+        raise ValueError(f"{name}.data: expected an array of numbers")
+    try:
+        cells = np.array(data, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name}.data: a number is out of double range") from None
+    return cells.reshape(shape)
 
 
 def model_to_dict(model) -> dict:

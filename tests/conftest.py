@@ -1,8 +1,9 @@
-"""Shared test doubles and fast experiment configs."""
+"""Shared test doubles, parameter oracles and fast experiment configs."""
 
 import numpy as np
 import pytest
 
+from densemble.density import GMM_VARIANCE_FLOOR, GmmModel, _gmm_resp, _logsumexp
 from densemble.harness import ExperimentConfig, config_from_dict
 
 
@@ -14,30 +15,39 @@ class ConstantClassifier:
         self.label_space = tuple(sorted(label_space))
         self.dim = 2
 
-    def forward(self, X):
-        return None, np.tile(self.probs, (len(X), 1))
-
-    def backward(self, X, state, upstream):
-        return np.zeros(0)
-
     def posterior(self, x):
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        _, P = self.forward(X)
+        P = np.tile(self.probs, (len(np.atleast_2d(x)), 1))
         return P[0] if np.asarray(x).ndim == 1 else P
 
-    def posterior_grad(self, x, upstream):
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self.backward(X, self.forward(X), upstream)
 
-    @property
-    def params(self):
-        return np.zeros(0)
+def set_params(model, flat):
+    """Overwrite a model's parameters with the flat vector ``flat`` in its
+    ``params`` layout: a classifier's buffer takes a copy, and a mixture is
+    rebuilt from its means, log-variances (exp'd and floored) and weight
+    logits (softmaxed), as a step of ``apply_grad`` would leave it."""
+    flat = np.asarray(flat, dtype=np.float64)
+    if flat.shape != model.params.shape:
+        raise ValueError(f"expected {model.params.size} parameters, got {flat.shape}")
+    if not isinstance(model, GmmModel):
+        model._flat[...] = flat
+        return
+    m, d = model.means.shape
+    model.means = flat[: m * d].reshape(m, d).copy()
+    model.variances = np.maximum(np.exp(flat[m * d : 2 * m * d].reshape(m, d)), GMM_VARIANCE_FLOOR)
+    logits = flat[2 * m * d :]
+    model.weights = np.exp(logits - _logsumexp(logits, axis=0))
 
-    def set_params(self, flat):
-        pass
 
-    def apply_grad(self, g, lr):
-        pass
+def posterior_grad(model, x, upstream):
+    """A classifier's flat gradient of ``sum(upstream * posterior(x))``: the
+    unfused ``backward`` of a fresh ``forward``."""
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return model.backward(X, model.forward(X), upstream)
+
+
+def responsibilities(model, X):
+    """(n, m) posterior component memberships of a mixture."""
+    return _gmm_resp(*model._joint(X)[2:])[:, 0]
 
 
 class LinearDensity:

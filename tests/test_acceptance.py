@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import ConstantDensity, random_simplex
+from conftest import ConstantDensity, posterior_grad, random_simplex, set_params
 
 from densemble.calibration import (
     CalibrationConfig,
@@ -30,7 +30,7 @@ from densemble.ensemble import (
 )
 from densemble.harness import (
     PRESET_NAMES,
-    build_party,
+    build_parties,
     load_config,
     prepare_data,
     run_experiment,
@@ -71,17 +71,7 @@ def toy_ensemble():
     cfg = load_config("toy3")
     seeds = stream_seeds(cfg.seed, len(cfg.parties))
     _, _, shards = prepare_data(cfg, seeds)
-    parties = [
-        build_party(
-            pcfg,
-            shard,
-            init_seed=seeds["init"][2 * j],
-            est_seed=seeds["init"][2 * j + 1],
-            train_seed=seeds["batching"][j],
-            pretrain=True,
-        )
-        for j, (pcfg, shard) in enumerate(zip(cfg.parties, shards))
-    ]
+    parties = build_parties(cfg.parties, shards, seeds, pretrain=True)
     return build_ensemble(parties, num_classes=cfg.data.num_classes)
 
 
@@ -176,10 +166,10 @@ def _check_posterior_grads(kind, tol, trials, seed):
         u = rng.normal(size=m)
 
         def value(flat, clf=clf, x=x, u=u):
-            clf.set_params(flat)
+            set_params(clf, flat)
             return float(clf.posterior(x) @ u)
 
-        got = clf.posterior_grad(x, u)
+        got = posterior_grad(clf, x, u)
         fd = _fd_grad(value, clf.params.copy(), 1e-6)
         worst = max(worst, np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-12))
     assert worst < tol, f"worst relative gradient error {worst:.3e}, needed < {tol}"
@@ -216,7 +206,7 @@ def _check_mpce_grads(kind, tol, trials, seed):
 
         def value(flat, ens=ens, bounds=bounds, x=x, y=y):
             for j, party in enumerate(ens.parties):
-                party.classifier.set_params(flat[bounds[j] : bounds[j + 1]])
+                set_params(party.classifier, flat[bounds[j] : bounds[j + 1]])
             return mpce_loss(ens, x, y).value
 
         got = mpce_grad(ens, x, y)

@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import ConstantClassifier, ConstantDensity, LinearDensity, random_simplex
+from conftest import (
+    ConstantClassifier,
+    ConstantDensity,
+    LinearDensity,
+    posterior_grad,
+    random_simplex,
+    set_params,
+)
 from densemble.calibration import (
     PROBABILITY_FLOOR,
     CalibrationConfig,
@@ -19,11 +26,15 @@ from densemble.calibration import (
     _label_positions,
     _plan,
     _step_grad,
-    _theta_grads,
     mpce_grad,
     mpce_loss,
 )
-from densemble.classifiers import FlatClassifier, MlpClassifier, SoftmaxRegression
+from densemble.classifiers import (
+    ClassifierStack,
+    FlatClassifier,
+    MlpClassifier,
+    SoftmaxRegression,
+)
 from densemble.datasets import LocalDataset, generate_toy
 from densemble.density import GMM_VARIANCE_FLOOR, GmmModel, GmmStack, KdeModel, gmm_fit, kde_fit
 from densemble.ensemble import PartyModel, build_ensemble, evaluate_objective
@@ -62,7 +73,7 @@ def all_params(ens):
 
 def set_all_params(ens, blocks):
     for party, block in zip(ens.parties, blocks):
-        party.classifier.set_params(block)
+        set_params(party.classifier, block)
 
 
 def test_loss_two_party_frozen_value():
@@ -137,13 +148,13 @@ def _fd_mpce_grad(ens, x, y, eps=1e-5):
         for i in range(len(flat)):
             bump = flat.copy()
             bump[i] += eps
-            party.classifier.set_params(bump)
+            set_params(party.classifier, bump)
             hi = mpce_loss(ens, x, y).value
             bump[i] -= 2 * eps
-            party.classifier.set_params(bump)
+            set_params(party.classifier, bump)
             lo = mpce_loss(ens, x, y).value
             fd[i] = (hi - lo) / (2 * eps)
-        party.classifier.set_params(flat)
+        set_params(party.classifier, flat)
         fd_blocks.append(fd)
     set_all_params(ens, saved)
     return np.concatenate(fd_blocks)
@@ -404,17 +415,22 @@ def test_theta_grads_match_per_sample_loop_reference():
     )
     X = rng.normal(size=(16, 2))
     y = rng.integers(0, 4, 16)
-    states = [p.classifier.forward(X) for p in ens.parties]
-    om, score = _batch_scores(ens, X, y, None, states)
-    got = _theta_grads(ens, states, om, X, _label_positions(ens, y), score)
+    plan = _plan(ens, update_density=False)
+    got_score, got = _step_grad(ens, plan, X, y, _label_positions(ens, y), "matching")
+    om, score = _batch_scores(ens, X, y)
+    assert got_score.tobytes() == score.tobytes()
     coeff = om.weights / score[:, None]
+    start = 0
     for j, party in enumerate(ens.parties):
         space = party.classifier.label_space
         U = np.zeros((len(y), len(space)))
         for i, label in enumerate(y):
             if label in space:
                 U[i, space.index(label)] = -coeff[i, j]
-        assert got[j].tobytes() == party.classifier.posterior_grad(X, U).tobytes()
+        want = posterior_grad(party.classifier, X, U)
+        assert got[start : start + len(want)].tobytes() == want.tobytes()
+        start += len(want)
+    assert start == len(got)
 
 
 def _count_test_set_scoring(monkeypatch, cls, test):
@@ -511,11 +527,9 @@ def _fresh_scoring_calibrate(ens, train, cfg, seed, test=None):
         plan = _plan(ens, cfg.update_density)
         score, grad = _step_grad(ens, plan, X, y, pos, cfg.density_scope)
         flat = grad / len(sel)
-        for clf, part in plan.classifiers:
-            clf.apply_grad(flat[part], cfg.lr)
-        for cols, _, idx in plan.stacks:
-            for j, rows in zip(cols, idx):
-                ens.parties[j].estimator.apply_grad(flat[rows], cfg.lr)
+        for _, stack, idx in plan.classifiers + plan.mixtures:
+            for model, rows in zip(stack.models, idx):
+                model.apply_grad(flat[rows], cfg.lr)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
             acc = ensemble_accuracy(ens, test)
@@ -618,7 +632,7 @@ def test_calibrate_step_applies_mpce_grad_blocks_bitwise():
         block = flat[start : start + len(m.params)]
         start += len(m.params)
         ref = copy.deepcopy(m)
-        ref.set_params(m.params - cfg.lr * block)
+        set_params(ref, m.params - cfg.lr * block)
         expected.append(ref)
     calibrate(ens, train, cfg, seed=0)
     for m, ref in zip(models, expected):
@@ -631,7 +645,7 @@ def test_calibrate_gmm_without_matching_sample_takes_zero_step():
     ens, train, cfg = _mixed_kde_gmm_setup()
     gmm = ens.parties[2].estimator
     ref = copy.deepcopy(gmm)
-    ref.set_params(gmm.params - cfg.lr * np.zeros(len(gmm.params)))
+    set_params(ref, gmm.params - cfg.lr * np.zeros(len(gmm.params)))
     # the zero step is not a bitwise identity
     assert ref.variances.tobytes() != gmm.variances.tobytes()
     assert ref.weights.tobytes() != gmm.weights.tobytes()
@@ -641,20 +655,23 @@ def test_calibrate_gmm_without_matching_sample_takes_zero_step():
 
 
 def _unfused_step_grad(ens, X, y, scope):
-    """The step from public pieces, each scoring its rows afresh: the
-    objective, every classifier's ``posterior_grad``, then every mixture's
-    ``nll_grad`` over the rows in ``scope``."""
+    """The step from public pieces, one party at a time, each scoring its
+    rows afresh: the objective, every classifier's ``backward`` of a fresh
+    ``forward`` (a classifier without parameters has no block), then every
+    mixture's ``nll_grad`` over the rows in ``scope``."""
     om = evaluate_objective(ens, X)
     score = np.maximum(om.objective[np.arange(len(y)), y], PROBABILITY_FLOOR)
     coeff = om.weights / score[:, None]
     blocks = []
     for j, party in enumerate(ens.parties):
+        if not isinstance(party.classifier, FlatClassifier):
+            continue
         space = party.classifier.label_space
         U = np.zeros((len(y), len(space)))
         for i, label in enumerate(y):
             if label in space:
                 U[i, space.index(label)] = -coeff[i, j]
-        blocks.append(party.classifier.posterior_grad(X, U))
+        blocks.append(posterior_grad(party.classifier, X, U))
     for party in ens.parties:
         est = party.estimator
         if isinstance(est, GmmModel):
@@ -682,7 +699,10 @@ def test_fused_step_matches_unfused_oracle_bitwise(scope):
 def _interleaved_shapes_setup():
     """A softmax party on a KDE, then four GMM parties whose component
     counts alternate 3, 4, 3, 4, so the two stacks interleave in the flat
-    gradient; labels 0 and 4 are seen only by the first and the last party."""
+    gradient; labels 0 and 4 are seen only by the first and the last party.
+    The classifiers form three stacks that interleave too: two-class softmax
+    regressions (parties 0 and 4), MLPs (1 and 3) and a one-class softmax
+    regression (2)."""
     rng = np.random.default_rng(33)
     parties = [make_party(rng, (0, 1))]
     for space, m in (((1, 2), 3), ((3,), 4), ((2, 3), 3), ((0, 4), 4)):
@@ -697,7 +717,8 @@ def _interleaved_shapes_setup():
 def test_stacked_step_matches_per_model_oracle_bitwise(scope):
     ens = _interleaved_shapes_setup()
     plan = _plan(ens, update_density=True)
-    assert [cols for cols, _, _ in plan.stacks] == [[1, 3], [2, 4]]
+    assert [cols for cols, _, _ in plan.classifiers] == [[0, 4], [1, 3], [2]]
+    assert [cols for cols, _, _ in plan.mixtures] == [[1, 3], [2, 4]]
     models = [p.classifier for p in ens.parties] + [p.estimator for p in ens.parties[1:]]
     rng = np.random.default_rng(43)
     X = rng.normal(size=(24, 2))
@@ -718,7 +739,7 @@ def test_stacked_step_matches_per_model_oracle_bitwise(scope):
         refs = []
         for model, block in zip(models, want):
             ref = copy.deepcopy(model)
-            ref.set_params(model.params - lr * block)
+            set_params(ref, model.params - lr * block)
             refs.append(ref)
         plan.apply_grad(grad, lr)
         for model, ref in zip(models, refs):
@@ -731,24 +752,53 @@ def test_stacked_step_matches_per_model_oracle_bitwise(scope):
             assert all(not b.any() for b in want[5:8])
 
 
+@pytest.mark.parametrize("update_density", [True, False])
+def test_stacked_step_with_parameterless_party_matches_unfused_oracle_bitwise(update_density):
+    # a party whose classifier has no parameters sits between the stacks:
+    # it is scored through its posterior and has no gradient block
+    ens = _interleaved_shapes_setup()
+    rng = np.random.default_rng(44)
+    clf = ConstantClassifier([0.3, 0.7], (1, 4))
+    constant = PartyModel(clf, kde_fit(rng.normal(size=(9, 2)), 0.7), 6)
+    ens = build_ensemble(ens.parties[:2] + [constant] + ens.parties[2:], num_classes=5)
+    plan = _plan(ens, update_density)
+    assert [cols for cols, _, _ in plan.classifiers] == [[0, 5], [1, 4], [3]]
+    assert plan.frozen == [2]
+    X = rng.normal(size=(24, 2))
+    for y in (rng.integers(0, 5, 24), np.full(24, 4)):
+        score, grad = _step_grad(ens, plan, X, y, _label_positions(ens, y), "matching")
+        want_score, want = _unfused_step_grad(ens, X, y, "matching")
+        if not update_density:
+            want = want[:5]
+        assert score.tobytes() == want_score.tobytes()
+        assert grad.tobytes() == np.concatenate(want).tobytes()
+
+
 @pytest.mark.parametrize("scope", ["matching", "all"])
 def test_calibration_step_runs_one_forward_pass_per_party(monkeypatch, scope):
-    ens, _, _ = _mixed_kde_gmm_setup()
+    # every party's classifier and mixture is scored once per step, through
+    # its stack: one forward and one backward pass per classifier stack and
+    # one forward pass per mixture stack; only the held-out evaluations score
+    # the classifiers one party at a time
+    ens = _interleaved_shapes_setup()
     rng = np.random.default_rng(42)
-    train = LocalDataset(rng.normal(size=(40, 2)), rng.integers(0, 4, 40), (0, 1, 2, 3), 4)
-    test = LocalDataset(rng.normal(size=(10, 2)), rng.integers(0, 4, 10), (0, 1, 2, 3), 4)
+    space = (0, 1, 2, 3, 4)
+    train = LocalDataset(rng.normal(size=(40, 2)), rng.integers(0, 5, 40), space, 5)
+    test = LocalDataset(rng.normal(size=(10, 2)), rng.integers(0, 5, 10), space, 5)
     calls = []
 
     def counting(cls, name):
         original = getattr(cls, name)
 
         def counted(self, X, *rest):
-            calls.append((name, id(self), len(X)))
+            calls.append((cls.__name__, name, id(self), len(X)))
             return original(self, X, *rest)
 
         monkeypatch.setattr(cls, name, counted)
 
     counting(FlatClassifier, "forward")
+    counting(ClassifierStack, "forward")
+    counting(ClassifierStack, "backward")
     counting(GmmStack, "forward")
     counting(GmmModel, "log_density")
     counting(GmmModel, "component_log_densities")
@@ -758,13 +808,21 @@ def test_calibration_step_runs_one_forward_pass_per_party(monkeypatch, scope):
     _, trace = calibrate(ens, train, cfg, seed=0, test=test)
     evals = sum(r.test_accuracy is not None for r in trace)
     assert evals == 3
-    per_pass = [8] * cfg.steps + [len(test)] * evals
-    for party in ens.parties:
-        rows = [n for name, i, n in calls if name == "forward" and i == id(party.classifier)]
-        assert sorted(rows) == sorted(per_pass)
-    # both mixtures share one stack: one scoring per step and per evaluation
-    stacked = [(i, n) for name, i, n in calls if name == "forward" and i not in
-               {id(p.classifier) for p in ens.parties}]
-    assert len({i for i, _ in stacked}) == 1
-    assert sorted(n for _, n in stacked) == sorted(per_pass)
-    assert not any(name != "forward" for name, _, _ in calls)
+
+    def rows(kind, name):
+        """Sorted row counts of every ``kind.name`` call, per instance."""
+        out = {}
+        for k, nm, i, n in calls:
+            if (k, nm) == (kind, name):
+                out.setdefault(i, []).append(n)
+        return {i: sorted(ns) for i, ns in out.items()}
+
+    per_step = [8] * cfg.steps
+    assert list(rows("ClassifierStack", "forward").values()) == [per_step] * 3
+    assert list(rows("ClassifierStack", "backward").values()) == [per_step] * 3
+    assert rows("FlatClassifier", "forward") == {
+        id(p.classifier): [len(test)] * evals for p in ens.parties
+    }
+    per_pass = sorted(per_step + [len(test)] * evals)
+    assert list(rows("GmmStack", "forward").values()) == [per_pass] * 2
+    assert not any(kind == "GmmModel" for kind, *_ in calls)

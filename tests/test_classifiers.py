@@ -6,9 +6,12 @@ import pickle
 import numpy as np
 import pytest
 
+from conftest import posterior_grad, set_params
 from densemble.classifiers import (
+    ClassifierStack,
     MlpClassifier,
     SoftmaxRegression,
+    _views,
     accuracy,
     cross_entropy,
     global_posterior,
@@ -148,14 +151,15 @@ def reference_train(model, ds, lr, epochs, batch, seed):
             sel = order[start : start + batch]
             H, P = model.forward(ds.features[sel])
             g = np.empty(len(model.params))
-            model._backward(ds.features[sel], H, P - onehot[sel], model._views(g))
+            grads = _views(g, model._layout)
+            model._backward(model._params, ds.features[sel], H, P - onehot[sel], grads)
             model.apply_grad(g / len(sel), lr)
     return model
 
 
 def jacobian_chain_train(model, ds, lr, epochs, batch, seed):
     """SGD that chains dCE/dP = -onehot/P through the softmax Jacobian with
-    ``posterior_grad``: algebraically the same step as ``train``."""
+    the ``posterior_grad`` oracle: algebraically the same step as ``train``."""
     y_local = model._index.to_local(ds.labels)
     rng = np.random.default_rng(seed)
     onehot = np.eye(model.num_classes_local)[y_local]
@@ -165,7 +169,7 @@ def jacobian_chain_train(model, ds, lr, epochs, batch, seed):
             sel = order[start : start + batch]
             P = model.posterior(ds.features[sel])
             upstream = -onehot[sel] / np.maximum(P, 1e-300)
-            model.apply_grad(model.posterior_grad(ds.features[sel], upstream) / len(sel), lr)
+            model.apply_grad(posterior_grad(model, ds.features[sel], upstream) / len(sel), lr)
     return model
 
 
@@ -201,13 +205,13 @@ def _fd_posterior_grad(model, x, u, eps=1e-5):
     for i in range(len(flat)):
         bump = flat.copy()
         bump[i] += eps
-        model.set_params(bump)
+        set_params(model, bump)
         hi = float(model.posterior(x) @ u)
         bump[i] -= 2 * eps
-        model.set_params(bump)
+        set_params(model, bump)
         lo = float(model.posterior(x) @ u)
         fd[i] = (hi - lo) / (2 * eps)
-    model.set_params(flat)
+    set_params(model, flat)
     return fd
 
 
@@ -217,7 +221,7 @@ def test_softmax_posterior_grad_matches_finite_differences():
         clf = random_softmax(rng, dim=int(rng.integers(1, 4)))
         x = rng.normal(size=clf.dim)
         u = rng.normal(size=2)
-        got = clf.posterior_grad(x, u)
+        got = posterior_grad(clf, x, u)
         fd = _fd_posterior_grad(clf, x, u)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(got - fd) / denom < 1e-5, f"trial {trial}"
@@ -229,7 +233,7 @@ def test_mlp_posterior_grad_matches_finite_differences():
         mlp = random_mlp(rng, dim=2, classes=(0, 1, 2), hidden=int(rng.integers(2, 6)))
         x = rng.normal(size=2)
         u = rng.normal(size=3)
-        got = mlp.posterior_grad(x, u)
+        got = posterior_grad(mlp, x, u)
         fd = _fd_posterior_grad(mlp, x, u)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(got - fd) / denom < 1e-4, f"trial {trial}"
@@ -240,8 +244,8 @@ def test_zero_upstream_zero_gradient():
     clf = random_softmax(rng)
     mlp = random_mlp(rng)
     x = rng.normal(size=3)
-    assert np.array_equal(clf.posterior_grad(x, np.zeros(2)), np.zeros(clf.params.size))
-    assert np.array_equal(mlp.posterior_grad(x, np.zeros(3)), np.zeros(mlp.params.size))
+    assert np.array_equal(posterior_grad(clf, x, np.zeros(2)), np.zeros(clf.params.size))
+    assert np.array_equal(posterior_grad(mlp, x, np.zeros(3)), np.zeros(mlp.params.size))
 
 
 def test_batched_posterior_grad_sums_singles():
@@ -249,8 +253,8 @@ def test_batched_posterior_grad_sums_singles():
     mlp = random_mlp(rng)
     X = rng.normal(size=(5, 3))
     U = rng.normal(size=(5, 3))
-    batched = mlp.posterior_grad(X, U)
-    summed = sum(mlp.posterior_grad(X[i], U[i]) for i in range(5))
+    batched = posterior_grad(mlp, X, U)
+    summed = sum(posterior_grad(mlp, X[i], U[i]) for i in range(5))
     assert np.allclose(batched, summed, atol=1e-12)
 
 
@@ -258,9 +262,9 @@ def test_params_round_trip():
     rng = np.random.default_rng(10)
     for model in (random_softmax(rng), random_mlp(rng)):
         flat = model.params.copy()
-        model.set_params(flat * 2.0)
+        set_params(model, flat * 2.0)
         assert np.allclose(model.params, flat * 2.0)
-        model.set_params(flat)
+        set_params(model, flat)
         assert np.array_equal(model.params, flat)
 
 
@@ -273,7 +277,7 @@ def test_parameter_validation():
         MlpClassifier(np.zeros((4, 2)), np.zeros(3), np.zeros((2, 4)), np.zeros(2), (0, 1))
     clf = SoftmaxRegression(np.zeros((2, 3)), np.zeros(2), (0, 1))
     with pytest.raises(ValueError, match="parameters"):
-        clf.set_params(np.zeros(5))
+        set_params(clf, np.zeros(5))
 
 
 def test_init_random_shapes_and_scales():
@@ -303,12 +307,12 @@ def test_params_never_alias_and_apply_grad_is_exact(make):
     model.apply_grad(g, 0.3)
     assert p.tobytes() == before.tobytes()  # params handed out a copy
     twin = cls(*arrays, space)
-    twin.set_params(before)
-    twin.set_params(twin.params - 0.3 * g)
+    set_params(twin, before)
+    set_params(twin, twin.params - 0.3 * g)
     assert model.params.tobytes() == twin.params.tobytes()
 
     flat = rng.normal(size=p.size)
-    model.set_params(flat)
+    set_params(model, flat)
     flat[:] = 0.0  # set_params copied its argument
     assert not np.any(model.params == 0.0)
     # the named arrays are views of the flat buffer, in _names order
@@ -325,7 +329,113 @@ def test_copies_view_their_own_buffers(make):
     U = rng.normal(size=(4, model.num_classes_local))
     for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
         flat = rng.normal(size=model.params.size)
-        twin.set_params(flat)
-        model.set_params(flat)
+        set_params(twin, flat)
+        set_params(model, flat)
         assert twin.posterior(X).tobytes() == model.posterior(X).tobytes()
-        assert twin.posterior_grad(X, U).tobytes() == model.posterior_grad(X, U).tobytes()
+        assert posterior_grad(twin, X, U).tobytes() == posterior_grad(model, X, U).tobytes()
+
+
+def _random_stack(rng, family, S, dim, m):
+    """S random classifiers of one family and shape, each with its own label
+    space of m classes out of m + 2."""
+    hidden = int(rng.integers(1, 9))
+    models = []
+    for _ in range(S):
+        space = tuple(sorted(rng.choice(m + 2, size=m, replace=False).tolist()))
+        if family == "softmax":
+            models.append(random_softmax(rng, dim=dim, classes=space))
+        else:
+            models.append(random_mlp(rng, dim=dim, classes=space, hidden=hidden))
+    return models
+
+
+@pytest.mark.parametrize("family", ["softmax", "mlp"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-X", "per-slice-X"])
+def test_stacked_forward_backward_bitwise_equal_stacks_of_one(family, shared):
+    # a shared batch as in calibration, or one batch per classifier as in
+    # lockstep training; each slice against the same classifier as a stack
+    # of one, and as a lone classifier
+    rng = np.random.default_rng(20 if shared else 21)
+    for _ in range(60):
+        S, n, dim, m = (int(v) for v in rng.integers(1, [8, 70, 5, 6]))
+        models = _random_stack(rng, family, S, dim, m)
+        X = rng.normal(size=(n, dim)) if shared else rng.normal(size=(S, n, dim))
+        U = rng.normal(size=(S, n, m))
+        lone = [copy.deepcopy(model) for model in models]
+        stack = ClassifierStack(models)
+        H, P = stack.forward(X)
+        G = stack.backward(X, (H, P), U)
+        assert P.shape == (S, n, m) and G.shape == (S, models[0].params.size)
+        for s, model in enumerate(lone):
+            Xs = X if shared else X[s]
+            one = ClassifierStack([copy.deepcopy(model)])
+            H1, P1 = one.forward(Xs)
+            assert P[s].tobytes() == P1[0].tobytes() == model.posterior(Xs).tobytes()
+            G1 = one.backward(Xs, (H1, P1), U[s : s + 1])
+            assert G[s].tobytes() == G1[0].tobytes() == posterior_grad(model, Xs, U[s]).tobytes()
+
+
+def test_stack_members_view_their_rows_and_step_together():
+    rng = np.random.default_rng(22)
+    models = _random_stack(rng, "mlp", 3, 2, 3)
+    before = [m.params for m in models]
+    stack = ClassifierStack(models)
+    for m, p in zip(models, before):
+        assert m.params.tobytes() == p.tobytes()  # stacking moved no bits
+    G = rng.normal(size=(3, before[0].size))
+    stack.apply_grad(G, 0.5)
+    for m, p, g in zip(models, before, G):
+        assert m.params.tobytes() == (p - 0.5 * g).tobytes()
+        arrays = np.concatenate([getattr(m, name).ravel() for name in m._names])
+        assert arrays.tobytes() == m.params.tobytes()
+    models[1].apply_grad(G[1], 1.0)  # a member's own step moves its row
+    X = rng.normal(size=(4, 2))
+    assert stack.forward(X)[1][1].tobytes() == models[1].posterior(X).tobytes()
+    with pytest.raises(ValueError, match="one family and shape"):
+        ClassifierStack([models[0], random_softmax(rng, dim=2, classes=(0, 1, 2))])
+    with pytest.raises(ValueError, match="one family and shape"):
+        ClassifierStack([models[0], random_mlp(rng, dim=2, classes=(0, 1, 2), hidden=9)])
+
+
+def _lockstep_parties(rng, family, S, n, m, hidden=48):
+    """S fresh classifiers and S datasets of n rows, 2-D features and m
+    labels each, every party with its own label space."""
+    models, shards = [], []
+    for j in range(S):
+        space = tuple(range(j, j + m))
+        X = rng.normal(size=(n, 2)) + rng.normal(size=2)
+        shards.append(LocalDataset(X, rng.choice(space, size=n), space, j + m))
+        if family == "softmax":
+            models.append(SoftmaxRegression.init_random(2, space, rng))
+        else:
+            models.append(MlpClassifier.init_random(2, space, hidden, rng))
+    return models, shards
+
+
+@pytest.mark.parametrize(
+    "family, S, n, epochs",
+    [("softmax", 7, 140, 30), ("mlp", 3, 280, 8)],
+    ids=["splitD-softmax", "splitB-mlp"],
+)
+def test_lockstep_train_bitwise_equals_training_alone(family, S, n, epochs):
+    # batch 32 leaves a ragged last batch: 12 rows of 140, 24 of 280
+    models, shards = _lockstep_parties(np.random.default_rng(23), family, S, n, 4)
+    alone = [copy.deepcopy(m) for m in models]
+    seeds = list(range(100, 100 + S))
+    got = train(models, shards, lr=0.1, epochs=epochs, batch=32, seed=seeds)
+    assert got is models
+    for model, ref, shard, seed in zip(models, alone, shards, seeds):
+        train(ref, shard, lr=0.1, epochs=epochs, batch=32, seed=seed)
+        assert model.params.tobytes() == ref.params.tobytes()
+
+
+def test_lockstep_train_validation():
+    rng = np.random.default_rng(24)
+    models, shards = _lockstep_parties(rng, "softmax", 2, 20, 2)
+    short = shards[1].subset(np.arange(19), shards[1].label_space)
+    with pytest.raises(ValueError, match="one size"):
+        train(models, [shards[0], short], seed=[0, 1])
+    with pytest.raises(ValueError, match="one seed per classifier"):
+        train(models, shards, seed=[0])
+    with pytest.raises(ValueError, match="one family and shape"):
+        train([models[0], random_mlp(rng, dim=2, classes=(1, 2))], shards, seed=[0, 1])

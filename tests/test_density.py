@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import responsibilities, set_params
 from densemble import density
 from densemble.density import (
     GMM_VARIANCE_FLOOR,
@@ -434,7 +435,7 @@ def test_gmm_responsibilities_simplex():
     model = GmmModel(
         np.array([0.3, 0.7]), rng.normal(size=(2, 2)), np.ones((2, 2))
     )
-    R = model.responsibilities(rng.normal(size=(20, 2)))
+    R = responsibilities(model, rng.normal(size=(20, 2)))
     assert np.all(R >= 0)
     assert np.allclose(R.sum(axis=1), 1.0, atol=1e-12)
 
@@ -510,7 +511,7 @@ def test_gmm_params_round_trip():
     )
     flat = model.params
     clone = GmmModel(model.weights.copy(), model.means.copy(), model.variances.copy())
-    clone.set_params(flat)
+    set_params(clone, flat)
     assert np.allclose(clone.means, model.means, atol=1e-15)
     assert np.allclose(clone.variances, model.variances, rtol=1e-15)
     assert np.allclose(clone.weights, model.weights, atol=1e-15)
@@ -534,10 +535,10 @@ def test_gmm_nll_grad_matches_finite_differences():
             probe = GmmModel(model.weights.copy(), model.means.copy(), model.variances.copy())
             bump = flat.copy()
             bump[i] += eps
-            probe.set_params(bump)
+            set_params(probe, bump)
             hi = -probe.log_density(X).sum()
             bump[i] -= 2 * eps
-            probe.set_params(bump)
+            set_params(probe, bump)
             lo = -probe.log_density(X).sum()
             fd[i] = (hi - lo) / (2 * eps)
         denom = max(np.linalg.norm(fd), 1e-12)
@@ -547,7 +548,7 @@ def test_gmm_nll_grad_matches_finite_differences():
 
 def reference_nll_grad(model, X):
     """``nll_grad`` forming every intermediate from X afresh."""
-    resp = model.responsibilities(X)
+    resp = responsibilities(model, X)
     diff = X[:, None, :] - model.means[None, :, :]
     g_mean = -np.sum(resp[:, :, None] * diff / model.variances[None, :, :], axis=0)
     g_logvar = -0.5 * np.sum(
@@ -582,6 +583,34 @@ def test_gmm_nll_grad_over_masked_rows_matches_reference_bitwise():
         assert whole[s].tobytes() == reference_nll_grad(model, X).tobytes()
         assert model.nll_grad(X).tobytes() == whole[s].tobytes()
         assert_bitwise_equal(L[:, s], model.log_density(X))
+
+
+def test_gmm_stack_log_density_row_blocks_match_whole_batch_bitwise(monkeypatch):
+    # held-out scoring runs in row blocks of bounded size; a block's rows
+    # have the bits of the same rows scored in one whole-batch forward pass
+    rng = np.random.default_rng(11)
+    models = []
+    for _ in range(5):
+        w = rng.random(3) + 0.2
+        models.append(
+            GmmModel(w / w.sum(), rng.normal(size=(3, 2)), rng.uniform(0.03, 3.0, (3, 2)))
+        )
+    stack = GmmStack(models)
+    X = rng.normal(size=(1000, 2)) * 3.0
+    whole = stack.forward(X)[1]
+    rows = []
+    forward = GmmStack.forward
+
+    def counted(self, X):
+        rows.append(len(X))
+        return forward(self, X)
+
+    monkeypatch.setattr(GmmStack, "forward", counted)
+    got = stack.log_density(X)
+    per_block = density._GMM_BLOCK_BYTES // (8 * stack.means.size)
+    assert max(rows) == per_block < len(X) and sum(rows) == len(X)
+    assert got.tobytes() == whole.tobytes()
+    assert stack.log_density(X[:0]).shape == (0, 5)
 
 
 @pytest.mark.parametrize(
@@ -626,7 +655,7 @@ def test_gmm_apply_grad_matches_set_params_bitwise():
     g[6 + 2] = 1e4  # the log-variance of variances[0, 2]
     for lr in (0.05, 1.0):
         ref = GmmModel(model.weights.copy(), model.means.copy(), model.variances.copy())
-        ref.set_params(model.params - lr * g)
+        set_params(ref, model.params - lr * g)
         model.apply_grad(g, lr)
         for name in ("weights", "means", "variances"):
             assert_bitwise_equal(getattr(model, name), getattr(ref, name))

@@ -11,12 +11,13 @@ from conftest import ConstantClassifier, fast_experiment_doc
 
 from densemble import cli, serialize
 from densemble.calibration import CalibrationConfig
+from densemble.classifiers import ClassifierStack, SoftmaxRegression
 from densemble.datasets import read_csv
 from densemble.density import KdeModel
 from densemble.ensemble import evaluate_objective
 from densemble.harness import (
     PRESET_NAMES,
-    build_party,
+    build_parties,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -290,12 +291,46 @@ def test_stream_seeds_shapes_and_distinctness():
 
 
 def test_build_party_rejects_unknown_family(fast_config):
-    _, _, shards = prepare_data(fast_config, stream_seeds(0, 3))
+    seeds = stream_seeds(0, 3)
+    _, _, shards = prepare_data(fast_config, seeds)
     for block in ("classifier", "estimator"):
         pcfg = fast_config.parties[0]
         pcfg = replace(pcfg, **{block: replace(getattr(pcfg, block), type="forest")})
         with pytest.raises(KeyError, match="forest"):
-            build_party(pcfg, shards[0], 1, 2, 3, pretrain=False)
+            build_parties([pcfg], shards[:1], seeds, pretrain=False)
+
+
+def test_splitd_trains_in_lockstep_and_calibrates_one_classifier_stack(monkeypatch):
+    # splitD's seven softmax parties share family, shapes, shard size and
+    # training settings: local training is one loop of stacked minibatch
+    # steps, and a calibration step is one stacked forward and backward pass
+    cfg = replace(
+        load_config("splitD"), calibration=CalibrationConfig(steps=3, batch=64, eval_every=3)
+    )
+    batches = []
+    forward = SoftmaxRegression._forward
+
+    def counted(params, X):
+        if np.ndim(X) == 3:  # one batch per classifier: a training step
+            batches.append(np.shape(X))
+        return forward(params, X)
+
+    monkeypatch.setattr(SoftmaxRegression, "_forward", staticmethod(counted))
+    passes = []
+    for name in ("forward", "backward"):
+        original = getattr(ClassifierStack, name)
+
+        def stacked(self, X, *rest, name=name, original=original):
+            passes.append((name, len(self.models), len(X)))
+            return original(self, X, *rest)
+
+        monkeypatch.setattr(ClassifierStack, name, stacked)
+    report = run_experiment(cfg)
+    # 200 epochs of 140 rows in batches of 32: four full batches and one of 12
+    assert len(batches) == 200 * 5
+    assert sorted(set(batches)) == [(7, 12, 2), (7, 32, 2)]
+    assert passes == [("forward", 7, 64), ("backward", 7, 64)] * 3
+    assert report.calibrated_accuracy is not None
 
 
 def test_single_party_ensemble_equals_its_classifier():

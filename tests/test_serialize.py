@@ -305,6 +305,36 @@ MALFORMED = {
     "estimator-string-bandwidth": (
         "party_0.json", lambda doc: doc["estimator"].update(bandwidth="0.2"),
     ),
+    "array-string-cell": (
+        "party_0.json", lambda doc: doc["classifier"]["b"].update(data=["0.5", 1.0]),
+    ),
+    "array-boolean-cell": (
+        "party_0.json", lambda doc: doc["classifier"]["b"].update(data=[0.5, True]),
+    ),
+    "array-nested-cell": (
+        "party_0.json", lambda doc: doc["classifier"]["b"].update(data=[[0.5], [1.0]]),
+    ),
+    "array-huge-integer-cell": (
+        "party_0.json", lambda doc: doc["classifier"]["b"].update(data=[0.5, 10**400]),
+    ),
+    "array-negative-shape": (
+        "party_0.json", lambda doc: doc["classifier"]["b"].update(shape=[-1]),
+    ),
+    "array-inferred-shape": (
+        "party_0.json", lambda doc: doc["estimator"]["points"].update(shape=[-1, 2]),
+    ),
+    "array-fractional-shape": (
+        "party_0.json", lambda doc: doc["classifier"]["b"].update(shape=[2.0]),
+    ),
+    "array-boolean-shape": (
+        "party_0.json", lambda doc: doc["estimator"]["points"].update(shape=[5, True]),
+    ),
+    "array-shape-not-list": (
+        "party_0.json", lambda doc: doc["classifier"]["b"].update(shape=2),
+    ),
+    "array-data-not-list": (
+        "party_0.json", lambda doc: doc["classifier"]["b"].update(data="0.5,1.0"),
+    ),
 }
 
 

@@ -30,6 +30,10 @@ clipping, so every batch row feeds every mixture's gradient.
 ``splitD-mixed-shapes`` gives parties 1 and 4 three-component mixtures and
 updates densities with clipping and noise, so two stacks of mixtures (three
 and four components) interleave in the flat gradient.
+``splitD-mixed-classifiers`` makes parties 1 and 4 MLPs with 16 hidden units
+and updates densities with clipping and noise: the five softmax parties
+train in lockstep as one stack and the two MLPs as another, and the two
+classifier stacks interleave in the flat gradient.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ DENSITY_CLIP = {
     "clip": {"clip_norm": 1.0, "noise_sigma": 0.1},
 }
 
-# config name -> (preset, calibration block or None, {party: estimator fields})
+# config name -> (preset, calibration block or None, {party: {block: fields}}),
+# where a block is "classifier" or "estimator"
 CONFIGS = {
     "toy3-raw": ("toy3", {"steps": 300}, {}),
     "splitD-density": ("splitD", DENSITY_CLIP, {}),
@@ -56,9 +61,14 @@ CONFIGS = {
     ),
     "splitA": ("splitA", {"steps": 300}, {}),
     "splitC": ("splitC", {"steps": 300}, {}),
-    "toy3-narrow": ("toy3", None, {j: {"bandwidth": 0.03} for j in range(3)}),
-    "toy3-mixed": ("toy3", DENSITY_CLIP, {2: {"type": "gmm", "components": 4}}),
-    "splitD-mixed-shapes": ("splitD", DENSITY_CLIP, {j: {"components": 3} for j in (1, 4)}),
+    "toy3-narrow": ("toy3", None, {j: {"estimator": {"bandwidth": 0.03}} for j in range(3)}),
+    "toy3-mixed": ("toy3", DENSITY_CLIP, {2: {"estimator": {"type": "gmm", "components": 4}}}),
+    "splitD-mixed-shapes": (
+        "splitD", DENSITY_CLIP, {j: {"estimator": {"components": 3}} for j in (1, 4)}
+    ),
+    "splitD-mixed-classifiers": (
+        "splitD", DENSITY_CLIP, {j: {"classifier": {"type": "mlp", "hidden": 16}} for j in (1, 4)}
+    ),
 }
 
 COMMANDS = {
@@ -85,6 +95,10 @@ COMMANDS = {
     "splitD-mixed-shapes": [
         "calibrate", "--config", "../configs/splitD-mixed-shapes.json",
         "--out", "splitD-mixed-shapes",
+    ],
+    "splitD-mixed-classifiers": [
+        "calibrate", "--config", "../configs/splitD-mixed-classifiers.json",
+        "--out", "splitD-mixed-classifiers",
     ],
     "gen-data": ["gen-data", "--seed", "7", "--n", "3000", "--out", "queries.csv"],
     "splitD-density-eval": [
@@ -122,12 +136,13 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 
 def write_configs(parent_root: str, out: str) -> None:
     os.makedirs(os.path.join(out, "configs"), exist_ok=True)
-    for name, (preset, calibration, estimators) in CONFIGS.items():
+    for name, (preset, calibration, parties) in CONFIGS.items():
         doc = read_preset(parent_root, preset)
         if calibration is not None:
             doc["calibration"] = calibration
-        for j, fields in estimators.items():
-            doc["parties"][j]["estimator"].update(fields)
+        for j, blocks in parties.items():
+            for block, fields in blocks.items():
+                doc["parties"][j][block].update(fields)
         with open(os.path.join(out, "configs", f"{name}.json"), "w") as fh:
             json.dump(doc, fh, indent=2)
 
