@@ -36,12 +36,12 @@ row mask on the stack's responsibilities. Each stack then takes its
 members' blocks of the flat vector through one ``apply_grad``, which leaves
 every member's arrays as views of its row of the stack. Every mode takes
 this one path (``mpce_grad``, either scope, clipping with or without noise),
-and it gives the bits of the unfused per-party composition of ``forward``,
-``backward`` and ``nll_grad``, and of each model stepped alone. What a run
-never changes is computed once per run: each party's local label positions
-over the training labels, the flat gradient's block layout and stacks, and
-the log-densities of the training and held-out sets under every estimator
-that does not train.
+and it gives the bits of the unfused per-party composition, each model's
+backward pass over a fresh forward pass of its rows alone, and of each
+model stepped alone as a stack of one. What a run never changes is computed
+once per run: each party's local label positions over the training labels,
+the flat gradient's block layout and stacks, and the log-densities of the
+training and held-out sets under every estimator that does not train.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ class _Plan:
     frozen: list[int]
     fixed: list[int]
 
-    def apply_grad(self, flat: np.ndarray, lr: float) -> None:
+    def step(self, flat: np.ndarray, lr: float) -> None:
         """Step every trainable model by -lr times its part of ``flat``."""
         for _, stack, idx in self.classifiers + self.mixtures:
             stack.apply_grad(flat[idx], lr)
@@ -367,7 +367,7 @@ def calibrate(
         flat = grad / len(sel)
         if cfg.clip is not None:
             flat = clip_and_noise(flat, cfg.clip, noise_rng)
-        plan.apply_grad(flat, cfg.lr)
+        plan.step(flat, cfg.lr)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
             for cols, stack, _ in plan.mixtures:

@@ -9,14 +9,19 @@ derive from ``FlatClassifier``, which keeps every weight of a model in one
 contiguous float64 buffer. A subclass lists its arrays in ``_names``
 (``("W", "b")`` or ``("W1", "b1", "W2", "b2")``) and each named attribute is a
 reshaped view of that buffer, so the flat vector and the arrays never drift
-apart:
+apart. A lone classifier only holds parameters and scores. Only a
+``ClassifierStack``, of one classifier or several, has backward and step
+methods; ``train`` calls the family's static functions itself:
 
-    forward(X)              -> state (H, P): what backward takes back and
-                               the (n, m) local posterior of a batch
-    backward(X, state, U)   -> flat J^T u, summed over the batch, from that state
-    posterior(X)            -> P alone: (n, m) simplex rows over the local label space
-    params                  -> copy of the flat buffer
-    apply_grad(g, lr)       -> buffer -= lr * g
+    FlatClassifier.posterior(X)   -> (n, m) simplex rows over the local label space
+    FlatClassifier.params         -> copy of the flat buffer
+    ClassifierStack.forward(X)    -> state (H, P): what backward takes back and
+                                     the (S, n, m) local posteriors of a batch
+    ClassifierStack.backward(X, state, U)
+                                  -> (S, P) J^T u, each summed over its batch,
+                                     from that state
+    ClassifierStack.apply_grad(G, lr)
+                                  -> buffer -= lr * G
 
 The arithmetic is written once, for S classifiers of one family and one set
 of parameter shapes stacked along a leading axis. A family supplies its
@@ -31,18 +36,18 @@ shares, (n, dim), or one batch per classifier, (S, n, dim). A lone
 ``FlatClassifier`` is a stack of one whose arrays drop that axis, which
 spares the local-training loop numpy's cost per call of a third dimension.
 ``ClassifierStack`` runs several classifiers at once: it holds their
-parameters as one (S, P) buffer, and each member's flat buffer, scratch
-gradient and named arrays become views of its row. Stacked ``np.matmul``
-makes the same BLAS call for each slice as for that slice alone, and the
-reductions over the batch axis add each slice's rows in the same order, so
-every row of a stack keeps the bits of its classifier alone.
+parameters as one (S, P) buffer, and each member's flat buffer and named
+arrays become views of its row. Stacked ``np.matmul`` makes the same BLAS
+call for each slice as for that slice alone, and the reductions over the
+batch axis add each slice's rows in the same order, so every row of a stack
+keeps the bits of its classifier alone.
 The module function ``global_posterior(model, X, K)`` embeds either family's
 posterior into the K-class simplex, zero-filled outside its label space.
 
 End-to-end calibration saves for backward by hand, as autodiff frameworks
 do: each step runs ``forward`` once per stack, forms the objective from the
-state's ``P``, and hands the same state to ``backward`` with the upstream
-gradient on the local posteriors, so no forward pass is repeated.
+state's ``P``, and hands the same state to the stack's ``backward`` with the
+upstream gradient on the local posteriors, so no forward pass is repeated.
 
 Local training (``train``) runs ``_forward`` once per minibatch and takes
 the cross-entropy's logit gradient directly: ``P - onehot``, formed in place
@@ -53,12 +58,14 @@ train in lockstep, as one stack: each keeps its own seeded shuffle, and a
 minibatch step is one stacked forward pass, backward pass and update for
 all of them.
 
-Both paths write through the same views: each stack, and each lone
-classifier, owns one scratch gradient, viewed once when it is built (and
-again when a classifier is copied or unpickled, since those rebuild each
-array on its own). ``train`` divides the scratch by the batch size and hands
-it to ``apply_grad``; ``backward`` returns a copy of it. Neither allocates a
-gradient per block or concatenates blocks.
+Both paths have ``_backward`` write into views of one scratch gradient,
+made once and overwritten by every step. Each stack owns one, viewed when
+it is built, and ``backward`` returns a copy of it; ``train`` allocates one
+per call, a (P,) buffer for a lone classifier or (S, P) for a lockstep
+stack, divides it by the batch size and subtracts it from the parameters in
+place. Neither allocates a gradient per block or concatenates blocks. A
+classifier's own views are of its parameters only, viewed again when it is
+copied or unpickled, since those rebuild each array on its own.
 """
 
 from __future__ import annotations
@@ -151,19 +158,16 @@ class FlatClassifier:
         self._flat = np.concatenate([a.ravel() for a in arrays])
         ends = np.cumsum([a.size for a in arrays]).tolist()
         self._layout = [(i, j, a.shape) for i, j, a in zip([0] + ends, ends, arrays)]
-        # backward's scratch gradient, viewed once; each call returns a copy
-        self._grad = np.empty_like(self._flat)
         self._bind_views()
         self._index = _LocalIndex(self.label_space)
 
     def _bind_views(self) -> None:
         self._params = _views(self._flat, self._layout)
-        self._grad_views = _views(self._grad, self._layout)
         for name, view in zip(self._names, self._params):
             setattr(self, name, view)
 
     def __setstate__(self, state: dict) -> None:
-        # copy and pickle rebuild each array on its own; view the buffers again
+        # copy and pickle rebuild each array on its own; view the buffer again
         self.__dict__.update(state)
         self._bind_views()
 
@@ -180,26 +184,9 @@ class FlatClassifier:
     def params(self) -> np.ndarray:
         return self._flat.copy()
 
-    def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
-        self._flat -= lr * np.asarray(flat_grad, dtype=np.float64)
-
-    def forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """State ``(H, P)`` of one forward pass over an (n, dim) batch: what
-        ``backward`` takes back and the (n, m) local posterior."""
-        return self._forward(self._params, X)
-
-    def backward(self, X: np.ndarray, state: tuple, upstream: np.ndarray) -> np.ndarray:
-        """Flat gradient of ``sum(upstream * P)``, summed over the batch, from
-        the ``forward(X)`` state of the same batch, as a new vector."""
-        H, P = state
-        U = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-        gz = _softmax_upstream_to_logits(P, U)
-        self._backward(self._params, X, H, gz, self._grad_views)
-        return self._grad.copy()
-
     def posterior(self, x: np.ndarray) -> np.ndarray:
         X, single = _as_batch(x)
-        _, P = self.forward(X)
+        _, P = self._forward(self._params, X)
         return P[0] if single else P
 
 
@@ -314,14 +301,13 @@ class ClassifierStack:
 
     The stack holds the classifiers' parameters as one (S, P) buffer, and a
     scratch gradient of the same shape; row s belongs to ``models[s]``, whose
-    flat buffer, scratch gradient and named arrays become views of that row
-    when the stack is built. A classifier therefore belongs to the last stack
-    built over it. ``forward`` runs the family's arithmetic once for all S
-    classifiers, on a batch they share, (n, dim), or on one batch each,
-    (S, n, dim); ``backward`` forms all S gradients in one pass, and
-    ``apply_grad`` steps all S buffers with one update. Every element goes
-    through the same operations as for a lone classifier, so each row keeps
-    its bits.
+    flat buffer and named arrays become views of that row when the stack is
+    built. A classifier therefore belongs to the last stack built over it.
+    ``forward`` runs the family's arithmetic once for all S classifiers, on
+    a batch they share, (n, dim), or on one batch each, (S, n, dim);
+    ``backward`` forms all S gradients in one pass, and ``apply_grad`` steps
+    all S buffers with one update. Every element goes through the same
+    operations as for a lone classifier, so each row keeps its bits.
     """
 
     def __init__(self, models):
@@ -332,8 +318,8 @@ class ClassifierStack:
         self._forward, self._backward = first._forward, first._backward
         self._flat = np.stack([m._flat for m in self.models])
         self._grad = np.empty_like(self._flat)
-        for model, flat, grad in zip(self.models, self._flat, self._grad):
-            model._flat, model._grad = flat, grad
+        for model, flat in zip(self.models, self._flat):
+            model._flat = flat
             model._bind_views()
         self._params = _views(self._flat, first._layout, rows=True)
         self._grad_views = _views(self._grad, first._layout)
@@ -391,8 +377,9 @@ def train(
     ``ClassifierStack``, and the list of classifiers is returned; each ends
     with the bits it would have trained to alone. Each step runs one forward
     pass, takes the logit gradient ``P - onehot`` in place of the posterior,
-    has ``_backward`` write the batch-summed gradients into the stack's
-    scratch gradient, divides that by the batch size and applies it.
+    has ``_backward`` write the batch-summed gradients into a scratch
+    gradient that the call allocates once, divides that by the batch size
+    and applies it.
     Deterministic for fixed seeds: each classifier's per-epoch shuffles come
     from a private generator seeded with its seed.
     """
@@ -422,7 +409,10 @@ def train(
         stack, members = ClassifierStack(models), slice(None)
     batches = [(members, slice(start, start + batch)) for start in range(0, n, batch)]
     forward, backward = stack._forward, stack._backward
-    params, flat, g, views = stack._params, stack._flat, stack._grad, stack._grad_views
+    params, flat = stack._params, stack._flat
+    # one scratch gradient per call, which each step's _backward overwrites
+    g = np.empty_like(flat)
+    views = _views(g, models[0]._layout)
     rngs = [np.random.default_rng(s) for s in seeds]
     for _ in range(epochs):
         order = np.stack([rng.permutation(n) for rng in rngs]) + first

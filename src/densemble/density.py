@@ -6,24 +6,24 @@ and ``file_fields`` for ``serialize`` and build themselves from their config
 block and their party's shard with ``from_config(cfg, shard, seed)``, and
 ``FAMILIES`` maps each tag to its class: it is the only list of estimator
 families that config validation, ``harness.build_parties`` and ``serialize``
-read. ``GmmModel.apply_grad`` matches ``FlatClassifier.apply_grad``.
-Log-densities are floored at ``LOG_DENSITY_FLOOR`` so a query far from every
-shard exponentiates to a clean zero instead of underflowing into NaN
-arithmetic. Every estimator rejects non-finite parameters when it is built,
-so a party file holding a NaN fails to load instead of scoring NaN or
+read. Log-densities are floored at ``LOG_DENSITY_FLOOR`` so a query far
+from every shard exponentiates to a clean zero instead of underflowing into
+NaN arithmetic. Every estimator rejects non-finite parameters when it is
+built, so a party file holding a NaN fails to load instead of scoring NaN or
 silently dropping a point.
 
 The mixture arithmetic is written once, for S mixtures of one shape (m, d)
 stacked along a leading axis: the component table, the joint table and its
 logsumexp, the NLL gradient and the parameter step (``_gmm_*``).
-``GmmModel`` runs it on a stack of one; ``GmmStack`` runs it on all the
-mixtures a calibration run trains, so a step scores its batch, forms every
-mixture's gradient and moves every mixture's parameters in one pass, not
-one per party. Every element passes through the same operations either
-way, so a stacked row has the bits of its mixture alone. ``forward`` hands
-back the component table with the floored densities, and ``nll_grad``
-takes it back, as the classifiers' ``backward`` takes their ``forward``
-state; its 0/1 row mask selects each mixture's rows.
+``GmmStack`` is the only object that runs it: on all the mixtures a
+calibration run trains, so a step scores its batch, forms every mixture's
+gradient and moves every mixture's parameters in one pass, not one per
+party, and on a stack of one when a lone ``GmmModel`` scores. Every element
+passes through the same operations either way, so a stacked row has the
+bits of its mixture alone. ``forward`` hands back the component table with
+the floored densities, and ``nll_grad`` takes it back, as a classifier
+stack's ``backward`` takes its ``forward`` state; its 0/1 row mask selects
+each mixture's rows.
 
 ``KdeModel.log_density`` is exact to the bit with respect to the plain
 formula ``logsumexp(-sum_c (x_c - p_c)^2 / 2h^2) - norm`` over the whole
@@ -328,9 +328,10 @@ class GmmModel:
         means: (m, d) component means.
         variances: (m, d) per-dimension variances, floored away from zero.
 
-    Scoring, ``nll_grad`` and ``apply_grad`` run the stacked mixture
-    arithmetic on a stack of one; ``params`` is the flat parameter vector
-    whose layout the gradient follows.
+    A mixture holds parameters and scores: ``log_density`` runs
+    ``GmmStack.forward`` on a stack of one, and ``component_log_densities``,
+    which EM uses, the component table alone. Gradients and steps run on a
+    ``GmmStack``, whose layout ``params`` follows.
     """
 
     weights: np.ndarray
@@ -362,40 +363,22 @@ class GmmModel:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _table(self, X: np.ndarray):
-        """``_gmm_table`` at the rows of X, on a stack of one."""
-        return _gmm_table(_queries(X, self.dim), self.means[None], self.variances[None])
-
-    def _joint(self, X: np.ndarray):
-        """``_gmm_table`` and ``_gmm_joint`` at the rows of X, on a stack of one."""
-        diff, scaled, table = self._table(X)
-        return (diff, scaled, *_gmm_joint(table, self.weights[None]))
-
     def component_log_densities(self, X: np.ndarray) -> np.ndarray:
         """(n, m) log N(x | mu_m, diag(var_m)) for each component."""
-        return self._table(X)[2][:, 0]
+        X = _queries(X, self.dim)
+        return _gmm_table(X, self.means[None], self.variances[None])[2][:, 0]
 
     def log_density(self, X: np.ndarray) -> np.ndarray:
-        """Floored log p(x) per row."""
-        return np.maximum(self._joint(X)[3][:, 0], LOG_DENSITY_FLOOR)
+        """Floored log p(x) per row, scored as a stack of one."""
+        return GmmStack([self]).forward(X)[1][:, 0]
 
     @property
     def params(self) -> np.ndarray:
-        """Flat view for gradient updates: means, log-variances, weight logits."""
+        """Flat parameter vector in the layout of ``GmmStack``'s gradients
+        and steps: means, log-variances, weight logits."""
         return np.concatenate(
             [self.means.ravel(), np.log(self.variances).ravel(), np.log(self.weights)]
         )
-
-    def apply_grad(self, flat_grad: np.ndarray, lr: float) -> None:
-        """One step of -lr * flat_grad in ``params`` layout."""
-        g = np.asarray(flat_grad, dtype=np.float64)[None]
-        stepped = _gmm_step(self.weights[None], self.means[None], self.variances[None], g, lr)
-        self.weights, self.means, self.variances = (a[0] for a in stepped)
-
-    def nll_grad(self, X: np.ndarray) -> np.ndarray:
-        """Gradient of -log p(x) in ``params`` layout, summed over rows of X."""
-        state = self._joint(X)
-        return _gmm_nll_grad(*state, self.weights[None], self.variances[None])[0]
 
 
 class GmmStack:
@@ -406,7 +389,7 @@ class GmmStack:
     mixtures in one ``forward``, forms all S gradients in one ``nll_grad``
     and takes one ``apply_grad`` step, where a mixture at a time would repeat
     each of those numpy calls S times. Every element goes through the same
-    operations as in ``GmmModel``'s methods, so each row keeps its bits.
+    operations as in a stack of one, so each row keeps its bits.
     """
 
     def __init__(self, models):

@@ -3,11 +3,14 @@
 The dataclasses are the file format: ``from_json`` builds one from parsed
 JSON by walking its fields and evaluated type hints, and ``to_json`` writes
 it back in field order. Errors are ``ValueError``s that start with the path
-of the offending value, such as ``parties[1].classifier.lr``.
+of the offending value, such as ``parties[1].classifier.lr``. Python's
+``json`` parses ``NaN``, ``Infinity`` and ``-Infinity``; no config number may
+be one of them.
 """
 
 from __future__ import annotations
 
+import math
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -36,7 +39,8 @@ def from_json(tp, value, path: str = ""):
 
     ``tp`` is a dataclass, ``X | None``, ``list[T]``, ``tuple[T, ...]`` or a
     scalar. Scalars need their exact JSON type, except that an integer is
-    converted where a float is expected; a boolean is never an integer.
+    converted where a float is expected; a boolean is never an integer,
+    and a float must be finite.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
@@ -68,6 +72,8 @@ def from_json(tp, value, path: str = ""):
         return float(value)
     if type(value) is not tp:
         raise _error(path, f"expected {_JSON_NAMES[tp]}, got {_kind(value)}")
+    if tp is float and not math.isfinite(value):
+        raise _error(path, f"expected a finite number, got {value}")
     return value
 
 

@@ -188,9 +188,15 @@ def read_predictions(path) -> np.ndarray:
             if not line:
                 continue
             parts = line.split(",")
-            if int(parts[0]) != len(labels):
+            if len(parts) != len(header):
+                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(parts)}")
+            try:
+                index, label = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer cell in {line!r}") from None
+            if index != len(labels):
                 raise ValueError(f"line {lineno}: query_index out of order")
-            labels.append(int(parts[1]))
+            labels.append(label)
     return np.array(labels, dtype=np.int64)
 
 
@@ -216,6 +222,10 @@ def read_trace(path) -> list[TraceRow]:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-            acc = None if parts[2] == "" else float(parts[2])
-            rows.append(TraceRow(int(parts[0]), float(parts[1]), acc))
+            try:
+                step, loss = int(parts[0]), float(parts[1])
+                acc = None if parts[2] == "" else float(parts[2])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-numeric cell in {line!r}") from None
+            rows.append(TraceRow(step, loss, acc))
     return rows

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from densemble.density import GMM_VARIANCE_FLOOR, GmmModel, _gmm_resp, _logsumexp
+from densemble.classifiers import _softmax_upstream_to_logits, _views
+from densemble.density import GMM_VARIANCE_FLOOR, GmmModel, GmmStack, _gmm_resp, _logsumexp
 from densemble.harness import ExperimentConfig, config_from_dict
 
 
@@ -24,7 +25,7 @@ def set_params(model, flat):
     """Overwrite a model's parameters with the flat vector ``flat`` in its
     ``params`` layout: a classifier's buffer takes a copy, and a mixture is
     rebuilt from its means, log-variances (exp'd and floored) and weight
-    logits (softmaxed), as a step of ``apply_grad`` would leave it."""
+    logits (softmaxed), as a ``GmmStack`` step would leave it."""
     flat = np.asarray(flat, dtype=np.float64)
     if flat.shape != model.params.shape:
         raise ValueError(f"expected {model.params.size} parameters, got {flat.shape}")
@@ -40,14 +41,22 @@ def set_params(model, flat):
 
 def posterior_grad(model, x, upstream):
     """A classifier's flat gradient of ``sum(upstream * posterior(x))``: the
-    unfused ``backward`` of a fresh ``forward``."""
+    family's ``_backward`` of a fresh ``_forward``, run on the classifier's
+    own arrays, which have no stack axis, into a new buffer."""
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return model.backward(X, model.forward(X), upstream)
+    U = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
+    H, P = model._forward(model._params, X)
+    g = np.empty_like(model._flat)
+    gz = _softmax_upstream_to_logits(P, U)
+    model._backward(model._params, X, H, gz, _views(g, model._layout))
+    return g
 
 
 def responsibilities(model, X):
-    """(n, m) posterior component memberships of a mixture."""
-    return _gmm_resp(*model._joint(X)[2:])[:, 0]
+    """(n, m) posterior component memberships of a mixture, from the
+    ``forward`` state of a stack of one."""
+    state, _ = GmmStack([model]).forward(X)
+    return _gmm_resp(*state[2:])[:, 0]
 
 
 class LinearDensity:

@@ -251,7 +251,9 @@ def test_density_blocks_appended_when_enabled():
     plain = mpce_grad(ens, x, 0)
     with_mu = mpce_grad(ens, x, 0, update_density=True)
     assert len(with_mu) == len(plain) + len(gmm.params)
-    assert np.allclose(with_mu[-len(gmm.params):], gmm.nll_grad(x[None, :]), atol=1e-12)
+    one = GmmStack([gmm])
+    want = one.nll_grad(one.forward(x[None, :])[0])[0]
+    assert np.allclose(with_mu[-len(gmm.params):], want, atol=1e-12)
 
 
 def test_density_scope_matching_skips_foreign_labels():
@@ -511,13 +513,14 @@ def test_calibrate_rescores_updated_gmm_train_batches(monkeypatch):
     assert stacked == [16] * 10 and rows == []
     stacked.clear()
     calibrate(ens, full, replace(cfg, update_density=False), seed=0)
-    assert rows == [len(full)] and stacked == []
+    # scored once, as a stack of one, and never again per batch
+    assert rows == [len(full)] and stacked == [len(full)]
 
 
 def _fresh_scoring_calibrate(ens, train, cfg, seed, test=None):
     """``calibrate`` without clipping, scoring every batch's and every
     held-out evaluation's log-densities afresh and stepping one model at a
-    time; returns the trace."""
+    time, as a stack of one; returns the trace."""
     rng = np.random.default_rng(seed)
     trace = []
     for step in range(1, cfg.steps + 1):
@@ -529,7 +532,7 @@ def _fresh_scoring_calibrate(ens, train, cfg, seed, test=None):
         flat = grad / len(sel)
         for _, stack, idx in plan.classifiers + plan.mixtures:
             for model, rows in zip(stack.models, idx):
-                model.apply_grad(flat[rows], cfg.lr)
+                type(stack)([model]).apply_grad(flat[rows][None], cfg.lr)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
             acc = ensemble_accuracy(ens, test)
@@ -656,9 +659,9 @@ def test_calibrate_gmm_without_matching_sample_takes_zero_step():
 
 def _unfused_step_grad(ens, X, y, scope):
     """The step from public pieces, one party at a time, each scoring its
-    rows afresh: the objective, every classifier's ``backward`` of a fresh
-    ``forward`` (a classifier without parameters has no block), then every
-    mixture's ``nll_grad`` over the rows in ``scope``."""
+    rows afresh: the objective, every classifier's ``posterior_grad`` on its
+    own arrays (a classifier without parameters has no block), then every
+    mixture's ``nll_grad`` over the rows in ``scope``, as a stack of one."""
     om = evaluate_objective(ens, X)
     score = np.maximum(om.objective[np.arange(len(y)), y], PROBABILITY_FLOOR)
     coeff = om.weights / score[:, None]
@@ -677,7 +680,11 @@ def _unfused_step_grad(ens, X, y, scope):
         if isinstance(est, GmmModel):
             space = party.classifier.label_space
             rows = [i for i, label in enumerate(y) if scope == "all" or label in space]
-            blocks.append(est.nll_grad(X[rows]) if rows else np.zeros(len(est.params)))
+            if rows:
+                one = GmmStack([est])
+                blocks.append(one.nll_grad(one.forward(X[rows])[0])[0])
+            else:
+                blocks.append(np.zeros(len(est.params)))
     return score, blocks
 
 
@@ -741,7 +748,7 @@ def test_stacked_step_matches_per_model_oracle_bitwise(scope):
             ref = copy.deepcopy(model)
             set_params(ref, model.params - lr * block)
             refs.append(ref)
-        plan.apply_grad(grad, lr)
+        plan.step(grad, lr)
         for model, ref in zip(models, refs):
             gmm = isinstance(model, GmmModel)
             for name in ("weights", "means", "variances") if gmm else ("params",):
@@ -779,7 +786,7 @@ def test_calibration_step_runs_one_forward_pass_per_party(monkeypatch, scope):
     # every party's classifier and mixture is scored once per step, through
     # its stack: one forward and one backward pass per classifier stack and
     # one forward pass per mixture stack; only the held-out evaluations score
-    # the classifiers one party at a time
+    # the classifiers one party at a time, through their posteriors
     ens = _interleaved_shapes_setup()
     rng = np.random.default_rng(42)
     space = (0, 1, 2, 3, 4)
@@ -796,7 +803,7 @@ def test_calibration_step_runs_one_forward_pass_per_party(monkeypatch, scope):
 
         monkeypatch.setattr(cls, name, counted)
 
-    counting(FlatClassifier, "forward")
+    counting(FlatClassifier, "posterior")
     counting(ClassifierStack, "forward")
     counting(ClassifierStack, "backward")
     counting(GmmStack, "forward")
@@ -820,7 +827,7 @@ def test_calibration_step_runs_one_forward_pass_per_party(monkeypatch, scope):
     per_step = [8] * cfg.steps
     assert list(rows("ClassifierStack", "forward").values()) == [per_step] * 3
     assert list(rows("ClassifierStack", "backward").values()) == [per_step] * 3
-    assert rows("FlatClassifier", "forward") == {
+    assert rows("FlatClassifier", "posterior") == {
         id(p.classifier): [len(test)] * evals for p in ens.parties
     }
     per_pass = sorted(per_step + [len(test)] * evals)

@@ -9,6 +9,7 @@ import pytest
 from conftest import posterior_grad, set_params
 from densemble.classifiers import (
     ClassifierStack,
+    FlatClassifier,
     MlpClassifier,
     SoftmaxRegression,
     _views,
@@ -139,9 +140,9 @@ def test_train_deterministic():
 
 
 def reference_train(model, ds, lr, epochs, batch, seed):
-    """The unfused SGD loop: per batch a forward pass, the cross-entropy
-    logit gradient P - onehot, ``_backward`` into a fresh flat buffer, then
-    ``apply_grad``."""
+    """The unfused SGD loop on the classifier's own arrays: per batch a
+    forward pass, the cross-entropy logit gradient P - onehot, ``_backward``
+    into a fresh flat buffer, then a step through ``set_params``."""
     y_local = model._index.to_local(ds.labels)
     rng = np.random.default_rng(seed)
     onehot = np.eye(model.num_classes_local)[y_local]
@@ -149,11 +150,11 @@ def reference_train(model, ds, lr, epochs, batch, seed):
         order = rng.permutation(len(ds))
         for start in range(0, len(ds), batch):
             sel = order[start : start + batch]
-            H, P = model.forward(ds.features[sel])
+            H, P = model._forward(model._params, ds.features[sel])
             g = np.empty(len(model.params))
             grads = _views(g, model._layout)
             model._backward(model._params, ds.features[sel], H, P - onehot[sel], grads)
-            model.apply_grad(g / len(sel), lr)
+            set_params(model, model.params - lr * (g / len(sel)))
     return model
 
 
@@ -169,7 +170,8 @@ def jacobian_chain_train(model, ds, lr, epochs, batch, seed):
             sel = order[start : start + batch]
             P = model.posterior(ds.features[sel])
             upstream = -onehot[sel] / np.maximum(P, 1e-300)
-            model.apply_grad(posterior_grad(model, ds.features[sel], upstream) / len(sel), lr)
+            g = posterior_grad(model, ds.features[sel], upstream)
+            set_params(model, model.params - lr * (g / len(sel)))
     return model
 
 
@@ -304,7 +306,7 @@ def test_params_never_alias_and_apply_grad_is_exact(make):
 
     p = model.params
     g = rng.normal(size=p.size)
-    model.apply_grad(g, 0.3)
+    ClassifierStack([model]).apply_grad(g[None], 0.3)
     assert p.tobytes() == before.tobytes()  # params handed out a copy
     twin = cls(*arrays, space)
     set_params(twin, before)
@@ -322,7 +324,7 @@ def test_params_never_alias_and_apply_grad_is_exact(make):
 
 @pytest.mark.parametrize("make", [random_softmax, random_mlp], ids=["softmax", "mlp"])
 def test_copies_view_their_own_buffers(make):
-    # a copy's named arrays and scratch gradient follow its own flat buffers
+    # a copy's named arrays follow its own flat buffer
     rng = np.random.default_rng(13)
     model = make(rng)
     X = rng.normal(size=(4, 3))
@@ -333,6 +335,29 @@ def test_copies_view_their_own_buffers(make):
         set_params(model, flat)
         assert twin.posterior(X).tobytes() == model.posterior(X).tobytes()
         assert posterior_grad(twin, X, U).tobytes() == posterior_grad(model, X, U).tobytes()
+
+
+@pytest.mark.parametrize("make", [random_softmax, random_mlp], ids=["softmax", "mlp"])
+def test_stack_member_copies_view_their_own_buffer(make):
+    # a member's arrays view its row of the stack; a deep copy or a pickle
+    # of it views a buffer of its own, which the stack's steps leave alone
+    rng = np.random.default_rng(14)
+    models = [make(rng), make(rng)]
+    stack = ClassifierStack(models)
+    member = models[1]
+    assert not hasattr(member, "_grad") and not hasattr(FlatClassifier, "_grad")
+    X = rng.normal(size=(4, 3))
+    for twin in (copy.deepcopy(member), pickle.loads(pickle.dumps(member))):
+        assert not hasattr(twin, "_grad")
+        assert not np.shares_memory(twin._flat, stack._flat)
+        for name, view in zip(twin._names, twin._params):
+            assert getattr(twin, name) is view and np.shares_memory(view, twin._flat)
+        before, P = twin.params, twin.posterior(X)
+        stack.apply_grad(rng.normal(size=stack._flat.shape), 0.5)
+        assert twin.params.tobytes() == before.tobytes()
+        assert twin.posterior(X).tobytes() == P.tobytes()
+        set_params(twin, member.params)
+        assert twin.posterior(X).tobytes() == member.posterior(X).tobytes()
 
 
 def _random_stack(rng, family, S, dim, m):
@@ -388,7 +413,7 @@ def test_stack_members_view_their_rows_and_step_together():
         assert m.params.tobytes() == (p - 0.5 * g).tobytes()
         arrays = np.concatenate([getattr(m, name).ravel() for name in m._names])
         assert arrays.tobytes() == m.params.tobytes()
-    models[1].apply_grad(G[1], 1.0)  # a member's own step moves its row
+    set_params(models[1], models[1].params - G[1])  # writing a member moves its row
     X = rng.normal(size=(4, 2))
     assert stack.forward(X)[1][1].tobytes() == models[1].posterior(X).tobytes()
     with pytest.raises(ValueError, match="one family and shape"):

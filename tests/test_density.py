@@ -527,7 +527,8 @@ def test_gmm_nll_grad_matches_finite_differences():
             w / w.sum(), rng.normal(size=(m, d)), rng.uniform(0.5, 2.0, (m, d))
         )
         X = rng.normal(size=(4, d))
-        got = model.nll_grad(X)
+        one = GmmStack([model])
+        got = one.nll_grad(one.forward(X)[0])[0]
         flat = model.params
         eps = 1e-6
         fd = np.zeros_like(flat)
@@ -547,7 +548,7 @@ def test_gmm_nll_grad_matches_finite_differences():
 
 
 def reference_nll_grad(model, X):
-    """``nll_grad`` forming every intermediate from X afresh."""
+    """A mixture's NLL gradient, forming every intermediate from X afresh."""
     resp = responsibilities(model, X)
     diff = X[:, None, :] - model.means[None, :, :]
     g_mean = -np.sum(resp[:, :, None] * diff / model.variances[None, :, :], axis=0)
@@ -581,7 +582,8 @@ def test_gmm_nll_grad_over_masked_rows_matches_reference_bitwise():
         want = reference_nll_grad(model, X[rows]) if len(rows) else np.zeros(got.shape[1])
         assert got[s].tobytes() == want.tobytes()
         assert whole[s].tobytes() == reference_nll_grad(model, X).tobytes()
-        assert model.nll_grad(X).tobytes() == whole[s].tobytes()
+        one = GmmStack([model])
+        assert one.nll_grad(one.forward(X)[0])[0].tobytes() == whole[s].tobytes()
         assert_bitwise_equal(L[:, s], model.log_density(X))
 
 
@@ -656,7 +658,7 @@ def test_gmm_apply_grad_matches_set_params_bitwise():
     for lr in (0.05, 1.0):
         ref = GmmModel(model.weights.copy(), model.means.copy(), model.variances.copy())
         set_params(ref, model.params - lr * g)
-        model.apply_grad(g, lr)
+        GmmStack([model]).apply_grad(g[None], lr)
         for name in ("weights", "means", "variances"):
             assert_bitwise_equal(getattr(model, name), getattr(ref, name))
     assert model.variances[0, 2] == GMM_VARIANCE_FLOOR

@@ -185,6 +185,32 @@ def test_malformed_config_exits_2(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("parties", 0, "classifier", "lr"), math.inf),
+        (("parties", 1, "classifier", "lr"), -math.inf),
+        (("parties", 2, "estimator", "bandwidth"), math.nan),
+        (("calibration", "clip", "clip_norm"), math.inf),
+        (("calibration", "clip", "noise_sigma"), math.nan),
+        (("data", "train_ratio"), math.nan),
+        (("partition", "parties", 1, "fraction"), math.inf),
+    ],
+    ids=lambda v: v[-1] if isinstance(v, tuple) else str(v),
+)
+def test_non_finite_config_numbers_exit_2(keys, value, tmp_path, capsys):
+    # json writes and reads NaN and Infinity; the config reader rejects them
+    doc = fast_experiment_doc()
+    doc["calibration"] = {"clip": {"clip_norm": 1.0, "noise_sigma": 0.1}}
+    _set(*keys, value)(doc)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["train-local", "--config", str(path)]) == 2
+    field_path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+    message = f"error: {field_path}: expected a finite number, got {value}\n"
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
     "num_classes,message",
     [
         (3, "partition.parties[1].classes: [3] outside [0, 3)"),

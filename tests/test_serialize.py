@@ -279,6 +279,42 @@ def test_trace_bad_header_rejected(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1", "line 3: expected 3 fields, got 1"),
+        ("1,0.5", "line 3: expected 3 fields, got 2"),
+        ("1,x,", "line 3: non-numeric cell in '1,x,'"),
+        ("1.5,0.5,", "line 3: non-numeric cell in '1.5,0.5,'"),
+        ("1,0.5,high", "line 3: non-numeric cell in '1,0.5,high'"),
+    ],
+)
+def test_trace_bad_row_names_its_line(tmp_path, row, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"step,loss,test_accuracy\n0,1.0,\n{row}\n")
+    with pytest.raises(ValueError) as err:
+        read_trace(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1", "line 3: expected 3 fields, got 1"),
+        ("1,2,0.5,0.5", "line 3: expected 3 fields, got 4"),
+        ("1,two,0.5", "line 3: non-integer cell in '1,two,0.5'"),
+        ("1.0,2,0.5", "line 3: non-integer cell in '1.0,2,0.5'"),
+        ("2,2,0.5", "line 3: query_index out of order"),
+    ],
+)
+def test_predictions_bad_row_names_its_line(tmp_path, row, message):
+    path = tmp_path / "pred.csv"
+    path.write_text(f"query_index,label,j0\n0,1,0.5\n{row}\n")
+    with pytest.raises(ValueError) as err:
+        read_predictions(path)
+    assert str(err.value) == message
+
+
 MALFORMED = {
     "numeric-model": ("ensemble.json", lambda doc: doc["parties"][0].update(model=5)),
     "missing-model": ("ensemble.json", lambda doc: doc["parties"][0].pop("model")),

@@ -24,9 +24,11 @@ so its scoring and density plot cover the exact KDE tail's sparse case.
 ``toy3-mixed`` gives toy3's third party a GMM and calibrates with
 ``update_density``, clipping and noise, so the flat gradient mixes KDE
 parties (no density block) with a GMM party; ``splitD-density-eval`` loads
-GMM files written after density updates and scores queries with them.
-``splitD-density-all`` updates the GMMs with ``density_scope`` "all" and no
-clipping, so every batch row feeds every mixture's gradient.
+GMM files written after density updates and scores queries with them, and
+``splitD-density-plot`` plots party 0's mixture density from the same files
+on a 150 x 150 grid. ``splitD-density-all`` updates the GMMs with
+``density_scope`` "all" and no clipping, so every batch row feeds every
+mixture's gradient.
 ``splitD-mixed-shapes`` gives parties 1 and 4 three-component mixtures and
 updates densities with clipping and noise, so two stacks of mixtures (three
 and four components) interleave in the flat gradient.
@@ -104,6 +106,10 @@ COMMANDS = {
     "splitD-density-eval": [
         "eval-zeroshot", "--ensemble", "splitD-density/ensemble.json",
         "--data", "queries.csv", "--out", "splitD-density_predictions.csv",
+    ],
+    "splitD-density-plot": [
+        "plot", "--ensemble", "splitD-density/ensemble.json", "--density", "0",
+        "--resolution", "150", "--out", "splitD-density0.svg",
     ],
     "eval-zeroshot": [
         "eval-zeroshot", "--ensemble", "toy3-seed0/ensemble.json",
