@@ -268,10 +268,6 @@ class MlpClassifier(FlatClassifier):
     def dim(self) -> int:
         return self.W1.shape[1]
 
-    @property
-    def hidden(self) -> int:
-        return self.W1.shape[0]
-
     @staticmethod
     def _forward(params, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         W1, b1, W2, b2 = params

@@ -5,16 +5,20 @@ labels that go with it, and the subset of the global label space the party
 can actually observe. Partitioning a dataset according to a ``PartitionSpec``
 produces one such shard per party, with label-biased class assignments and
 optional per-class subsampling fractions.
+
+Every CSV the toolkit touches (datasets, predictions, traces, metrics,
+sweeps) is written by ``_write_columns`` and read by ``_read_columns``:
+one writer and one reader, column by column.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .jsonconfig import from_json, to_json
+from .jsonconfig import from_json, read_json, to_json, write_json
 
 TOY_CIRCLE_RADIUS = 4.0
 TOY_BLOB_SIGMA = 0.8
@@ -23,6 +27,8 @@ TOY_BLOB_SIGMA = 0.8
 # 100% accuracy instead of saturating.
 TOY_OVERLAP_PAIR = (1, 2)
 TOY_OVERLAP_DISTANCE = 3.2
+# ``_read_columns`` splits and parses this many lines at a time.
+_CSV_BLOCK_LINES = 1 << 10
 
 
 @dataclass
@@ -122,14 +128,11 @@ class PartitionSpec:
         return {c for rule in self.parties for c in rule.classes}
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(to_json(self), fh, indent=2)
-            fh.write("\n")
+        write_json(path, to_json(self))
 
     @classmethod
     def load(cls, path) -> "PartitionSpec":
-        with open(path) as fh:
-            return from_json(cls, json.load(fh))
+        return from_json(cls, read_json(path))
 
 
 def toy_blob_means(num_classes: int) -> np.ndarray:
@@ -245,8 +248,9 @@ def write_csv(ds: LocalDataset, path) -> None:
 def _write_columns(path, header: list[str], columns: list) -> None:
     """Write a CSV from its header and one iterable of cell strings per column.
 
-    Formatting a whole column in one ``map`` and joining the rows gives the
-    bytes of formatting cell by cell, in a fraction of the time.
+    Every CSV the toolkit writes goes through here. Formatting a whole column
+    in one ``map`` and joining the rows gives the bytes of formatting cell by
+    cell, in a fraction of the time.
     """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -255,39 +259,77 @@ def _write_columns(path, header: list[str], columns: list) -> None:
             fh.write(rows + "\n")
 
 
+def _read_columns(path, check_header) -> tuple[list[int], list[list]]:
+    """Read a CSV column by column: the mirror of ``_write_columns``.
+
+    ``check_header`` gets the stripped header line, raises ValueError if it
+    is wrong, and returns one parser per leading column to parse; any later
+    columns are counted but not parsed. Lines are stripped and blank ones
+    skipped. Returns the data rows' line numbers and, per parser, the list
+    of its column's parsed cells. A row whose field count differs from the
+    header's, or a cell its parser rejects, raises ValueError naming the
+    first bad line. The lines are split and parsed ``_CSV_BLOCK_LINES`` at a
+    time, so no more than one block's cell strings are held at once.
+    """
+    with open(path) as fh:
+        header = fh.readline().strip()
+        parsers = check_header(header)
+        width = len(header.split(","))
+        linenos, columns = [], [[] for _ in parsers]
+        start = 2
+        while block := [line.strip() for line in islice(fh, _CSV_BLOCK_LINES)]:
+            rows = [line.split(",") for line in block if line]
+            try:
+                if any(len(row) != width for row in rows):
+                    raise ValueError
+                for column, parse, cells in zip(columns, parsers, zip(*rows)):
+                    column.extend(map(parse, cells))
+            except ValueError:
+                raise _bad_line(block, start, width, parsers) from None
+            linenos += [n for n, line in enumerate(block, start) if line]
+            start += len(block)
+    return linenos, columns
+
+
+def _bad_line(lines: list[str], start: int, width: int, parsers) -> ValueError:
+    """The error for the first of ``lines`` (numbered from ``start``) with
+    the wrong field count or a cell its parser rejects: ``non-integer cell``
+    under an ``int`` column, ``non-numeric cell`` under any other."""
+    for lineno, line in enumerate(lines, start):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            return ValueError(f"line {lineno}: expected {width} fields, got {len(cells)}")
+        for parse, cell in zip(parsers, cells):
+            try:
+                parse(cell)
+            except ValueError:
+                kind = "non-integer" if parse is int else "non-numeric"
+                return ValueError(f"line {lineno}: {kind} cell in {line!r}")
+
+
+def _dataset_header(header: str) -> list:
+    """Parsers for ``f0,...,f{d-1},label``: float features, an int label."""
+    if not header:
+        raise ValueError("line 1: missing header")
+    cols = header.split(",")
+    if cols[-1] != "label" or any(c != f"f{i}" for i, c in enumerate(cols[:-1])):
+        raise ValueError(f"line 1: unexpected header {header!r}")
+    return [float] * (len(cols) - 1) + [int]
+
+
 def read_csv(path, num_classes: int | None = None) -> LocalDataset:
     """Read a dataset written by ``write_csv``.
 
     ``num_classes`` defaults to max(label)+1. Malformed rows raise ValueError
     naming the offending line.
     """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ValueError("line 1: missing header")
-        cols = header.split(",")
-        if cols[-1] != "label" or any(c != f"f{i}" for i, c in enumerate(cols[:-1])):
-            raise ValueError(f"line 1: unexpected header {header!r}")
-        dim = len(cols) - 1
-        feats, labels = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != dim + 1:
-                raise ValueError(f"line {lineno}: expected {dim + 1} fields, got {len(parts)}")
-            try:
-                feats.append([float(v) for v in parts[:-1]])
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric feature in {line!r}") from None
-            try:
-                labels.append(int(parts[-1]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer label {parts[-1]!r}") from None
-    features = np.array(feats, dtype=np.float64).reshape(len(feats), dim)
-    label_arr = np.array(labels, dtype=np.int64)
-    space = tuple(sorted(set(labels)))
+    _, columns = _read_columns(path, _dataset_header)
+    labels = columns.pop()
+    features = np.array(columns, dtype=np.float64).reshape(len(columns), len(labels))
     if num_classes is None:
         num_classes = (max(labels) + 1) if labels else 0
-    return LocalDataset(features, label_arr, space, num_classes)
+    return LocalDataset(
+        features.T.copy(), np.array(labels, dtype=np.int64), sorted(set(labels)), num_classes
+    )

@@ -82,17 +82,19 @@ import numpy as np
 # exp(-745) is the smallest positive normal double; anything lower is 0 anyway.
 LOG_DENSITY_FLOOR = -745.0
 GMM_VARIANCE_FLOOR = 1e-6
-# Byte budget of each of the two row blocks that the KDE kernel works in; the
-# block's kept-term index can take as much again.
+# EM stops after this many iterations, or once the mean log-likelihood
+# improves by less than the tolerance.
+GMM_MAX_ITER = 200
+GMM_TOL = 1e-6
+# Byte budget of each of the two row blocks that the KDE kernel works in (the
+# block's kept-term index can take as much again), and of each (rows, S, m, d)
+# table of a mixture row block.
 _BLOCK_BYTES = 1 << 19
 # Below this, exp underflows to exactly 0.0 in double precision.
 _EXP_CUTOFF = -750.0
 # A KDE batch gets one more scoring thread per this many row blocks (several
 # ms of kernel work), up to one thread per CPU.
 _BLOCKS_PER_WORKER = 8
-# Byte budget of each (rows, S, m, d) table of a ``GmmStack.log_density``
-# row block.
-_GMM_BLOCK_BYTES = 1 << 15
 
 
 def _queries(X: np.ndarray, dim: int) -> np.ndarray:
@@ -329,7 +331,7 @@ class GmmModel:
         variances: (m, d) per-dimension variances, floored away from zero.
 
     A mixture holds parameters and scores: ``log_density`` runs
-    ``GmmStack.forward`` on a stack of one, and ``component_log_densities``,
+    ``GmmStack.log_density`` on a stack of one, and ``component_log_densities``,
     which EM uses, the component table alone. Gradients and steps run on a
     ``GmmStack``, whose layout ``params`` follows.
     """
@@ -370,7 +372,7 @@ class GmmModel:
 
     def log_density(self, X: np.ndarray) -> np.ndarray:
         """Floored log p(x) per row, scored as a stack of one."""
-        return GmmStack([self]).forward(X)[1][:, 0]
+        return GmmStack([self]).log_density(X)[:, 0]
 
     @property
     def params(self) -> np.ndarray:
@@ -412,12 +414,12 @@ class GmmStack:
         """(n, S) floored log p(x) under every mixture.
 
         The rows are scored in blocks whose (rows, S, m, d) tables stay
-        within ``_GMM_BLOCK_BYTES``, so memory does not grow with the query
+        within ``_BLOCK_BYTES``, so memory does not grow with the query
         count. Every step of ``forward`` is elementwise or a reduction within
         a row, so the blocks give the bits of one whole-batch ``forward``.
         """
         X = _queries(X, self.means.shape[2])
-        rows = max(1, _GMM_BLOCK_BYTES // (8 * self.means.size))
+        rows = max(1, _BLOCK_BYTES // (8 * self.means.size))
         out = np.empty((len(X), len(self.models)))
         for r0 in range(0, len(X), rows):
             out[r0 : r0 + rows] = self.forward(X[r0 : r0 + rows])[1]
@@ -457,15 +459,14 @@ def gmm_fit(
     X: np.ndarray,
     num_components: int,
     seed: int = 0,
-    max_iter: int = 200,
-    tol: float = 1e-6,
     loglik_trace: list | None = None,
 ) -> GmmModel:
     """Fit a diagonal-covariance GMM by EM.
 
     Means initialise to distance-weighted random training points; iteration
-    stops when the mean log-likelihood improves by less than ``tol``. Passing
-    a list as ``loglik_trace`` collects the per-iteration mean log-likelihood.
+    stops after ``GMM_MAX_ITER`` iterations, or when the mean log-likelihood
+    improves by less than ``GMM_TOL``. Passing a list as ``loglik_trace``
+    collects the per-iteration mean log-likelihood.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -481,7 +482,7 @@ def gmm_fit(
     weights = np.full(m, 1.0 / m)
     model = GmmModel(weights, means, variances)
     prev = -np.inf
-    for _ in range(max_iter):
+    for _ in range(GMM_MAX_ITER):
         logj, log_px = _gmm_joint(model.component_log_densities(X), model.weights)
         ll = float(np.mean(log_px))
         if loglik_trace is not None:
@@ -494,7 +495,7 @@ def gmm_fit(
         variances = np.maximum(sq, GMM_VARIANCE_FLOOR)
         weights = mass / mass.sum()
         model = GmmModel(weights, means, variances)
-        if ll - prev < tol:
+        if ll - prev < GMM_TOL:
             break
         prev = ll
     return model

@@ -31,6 +31,7 @@ from .calibration import CalibrationConfig, TraceRow, calibrate
 from .datasets import (
     LocalDataset,
     PartitionSpec,
+    _write_columns,
     generate_toy,
     partition,
     split_train_test,
@@ -43,7 +44,7 @@ from .ensemble import (
     evaluate_objective,
     max_model_decide,
 )
-from .jsonconfig import from_json, to_json
+from .jsonconfig import from_json, read_json, to_json, write_json
 
 PRESET_NAMES = ("toy3", "splitA", "splitB", "splitC", "splitD")
 
@@ -176,17 +177,16 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def load_config(name_or_path: str) -> ExperimentConfig:
     """Load a config from a file path or a shipped preset name."""
     if os.path.exists(name_or_path):
-        with open(name_or_path) as fh:
-            text = fh.read()
+        doc = read_json(name_or_path)
     elif name_or_path in PRESET_NAMES:
         preset = importlib.resources.files("densemble") / f"presets/{name_or_path}.json"
-        text = preset.read_text()
+        doc = json.loads(preset.read_text())
     else:
         raise ValueError(
             f"config {name_or_path!r} is neither a file nor a preset "
             f"(presets: {', '.join(PRESET_NAMES)})"
         )
-    return config_from_dict(json.loads(text))
+    return config_from_dict(doc)
 
 
 def stream_seeds(root_seed: int, num_parties: int) -> dict:
@@ -342,9 +342,7 @@ def _write_artifacts(
     os.makedirs(out, exist_ok=True)
     echo = config_to_dict(cfg)
     echo["stream_seeds"] = seeds
-    with open(os.path.join(out, "config.json"), "w") as fh:
-        json.dump(echo, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out, "config.json"), echo)
     write_csv(train_ds, os.path.join(out, "train.csv"))
     write_csv(test_ds, os.path.join(out, "test.csv"))
     for j, shard in enumerate(shards):
@@ -355,35 +353,30 @@ def _write_artifacts(
     )
     serialize.write_predictions(os.path.join(out, "predictions_max_model.csv"), mm_labels)
     write_metrics_csv(os.path.join(out, "metrics.csv"), report)
-    with open(os.path.join(out, "metrics.json"), "w") as fh:
-        json.dump(
-            {
-                "seed": report.seed,
-                "ensemble_accuracy": report.ensemble_accuracy,
-                "max_model_accuracy": report.max_model_accuracy,
-                "local_accuracies": report.local_accuracies,
-                "calibrated_accuracy": report.calibrated_accuracy,
-                "timings": report.timings,
-                "stream_seeds": echo["stream_seeds"],
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(
+        os.path.join(out, "metrics.json"),
+        {
+            "seed": report.seed,
+            "ensemble_accuracy": report.ensemble_accuracy,
+            "max_model_accuracy": report.max_model_accuracy,
+            "local_accuracies": report.local_accuracies,
+            "calibrated_accuracy": report.calibrated_accuracy,
+            "timings": report.timings,
+            "stream_seeds": echo["stream_seeds"],
+        },
+    )
     if report.trace:
         serialize.write_trace(os.path.join(out, "trace.csv"), report.trace)
 
 
 def write_metrics_csv(path, report: MetricsReport) -> None:
     """Deterministic ``method,accuracy`` rows (no timings, no wall clock)."""
-    with open(path, "w") as fh:
-        fh.write("method,accuracy\n")
-        fh.write(f"ensemble,{repr(report.ensemble_accuracy)}\n")
-        fh.write(f"max_model,{repr(report.max_model_accuracy)}\n")
-        for j, acc in enumerate(report.local_accuracies):
-            fh.write(f"party_{j},{repr(acc)}\n")
-        if report.calibrated_accuracy is not None:
-            fh.write(f"calibrated,{repr(report.calibrated_accuracy)}\n")
+    rows = [("ensemble", report.ensemble_accuracy), ("max_model", report.max_model_accuracy)]
+    rows += [(f"party_{j}", acc) for j, acc in enumerate(report.local_accuracies)]
+    if report.calibrated_accuracy is not None:
+        rows.append(("calibrated", report.calibrated_accuracy))
+    methods, accuracies = zip(*rows)
+    _write_columns(path, ["method", "accuracy"], [methods, map(repr, accuracies)])
 
 
 def sweep(
@@ -421,7 +414,6 @@ def sweep_summary(reports: list[MetricsReport]) -> dict[str, tuple[float, float]
 
 def write_sweep_csv(path, reports: list[MetricsReport]) -> None:
     summary = sweep_summary(reports)
-    with open(path, "w") as fh:
-        fh.write("method,mean,std\n")
-        for name, (mean, std) in summary.items():
-            fh.write(f"{name},{repr(mean)},{repr(std)}\n")
+    means, stds = zip(*summary.values())
+    columns = [summary.keys(), map(repr, means), map(repr, stds)]
+    _write_columns(path, ["method", "mean", "std"], columns)

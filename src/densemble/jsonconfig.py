@@ -1,4 +1,9 @@
-"""Typed JSON reading and writing for the config dataclasses.
+"""JSON files, and typed JSON reading and writing for the config dataclasses.
+
+``read_json`` and ``write_json`` are the only places the toolkit opens a JSON
+file: a config, its echo, a partition spec, a manifest, a party file or
+``metrics.json``. A file that is not valid JSON raises a ``ValueError`` that
+names it.
 
 The dataclasses are the file format: ``from_json`` builds one from parsed
 JSON by walking its fields and evaluated type hints, and ``to_json`` writes
@@ -10,6 +15,7 @@ be one of them.
 
 from __future__ import annotations
 
+import json
 import math
 import types
 import typing
@@ -24,6 +30,23 @@ _JSON_NAMES = {
     dict: "object",
     type(None): "null",
 }
+
+
+def read_json(path):
+    """The parsed JSON document in ``path``; a file that does not parse
+    raises a ValueError naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+
+
+def write_json(path, doc, indent: int | None = 2) -> None:
+    """``doc`` as JSON plus a final newline; ``indent=None`` writes one line."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
 
 
 def _kind(value) -> str:

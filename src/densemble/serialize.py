@@ -1,4 +1,4 @@
-"""JSON round-trip for models and CSV emitters for predictions and traces.
+"""JSON round-trip for models, and the prediction and trace CSVs.
 
 One codec serves every model: ``model_to_dict`` writes ``{"type": type_tag}``
 and then each of the class's ``file_fields``, and ``model_from_dict`` looks
@@ -14,20 +14,23 @@ fractional label are rejected, not coerced. An array's ``shape`` must be a
 list of non-negative integers and its ``data`` a flat list of JSON numbers,
 as many as the shape holds: a string or boolean cell, or a ``-1`` extent for
 numpy to infer, is rejected too.
+
+Party files and manifests go through ``jsonconfig.read_json`` and
+``write_json``, and the CSVs through ``datasets._read_columns`` and
+``_write_columns``; this module opens no file itself.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
 from . import classifiers, density
 from .calibration import TraceRow
-from .datasets import _write_columns
+from .datasets import _read_columns, _write_columns
 from .ensemble import EnsembleModel, PartyModel, build_ensemble
-from .jsonconfig import from_json
+from .jsonconfig import from_json, read_json, write_json
 
 _MODELS = {**classifiers.FAMILIES, **density.FAMILIES}
 
@@ -92,9 +95,7 @@ def save_party(party: PartyModel, path) -> None:
         "estimator": model_to_dict(party.estimator),
         "shard_size": party.shard_size,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc, indent=None)
 
 
 def _malformed(path, what: str, err: Exception) -> ValueError:
@@ -103,8 +104,7 @@ def _malformed(path, what: str, err: Exception) -> ValueError:
 
 
 def load_party(path) -> PartyModel:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     try:
         return PartyModel(
             model_from_dict(doc["classifier"], classifiers.FAMILIES),
@@ -129,16 +129,13 @@ def save_ensemble(ens: EnsembleModel, out_dir) -> str:
         entries.append({"model": name, "shard_size": party.shard_size})
     manifest = {"num_classes": ens.num_classes, "parties": entries}
     path = os.path.join(out_dir, "ensemble.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
 
 
 def load_ensemble(manifest_path) -> EnsembleModel:
     """Load a manifest and its parties; party files must lie in its directory."""
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
     try:
         num_classes = from_json(int, manifest["num_classes"], "num_classes")
         entries = [
@@ -177,55 +174,49 @@ def write_predictions(path, labels: np.ndarray, objective: np.ndarray | None = N
     _write_columns(path, header, columns)
 
 
+def _predictions_header(header: str) -> list:
+    names = header.split(",")
+    if names[:2] != ["query_index", "label"]:
+        raise ValueError(f"line 1: unexpected predictions header {names}")
+    return [int, int]
+
+
 def read_predictions(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["query_index", "label"]:
-            raise ValueError(f"line 1: unexpected predictions header {header}")
-        labels = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(parts)}")
-            try:
-                index, label = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer cell in {line!r}") from None
-            if index != len(labels):
-                raise ValueError(f"line {lineno}: query_index out of order")
-            labels.append(label)
+    """The label column of a ``write_predictions`` file, whose query indices
+    must count up from 0."""
+    linenos, (index, labels) = _read_columns(path, _predictions_header)
+    for lineno, got, want in zip(linenos, index, range(len(index))):
+        if got != want:
+            raise ValueError(f"line {lineno}: query_index out of order")
     return np.array(labels, dtype=np.int64)
 
 
 def write_trace(path, trace: list[TraceRow]) -> None:
     """CSV ``step,loss,test_accuracy``; accuracy cell blank when not evaluated."""
-    with open(path, "w") as fh:
-        fh.write("step,loss,test_accuracy\n")
-        for row in trace:
-            acc = "" if row.test_accuracy is None else repr(float(row.test_accuracy))
-            fh.write(f"{row.step},{repr(float(row.loss))},{acc}\n")
+    columns = [
+        [str(row.step) for row in trace],
+        [repr(float(row.loss)) for row in trace],
+        ["" if row.test_accuracy is None else repr(float(row.test_accuracy)) for row in trace],
+    ]
+    _write_columns(path, ["step", "loss", "test_accuracy"], columns)
+
+
+def _trace_step(cell: str) -> int:
+    """A step cell. Not ``int`` itself, so a malformed one is reported as a
+    ``non-numeric cell``, as every malformed trace cell is."""
+    return int(cell)
+
+
+def _trace_accuracy(cell: str) -> float | None:
+    return None if cell == "" else float(cell)
+
+
+def _trace_header(header: str) -> list:
+    if header != "step,loss,test_accuracy":
+        raise ValueError(f"line 1: unexpected trace header {header!r}")
+    return [_trace_step, float, _trace_accuracy]
 
 
 def read_trace(path) -> list[TraceRow]:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "step,loss,test_accuracy":
-            raise ValueError(f"line 1: unexpected trace header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                step, loss = int(parts[0]), float(parts[1])
-                acc = None if parts[2] == "" else float(parts[2])
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric cell in {line!r}") from None
-            rows.append(TraceRow(step, loss, acc))
-    return rows
+    _, columns = _read_columns(path, _trace_header)
+    return [TraceRow(*row) for row in zip(*columns)]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from densemble import datasets
 from densemble.datasets import (
     LocalDataset,
     PartitionSpec,
@@ -258,22 +259,42 @@ def test_csv_header_only(tmp_path):
 def test_csv_non_numeric_feature_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,label\n1.0,2.0,0\nx,2.0,1\n")
-    with pytest.raises(ValueError, match="line 3"):
+    with pytest.raises(ValueError) as err:
         read_csv(path)
+    assert str(err.value) == "line 3: non-numeric cell in 'x,2.0,1'"
 
 
 def test_csv_wrong_field_count_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,0\n")
-    with pytest.raises(ValueError, match="line 3"):
+    with pytest.raises(ValueError) as err:
         read_csv(path)
+    assert str(err.value) == "line 3: expected 3 fields, got 2"
 
 
 def test_csv_bad_label_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,label\n1.0,2.0,zero\n")
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError) as err:
         read_csv(path)
+    assert str(err.value) == "line 2: non-integer cell in '1.0,2.0,zero'"
+
+
+def test_csv_lines_counted_across_blocks_and_blank_lines(tmp_path, monkeypatch):
+    # the reader parses a few lines at a time; line numbers run on across
+    # blocks and count the blank lines it skips
+    monkeypatch.setattr(datasets, "_CSV_BLOCK_LINES", 4)
+    rows = [f"{i}.5,{-i},{i % 3}" for i in range(11)]
+    path = tmp_path / "data.csv"
+    path.write_text("f0,f1,label\n" + "\n".join(rows[:5] + ["", "  "] + rows[5:]) + "\n")
+    ds = read_csv(path)
+    assert ds.features[:, 1].tolist() == [-float(i) for i in range(11)]
+    assert ds.labels.tolist() == [i % 3 for i in range(11)]
+    rows[9] = "9.5,nine,0"
+    path.write_text("f0,f1,label\n" + "\n".join(rows[:5] + ["", "  "] + rows[5:]) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_csv(path)
+    assert str(err.value) == "line 13: non-numeric cell in '9.5,nine,0'"
 
 
 def test_csv_bad_header_rejected(tmp_path):

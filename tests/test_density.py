@@ -440,7 +440,8 @@ def test_gmm_responsibilities_simplex():
     assert np.allclose(R.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_gmm_em_loglik_nondecreasing():
+def test_gmm_em_loglik_nondecreasing(monkeypatch):
+    monkeypatch.setattr(density, "GMM_MAX_ITER", 40)
     rng = np.random.default_rng(4)
     for trial in range(20):
         n = int(rng.integers(30, 120))
@@ -452,7 +453,7 @@ def test_gmm_em_loglik_nondecreasing():
             ]
         )
         trace: list = []
-        gmm_fit(X, 3, seed=trial, max_iter=40, loglik_trace=trace)
+        gmm_fit(X, 3, seed=trial, loglik_trace=trace)
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-10), f"trial {trial}: EM decreased by {diffs.min()}"
 
@@ -598,7 +599,7 @@ def test_gmm_stack_log_density_row_blocks_match_whole_batch_bitwise(monkeypatch)
             GmmModel(w / w.sum(), rng.normal(size=(3, 2)), rng.uniform(0.03, 3.0, (3, 2)))
         )
     stack = GmmStack(models)
-    X = rng.normal(size=(1000, 2)) * 3.0
+    X = rng.normal(size=(5000, 2)) * 3.0
     whole = stack.forward(X)[1]
     rows = []
     forward = GmmStack.forward
@@ -609,10 +610,32 @@ def test_gmm_stack_log_density_row_blocks_match_whole_batch_bitwise(monkeypatch)
 
     monkeypatch.setattr(GmmStack, "forward", counted)
     got = stack.log_density(X)
-    per_block = density._GMM_BLOCK_BYTES // (8 * stack.means.size)
+    per_block = density._BLOCK_BYTES // (8 * stack.means.size)
     assert max(rows) == per_block < len(X) and sum(rows) == len(X)
     assert got.tobytes() == whole.tobytes()
     assert stack.log_density(X[:0]).shape == (0, 5)
+
+
+def test_gmm_model_log_density_is_blocked_stack_of_one_bitwise(monkeypatch):
+    # a lone mixture scores through the blocked stack path; across several
+    # row blocks its densities keep the bits of one whole-batch forward pass
+    rng = np.random.default_rng(12)
+    w = rng.random(4) + 0.2
+    g = GmmModel(w / w.sum(), rng.normal(size=(4, 2)), rng.uniform(0.03, 3.0, (4, 2)))
+    per_block = density._BLOCK_BYTES // (8 * g.means.size)
+    X = rng.normal(size=(2 * per_block + 37, 2)) * 3.0
+    whole = GmmStack([g]).forward(X)[1][:, 0]
+    rows = []
+    forward = GmmStack.forward
+
+    def counted(self, X):
+        rows.append(len(X))
+        return forward(self, X)
+
+    monkeypatch.setattr(GmmStack, "forward", counted)
+    got = g.log_density(X)
+    assert rows == [per_block, per_block, 37]
+    assert got.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize(

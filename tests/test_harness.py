@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 import warnings
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from densemble.density import KdeModel
 from densemble.ensemble import evaluate_objective
 from densemble.harness import (
     PRESET_NAMES,
+    MetricsReport,
     build_parties,
     config_from_dict,
     config_to_dict,
@@ -27,6 +29,8 @@ from densemble.harness import (
     stream_seeds,
     sweep,
     sweep_summary,
+    write_metrics_csv,
+    write_sweep_csv,
 )
 
 
@@ -548,6 +552,53 @@ def test_sweep_runs_consecutive_seeds(fast_config, tmp_path):
     assert text[1].startswith("ensemble,")
 
 
+def _report(ensemble, max_model, local, calibrated=None) -> MetricsReport:
+    return MetricsReport(0, ensemble, max_model, local, calibrated, [], {}, {})
+
+
+def reference_write_metrics_csv(path, report):
+    """The line-by-line writer: one f-string per row."""
+    with open(path, "w") as fh:
+        fh.write("method,accuracy\n")
+        fh.write(f"ensemble,{repr(report.ensemble_accuracy)}\n")
+        fh.write(f"max_model,{repr(report.max_model_accuracy)}\n")
+        for j, acc in enumerate(report.local_accuracies):
+            fh.write(f"party_{j},{repr(acc)}\n")
+        if report.calibrated_accuracy is not None:
+            fh.write(f"calibrated,{repr(report.calibrated_accuracy)}\n")
+
+
+def reference_write_sweep_csv(path, reports):
+    """The line-by-line writer: one f-string per method."""
+    with open(path, "w") as fh:
+        fh.write("method,mean,std\n")
+        for name, (mean, std) in sweep_summary(reports).items():
+            fh.write(f"{name},{repr(mean)},{repr(std)}\n")
+
+
+@pytest.mark.parametrize("calibrated", [None, 0.8125])
+def test_metrics_csv_bytes_match_line_by_line_writer(tmp_path, calibrated):
+    # a party whose label space misses the test set reports nan
+    report = _report(0.9833333333333333, 1 / 3, [0.5, float("nan"), 1e-300], calibrated)
+    write_metrics_csv(tmp_path / "got.csv", report)
+    reference_write_metrics_csv(tmp_path / "want.csv", report)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert "party_1,nan\n" in (tmp_path / "got.csv").read_text()
+
+
+@pytest.mark.parametrize("calibrated", [False, True])
+def test_sweep_csv_bytes_match_line_by_line_writer(tmp_path, calibrated):
+    rng = np.random.default_rng(3)
+    reports = []
+    for _ in range(4):
+        ensemble, max_model, calibrated_acc = rng.random(3).tolist()
+        local = rng.random(3).tolist()
+        reports.append(_report(ensemble, max_model, local, calibrated_acc if calibrated else None))
+    write_sweep_csv(tmp_path / "got.csv", reports)
+    reference_write_sweep_csv(tmp_path / "want.csv", reports)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_sweep_rejects_zero_seeds(fast_config):
     with pytest.raises(ValueError, match="at least 1"):
         sweep(fast_config, 0)
@@ -731,6 +782,32 @@ def test_cli_missing_spec_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["party", "manifest", "config", "spec"])
+def test_cli_truncated_json_names_its_file_and_exits_2(
+    pipeline_artifacts, tmp_path, capsys, target
+):
+    cfg, _, out = pipeline_artifacts
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    spec = tmp_path / "spec.json"
+    cfg.partition.save(spec)
+    evaluate = ["eval-zeroshot", "--ensemble", str(run / "ensemble.json")]
+    evaluate += ["--data", str(run / "test.csv")]
+    split = ["partition", "--data", str(run / "train.csv"), "--spec", str(spec)]
+    split += ["--out", str(tmp_path / "shards")]
+    path, argv = {
+        "party": (run / "party_1.json", evaluate),
+        "manifest": (run / "ensemble.json", evaluate),
+        "config": (run / "config.json", ["train-local", "--config", str(run / "config.json")]),
+        "spec": (spec, split),
+    }[target]
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "(char " in err, err
 
 
 def test_cli_bad_density_index_exits_2(pipeline_artifacts, tmp_path, capsys):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from densemble import classifiers, cli, density
+from densemble import classifiers, cli, datasets, density
 from densemble.calibration import TraceRow
 from densemble.classifiers import MlpClassifier, SoftmaxRegression
 from densemble.datasets import generate_toy
@@ -272,6 +272,30 @@ def test_trace_round_trip(tmp_path):
     assert lines[1].endswith(",")
 
 
+def reference_write_trace(path, trace):
+    """The line-by-line writer: one f-string per row."""
+    with open(path, "w") as fh:
+        fh.write("step,loss,test_accuracy\n")
+        for row in trace:
+            acc = "" if row.test_accuracy is None else repr(float(row.test_accuracy))
+            fh.write(f"{row.step},{repr(float(row.loss))},{acc}\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 500])
+def test_trace_bytes_match_line_by_line_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    # losses from subnormal to near overflow; accuracy evaluated on a third
+    loss = rng.random(n) * 10.0 ** rng.integers(-320, 300, size=n)
+    trace = [
+        TraceRow(step, float(loss[step]), float(rng.random()) if step % 3 == 0 else None)
+        for step in range(n)
+    ]
+    write_trace(tmp_path / "got.csv", trace)
+    reference_write_trace(tmp_path / "want.csv", trace)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert read_trace(tmp_path / "got.csv") == trace
+
+
 def test_trace_bad_header_rejected(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("a,b\n")
@@ -313,6 +337,19 @@ def test_predictions_bad_row_names_its_line(tmp_path, row, message):
     with pytest.raises(ValueError) as err:
         read_predictions(path)
     assert str(err.value) == message
+
+
+def test_predictions_order_check_counts_blank_lines_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "_CSV_BLOCK_LINES", 3)
+    rows = [f"{i},{i % 2}" for i in range(8)]
+    path = tmp_path / "pred.csv"
+    path.write_text("query_index,label\n" + "\n".join(rows[:2] + [""] + rows[2:]) + "\n")
+    assert read_predictions(path).tolist() == [i % 2 for i in range(8)]
+    rows[6] = "7,0"
+    path.write_text("query_index,label\n" + "\n".join(rows[:2] + [""] + rows[2:]) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_predictions(path)
+    assert str(err.value) == "line 9: query_index out of order"
 
 
 MALFORMED = {

@@ -36,6 +36,9 @@ and four components) interleave in the flat gradient.
 and updates densities with clipping and noise: the five softmax parties
 train in lockstep as one stack and the two MLPs as another, and the two
 classifier stacks interleave in the flat gradient.
+``partition`` loads a partition spec, written to ``OUT/configs`` from the
+toy3 preset's ``partition`` block, and splits the generated queries into
+shard CSVs with it.
 """
 
 from __future__ import annotations
@@ -103,6 +106,10 @@ COMMANDS = {
         "--out", "splitD-mixed-classifiers",
     ],
     "gen-data": ["gen-data", "--seed", "7", "--n", "3000", "--out", "queries.csv"],
+    "partition": [
+        "partition", "--data", "queries.csv", "--spec", "../configs/toy3-partition.json",
+        "--out", "parts",
+    ],
     "splitD-density-eval": [
         "eval-zeroshot", "--ensemble", "splitD-density/ensemble.json",
         "--data", "queries.csv", "--out", "splitD-density_predictions.csv",
@@ -151,6 +158,8 @@ def write_configs(parent_root: str, out: str) -> None:
                 doc["parties"][j][block].update(fields)
         with open(os.path.join(out, "configs", f"{name}.json"), "w") as fh:
             json.dump(doc, fh, indent=2)
+    with open(os.path.join(out, "configs", "toy3-partition.json"), "w") as fh:
+        json.dump(read_preset(parent_root, "toy3")["partition"], fh, indent=2)
 
 
 def read_preset(root: str, preset: str) -> dict:
