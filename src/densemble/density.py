@@ -169,13 +169,17 @@ class KdeModel:
         lock = threading.Lock()
 
         def work(buf, tmp, kept):
-            while True:
-                with lock:
-                    r0 = next(starts, None)
-                if r0 is None:
-                    return
-                rs = slice(r0, r0 + rows)
-                _kde_block(X[rs], pts, -2.0 * h2, buf, tmp, kept, lse[rs])
+            # numpy's error state is per thread: a huge finite query's
+            # distances overflow to inf and its kernel sum is 0, so its
+            # log is -inf, floored below, without a warning
+            with np.errstate(over="ignore", divide="ignore"):
+                while True:
+                    with lock:
+                        r0 = next(starts, None)
+                    if r0 is None:
+                        return
+                    rs = slice(r0, r0 + rows)
+                    _kde_block(X[rs], pts, -2.0 * h2, buf, tmp, kept, lse[rs])
 
         _run_on_threads(work, buffers)
         norm = np.log(m) + 0.5 * self.dim * np.log(2.0 * np.pi * h2)
@@ -406,8 +410,11 @@ class GmmStack:
         """(state, L): what ``nll_grad`` takes back for these rows, and the
         (n, S) floored log-densities."""
         X = _queries(X, self.means.shape[2])
-        diff, scaled, table = _gmm_table(X, self.means, self.variances)
-        logj, lse = _gmm_joint(table, self.weights)
+        # a huge finite query's table overflows to -inf and so does its
+        # logsumexp, floored below, without a warning
+        with np.errstate(over="ignore", divide="ignore"):
+            diff, scaled, table = _gmm_table(X, self.means, self.variances)
+            logj, lse = _gmm_joint(table, self.weights)
         return (diff, scaled, logj, lse), np.maximum(lse, LOG_DENSITY_FLOOR)
 
     def log_density(self, X: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ parse with any XML reader.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .ensemble import EnsembleModel, decide, evaluate_objective
@@ -37,35 +39,40 @@ def _grid_centers(region, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _runs(row: np.ndarray):
-    """Yield (start, stop, value) for maximal constant runs of a 1D array."""
-    start = 0
-    for i in range(1, len(row) + 1):
-        if i == len(row) or row[i] != row[start]:
-            yield start, i, row[start]
-            start = i
+def _marks(template: str, *columns) -> str:
+    """Lines ``template % row`` for each row of the columns, formatted with
+    one ``%`` over every row: ``"%.2f" % x`` has the bytes of ``f"{x:.2f}"``."""
+    cells = [c.tolist() for c in columns]
+    return "\n".join([template] * len(cells[0])) % tuple(chain(*zip(*cells)))
 
 
 def _svg_grid(path, colors: np.ndarray, overlay: str = "") -> None:
     """Write an SVG whose rows of colored cells come from a (r, r) index grid.
 
     ``colors`` holds palette strings; row 0 is the bottom of the region, so
-    rows are flipped into screen coordinates here.
+    rows are flipped into screen coordinates here. Each maximal run of one
+    color within a row is one rectangle.
     """
-    res = colors.shape[0]
+    res, width = colors.shape
     cell = CANVAS / res
+    # a run starts at each row's first cell and wherever a cell's color
+    # differs from its left neighbour's; it stops where the next run of its
+    # row starts, or at the row's end
+    starts = np.ones(colors.shape, dtype=bool)
+    np.not_equal(colors[:, 1:], colors[:, :-1], out=starts[:, 1:])
+    rows, cols = np.nonzero(starts)
+    stops = np.full(len(cols), width)
+    same_row = rows[1:] == rows[:-1]
+    stops[:-1][same_row] = cols[1:][same_row]
+    template = (
+        f'<rect x="%.2f" y="%.2f" width="%.2f" height="{cell + 0.01:.2f}" fill="%s"/>'
+    )
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
-        f'viewBox="0 0 {CANVAS} {CANVAS}">'
+        f'viewBox="0 0 {CANVAS} {CANVAS}">',
+        _marks(template, cols * cell, (res - 1 - rows) * cell, (stops - cols) * cell,
+               colors[rows, cols]),
     ]
-    for row in range(res):
-        screen_y = (res - 1 - row) * cell
-        for start, stop, color in _runs(colors[row]):
-            parts.append(
-                f'<rect x="{start * cell:.2f}" y="{screen_y:.2f}" '
-                f'width="{(stop - start) * cell:.2f}" height="{cell + 0.01:.2f}" '
-                f'fill="{color}"/>'
-            )
     if overlay:
         parts.append(overlay)
     parts.append("</svg>")
@@ -75,15 +82,13 @@ def _svg_grid(path, colors: np.ndarray, overlay: str = "") -> None:
 
 def _point_overlay(region, points: np.ndarray, labels: np.ndarray) -> str:
     xmin, xmax, ymin, ymax = region
-    marks = []
-    for (px, py), label in zip(points, labels):
-        cx = (px - xmin) / (xmax - xmin) * CANVAS
-        cy = (1.0 - (py - ymin) / (ymax - ymin)) * CANVAS
-        marks.append(
-            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.5" '
-            f'fill="{class_color(int(label))}" stroke="#222222" stroke-width="0.6"/>'
-        )
-    return "\n".join(marks)
+    cx = (points[:, 0] - xmin) / (xmax - xmin) * CANVAS
+    cy = (1.0 - (points[:, 1] - ymin) / (ymax - ymin)) * CANVAS
+    fills = np.array(CLASS_PALETTE)[labels.astype(np.int64) % len(CLASS_PALETTE)]
+    template = (
+        '<circle cx="%.2f" cy="%.2f" r="2.5" fill="%s" stroke="#222222" stroke-width="0.6"/>'
+    )
+    return _marks(template, cx, cy, fills)
 
 
 def plot_decision_boundary(

@@ -1,4 +1,4 @@
-"""JSON round-trip for models, and the prediction and trace CSVs.
+"""JSON round-trip for models, and the prediction and trace CSV writers.
 
 One codec serves every model: ``model_to_dict`` writes ``{"type": type_tag}``
 and then each of the class's ``file_fields``, and ``model_from_dict`` looks
@@ -16,8 +16,9 @@ as many as the shape holds: a string or boolean cell, or a ``-1`` extent for
 numpy to infer, is rejected too.
 
 Party files and manifests go through ``jsonconfig.read_json`` and
-``write_json``, and the CSVs through ``datasets._read_columns`` and
-``_write_columns``; this module opens no file itself.
+``write_json``, and the CSVs through ``datasets._write_columns``; this
+module opens no file itself. No program reads a prediction or trace file
+back, so their readers live with the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import classifiers, density
 from .calibration import TraceRow
-from .datasets import _read_columns, _write_columns
+from .datasets import _write_columns
 from .ensemble import EnsembleModel, PartyModel, build_ensemble
 from .jsonconfig import from_json, read_json, write_json
 
@@ -174,23 +175,6 @@ def write_predictions(path, labels: np.ndarray, objective: np.ndarray | None = N
     _write_columns(path, header, columns)
 
 
-def _predictions_header(header: str) -> list:
-    names = header.split(",")
-    if names[:2] != ["query_index", "label"]:
-        raise ValueError(f"line 1: unexpected predictions header {names}")
-    return [int, int]
-
-
-def read_predictions(path) -> np.ndarray:
-    """The label column of a ``write_predictions`` file, whose query indices
-    must count up from 0."""
-    linenos, (index, labels) = _read_columns(path, _predictions_header)
-    for lineno, got, want in zip(linenos, index, range(len(index))):
-        if got != want:
-            raise ValueError(f"line {lineno}: query_index out of order")
-    return np.array(labels, dtype=np.int64)
-
-
 def write_trace(path, trace: list[TraceRow]) -> None:
     """CSV ``step,loss,test_accuracy``; accuracy cell blank when not evaluated."""
     columns = [
@@ -199,24 +183,3 @@ def write_trace(path, trace: list[TraceRow]) -> None:
         ["" if row.test_accuracy is None else repr(float(row.test_accuracy)) for row in trace],
     ]
     _write_columns(path, ["step", "loss", "test_accuracy"], columns)
-
-
-def _trace_step(cell: str) -> int:
-    """A step cell. Not ``int`` itself, so a malformed one is reported as a
-    ``non-numeric cell``, as every malformed trace cell is."""
-    return int(cell)
-
-
-def _trace_accuracy(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
-
-
-def _trace_header(header: str) -> list:
-    if header != "step,loss,test_accuracy":
-        raise ValueError(f"line 1: unexpected trace header {header!r}")
-    return [_trace_step, float, _trace_accuracy]
-
-
-def read_trace(path) -> list[TraceRow]:
-    _, columns = _read_columns(path, _trace_header)
-    return [TraceRow(*row) for row in zip(*columns)]

@@ -1,9 +1,12 @@
-"""Shared test doubles, parameter oracles and fast experiment configs."""
+"""Shared test doubles, parameter oracles, artifact readers and fast
+experiment configs."""
 
 import numpy as np
 import pytest
 
+from densemble.calibration import TraceRow
 from densemble.classifiers import _softmax_upstream_to_logits, _views
+from densemble.datasets import _read_columns
 from densemble.density import GMM_VARIANCE_FLOOR, GmmModel, GmmStack, _gmm_resp, _logsumexp
 from densemble.harness import ExperimentConfig, config_from_dict
 
@@ -85,6 +88,44 @@ class ConstantDensity:
 def random_simplex(rng, shape):
     v = rng.random(shape) + 1e-3
     return v / v.sum(axis=-1, keepdims=True)
+
+
+def _predictions_header(header: str) -> list:
+    names = header.split(",")
+    if names[:2] != ["query_index", "label"]:
+        raise ValueError(f"line 1: unexpected predictions header {names}")
+    return [int, int]
+
+
+def read_predictions(path) -> np.ndarray:
+    """The label column of a ``write_predictions`` file, whose query indices
+    must count up from 0."""
+    linenos, (index, labels) = _read_columns(path, _predictions_header)
+    for lineno, got, want in zip(linenos, index, range(len(index))):
+        if got != want:
+            raise ValueError(f"line {lineno}: query_index out of order")
+    return np.array(labels, dtype=np.int64)
+
+
+def _trace_step(cell: str) -> int:
+    """A step cell. Not ``int`` itself, so a malformed one is reported as a
+    ``non-numeric cell``, as every malformed trace cell is."""
+    return int(cell)
+
+
+def _trace_accuracy(cell: str) -> float | None:
+    return None if cell == "" else float(cell)
+
+
+def _trace_header(header: str) -> list:
+    if header != "step,loss,test_accuracy":
+        raise ValueError(f"line 1: unexpected trace header {header!r}")
+    return [_trace_step, float, _trace_accuracy]
+
+
+def read_trace(path) -> list[TraceRow]:
+    _, columns = _read_columns(path, _trace_header)
+    return [TraceRow(*row) for row in zip(*columns)]
 
 
 def fast_experiment_doc() -> dict:

@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -685,3 +686,28 @@ def test_gmm_apply_grad_matches_set_params_bitwise():
         for name in ("weights", "means", "variances"):
             assert_bitwise_equal(getattr(model, name), getattr(ref, name))
     assert model.variances[0, 2] == GMM_VARIANCE_FLOOR
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_huge_finite_queries_floor_without_warnings(monkeypatch, workers):
+    # (1e200)^2 overflows to inf: the row's density is the floor, and numpy
+    # must not warn about the overflow or the log of a zero kernel sum, on
+    # the calling thread or on a scoring thread
+    monkeypatch.setattr(density, "_cpu_count", lambda: workers)
+    started = count_threads(monkeypatch)
+    rng = np.random.default_rng(11)
+    points = rng.normal(size=(300, 2))
+    # 218 rows per KDE block at 300 points: 6000 rows are 28 blocks, enough
+    # for three workers
+    X = rng.normal(size=(6000, 2))
+    huge = np.arange(0, len(X), 5)
+    X[huge, 0] = 1e200
+    X[huge[::2], 1] = -1e300
+    plain = np.setdiff1d(np.arange(len(X)), huge)
+    for model in (kde_fit(points, 0.1), gmm_fit(points, 3, seed=0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.log_density(X)
+        assert np.all(got[huge] == LOG_DENSITY_FLOOR)
+        assert np.array_equal(got[plain], model.log_density(X[plain]))
+    assert bool(started) == (workers > 1)

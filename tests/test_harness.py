@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import ConstantClassifier, fast_experiment_doc
+from conftest import ConstantClassifier, fast_experiment_doc, read_predictions
 
 from densemble import cli, serialize
 from densemble.calibration import CalibrationConfig
@@ -434,15 +437,15 @@ def test_saved_ensemble_reproduces_predictions(pipeline_artifacts):
     assert ens.num_classes == 5
     test_ds = read_csv(str(out / "test.csv"), num_classes=5)
     om = evaluate_objective(ens, test_ds.features)
-    saved = serialize.read_predictions(str(out / "predictions_ensemble.csv"))
+    saved = read_predictions(str(out / "predictions_ensemble.csv"))
     assert np.array_equal(np.argmax(om.objective, axis=1), saved)
 
 
 def test_metrics_match_emitted_predictions(pipeline_artifacts):
     _, report, out = pipeline_artifacts
     labels = read_csv(str(out / "test.csv"), num_classes=5).labels
-    ens_pred = serialize.read_predictions(str(out / "predictions_ensemble.csv"))
-    mm_pred = serialize.read_predictions(str(out / "predictions_max_model.csv"))
+    ens_pred = read_predictions(str(out / "predictions_ensemble.csv"))
+    mm_pred = read_predictions(str(out / "predictions_max_model.csv"))
     assert float(np.mean(ens_pred == labels)) == report.ensemble_accuracy
     assert float(np.mean(mm_pred == labels)) == report.max_model_accuracy
 
@@ -827,3 +830,21 @@ def test_cli_bad_density_index_exits_2(pipeline_artifacts, tmp_path, capsys):
     )
     assert rc == 2
     assert "party range" in capsys.readouterr().err
+
+
+def test_cli_eval_zeroshot_huge_finite_query_writes_no_warning(pipeline_artifacts, tmp_path):
+    # a child process, so that stderr is exactly what the CLI prints
+    _, _, out = pipeline_artifacts
+    data = tmp_path / "huge.csv"
+    data.write_text("f0,f1,label\n1e200,0.0,0\n0.0,-1e300,3\n0.5,0.5,1\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    argv = ["eval-zeroshot", "--ensemble", str(out / "ensemble.json"), "--data", str(data)]
+    child = "import sys; from densemble import cli; sys.exit(cli.main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "ensemble accuracy" in proc.stdout

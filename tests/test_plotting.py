@@ -15,10 +15,13 @@ from densemble.ensemble import PartyModel, build_ensemble
 from densemble.harness import load_config, prepare_data, stream_seeds
 from densemble.serialize import save_ensemble
 from densemble.plotting import (
+    CANVAS,
     DENSITY_HIGH,
     DENSITY_LOW,
     _grid_centers,
+    _point_overlay,
     _svg_grid,
+    class_color,
     plot_decision_boundary,
     plot_density,
 )
@@ -157,7 +160,7 @@ def reference_plot_density(estimator, region, resolution, path):
                 for a, b in zip(DENSITY_LOW, DENSITY_HIGH)
             )
             colors[row, col] = f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
-    _svg_grid(path, colors)
+    reference_svg_grid(path, colors)
 
 
 @pytest.mark.parametrize("resolution", [1, 7, 60])
@@ -168,6 +171,83 @@ def test_density_svg_bytes_match_per_cell_reference(tmp_path, resolution):
     plot_density(model, region, resolution, tmp_path / "new.svg")
     reference_plot_density(model, region, resolution, tmp_path / "ref.svg")
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+def reference_svg_grid(path, colors, overlay=""):
+    """The per-cell run scan and per-rectangle f-strings that _svg_grid
+    replaces with whole-array passes."""
+    res = colors.shape[0]
+    cell = CANVAS / res
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
+        f'viewBox="0 0 {CANVAS} {CANVAS}">'
+    ]
+    for row in range(res):
+        screen_y = (res - 1 - row) * cell
+        line = colors[row]
+        start = 0
+        for i in range(1, len(line) + 1):
+            if i == len(line) or line[i] != line[start]:
+                parts.append(
+                    f'<rect x="{start * cell:.2f}" y="{screen_y:.2f}" '
+                    f'width="{(i - start) * cell:.2f}" height="{cell + 0.01:.2f}" '
+                    f'fill="{line[start]}"/>'
+                )
+                start = i
+    if overlay:
+        parts.append(overlay)
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
+def reference_point_overlay(region, points, labels):
+    """One f-string per point, as _point_overlay formatted them before it
+    went column-wise."""
+    xmin, xmax, ymin, ymax = region
+    marks = []
+    for (px, py), label in zip(points, labels):
+        cx = (px - xmin) / (xmax - xmin) * CANVAS
+        cy = (1.0 - (py - ymin) / (ymax - ymin)) * CANVAS
+        marks.append(
+            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2.5" '
+            f'fill="{class_color(int(label))}" stroke="#222222" stroke-width="0.6"/>'
+        )
+    return "\n".join(marks)
+
+
+def test_point_overlay_bytes_match_per_point_reference():
+    rng = np.random.default_rng(3)
+    region = (-2.0, 3.0, -1.5, 2.5)
+    points = np.concatenate(
+        [
+            rng.uniform(-4.0, 5.0, size=(300, 2)),  # inside and outside, negative too
+            [[-2.0, 2.5], [-2.00001, 2.50001], [-2.0 - 1e-4, 2.5 + 1e-4]],  # round to -0.00
+            [[3.0, -1.5], [-7.25, -9.5]],
+        ]
+    )
+    labels = np.concatenate([rng.integers(0, 25, 300), [10, 19, 0, 11, 9]])
+    got = _point_overlay(region, points, labels)
+    assert got == reference_point_overlay(region, points, labels)
+    assert 'cx="-0.00"' in got and 'cy="-0.00"' in got
+    assert class_color(10) == class_color(0) and f'fill="{class_color(19)}"' in got
+    assert _point_overlay(region, points[:0], labels[:0]) == ""
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 9, 64])
+def test_svg_grid_bytes_match_per_cell_reference(tmp_path, resolution):
+    rng = np.random.default_rng(resolution)
+    # long runs and single cells: smoothed random labels, a few flipped
+    grid = np.cumsum(rng.random((resolution, resolution)) < 0.15, axis=1) % 3
+    grid[rng.random(grid.shape) < 0.05] = 7
+    colors = np.empty(grid.shape, dtype=object)
+    for k in np.unique(grid):
+        colors[grid == k] = class_color(int(k))
+    overlay = _point_overlay((-1, 1, -1, 1), rng.normal(size=(5, 2)), np.arange(5))
+    for extra in ("", overlay):
+        _svg_grid(tmp_path / "new.svg", colors, extra)
+        reference_svg_grid(tmp_path / "ref.svg", colors, extra)
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
 
 # Run the CLI in a child and print the child's own peak RSS (KiB on Linux).

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import read_predictions, read_trace
 from densemble import classifiers, cli, datasets, density
 from densemble.calibration import TraceRow
 from densemble.classifiers import MlpClassifier, SoftmaxRegression
@@ -17,8 +18,6 @@ from densemble.serialize import (
     load_party,
     model_from_dict,
     model_to_dict,
-    read_predictions,
-    read_trace,
     save_ensemble,
     save_party,
     write_predictions,
