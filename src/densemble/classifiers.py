@@ -136,12 +136,13 @@ class FlatClassifier:
     """Softmax-headed classifier whose weights live in one flat buffer.
 
     Subclasses name their arrays in ``_names``, take them positionally in
-    that order followed by ``label_space``, tag themselves with ``type_tag``
-    and list their stored order in ``file_fields`` (``label_space``, then the
-    arrays) for serialization, and implement ``from_config``,
-    ``_check_shapes``, ``_forward`` and ``_backward``; a subclass is a
-    family once it is in ``FAMILIES``. The named attributes are views of the
-    buffer: modify them in place, never rebind them.
+    that order followed by ``label_space``, tag themselves with ``type_tag``,
+    map each stored field to its kind in ``file_fields`` for serialization
+    (``label_space``, a tuple of ints, then the arrays, in file order), and
+    implement ``from_config``, ``_check_shapes``, ``_forward`` and
+    ``_backward``; a subclass is a family once it is in ``FAMILIES``. The
+    named attributes are views of the buffer: modify them in place, never
+    rebind them.
     """
 
     _names: tuple[str, ...]
@@ -194,7 +195,7 @@ class SoftmaxRegression(FlatClassifier):
     """Linear logits with a softmax head over the local label space."""
 
     _names = ("W", "b")
-    file_fields = ("label_space", *_names)
+    file_fields = {"label_space": tuple[int, ...], **dict.fromkeys(_names, np.ndarray)}
     type_tag = "softmax_regression"
 
     def __init__(self, W, b, label_space):
@@ -236,7 +237,7 @@ class MlpClassifier(FlatClassifier):
     """tanh-hidden-layer perceptron with a softmax head."""
 
     _names = ("W1", "b1", "W2", "b2")
-    file_fields = ("label_space", *_names)
+    file_fields = {"label_space": tuple[int, ...], **dict.fromkeys(_names, np.ndarray)}
     type_tag = "mlp"
 
     def __init__(self, W1, b1, W2, b2, label_space):

@@ -2,8 +2,9 @@
 
 Both estimators expose ``log_density(X) -> (n,)`` so downstream code can mix
 estimator families freely. Like the classifiers, both carry a ``type_tag``
-and ``file_fields`` for ``serialize`` and build themselves from their config
-block and their party's shard with ``from_config(cfg, shard, seed)``, and
+and ``file_fields`` (each stored field and its kind) for ``serialize`` and
+build themselves from their config block and their party's shard with
+``from_config(cfg, shard, seed)``, and
 ``FAMILIES`` maps each tag to its class: it is the only list of estimator
 families that config validation, ``harness.build_parties`` and ``serialize``
 read. Log-densities are floored at ``LOG_DENSITY_FLOOR`` so a query far
@@ -14,16 +15,17 @@ silently dropping a point.
 
 The mixture arithmetic is written once, for S mixtures of one shape (m, d)
 stacked along a leading axis: the component table, the joint table and its
-logsumexp, the NLL gradient and the parameter step (``_gmm_*``).
-``GmmStack`` is the only object that runs it: on all the mixtures a
-calibration run trains, so a step scores its batch, forms every mixture's
-gradient and moves every mixture's parameters in one pass, not one per
-party, and on a stack of one when a lone ``GmmModel`` scores. Every element
-passes through the same operations either way, so a stacked row has the
-bits of its mixture alone. ``forward`` hands back the component table with
-the floored densities, and ``nll_grad`` takes it back, as a classifier
-stack's ``backward`` takes its ``forward`` state; its 0/1 row mask selects
-each mixture's rows.
+logsumexp (``_gmm_*``, which EM shares), and the NLL gradient and the
+parameter step (``GmmStack.nll_grad`` and ``apply_grad``). ``GmmStack`` is
+the only object that scores, differentiates or steps a mixture: on all the
+mixtures a calibration run trains, so a step scores its batch, forms every
+mixture's gradient and moves every mixture's parameters in one pass, not
+one per party, and on a stack of one when a lone ``GmmModel`` scores. Every
+element passes through the same operations either way, so a stacked row
+has the bits of its mixture alone. ``forward`` hands back the component
+table with the floored densities, and ``nll_grad`` takes it back, as a
+classifier stack's ``backward`` takes its ``forward`` state; its 0/1 row
+mask selects each mixture's rows.
 
 ``KdeModel.log_density`` is exact to the bit with respect to the plain
 formula ``logsumexp(-sum_c (x_c - p_c)^2 / 2h^2) - norm`` over the whole
@@ -62,10 +64,14 @@ number of CPUs in the process's affinity mask (``taskset -c 0`` gives one),
 capped so that each worker has at least ``_BLOCKS_PER_WORKER`` (8) row
 blocks, several ms of kernel work: a batch of fewer than 16 blocks
 (toy3's training and test sets, or a calibration batch) starts no thread.
-The calling thread scores blocks too, every worker takes the next block
-from one shared counter, and every thread is joined before
-``log_density`` returns. Each worker has its own block buffers, which the
-calling thread allocates, so peak memory is a few blocks per worker plus
+The calling thread scores blocks too, the other workers run on a standard
+``concurrent.futures`` thread pool (imported only by a batch that starts
+one), and every worker takes the next block from one shared counter. The
+pool's ``with`` block joins every thread before ``log_density`` returns or
+raises, and an error on a pool thread is raised on the calling thread, so
+no scoring thread outlives the call (``harness`` forks only while no other
+thread runs). Each worker has its own block buffers, which the calling
+thread allocates, so peak memory is a few blocks per worker plus
 O(queries). Each row goes through the same operations in the same order on
 whichever thread takes it, and each thread writes only its own rows, so the
 result has the same bits for any worker count.
@@ -121,7 +127,7 @@ class KdeModel:
     bandwidth: float
 
     type_tag = "kde"
-    file_fields = ("bandwidth", "points")
+    file_fields = {"bandwidth": float, "points": np.ndarray}
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -181,7 +187,17 @@ class KdeModel:
                     rs = slice(r0, r0 + rows)
                     _kde_block(X[rs], pts, -2.0 * h2, buf, tmp, kept, lse[rs])
 
-        _run_on_threads(work, buffers)
+        if workers == 1:
+            work(*buffers[0])
+        else:
+            # imported here: only a batch that starts threads pays for it
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(workers - 1) as pool:
+                futures = [pool.submit(work, *b) for b in buffers[1:]]
+                work(*buffers[0])
+                for f in futures:
+                    f.result()
         norm = np.log(m) + 0.5 * self.dim * np.log(2.0 * np.pi * h2)
         return np.maximum(lse - norm, LOG_DENSITY_FLOOR)
 
@@ -192,33 +208,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _run_on_threads(work, args: list) -> None:
-    """Run ``work(*a)`` for each ``a`` in ``args``, the first on this thread.
-
-    Every other call gets its own thread, and all of them are joined before
-    this returns. An exception raised in a thread is raised here once every
-    thread has joined, so nothing is left running either way.
-    """
-    errors = []
-
-    def guarded(*a):
-        try:
-            work(*a)
-        except BaseException as e:  # re-raised on the calling thread
-            errors.append(e)
-
-    threads = [threading.Thread(target=guarded, args=a) for a in args[1:]]
-    for t in threads:
-        t.start()
-    try:
-        work(*args[0])
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
 
 
 def _kde_block(x, pts, scale, buf, tmp, kept, out) -> None:
@@ -283,48 +272,6 @@ def _gmm_resp(logj: np.ndarray, lse: np.ndarray) -> np.ndarray:
     return np.exp(logj - lse[..., None])
 
 
-def _gmm_nll_grad(diff, scaled, logj, lse, weights, variances, mask=None) -> np.ndarray:
-    """(S, 2md + m) gradients of -log p(x), summed over rows, in ``params``
-    layout (means, log-variances, weight logits), one row per mixture.
-
-    ``mask`` is an (n, S) 0/1 table of the rows each mixture sums over, or
-    None for every row. A masked row enters each sum as a signed zero, and
-    numpy starts every sum at +0.0, so the sum keeps the bits of the sum over
-    the mixture's own rows alone; a mixture with no rows gets +0.0.
-    """
-    resp = _gmm_resp(logj, lse)
-    count = len(resp)
-    if mask is not None:
-        resp *= mask[:, :, None]
-        count = np.sum(mask, axis=0)[:, None]
-    w = resp[..., None]
-    S, m, d = variances.shape
-    grad = np.empty((S, 2 * m * d + m))
-    grad[:, : m * d] = -np.sum(w * diff / variances[None], axis=0).reshape(S, m * d)
-    grad[:, m * d : 2 * m * d] = -0.5 * np.sum(w * (scaled - 1.0), axis=0).reshape(S, m * d)
-    grad[:, 2 * m * d :] = count * weights - np.sum(resp, axis=0)
-    if mask is not None:
-        grad[count[:, 0] == 0] = 0.0
-    return grad
-
-
-def _gmm_step(weights, means, variances, grad: np.ndarray, lr: float):
-    """(weights, means, variances) after one step of -lr * grad on S stacked
-    mixtures, ``grad`` (S, 2md + m) in ``params`` layout: means and
-    log-variances move, variances are floored at ``GMM_VARIANCE_FLOOR`` and
-    weights are the softmax of the moved logits."""
-    S, m, d = means.shape
-    if grad.shape != (S, 2 * m * d + m):
-        raise ValueError(f"expected {S} x {2 * m * d + m} gradients, got {grad.shape}")
-    step = lr * grad
-    means = means - step[:, : m * d].reshape(S, m, d)
-    log_var = np.log(variances) - step[:, m * d : 2 * m * d].reshape(S, m, d)
-    variances = np.maximum(np.exp(log_var), GMM_VARIANCE_FLOOR)
-    logits = np.log(weights) - step[:, 2 * m * d :]
-    weights = np.exp(logits - _logsumexp(logits, axis=-1)[:, None])
-    return weights, means, variances
-
-
 @dataclass
 class GmmModel:
     """Gaussian mixture with diagonal covariances.
@@ -335,8 +282,7 @@ class GmmModel:
         variances: (m, d) per-dimension variances, floored away from zero.
 
     A mixture holds parameters and scores: ``log_density`` runs
-    ``GmmStack.log_density`` on a stack of one, and ``component_log_densities``,
-    which EM uses, the component table alone. Gradients and steps run on a
+    ``GmmStack.log_density`` on a stack of one. Gradients and steps run on a
     ``GmmStack``, whose layout ``params`` follows.
     """
 
@@ -345,7 +291,7 @@ class GmmModel:
     variances: np.ndarray
 
     type_tag = "gmm"
-    file_fields = ("weights", "means", "variances")
+    file_fields = dict.fromkeys(("weights", "means", "variances"), np.ndarray)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -368,11 +314,6 @@ class GmmModel:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    def component_log_densities(self, X: np.ndarray) -> np.ndarray:
-        """(n, m) log N(x | mu_m, diag(var_m)) for each component."""
-        X = _queries(X, self.dim)
-        return _gmm_table(X, self.means[None], self.variances[None])[2][:, 0]
 
     def log_density(self, X: np.ndarray) -> np.ndarray:
         """Floored log p(x) per row, scored as a stack of one."""
@@ -433,17 +374,49 @@ class GmmStack:
         return out
 
     def nll_grad(self, state, mask: np.ndarray | None = None) -> np.ndarray:
-        """(S, P) gradients of -log p(x) from a ``forward`` state, each row
-        summed over its mixture's rows of ``mask`` (n, S), or over every row."""
-        return _gmm_nll_grad(*state, self.weights, self.variances, mask)
+        """(S, 2md + m) gradients of -log p(x) from a ``forward`` state, in
+        ``params`` layout (means, log-variances, weight logits), one row per
+        mixture.
+
+        ``mask`` is an (n, S) 0/1 table of the rows each mixture sums over,
+        or None for every row. A masked row enters each sum as a signed zero,
+        and numpy starts every sum at +0.0, so the sum keeps the bits of the
+        sum over the mixture's own rows alone; a mixture with no rows gets
+        +0.0.
+        """
+        diff, scaled, logj, lse = state
+        resp = _gmm_resp(logj, lse)
+        count = len(resp)
+        if mask is not None:
+            resp *= mask[:, :, None]
+            count = np.sum(mask, axis=0)[:, None]
+        w = resp[..., None]
+        S, m, d = self.variances.shape
+        grad = np.empty((S, 2 * m * d + m))
+        grad[:, : m * d] = -np.sum(w * diff / self.variances[None], axis=0).reshape(S, m * d)
+        grad[:, m * d : 2 * m * d] = -0.5 * np.sum(w * (scaled - 1.0), axis=0).reshape(S, m * d)
+        grad[:, 2 * m * d :] = count * self.weights - np.sum(resp, axis=0)
+        if mask is not None:
+            grad[count[:, 0] == 0] = 0.0
+        return grad
 
     def apply_grad(self, grad: np.ndarray, lr: float) -> None:
-        """One step of -lr * grad, (S, P); each model's arrays become views of
-        its row of the new stack."""
-        stepped = _gmm_step(self.weights, self.means, self.variances, grad, lr)
-        self.weights, self.means, self.variances = stepped
-        for s, model in enumerate(self.models):
-            model.weights, model.means, model.variances = (a[s] for a in stepped)
+        """One step of -lr * grad, (S, 2md + m) in ``params`` layout, or
+        ValueError for any other shape: means and log-variances move,
+        variances are floored at ``GMM_VARIANCE_FLOOR`` and weights are the
+        softmax of the moved logits. Each model's arrays become views of its
+        row of the new stack."""
+        S, m, d = self.means.shape
+        if grad.shape != (S, 2 * m * d + m):
+            raise ValueError(f"expected {S} x {2 * m * d + m} gradients, got {grad.shape}")
+        step = lr * grad
+        self.means = self.means - step[:, : m * d].reshape(S, m, d)
+        log_var = np.log(self.variances) - step[:, m * d : 2 * m * d].reshape(S, m, d)
+        self.variances = np.maximum(np.exp(log_var), GMM_VARIANCE_FLOOR)
+        logits = np.log(self.weights) - step[:, 2 * m * d :]
+        self.weights = np.exp(logits - _logsumexp(logits, axis=-1)[:, None])
+        for model, *arrays in zip(self.models, self.weights, self.means, self.variances):
+            model.weights, model.means, model.variances = arrays
 
 
 def _seed_means(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -490,7 +463,8 @@ def gmm_fit(
     model = GmmModel(weights, means, variances)
     prev = -np.inf
     for _ in range(GMM_MAX_ITER):
-        logj, log_px = _gmm_joint(model.component_log_densities(X), model.weights)
+        table = _gmm_table(X, model.means[None], model.variances[None])[2][:, 0]
+        logj, log_px = _gmm_joint(table, model.weights)
         ll = float(np.mean(log_px))
         if loglik_trace is not None:
             loglik_trace.append(ll)

@@ -4,15 +4,22 @@ One codec serves every model: ``model_to_dict`` writes ``{"type": type_tag}``
 and then each of the class's ``file_fields``, and ``model_from_dict`` looks
 the tag up in a family table: ``classifiers.FAMILIES`` for a party file's
 ``classifier`` slot, ``density.FAMILIES`` for its ``estimator`` slot, and
-both for a bare model. No other class is written or read. Arrays are stored
-as ``{"shape": [...], "data": [row-major floats]}`` so a load reproduces the
-exact parameter values (JSON floats carry full double precision). Scalar
-fields, label spaces, shard sizes and the class count are read with
-``jsonconfig.from_json``, so each needs its exact JSON type: a fractional or
-boolean ``shard_size``, a string ``num_classes`` or ``bandwidth`` and a
-fractional label are rejected, not coerced. An array's ``shape`` must be a
-list of non-negative integers and its ``data`` a flat list of JSON numbers,
-as many as the shape holds: a string or boolean cell, or a ``-1`` extent for
+both for a bare model. No other class is written or read. ``file_fields``
+maps each field, in file order, to the kind the class declares for it, and
+a field is decoded by that kind alone, never by the shape of its JSON
+value: ``np.ndarray`` is an array object, ``float`` a JSON number and
+``tuple[int, ...]`` a list of integers (a label space). A field of another
+kind, such as an array object for a label space or a bandwidth, or a plain
+list for mixture weights, raises a ValueError that names the field. Arrays
+are stored as ``{"shape": [...], "data": [row-major floats]}`` so a load
+reproduces the exact parameter values (JSON floats carry full double
+precision). Scalar fields, label spaces, shard sizes and the class count
+are read with ``jsonconfig.from_json``, so each needs its exact JSON type:
+a fractional or boolean ``shard_size``, a string ``num_classes`` or
+``bandwidth`` and a fractional label are rejected, not coerced. An array
+object has no key but ``shape`` and ``data``; its ``shape`` must be a list
+of non-negative integers and its ``data`` a flat list of JSON numbers, as
+many as the shape holds: a string or boolean cell, or a ``-1`` extent for
 numpy to infer, is rejected too.
 
 Party files and manifests go through ``jsonconfig.read_json`` and
@@ -42,19 +49,21 @@ def _encode(value):
     return list(value) if isinstance(value, tuple) else value
 
 
-def _decode(name: str, value):
-    """An array object, a list of ints (a label space) or a float."""
-    if isinstance(value, dict):
+def _decode(name: str, kind, value):
+    """``value`` read as field ``name`` of the declared ``kind``: an array
+    object for ``np.ndarray``, else ``from_json``'s strict reading."""
+    if kind is np.ndarray:
         return _decode_array(name, value)
-    if isinstance(value, list):
-        return from_json(tuple[int, ...], value, name)
-    return from_json(float, value, name)
+    return from_json(kind, value, name)
 
 
-def _decode_array(name: str, value: dict) -> np.ndarray:
-    """An array object read strictly: ``shape`` is a list of non-negative
-    integers and ``data`` a list of JSON numbers (no booleans, strings or
-    nested lists), one per cell, or ValueError."""
+def _decode_array(name: str, value) -> np.ndarray:
+    """An array object read strictly: its keys are ``shape``, a list of
+    non-negative integers, and ``data``, a list of JSON numbers (no booleans,
+    strings or nested lists), one per cell, or ValueError."""
+    value = from_json(dict, value, name)
+    if sorted(value) != ["data", "shape"]:
+        raise ValueError(f"{name}: expected keys 'data' and 'shape', got {sorted(value)}")
     shape = from_json(tuple[int, ...], value["shape"], f"{name}.shape")
     if any(s < 0 for s in shape):
         raise ValueError(f"{name}.shape: negative extent in {list(shape)}")
@@ -87,7 +96,7 @@ def model_from_dict(d: dict, families: dict = _MODELS):
     unknown = sorted(set(d) - {"type", *cls.file_fields})
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {kind!r} model")
-    return cls(**{name: _decode(name, d[name]) for name in cls.file_fields})
+    return cls(**{name: _decode(name, kind, d[name]) for name, kind in cls.file_fields.items()})
 
 
 def save_party(party: PartyModel, path) -> None:
@@ -105,15 +114,21 @@ def _malformed(path, what: str, err: Exception) -> ValueError:
 
 
 def load_party(path) -> PartyModel:
+    """A party file's models and shard size; its classifier and estimator
+    must take queries of one feature dimension."""
     doc = read_json(path)
     try:
-        return PartyModel(
+        party = PartyModel(
             model_from_dict(doc["classifier"], classifiers.FAMILIES),
             model_from_dict(doc["estimator"], density.FAMILIES),
             from_json(int, doc["shard_size"], "shard_size"),
         )
+        c, e = party.classifier.dim, party.estimator.dim
+        if c != e:
+            raise ValueError(f"classifier dim {c} != estimator dim {e}")
     except (KeyError, TypeError, ValueError) as err:
         raise _malformed(path, "party file", err) from None
+    return party
 
 
 def save_ensemble(ens: EnsembleModel, out_dir) -> str:
@@ -135,7 +150,8 @@ def save_ensemble(ens: EnsembleModel, out_dir) -> str:
 
 
 def load_ensemble(manifest_path) -> EnsembleModel:
-    """Load a manifest and its parties; party files must lie in its directory."""
+    """Load a manifest and its parties; party files must lie in its directory
+    and every party must take queries of party 0's feature dimension."""
     manifest = read_json(manifest_path)
     try:
         num_classes = from_json(int, manifest["num_classes"], "num_classes")
@@ -159,6 +175,11 @@ def load_ensemble(manifest_path) -> EnsembleModel:
             raise ValueError(
                 f"manifest shard_size {shard_size} disagrees with "
                 f"{model} ({party.shard_size})"
+            )
+        if parties and party.estimator.dim != parties[0].estimator.dim:
+            raise ValueError(
+                f"{path}: feature dim {party.estimator.dim} differs from "
+                f"party 0's ({parties[0].estimator.dim})"
             )
         parties.append(party)
     return build_ensemble(parties, num_classes=num_classes)

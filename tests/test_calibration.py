@@ -810,7 +810,6 @@ def test_calibration_step_runs_one_forward_pass_per_party(monkeypatch, scope):
     counting(ClassifierStack, "backward")
     counting(GmmStack, "forward")
     counting(GmmModel, "log_density")
-    counting(GmmModel, "component_log_densities")
     cfg = CalibrationConfig(
         lr=0.01, batch=8, steps=7, eval_every=3, update_density=True, density_scope=scope
     )

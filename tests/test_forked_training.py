@@ -7,6 +7,7 @@ import threading
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from densemble import classifiers, density
@@ -234,3 +235,27 @@ def test_no_fork_without_two_groups_two_cpus_and_one_thread(case, monkeypatch):
             thread.join()
     assert calls == []
     assert len(parties) == len(cfg.parties)
+
+
+def test_threaded_kde_scoring_leaves_no_thread_so_training_still_forks(monkeypatch, forks):
+    # forking needs this process to run one thread: a scoring thread that
+    # outlived its batch would make local training run every group here
+    monkeypatch.setattr(density, "_cpu_count", lambda: 2)
+    rng = np.random.default_rng(17)
+    model = density.kde_fit(rng.normal(size=(560, 2)), 0.1)
+    rows = density._BLOCK_BYTES // (8 * 560)
+    scored_on = set()
+    score = density._kde_block
+
+    def recording_block(*args):
+        scored_on.add(threading.get_ident())
+        score(*args)
+
+    monkeypatch.setattr(density, "_kde_block", recording_block)
+    before = threading.active_count()
+    model.log_density(rng.normal(size=(20 * rows, 2)))
+    assert len(scored_on) == 2
+    assert threading.active_count() == before
+    build_parties(*_inputs(load_config("toy3")), pretrain=True)
+    assert len(forks) == 1
+    _assert_reaped(forks)

@@ -429,3 +429,69 @@ def test_malformed_manifest_or_party_file_exits_2(tmp_path, capsys, case):
     rc = cli.main(["eval-zeroshot", "--ensemble", manifest, "--data", str(tmp_path / "x.csv")])
     assert rc == 2
     assert name in capsys.readouterr().err
+
+
+WRONG_KIND = {
+    # fractional labels in an array object would truncate to (0, 1)
+    "label-space-array-object": (
+        "classifier", "label_space", {"shape": [2], "data": [0.5, 1.7]}
+    ),
+    # a 0-d array object would load as a 0-d array and save back as one
+    "bandwidth-array-object": ("estimator", "bandwidth", {"shape": [], "data": [0.5]}),
+    # a plain list would load as the label-space tuple (1,)
+    "weights-plain-list": ("estimator", "weights", [1]),
+    # an array object has exactly the keys shape and data
+    "array-without-data": ("classifier", "b", {"shape": [2]}),
+    "array-with-unknown-key": (
+        "classifier", "b", {"shape": [2], "data": [0.5, 1.0], "dtype": "float32"}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND))
+def test_model_field_of_the_wrong_kind_is_rejected(tmp_path, capsys, case):
+    # every field is read as the kind its class declares, whatever the JSON
+    # value looks like
+    rng = np.random.default_rng(15)
+    estimator = kde_fit(rng.normal(size=(5, 2)), 0.2)
+    if case == "weights-plain-list":
+        estimator = GmmModel(np.ones(1), np.zeros((1, 2)), np.ones((1, 2)))
+    party = PartyModel(
+        SoftmaxRegression(rng.normal(size=(2, 2)), rng.normal(size=2), (0, 1)), estimator, 10
+    )
+    manifest = save_ensemble(build_ensemble([party], num_classes=2), tmp_path / "model")
+    slot, field, value = WRONG_KIND[case]
+    path = tmp_path / "model" / "party_0.json"
+    doc = json.loads(path.read_text())
+    doc[slot][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"malformed party file: {field}: expected"):
+        load_ensemble(manifest)
+    rc = cli.main(["eval-zeroshot", "--ensemble", manifest, "--data", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err
+
+
+@pytest.mark.parametrize("case", ["classifier-vs-estimator", "party-vs-party-0"])
+def test_party_of_another_feature_dimension_is_rejected(tmp_path, capsys, case):
+    rng = np.random.default_rng(16)
+
+    def party(clf_dim, est_dim):
+        clf = SoftmaxRegression(rng.normal(size=(2, clf_dim)), rng.normal(size=2), (0, 1))
+        return PartyModel(clf, kde_fit(rng.normal(size=(5, est_dim)), 0.2), 10)
+
+    if case == "classifier-vs-estimator":
+        parties = [party(2, 2), party(3, 2)]
+    else:
+        parties = [party(2, 2), party(3, 3)]
+    manifest = save_ensemble(build_ensemble(parties, num_classes=2), tmp_path / "model")
+    path = tmp_path / "model" / "party_1.json"
+    with pytest.raises(ValueError) as err:
+        load_ensemble(manifest)
+    assert str(path) in str(err.value)
+    (tmp_path / "x.csv").write_text("f0,f1,label\n0.5,0.5,0\n")
+    rc = cli.main(["eval-zeroshot", "--ensemble", manifest, "--data", str(tmp_path / "x.csv")])
+    assert rc == 2
+    stderr = capsys.readouterr().err
+    assert str(path) in stderr and "dim" in stderr and "matmul" not in stderr
