@@ -32,15 +32,16 @@ gradient ``gz``, each parameter's gradient block, summed over the batch,
 into ``out``, the views of a gradient buffer, with ``np.matmul(..., out=)``
 and ``np.add.reduce(..., out=)``; it allocates no flat vector. Both take a
 stack's arrays with the leading axis, (S, *shape), and a batch the stack
-shares, (n, dim), or one batch per classifier, (S, n, dim). A lone
-``FlatClassifier`` is a stack of one whose arrays drop that axis, which
-spares the local-training loop numpy's cost per call of a third dimension.
-``ClassifierStack`` runs several classifiers at once: it holds their
-parameters as one (S, P) buffer, and each member's flat buffer and named
-arrays become views of its row. Stacked ``np.matmul`` makes the same BLAS
-call for each slice as for that slice alone, and the reductions over the
-batch axis add each slice's rows in the same order, so every row of a stack
-keeps the bits of its classifier alone.
+shares, (n, dim), or one batch per classifier, (S, n, dim); no other
+layout runs them. A lone ``FlatClassifier`` computes as a stack of one:
+``posterior`` views its buffer with a stack axis of length 1, and ``train``
+builds a ``ClassifierStack`` of it. ``ClassifierStack`` holds its
+classifiers' parameters as one (S, P) buffer, and each member's flat buffer
+and named arrays become views of its row. Stacked ``np.matmul`` makes the
+same BLAS call for each slice as for that slice alone, and the reductions
+over the batch axis add each slice's rows in the same order, so every row of
+a stack keeps the bits of its classifier alone.
+
 The module function ``global_posterior(model, X, K)`` embeds either family's
 posterior into the K-class simplex, zero-filled outside its label space.
 
@@ -58,14 +59,13 @@ train in lockstep, as one stack: each keeps its own seeded shuffle, and a
 minibatch step is one stacked forward pass, backward pass and update for
 all of them.
 
-Both paths have ``_backward`` write into views of one scratch gradient,
-made once and overwritten by every step. Each stack owns one, viewed when
-it is built, and ``backward`` returns a copy of it; ``train`` allocates one
-per call, a (P,) buffer for a lone classifier or (S, P) for a lockstep
-stack, divides it by the batch size and subtracts it from the parameters in
-place. Neither allocates a gradient per block or concatenates blocks. A
-classifier's own views are of its parameters only, viewed again when it is
-copied or unpickled, since those rebuild each array on its own.
+Both paths have ``_backward`` write into views of the stack's one scratch
+gradient, (S, P), made and viewed when the stack is built and overwritten
+by every step: ``backward`` returns a copy of it, and ``train`` divides it
+by the batch size and subtracts it from the parameters in place. Neither
+allocates a gradient per block or concatenates blocks. A classifier's own
+views are its named arrays only, viewed again when it is copied or
+unpickled, since those rebuild each array on its own.
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def _views(buf: np.ndarray, layout, rows: bool = False) -> tuple[np.ndarray, ...]:
     """Views of a parameter or gradient buffer, one per named array in
-    ``_names`` order, shaped as the arithmetic takes them: a lone
-    classifier's (P,) buffer gives each array its own shape, a stack's
-    (S, P) buffer gives (S, *shape). With ``rows``, a stack's biases (its
-    1-D arrays) get a row axis, (S, 1, k), so that they broadcast over each
+    ``_names`` order: a classifier's (P,) buffer gives each array its own
+    shape (the named attributes), a stack's (S, P) buffer gives (S, *shape),
+    as the arithmetic takes them. With ``rows``, a stack's biases (its 1-D
+    arrays) get a row axis, (S, 1, k), so that they broadcast over each
     batch's rows."""
     lead = buf.shape[:-1]
     return tuple(
@@ -142,7 +142,9 @@ class FlatClassifier:
     implement ``from_config``, ``_check_shapes``, ``_forward`` and
     ``_backward``; a subclass is a family once it is in ``FAMILIES``. The
     named attributes are views of the buffer: modify them in place, never
-    rebind them.
+    rebind them. A label space is a tuple of non-negative, strictly
+    increasing ints, column i of the posterior being class ``label_space[i]``;
+    any other raises ValueError.
     """
 
     _names: tuple[str, ...]
@@ -152,7 +154,9 @@ class FlatClassifier:
         arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
         if any(a.ndim == 0 for a in arrays):
             raise ValueError("parameters must be arrays, not scalars")
-        self.label_space = tuple(sorted(int(c) for c in label_space))
+        space = self.label_space = tuple(int(c) for c in label_space)
+        if list(space) != sorted(set(space)) or min(space, default=0) < 0:
+            raise ValueError(f"label_space {space}: labels must be >= 0 and strictly increasing")
         self._check_shapes(*arrays)
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValueError("parameters must be finite")
@@ -163,8 +167,7 @@ class FlatClassifier:
         self._index = _LocalIndex(self.label_space)
 
     def _bind_views(self) -> None:
-        self._params = _views(self._flat, self._layout)
-        for name, view in zip(self._names, self._params):
+        for name, view in zip(self._names, _views(self._flat, self._layout)):
             setattr(self, name, view)
 
     def __setstate__(self, state: dict) -> None:
@@ -182,13 +185,18 @@ class FlatClassifier:
         return tuple(shape for _, _, shape in self._layout)
 
     @property
+    def dim(self) -> int:
+        return self._layout[0][2][1]
+
+    @property
     def params(self) -> np.ndarray:
         return self._flat.copy()
 
     def posterior(self, x: np.ndarray) -> np.ndarray:
+        # scored as a stack of one: views of the buffer with a stack axis
         X, single = _as_batch(x)
-        _, P = self._forward(self._params, X)
-        return P[0] if single else P
+        P = self._forward(_views(self._flat[None], self._layout, rows=True), X)[1]
+        return P[0, 0] if single else P[0]
 
 
 class SoftmaxRegression(FlatClassifier):
@@ -214,10 +222,6 @@ class SoftmaxRegression(FlatClassifier):
     @classmethod
     def from_config(cls, cfg, shard: LocalDataset, seed: int) -> "SoftmaxRegression":
         return cls.init_random(shard.dim, shard.label_space, np.random.default_rng(seed))
-
-    @property
-    def dim(self) -> int:
-        return self.W.shape[1]
 
     @staticmethod
     def _forward(params, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,10 +268,6 @@ class MlpClassifier(FlatClassifier):
         return cls.init_random(
             shard.dim, shard.label_space, cfg.hidden, np.random.default_rng(seed)
         )
-
-    @property
-    def dim(self) -> int:
-        return self.W1.shape[1]
 
     @staticmethod
     def _forward(params, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,13 +370,13 @@ def train(
 
     ``model``, ``ds`` and ``seed`` may instead be lists of one length:
     classifiers of one family and parameter shapes, datasets of one size and
-    one seed per classifier. They then train in lockstep as one
-    ``ClassifierStack``, and the list of classifiers is returned; each ends
-    with the bits it would have trained to alone. Each step runs one forward
-    pass, takes the logit gradient ``P - onehot`` in place of the posterior,
-    has ``_backward`` write the batch-summed gradients into a scratch
-    gradient that the call allocates once, divides that by the batch size
-    and applies it.
+    one seed per classifier. They then train in lockstep, and the list of
+    classifiers is returned; each ends with the bits it would have trained
+    to alone. Either way the classifiers train as one ``ClassifierStack``,
+    a lone one as a stack of one. Each step runs one forward pass, takes the
+    logit gradient ``P - onehot`` in place of the posterior, has
+    ``_backward`` write the batch-summed gradients into the stack's scratch
+    gradient, divides that by the batch size and applies it.
     Deterministic for fixed seeds: each classifier's per-epoch shuffles come
     from a private generator seeded with its seed.
     """
@@ -398,18 +398,10 @@ def train(
         [np.eye(m.num_classes_local)[m._index.to_local(d.labels)] for m, d in zip(models, datasets)]
     )
     first = n * np.arange(len(models))[:, None]
-    # a lone classifier is its own stack of one, whose arrays have no stack
-    # axis: its batches drop that axis too
-    if len(models) == 1:
-        stack, members = models[0], 0
-    else:
-        stack, members = ClassifierStack(models), slice(None)
-    batches = [(members, slice(start, start + batch)) for start in range(0, n, batch)]
+    stack = ClassifierStack(models)
+    batches = [np.s_[:, start : start + batch] for start in range(0, n, batch)]
     forward, backward = stack._forward, stack._backward
-    params, flat = stack._params, stack._flat
-    # one scratch gradient per call, which each step's _backward overwrites
-    g = np.empty_like(flat)
-    views = _views(g, models[0]._layout)
+    params, flat, g, views = stack._params, stack._flat, stack._grad, stack._grad_views
     rngs = [np.random.default_rng(s) for s in seeds]
     for _ in range(epochs):
         order = np.stack([rng.permutation(n) for rng in rngs]) + first

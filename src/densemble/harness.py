@@ -30,7 +30,6 @@ stages stay independently perturbable.
 from __future__ import annotations
 
 import importlib.resources
-import json
 import os
 import pickle
 import signal
@@ -146,6 +145,10 @@ class ExperimentConfig:
                 f"parties: got {len(self.parties)} model configs for "
                 f"{len(self.partition.parties)} partition rules"
             )
+        if self.partition.seed != 0:
+            raise ValueError(
+                "partition.seed: set by the pipeline from the top-level seed; change seed"
+            )
         clip = self.calibration.clip if self.calibration is not None else None
         if clip is not None and clip.seed != 0:
             raise ValueError(
@@ -196,7 +199,8 @@ def load_config(name_or_path: str) -> ExperimentConfig:
         doc = read_json(name_or_path)
     elif name_or_path in PRESET_NAMES:
         preset = importlib.resources.files("densemble") / f"presets/{name_or_path}.json"
-        doc = json.loads(preset.read_text())
+        with importlib.resources.as_file(preset) as path:
+            doc = read_json(path)
     else:
         raise ValueError(
             f"config {name_or_path!r} is neither a file nor a preset "

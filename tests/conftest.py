@@ -48,10 +48,11 @@ def posterior_grad(model, x, upstream):
     own arrays, which have no stack axis, into a new buffer."""
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     U = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-    H, P = model._forward(model._params, X)
+    params = _views(model._flat, model._layout)
+    H, P = model._forward(params, X)
     g = np.empty_like(model._flat)
     gz = _softmax_upstream_to_logits(P, U)
-    model._backward(model._params, X, H, gz, _views(g, model._layout))
+    model._backward(params, X, H, gz, _views(g, model._layout))
     return g
 
 

@@ -162,6 +162,7 @@ MALFORMED_CONFIGS = {
         _set("calibration", {"clip": {"clip_norm": 1.0, "seed": 3}}),
         "calibration.clip.seed",
     ),
+    "partition-seed": (_set("partition", "seed", 12345), "partition.seed"),
     "clip-typo": (
         _set("calibration", {"clip": {"clip_norm": 1.0, "nosie_sigma": 0.1}}),
         "calibration.clip.nosie_sigma",

@@ -374,6 +374,15 @@ MALFORMED = {
     "party-fractional-label": (
         "party_0.json", lambda doc: doc["classifier"].update(label_space=[0.2, 1.9]),
     ),
+    "party-negative-label": (
+        "party_0.json", lambda doc: doc["classifier"].update(label_space=[-1, 1]),
+    ),
+    "party-duplicate-label": (
+        "party_0.json", lambda doc: doc["classifier"].update(label_space=[0, 0]),
+    ),
+    "party-unsorted-labels": (
+        "party_0.json", lambda doc: doc["classifier"].update(label_space=[1, 0]),
+    ),
     "estimator-string-bandwidth": (
         "party_0.json", lambda doc: doc["estimator"].update(bandwidth="0.2"),
     ),
