@@ -142,7 +142,7 @@ class FlatClassifier:
     implement ``from_config``, ``_check_shapes``, ``_forward`` and
     ``_backward``; a subclass is a family once it is in ``FAMILIES``. The
     named attributes are views of the buffer: modify them in place, never
-    rebind them. A label space is a tuple of non-negative, strictly
+    rebind them. A label space is a nonempty tuple of non-negative, strictly
     increasing ints, column i of the posterior being class ``label_space[i]``;
     any other raises ValueError.
     """
@@ -155,8 +155,10 @@ class FlatClassifier:
         if any(a.ndim == 0 for a in arrays):
             raise ValueError("parameters must be arrays, not scalars")
         space = self.label_space = tuple(int(c) for c in label_space)
-        if list(space) != sorted(set(space)) or min(space, default=0) < 0:
-            raise ValueError(f"label_space {space}: labels must be >= 0 and strictly increasing")
+        if not space or list(space) != sorted(set(space)) or space[0] < 0:
+            raise ValueError(
+                f"label_space {space}: labels must be nonempty, >= 0 and strictly increasing"
+            )
         self._check_shapes(*arrays)
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValueError("parameters must be finite")

@@ -267,9 +267,10 @@ def _read_columns(path, check_header) -> tuple[list[int], list[list]]:
     columns are counted but not parsed. Lines are stripped and blank ones
     skipped. Returns the data rows' line numbers and, per parser, the list
     of its column's parsed cells. A row whose field count differs from the
-    header's, or a cell its parser rejects, raises ValueError naming the
-    first bad line. The lines are split and parsed ``_CSV_BLOCK_LINES`` at a
-    time, so no more than one block's cell strings are held at once.
+    header's, or a parsed cell that is not ``_plain`` or that its parser
+    rejects, raises ValueError naming the first bad line. The lines are
+    split and parsed ``_CSV_BLOCK_LINES`` at a time, so no more than one
+    block's cell strings are held at once.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -283,6 +284,8 @@ def _read_columns(path, check_header) -> tuple[list[int], list[list]]:
                 if any(len(row) != width for row in rows):
                     raise ValueError
                 for column, parse, cells in zip(columns, parsers, zip(*rows)):
+                    if not _plain("".join(cells)):
+                        raise ValueError
                     column.extend(map(parse, cells))
             except ValueError:
                 raise _bad_line(block, start, width, parsers) from None
@@ -291,10 +294,19 @@ def _read_columns(path, check_header) -> tuple[list[int], list[list]]:
     return linenos, columns
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text`` has no ``_`` and no non-ASCII character: ``float``
+    and ``int`` read Python literal syntax, ``1_0`` as 10 and a full-width
+    ``２`` as 2, which no CSV the toolkit writes holds. Checked on a block's
+    joined cells, so it costs no Python call per cell."""
+    return text.isascii() and "_" not in text
+
+
 def _bad_line(lines: list[str], start: int, width: int, parsers) -> ValueError:
     """The error for the first of ``lines`` (numbered from ``start``) with
-    the wrong field count or a cell its parser rejects: ``non-integer cell``
-    under an ``int`` column, ``non-numeric cell`` under any other."""
+    the wrong field count or a cell its parser rejects or that is not
+    ``_plain``: ``non-integer cell`` under an ``int`` column,
+    ``non-numeric cell`` under any other."""
     for lineno, line in enumerate(lines, start):
         if not line:
             continue
@@ -303,6 +315,8 @@ def _bad_line(lines: list[str], start: int, width: int, parsers) -> ValueError:
             return ValueError(f"line {lineno}: expected {width} fields, got {len(cells)}")
         for parse, cell in zip(parsers, cells):
             try:
+                if not _plain(cell):
+                    raise ValueError
                 parse(cell)
             except ValueError:
                 kind = "non-integer" if parse is int else "non-numeric"

@@ -137,6 +137,12 @@ class KdeModel:
             raise ValueError("parameters must be finite")
         if not (self.bandwidth > 0.0):
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        # log_density divides by h**2, which must neither underflow nor overflow
+        h2 = float(self.bandwidth) * float(self.bandwidth)
+        if not (0.0 < h2 < np.inf):
+            raise ValueError(
+                f"bandwidth {self.bandwidth}: its square {h2} is not finite and positive"
+            )
         self.points = pts
 
     @classmethod

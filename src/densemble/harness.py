@@ -25,6 +25,9 @@ never any other child of the caller.
 All randomness descends from one root seed, split into four named streams
 (data, init, batching, noise) so reruns and sweeps are reproducible while
 stages stay independently perturbable.
+A run's results are one ``MetricsReport``: ``metrics.json`` holds every
+report field except ``trace``, and ``metrics.csv`` and the sweep summary
+read its ``accuracies()`` rows.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -166,7 +169,13 @@ class ExperimentConfig:
 
 @dataclass
 class MetricsReport:
-    """Accuracies, calibration trace, and stage timings of one experiment."""
+    """Accuracies, calibration trace, and stage timings of one experiment.
+
+    The report is the ``metrics.json`` file format: the file holds every
+    field but ``trace``, in field order. The ``stream_seeds`` field holds
+    the dict the ``stream_seeds`` function returns, as ``config.json``
+    records it.
+    """
 
     seed: int
     ensemble_accuracy: float
@@ -175,7 +184,16 @@ class MetricsReport:
     calibrated_accuracy: float | None
     trace: list[TraceRow]
     timings: dict[str, float]
-    stream_seeds: dict[str, int]
+    stream_seeds: dict
+
+    def accuracies(self) -> list[tuple[str, float]]:
+        """``(method, accuracy)`` rows: ensemble, max_model, party_j for each
+        party, then calibrated if the run calibrated."""
+        rows = [("ensemble", self.ensemble_accuracy), ("max_model", self.max_model_accuracy)]
+        rows += [(f"party_{j}", acc) for j, acc in enumerate(self.local_accuracies)]
+        if self.calibrated_accuracy is not None:
+            rows.append(("calibrated", self.calibrated_accuracy))
+        return rows
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -437,22 +455,18 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
         calibrated_accuracy=calibrated_acc,
         trace=trace,
         timings=timings,
-        stream_seeds={k: v for k, v in seeds.items() if isinstance(v, int)},
+        stream_seeds=seeds,
     )
     if cfg.out_dir:
-        _write_artifacts(
-            cfg, seeds, train_ds, test_ds, shards, ens, om, report, ens_labels, mm_labels
-        )
+        _write_artifacts(cfg, train_ds, test_ds, shards, ens, om, report, ens_labels, mm_labels)
     return report
 
 
-def _write_artifacts(
-    cfg, seeds, train_ds, test_ds, shards, ens, om, report, ens_labels, mm_labels
-):
+def _write_artifacts(cfg, train_ds, test_ds, shards, ens, om, report, ens_labels, mm_labels):
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     echo = config_to_dict(cfg)
-    echo["stream_seeds"] = seeds
+    echo["stream_seeds"] = report.stream_seeds
     write_json(os.path.join(out, "config.json"), echo)
     write_csv(train_ds, os.path.join(out, "train.csv"))
     write_csv(test_ds, os.path.join(out, "test.csv"))
@@ -464,29 +478,16 @@ def _write_artifacts(
     )
     serialize.write_predictions(os.path.join(out, "predictions_max_model.csv"), mm_labels)
     write_metrics_csv(os.path.join(out, "metrics.csv"), report)
-    write_json(
-        os.path.join(out, "metrics.json"),
-        {
-            "seed": report.seed,
-            "ensemble_accuracy": report.ensemble_accuracy,
-            "max_model_accuracy": report.max_model_accuracy,
-            "local_accuracies": report.local_accuracies,
-            "calibrated_accuracy": report.calibrated_accuracy,
-            "timings": report.timings,
-            "stream_seeds": echo["stream_seeds"],
-        },
-    )
+    # not to_json, which drops a None calibrated_accuracy
+    metrics = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "trace"}
+    write_json(os.path.join(out, "metrics.json"), metrics)
     if report.trace:
         serialize.write_trace(os.path.join(out, "trace.csv"), report.trace)
 
 
 def write_metrics_csv(path, report: MetricsReport) -> None:
     """Deterministic ``method,accuracy`` rows (no timings, no wall clock)."""
-    rows = [("ensemble", report.ensemble_accuracy), ("max_model", report.max_model_accuracy)]
-    rows += [(f"party_{j}", acc) for j, acc in enumerate(report.local_accuracies)]
-    if report.calibrated_accuracy is not None:
-        rows.append(("calibrated", report.calibrated_accuracy))
-    methods, accuracies = zip(*rows)
+    methods, accuracies = zip(*report.accuracies())
     _write_columns(path, ["method", "accuracy"], [methods, map(repr, accuracies)])
 
 
@@ -508,19 +509,11 @@ def sweep(
 
 def sweep_summary(reports: list[MetricsReport]) -> dict[str, tuple[float, float]]:
     """Mean and standard deviation per method across a sweep."""
-    methods: dict[str, list[float]] = {"ensemble": [], "max_model": []}
+    methods: dict[str, list[float]] = {}
     for r in reports:
-        methods["ensemble"].append(r.ensemble_accuracy)
-        methods["max_model"].append(r.max_model_accuracy)
-        for j, acc in enumerate(r.local_accuracies):
-            methods.setdefault(f"party_{j}", []).append(acc)
-        if r.calibrated_accuracy is not None:
-            methods.setdefault("calibrated", []).append(r.calibrated_accuracy)
-    return {
-        name: (float(np.mean(vals)), float(np.std(vals)))
-        for name, vals in methods.items()
-        if vals
-    }
+        for name, acc in r.accuracies():
+            methods.setdefault(name, []).append(acc)
+    return {name: (float(np.mean(vals)), float(np.std(vals))) for name, vals in methods.items()}
 
 
 def write_sweep_csv(path, reports: list[MetricsReport]) -> None:

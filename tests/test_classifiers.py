@@ -118,6 +118,19 @@ def test_train_label_outside_space_rejected():
         train(clf, ds, lr=0.1, epochs=1, batch=2, seed=0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SoftmaxRegression(np.zeros((0, 2)), np.zeros(0), ()),
+        lambda: MlpClassifier(np.zeros((4, 2)), np.zeros(4), np.zeros((0, 4)), np.zeros(0), ()),
+    ],
+    ids=["softmax", "mlp"],
+)
+def test_empty_label_space_rejected(make):
+    with pytest.raises(ValueError, match="label_space"):
+        make()
+
+
 def test_train_toy_party_shard_high_local_accuracy():
     full = generate_toy(0, 800, 5)
     spec = PartitionSpec(parties=[PartyRule((0, 1), 1.0), PartyRule((2, 3, 4), 1.0)], seed=0)

@@ -280,6 +280,24 @@ def test_csv_bad_label_names_line(tmp_path):
     assert str(err.value) == "line 2: non-integer cell in '1.0,2.0,zero'"
 
 
+@pytest.mark.parametrize(
+    "row, kind",
+    [
+        ("1_0,\uff12.5,0_1", "non-numeric"),
+        ("1.0,\uff12.5,1", "non-numeric"),
+        ("1.0,2.5,0_1", "non-integer"),
+        ("1.0,2.5,\uff11", "non-integer"),
+    ],
+)
+def test_csv_python_literal_cells_rejected(tmp_path, row, kind):
+    # float and int read 1_0 as 10 and a full-width digit as its ASCII one
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,label\n1.0,2.0,0\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_csv(path)
+    assert str(err.value) == f"line 3: {kind} cell in {row!r}"
+
+
 def test_csv_lines_counted_across_blocks_and_blank_lines(tmp_path, monkeypatch):
     # the reader parses a few lines at a time; line numbers run on across
     # blocks and count the blank lines it skips

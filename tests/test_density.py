@@ -405,9 +405,22 @@ def test_kde_validation():
         kde_fit(np.zeros((0, 2)), 0.1)
     with pytest.raises(ValueError):
         kde_fit(np.zeros((3, 2)), 0.0)
+    # h**2 underflows to 0 or overflows to inf
+    for bandwidth in (1e-200, 1e200):
+        with pytest.raises(ValueError, match="bandwidth"):
+            kde_fit(np.zeros((3, 2)), bandwidth)
     model = kde_fit(np.zeros((3, 2)), 0.1)
     with pytest.raises(ValueError, match="dim"):
         model.log_density(np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("bandwidth", [1e-150, 1e150])
+def test_kde_extreme_bandwidth_with_finite_square_scores_finite(bandwidth):
+    model = kde_fit(np.array([[0.0, 0.0], [1.0, 1.0]]), bandwidth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logd = model.log_density(np.array([[0.0, 0.0], [0.5, 0.5]]))
+    assert np.all(np.isfinite(logd))
 
 
 def test_gmm_single_component_is_gaussian():

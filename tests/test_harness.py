@@ -432,6 +432,28 @@ def test_config_echo_includes_stream_seeds(pipeline_artifacts):
     assert echo["stream_seeds"] == stream_seeds(cfg.seed, 3)
 
 
+@pytest.mark.parametrize("calibration", [None, {"lr": 1e-3, "steps": 6, "eval_every": 3}])
+def test_metrics_json_is_the_report_without_its_trace(tmp_path, calibration):
+    doc = fast_experiment_doc()
+    doc["calibration"] = calibration
+    cfg = replace(config_from_dict(doc), out_dir=str(tmp_path))
+    report = run_experiment(cfg)
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert list(metrics) == [
+        "seed",
+        "ensemble_accuracy",
+        "max_model_accuracy",
+        "local_accuracies",
+        "calibrated_accuracy",
+        "timings",
+        "stream_seeds",
+    ]
+    for key, value in metrics.items():
+        assert value == getattr(report, key), key
+    assert (metrics["calibrated_accuracy"] is None) == (calibration is None)
+    assert metrics["stream_seeds"] == stream_seeds(cfg.seed, 3)
+
+
 def test_saved_ensemble_reproduces_predictions(pipeline_artifacts):
     _, _, out = pipeline_artifacts
     ens = serialize.load_ensemble(str(out / "ensemble.json"))

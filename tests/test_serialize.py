@@ -383,6 +383,18 @@ MALFORMED = {
     "party-unsorted-labels": (
         "party_0.json", lambda doc: doc["classifier"].update(label_space=[1, 0]),
     ),
+    "party-empty-label-space": (
+        "party_0.json",
+        lambda doc: doc["classifier"].update(
+            label_space=[], W={"shape": [0, 2], "data": []}, b={"shape": [0], "data": []}
+        ),
+    ),
+    "party-bandwidth-underflow": (
+        "party_0.json", lambda doc: doc["estimator"].update(bandwidth=1e-200),
+    ),
+    "party-bandwidth-overflow": (
+        "party_0.json", lambda doc: doc["estimator"].update(bandwidth=1e200),
+    ),
     "estimator-string-bandwidth": (
         "party_0.json", lambda doc: doc["estimator"].update(bandwidth="0.2"),
     ),

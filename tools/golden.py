@@ -6,9 +6,11 @@ Runs one fixed set of ``densemble`` commands against the ``src`` of each
 checkout, with one BLAS thread, in ``OUT/parent`` and ``OUT/change``. Every
 command's printed output is kept next to its artifacts. Then every file is
 compared byte for byte, except ``metrics.json``, whose ``timings`` differ
-from run to run. Exits 1 if a command fails, or if a file differs or exists
-on one side only. Under each CSV that differs, it says whether every
-integer column (labels, indices, steps) is equal, and gives the largest
+from run to run: both sides are parsed, ``timings`` is dropped, and the
+rest must hold the same values under the same keys in the same order.
+Exits 1 if a command fails, or if a file differs or exists on one side
+only. Under each CSV that differs, it says whether every integer column
+(labels, indices, steps) is equal, and gives the largest
 absolute difference in each other numeric column, so a deliberate bit move
 reads as "labels equal, |delta| <= x" straight from the output. Under each
 JSON file that differs (a model file, say), it says whether the keys, every
@@ -234,6 +236,24 @@ def explain_csv(path_a: str, path_b: str) -> list[str]:
     return lines
 
 
+def load_json(path: str):
+    """A JSON file's document; a ``metrics.json`` without its ``timings``."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if os.path.basename(path) == "metrics.json":
+        doc.pop("timings", None)
+    return doc
+
+
+def same(path_a: str, path_b: str) -> bool:
+    """Whether two files are equal: byte for byte, or for ``metrics.json``
+    as untimed documents, key order included (``json.dumps`` keeps the
+    order and writes a NaN as ``NaN``, which equals itself)."""
+    if os.path.basename(path_a) == "metrics.json":
+        return json.dumps(load_json(path_a)) == json.dumps(load_json(path_b))
+    return filecmp.cmp(path_a, path_b, shallow=False)
+
+
 def _leaves(doc, path: str = ""):
     """(dotted path, value) for every leaf of a JSON document; an array object
     ``{"shape": [...], "data": [...]}`` is one leaf, as is any list."""
@@ -246,10 +266,11 @@ def _leaves(doc, path: str = ""):
 
 def explain_json(path_a: str, path_b: str) -> list[str]:
     """One line per finding on how two JSON documents differ."""
-    with open(path_a) as fa, open(path_b) as fb:
-        leaves_a, leaves_b = dict(_leaves(json.load(fa))), dict(_leaves(json.load(fb)))
+    leaves_a, leaves_b = dict(_leaves(load_json(path_a))), dict(_leaves(load_json(path_b)))
     if leaves_a.keys() != leaves_b.keys():
         return ["keys differ"]
+    if list(leaves_a) != list(leaves_b):
+        return ["key order differs"]
     equal, unequal, deltas = ["keys"], [], []
     arrays = [k for k in leaves_a if all(isinstance(d[k], dict) for d in (leaves_a, leaves_b))]
     if all(leaves_a[k]["shape"] == leaves_b[k]["shape"] for k in arrays):
@@ -286,11 +307,8 @@ def main(argv: list[str]) -> int:
         failed += [f"{side}: {msg}" for msg in run_side(root, os.path.join(out, side))]
     a, b = (os.path.join(out, side) for side in sides)
     files_a, files_b = files_under(a), files_under(b)
-    compared = sorted(p for p in files_a & files_b if os.path.basename(p) != "metrics.json")
-    differ = [
-        p for p in compared
-        if not filecmp.cmp(os.path.join(a, p), os.path.join(b, p), shallow=False)
-    ]
+    compared = sorted(files_a & files_b)
+    differ = [p for p in compared if not same(os.path.join(a, p), os.path.join(b, p))]
     one_side = sorted(files_a ^ files_b)
     print(f"{len(compared)} files compared, {len(differ)} differ, {len(one_side)} on one side only")
     for msg in failed:
