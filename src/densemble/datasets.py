@@ -272,7 +272,9 @@ def _read_columns(path, check_header) -> tuple[list[int], list[list]]:
     split and parsed ``_CSV_BLOCK_LINES`` at a time, so no more than one
     block's cell strings are held at once.
     """
-    with open(path) as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which ``_plain``
+    # rejects as a non-ASCII cell on its numbered line
+    with open(path, errors="surrogateescape") as fh:
         header = fh.readline().strip()
         parsers = check_header(header)
         width = len(header.split(","))

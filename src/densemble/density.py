@@ -27,34 +27,38 @@ table with the floored densities, and ``nll_grad`` takes it back, as a
 classifier stack's ``backward`` takes its ``forward`` state; its 0/1 row
 mask selects each mixture's rows.
 
-``KdeModel.log_density`` is exact to the bit with respect to the plain
-formula ``logsumexp(-sum_c (x_c - p_c)^2 / 2h^2) - norm`` over the whole
-query batch, and cheap in memory:
+``KdeModel.log_density`` computes the plain formula
+``logsumexp(-sum_c (x_c - p_c)^2 / 2h^2) - norm`` over the whole query
+batch, except that a kernel term whose ``exp`` would be subnormal or zero
+(its input, less the row max, below ``_EXP_CUTOFF``) counts as 0. A row
+with a finite max sums its top term, exactly 1.0, and every dropped term is
+below 2^-1022, far under half an ulp of 1.0, so a row's bits can differ
+from the plain formula only through exact rounding ties in successive
+partial sums; none has been seen, and the tests compare rows with the plain
+formula bit for bit. The kernel is cheap in memory:
 
 - There is no GEMM. Squared distances are summed one dimension at a time,
-  ``(x_0 - p_0)^2 + (x_1 - p_1)^2 + ...``, in that order; a sum of squares
+  ``(p_0 - x_0)^2 + (p_1 - x_1)^2 + ...``, in that order; a sum of squares
   needs no clamp at 0, unlike the Gram form ``|x|^2 + |p|^2 - 2 x.p^T``.
-  The sum is divided by ``-2h^2`` in one step: IEEE division rounds the
-  magnitude alone, so this has the bits of negating it and dividing by
-  ``2h^2``.
+  ``p - x`` is exactly ``-(x - p)``, so each square has the bits of the
+  formula's. The sum is divided by ``-2h^2`` in one step: IEEE division
+  rounds the magnitude alone, so this has the bits of negating it and
+  dividing by ``2h^2``.
 - Every step is elementwise or a per-row reduction, so the whole kernel runs
   on row blocks of about ``_BLOCK_BYTES`` in two reused buffers per worker
   (below), and no (queries x points) array is formed. Blocking cannot move
   the bits of such steps, and neither can the batch: a batch's rows are
   bitwise the same rows of a full-table call, so callers may score a query
   set once and gather rows from the result.
-- ``exp(x)`` is exactly ``0.0`` in double precision for every
-  ``x < -745.14``. Kernel terms below ``_EXP_CUTOFF`` are written as that
-  zero instead of being passed to ``np.exp``, whose vector path is about
-  ten times slower on underflowing inputs.
-- The kept terms are gathered into one contiguous run, exp'd there and
-  scattered back over a zeroed block. A masked ``np.exp(..., where=)``
-  over the scattered mask runs the vector loop once per short run, about
-  9 ns per element; the contiguous run costs about 1 ns per value, with
-  the same bits per value. The run lives in the second block buffer, spent
-  once the distances are summed, so the only extra memory is its
-  8-byte-per-term index. Every addend of each row sum keeps its bits, so
-  the sums do too.
+- The whole block is exp'd in place, every input on numpy's fast vector
+  path: a vector holding any input below about -707.7 (a subnormal or
+  zero result) takes a path several times slower. Each dropped term is
+  first set to -0.0, whose ``exp`` is 1.0, and zeroed again after the
+  ``exp`` by a product with the 0/1 kept mask. A huge query's distance can
+  overflow to inf, so terms are clamped at ``2 * _EXP_CUTOFF`` before the
+  first product, which would turn ``-inf * 0`` into NaN. Every bandwidth
+  takes this one path, and the only memory besides the two blocks is the
+  1-byte-per-term kept mask.
 - Queries must be finite: a NaN or infinite query row would otherwise
   come out as a floored density instead of NaN.
 
@@ -92,12 +96,13 @@ GMM_VARIANCE_FLOOR = 1e-6
 # improves by less than the tolerance.
 GMM_MAX_ITER = 200
 GMM_TOL = 1e-6
-# Byte budget of each of the two row blocks that the KDE kernel works in (the
-# block's kept-term index can take as much again), and of each (rows, S, m, d)
+# Byte budget of each of the two row blocks that the KDE kernel works in (its
+# kept-term mask takes an eighth as much again), and of each (rows, S, m, d)
 # table of a mixture row block.
 _BLOCK_BYTES = 1 << 19
-# Below this, exp underflows to exactly 0.0 in double precision.
-_EXP_CUTOFF = -750.0
+# Below this, exp is subnormal or 0.0 in double precision; the KDE kernel
+# counts such a term as 0.
+_EXP_CUTOFF = float(np.log(np.finfo(np.float64).tiny))
 # A KDE batch gets one more scoring thread per this many row blocks (several
 # ms of kernel work), up to one thread per CPU.
 _BLOCKS_PER_WORKER = 8
@@ -156,10 +161,10 @@ class KdeModel:
     def log_density(self, X: np.ndarray) -> np.ndarray:
         """Mean-of-kernels log-density, evaluated batched and floored.
 
-        Every step runs on row blocks and is elementwise or per-row, and only
-        the terms that do not underflow are exp'd, as one contiguous run
-        (module docstring): a row's bits never depend on its batch, nor on
-        the number of threads that score the blocks.
+        Every step runs on row blocks and is elementwise or per-row, and a
+        term whose exp would be subnormal counts as 0 (module docstring): a
+        row's bits never depend on its batch, nor on the number of threads
+        that score the blocks.
         """
         X = _queries(X, self.dim)
         n, m = X.shape[0], len(self.points)
@@ -221,14 +226,19 @@ def _kde_block(x, pts, scale, buf, tmp, kept, out) -> None:
 
     ``pts`` is the (d, m) point table, ``scale`` is ``-2h^2``, and ``buf``,
     ``tmp`` and ``kept`` are (rows, m) buffers with at least ``len(x)`` rows,
-    which this overwrites.
+    which this overwrites. On return, ``buf``'s first ``len(x)`` rows hold
+    the terms each row sums: the exp of every kept input, +0.0 for the rest.
     """
     b, t, k = buf[: len(x)], tmp[: len(x)], kept[: len(x)]
-    # squared distances, summed one dimension at a time
-    np.subtract(x[:, :1], pts[0], out=b)
+    # squared distances, summed one dimension at a time; p - x is exactly
+    # -(x - p), so its square has the same bits, and subtracting a column
+    # from a copied row is the cheaper broadcast
+    np.copyto(b, pts[0])
+    np.subtract(b, x[:, :1], out=b)
     np.square(b, out=b)
     for c in range(1, len(pts)):
-        np.subtract(x[:, c : c + 1], pts[c], out=t)
+        np.copyto(t, pts[c])
+        np.subtract(t, x[:, c : c + 1], out=t)
         np.square(t, out=t)
         np.add(b, t, out=b)
     np.divide(b, scale, out=b)
@@ -237,17 +247,13 @@ def _kde_block(x, pts, scale, buf, tmp, kept, out) -> None:
     top = np.where(np.isfinite(top), top, 0.0)
     np.subtract(b, top[:, None], out=b)
     np.greater_equal(b, _EXP_CUTOFF, out=k)
-    # exp the kept terms as one contiguous run, gathered into the scratch
-    # block (spent once the distances are summed), then scatter them back
-    # over the 0.0 that exp returns below _EXP_CUTOFF
-    idx = np.flatnonzero(k)
-    flat = b.ravel()
-    vals = t.ravel()[: len(idx)]
-    # mode="clip": the default "raise" buffers out in a temporary
-    np.take(flat, idx, out=vals, mode="clip")
-    np.exp(vals, out=vals)
-    b.fill(0.0)
-    flat[idx] = vals
+    # dropped terms become -0.0 (first clamped, so an overflowed distance's
+    # -inf times 0 is not NaN), whose exp is 1.0: every exp input is then on
+    # numpy's fast vector path, and the second product zeroes those terms
+    np.maximum(b, 2.0 * _EXP_CUTOFF, out=b)
+    np.multiply(b, k, out=b)
+    np.exp(b, out=b)
+    np.multiply(b, k, out=b)
     out[:] = top + np.log(np.sum(b, axis=1))
 
 

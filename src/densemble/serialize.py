@@ -150,8 +150,9 @@ def save_ensemble(ens: EnsembleModel, out_dir) -> str:
 
 
 def load_ensemble(manifest_path) -> EnsembleModel:
-    """Load a manifest and its parties; party files must lie in its directory
-    and every party must take queries of party 0's feature dimension."""
+    """Load a manifest and its parties; party files must lie in its directory,
+    every party must take queries of party 0's feature dimension, and
+    ``num_classes`` must be 1 + the largest label of any party."""
     manifest = read_json(manifest_path)
     try:
         num_classes = from_json(int, manifest["num_classes"], "num_classes")
@@ -182,6 +183,13 @@ def load_ensemble(manifest_path) -> EnsembleModel:
                 f"party 0's ({parties[0].estimator.dim})"
             )
         parties.append(party)
+    # a class no party can predict has no column any party fills, and a huge
+    # count would fail later in numpy, naming no file; labels are sorted, and
+    # an empty party list is left to build_ensemble
+    classes = 1 + max((p.classifier.label_space[-1] for p in parties), default=num_classes)
+    if num_classes > classes:
+        err = ValueError(f"num_classes: {num_classes} exceeds 1 + the largest label, {classes}")
+        raise _malformed(manifest_path, "manifest", err)
     return build_ensemble(parties, num_classes=num_classes)
 
 

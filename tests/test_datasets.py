@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from densemble import datasets
+from densemble import cli, datasets
+from densemble.classifiers import SoftmaxRegression
 from densemble.datasets import (
     LocalDataset,
     PartitionSpec,
@@ -17,6 +18,9 @@ from densemble.datasets import (
     toy_blob_means,
     write_csv,
 )
+from densemble.density import kde_fit
+from densemble.ensemble import PartyModel, build_ensemble
+from densemble.serialize import save_ensemble
 
 
 def test_generate_toy_empty():
@@ -296,6 +300,32 @@ def test_csv_python_literal_cells_rejected(tmp_path, row, kind):
     with pytest.raises(ValueError) as err:
         read_csv(path)
     assert str(err.value) == f"line 3: {kind} cell in {row!r}"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (b"1.0,\xff2.5,1", "non-numeric cell in '1.0,\\udcff2.5,1'"),
+        (b"1.0,2.5,\xff", "non-integer cell in '1.0,2.5,\\udcff'"),
+    ],
+    ids=["feature", "label"],
+)
+def test_csv_byte_not_utf8_names_line(tmp_path, capsys, row, message):
+    # a byte that is not UTF-8 is a bad cell on its line, like any other
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"f0,f1,label\n1.0,2.0,0\n" + row + b"\n")
+    with pytest.raises(ValueError) as err:
+        read_csv(path)
+    assert str(err.value) == f"line 3: {message}"
+    rng = np.random.default_rng(0)
+    party = PartyModel(
+        SoftmaxRegression(rng.normal(size=(2, 2)), rng.normal(size=2), (0, 1)),
+        kde_fit(rng.normal(size=(5, 2)), 0.2),
+        10,
+    )
+    manifest = save_ensemble(build_ensemble([party]), tmp_path / "model")
+    assert cli.main(["eval-zeroshot", "--ensemble", manifest, "--data", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line 3: {message}\n"
 
 
 def test_csv_lines_counted_across_blocks_and_blank_lines(tmp_path, monkeypatch):

@@ -150,20 +150,64 @@ def test_kde_all_floored_matches_reference():
     assert_bitwise_equal(got, reference_kde_log_density(model, X))
 
 
-def test_kde_subnormal_terms_match_reference():
-    # points on a line, 0.5 h apart, from 37 h to 39 h from the queries:
-    # relative to the nearest point, the far terms' exp inputs reach -745 to
-    # -708, where exp returns subnormals; they are kept and must sum exactly
+def subnormal_model_and_queries():
+    """Points on a line, 0.5 h apart, from 37 h to 39 h from the queries:
+    relative to the nearest point, the far terms' exp inputs reach -745 to
+    -708, where exp returns subnormals."""
     h = 0.1
     near = np.zeros((1, 2))
     far = np.stack([np.linspace(37.0 * h, 39.0 * h, 400), np.zeros(400)], axis=1)
     model = kde_fit(np.concatenate([near, far]), h)
     X = np.random.default_rng(4).normal(size=(30, 2)) * 0.01
+    return model, X
+
+
+def test_kde_flushed_subnormal_terms_match_reference():
+    # the kernel counts the subnormal terms as 0; each is below half an ulp
+    # of the row's top term, 1.0, so the row keeps the plain formula's bits
+    model, X = subnormal_model_and_queries()
     shifted, _ = reference_exp_inputs(model, X)
     sub = (shifted >= -745.13) & (shifted <= -708.4)
     assert sub.sum() > 1000
     assert np.all(np.exp(shifted[sub]) < np.finfo(np.float64).tiny)
     assert_bitwise_equal(model.log_density(X), reference_kde_log_density(model, X))
+
+
+def test_kde_block_keeps_normal_exps_and_zeroes_the_rest():
+    # buffers with more rows than the block, as a ragged last block has
+    model, X = subnormal_model_and_queries()
+    X = np.concatenate([X, np.random.default_rng(5).normal(size=(20, 2))])
+    n, m = len(X), len(model.points)
+    buf, tmp, kept = np.empty((n + 7, m)), np.empty((n + 7, m)), np.empty((n + 7, m), bool)
+    out = np.empty(n)
+    scale = -2.0 * model.bandwidth**2
+    density._kde_block(X, model.points.T.copy(), scale, buf, tmp, kept, out)
+    shifted, top = reference_exp_inputs(model, X)
+    terms = buf[:n]
+    keep = terms != 0.0
+    # every entry is a normal exp or +0.0, and the dropped ones include
+    # every subnormal or zero exp
+    assert np.all(terms[keep] >= np.finfo(np.float64).tiny)
+    assert np.all(terms[~keep].view(np.int64) == 0)
+    assert np.all(np.exp(shifted[~keep]) < np.finfo(np.float64).tiny)
+    assert np.any((np.exp(shifted) > 0.0) & ~keep)
+    assert_bitwise_equal(terms[keep], np.exp(shifted[keep]))
+    assert_bitwise_equal(out, top + np.log(np.sum(np.exp(shifted), axis=1)))
+
+
+def test_kde_overflowed_distance_beside_finite_ones_matches_reference():
+    # (1e154, 0) is 1e154 from the first point, a squared distance of 1e308,
+    # and 2e154 from the second, whose square overflows to inf: the row's
+    # kernel term for it is -inf, which must come out as a 0 term, not NaN
+    model = kde_fit(np.array([[0.0, 0.0], [-1e154, 0.0]]), 1.0)
+    X = np.array([[1e154, 0.0], [-1e154, 0.0], [0.5, 0.0], [1e154, 1e154]])
+    with np.errstate(over="ignore", divide="ignore"):
+        want = reference_kde_log_density(model, X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.log_density(X)
+    assert not np.isnan(want).any()
+    assert_bitwise_equal(got, want)
 
 
 def test_kde_only_row_max_kept_matches_reference():
@@ -258,9 +302,9 @@ def test_kde_peak_memory_is_one_product():
 
 def test_kde_peak_memory_is_a_few_blocks(monkeypatch):
     monkeypatch.setattr(density, "_cpu_count", lambda: 1)
-    # the distance block, its scratch twin, the kept mask and the kept-term
-    # index are each at most _BLOCK_BYTES; the output and the finite check
-    # are O(n). No (queries x points) array is formed.
+    # the distance block, its scratch twin and the kept mask are each at most
+    # _BLOCK_BYTES; the output and the finite check are O(n). No
+    # (queries x points) array is formed.
     n, m = 20000, 560
     rng = np.random.default_rng(3)
     model = kde_fit(rng.normal(size=(m, 2)), 0.1)
@@ -276,7 +320,7 @@ def test_kde_peak_memory_is_a_few_blocks(monkeypatch):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_kde_peak_memory_is_a_few_blocks_per_worker(monkeypatch, workers):
-    # each worker has its own four blocks (see above); the output and the
+    # each worker has its own blocks (see above); the output and the
     # finite check stay O(n), whatever the worker count
     monkeypatch.setattr(density, "_cpu_count", lambda: workers)
     started = count_threads(monkeypatch)

@@ -371,6 +371,8 @@ MALFORMED = {
         "ensemble.json", lambda doc: doc["parties"][0].update(shard_size=True),
     ),
     "manifest-string-num-classes": ("ensemble.json", lambda doc: doc.update(num_classes="2")),
+    "manifest-huge-num-classes": ("ensemble.json", lambda doc: doc.update(num_classes=2**63)),
+    "manifest-unseen-class": ("ensemble.json", lambda doc: doc.update(num_classes=3)),
     "party-fractional-label": (
         "party_0.json", lambda doc: doc["classifier"].update(label_space=[0.2, 1.9]),
     ),

@@ -22,7 +22,8 @@ The configs that set calibration or estimator fields are written once to
 ``OUT/configs`` from PARENT_ROOT's presets, so both sides read the same
 inputs. ``toy3-narrow`` (bandwidth 0.03) drops over 90 % of the kernel
 terms below the exp cutoff and puts a few per query in the subnormal range,
-so its scoring and density plot cover the exact KDE tail's sparse case.
+so its scoring and density plot cover the KDE tail's sparse case;
+``toy3-wide`` (bandwidth 0.3) keeps nearly every kernel term, its dense case.
 ``toy3-mixed`` gives toy3's third party a GMM and calibrates with
 ``update_density``, clipping and noise, so the flat gradient mixes KDE
 parties (no density block) with a GMM party; ``splitD-density-eval`` loads
@@ -69,6 +70,7 @@ CONFIGS = {
     "splitA": ("splitA", {"steps": 300}, {}),
     "splitC": ("splitC", {"steps": 300}, {}),
     "toy3-narrow": ("toy3", None, {j: {"estimator": {"bandwidth": 0.03}} for j in range(3)}),
+    "toy3-wide": ("toy3", None, {j: {"estimator": {"bandwidth": 0.3}} for j in range(3)}),
     "toy3-mixed": ("toy3", DENSITY_CLIP, {2: {"estimator": {"type": "gmm", "components": 4}}}),
     "splitD-mixed-shapes": (
         "splitD", DENSITY_CLIP, {j: {"estimator": {"components": 3}} for j in (1, 4)}
@@ -143,6 +145,17 @@ COMMANDS = {
     "toy3-narrow-density": [
         "plot", "--ensemble", "toy3-narrow/ensemble.json", "--density", "1",
         "--resolution", "150", "--out", "toy3-narrow-density1.svg",
+    ],
+    "toy3-wide": [
+        "train-local", "--config", "../configs/toy3-wide.json", "--out", "toy3-wide",
+    ],
+    "toy3-wide-eval": [
+        "eval-zeroshot", "--ensemble", "toy3-wide/ensemble.json",
+        "--data", "queries.csv", "--out", "toy3-wide_predictions.csv",
+    ],
+    "toy3-wide-density": [
+        "plot", "--ensemble", "toy3-wide/ensemble.json", "--density", "1",
+        "--resolution", "150", "--out", "toy3-wide-density1.svg",
     ],
 }
 
