@@ -3,7 +3,11 @@
 Subcommands cover the full lifecycle: data generation, partitioning, local
 training, zero-shot evaluation, calibration, plotting, and multi-seed sweeps.
 Each prints a short human-readable summary and exits 0 on success, nonzero
-with a message on validation failure.
+with a message on validation failure; an error in a data CSV names the file.
+``eval-zeroshot`` and the decision-boundary plot score their queries
+through ``ensemble.score_chunks``, so beyond the features, labels and the
+(n, N) log-density table they hold one chunk's posteriors, objective and
+prediction rows at a time, whatever the row count.
 """
 
 from __future__ import annotations
@@ -18,12 +22,20 @@ import numpy as np
 from . import harness, plotting, serialize
 from .calibration import CalibrationConfig
 from .datasets import LocalDataset, PartitionSpec, generate_toy, partition, read_csv, write_csv
-from .ensemble import decide, evaluate_objective, max_model_decide
+from .ensemble import decide, max_model_decide, score_chunks
+
+
+def _read_csv(path: str, num_classes: int | None = None) -> LocalDataset:
+    """``read_csv`` whose errors name the file."""
+    try:
+        return read_csv(path, num_classes=num_classes)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _read_data(path: str, ens) -> LocalDataset:
-    """``read_csv`` that rejects a header-only file or a wrong feature count."""
-    ds = read_csv(path, num_classes=ens.num_classes)
+    """``_read_csv`` that rejects a header-only file or a wrong feature count."""
+    ds = _read_csv(path, num_classes=ens.num_classes)
     if len(ds) == 0:
         raise ValueError(f"{path}: no data rows")
     dim = ens.parties[0].estimator.dim
@@ -40,7 +52,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    ds = read_csv(args.data)
+    ds = _read_csv(args.data)
     spec = PartitionSpec.load(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -84,14 +96,24 @@ def _cmd_train_local(args) -> int:
 def _cmd_eval_zeroshot(args) -> int:
     ens = serialize.load_ensemble(args.ensemble)
     ds = _read_data(args.data, ens)
-    om = evaluate_objective(ens, ds.features)
-    labels = decide(om)
-    acc = float(np.mean(labels == ds.labels))
-    mm_acc = float(np.mean(max_model_decide(om) == ds.labels))
-    print(f"ensemble accuracy   {acc:.4f}")
-    print(f"max-model accuracy  {mm_acc:.4f}")
+    hits = mm_hits = 0
+
+    def chunks():
+        nonlocal hits, mm_hits
+        for rows, om in score_chunks(ens, ds.features):
+            labels, truth = decide(om), ds.labels[rows]
+            hits += int(np.count_nonzero(labels == truth))
+            mm_hits += int(np.count_nonzero(max_model_decide(om) == truth))
+            yield labels, om.objective
+
     if args.out:
-        serialize.write_predictions(args.out, labels, om.objective)
+        serialize.write_predictions(args.out, chunks(), ens.num_classes)
+    else:
+        for _ in chunks():
+            pass
+    print(f"ensemble accuracy   {hits / len(ds):.4f}")
+    print(f"max-model accuracy  {mm_hits / len(ds):.4f}")
+    if args.out:
         print(f"predictions -> {args.out}")
     return 0
 

@@ -27,7 +27,8 @@ TOY_BLOB_SIGMA = 0.8
 # 100% accuracy instead of saturating.
 TOY_OVERLAP_PAIR = (1, 2)
 TOY_OVERLAP_DISTANCE = 3.2
-# ``_read_columns`` splits and parses this many lines at a time.
+# ``_read_columns`` splits and parses, and ``_write_columns`` joins and
+# writes, this many lines at a time.
 _CSV_BLOCK_LINES = 1 << 10
 
 
@@ -242,21 +243,25 @@ def write_csv(ds: LocalDataset, path) -> None:
     d = ds.dim
     columns = [map(repr, ds.features[:, i].tolist()) for i in range(d)]
     columns.append(map(str, ds.labels.tolist()))
-    _write_columns(path, [f"f{i}" for i in range(d)] + ["label"], columns)
+    _write_columns(path, [f"f{i}" for i in range(d)] + ["label"], [columns])
 
 
-def _write_columns(path, header: list[str], columns: list) -> None:
-    """Write a CSV from its header and one iterable of cell strings per column.
+def _write_columns(path, header: list[str], chunks) -> None:
+    """Write a CSV from its header and its rows, column by column.
 
-    Every CSV the toolkit writes goes through here. Formatting a whole column
-    in one ``map`` and joining the rows gives the bytes of formatting cell by
-    cell, in a fraction of the time.
+    ``chunks`` yields, for each run of consecutive rows, one iterable of cell
+    strings per column. Every CSV the toolkit writes goes through here.
+    Formatting a whole column in one ``map`` and joining the rows gives the
+    bytes of formatting cell by cell, in a fraction of the time. Rows are
+    joined and written ``_CSV_BLOCK_LINES`` at a time, so no string holds
+    the whole file and a chunk's cells can be formatted lazily.
     """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        rows = "\n".join(map(",".join, zip(*columns)))
-        if rows:
-            fh.write(rows + "\n")
+        for columns in chunks:
+            rows = map(",".join, zip(*columns))
+            while block := list(islice(rows, _CSV_BLOCK_LINES)):
+                fh.write("\n".join(block) + "\n")
 
 
 def _read_columns(path, check_header) -> tuple[list[int], list[list]]:
@@ -338,14 +343,18 @@ def _dataset_header(header: str) -> list:
 def read_csv(path, num_classes: int | None = None) -> LocalDataset:
     """Read a dataset written by ``write_csv``.
 
-    ``num_classes`` defaults to max(label)+1. Malformed rows raise ValueError
-    naming the offending line.
+    ``num_classes`` defaults to max(label)+1. Malformed rows, and a label
+    outside int64, raise ValueError naming the offending line.
     """
-    _, columns = _read_columns(path, _dataset_header)
+    linenos, columns = _read_columns(path, _dataset_header)
     labels = columns.pop()
+    try:
+        label_array = np.array(labels, dtype=np.int64)
+    except OverflowError:
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        i = next(i for i, label in enumerate(labels) if not lo <= label <= hi)
+        raise ValueError(f"line {linenos[i]}: label {labels[i]} outside int64") from None
     features = np.array(columns, dtype=np.float64).reshape(len(columns), len(labels))
     if num_classes is None:
         num_classes = (max(labels) + 1) if labels else 0
-    return LocalDataset(
-        features.T.copy(), np.array(labels, dtype=np.int64), sorted(set(labels)), num_classes
-    )
+    return LocalDataset(features.T.copy(), label_array, sorted(set(labels)), num_classes)

@@ -89,7 +89,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# exp(-745) is the smallest positive normal double; anything lower is 0 anyway.
+# exp(-745) is about 4.9e-324, the smallest positive subnormal double; anything
+# lower is 0 anyway. (The smallest normal double is exp(_EXP_CUTOFF), about
+# exp(-708.40).)
 LOG_DENSITY_FLOOR = -745.0
 GMM_VARIANCE_FLOOR = 1e-6
 # EM stops after this many iterations, or once the mean log-likelihood

@@ -22,6 +22,15 @@ log-density table whose training mixtures' columns its mixture stacks
 filled, and runs each backward pass on the same forward states: one forward
 pass per stack per step. Scoring runs the classifiers here and keeps only
 their posteriors, never the hidden activations a backward pass would need.
+``score_chunks`` scores a query batch of any size in bounded memory: it
+scores the whole (n, N) log-density table once, then evaluates the objective
+on fixed runs of ``SCORE_CHUNK_ROWS`` rows, so a caller holds one chunk's
+posteriors and objective at a time and every decision rule of a chunk still
+reads one evaluation. A batch of at most one chunk takes exactly the calls of
+``evaluate_objective(ens, X)``. Density rows do not depend on their batch;
+the classifiers' matrix products may round a row differently when the
+number of rows around it changes, and a fixed chunk size keeps that
+independent of the batch's length.
 ``max_model_decide`` is the degenerate baseline that hands each query to the
 single highest-density party; forcing the ensemble's lambda weights to a
 one-hot at that party reproduces it exactly.
@@ -29,11 +38,17 @@ one-hot at that party reproduces it exactly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifiers import global_posterior
+
+# Rows of a query batch that ``score_chunks`` evaluates at once: under 1 MB
+# of posteriors, weights and objective for toy3's three parties and five
+# classes.
+SCORE_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -146,6 +161,24 @@ def evaluate_objective(
     W = ens.priors[None, :] * np.exp(L - rowmax[:, None])
     J = np.einsum("njk,nj->nk", P, W)
     return ObjectiveMatrix(P, L, W, J)
+
+
+def score_chunks(
+    ens: EnsembleModel, queries: np.ndarray
+) -> Iterator[tuple[slice, ObjectiveMatrix]]:
+    """``(rows, evaluate_objective(ens, queries[rows]))`` for consecutive runs
+    of ``SCORE_CHUNK_ROWS`` rows, the last one shorter.
+
+    The log-density table is scored once for the whole batch, before the
+    first chunk, and each chunk reads its rows of it.
+    """
+    X = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if not np.all(np.isfinite(X)):
+        raise ValueError("queries must be finite")
+    L = log_density_table(ens, X)
+    for start in range(0, len(X), SCORE_CHUNK_ROWS):
+        rows = slice(start, min(start + SCORE_CHUNK_ROWS, len(X)))
+        yield rows, evaluate_objective(ens, X[rows], loglik=L[rows])
 
 
 def decide(om: ObjectiveMatrix) -> np.ndarray:

@@ -474,9 +474,12 @@ def _write_artifacts(cfg, train_ds, test_ds, shards, ens, om, report, ens_labels
         write_csv(shard, os.path.join(out, f"shard_{j}.csv"))
     serialize.save_ensemble(ens, out)
     serialize.write_predictions(
-        os.path.join(out, "predictions_ensemble.csv"), ens_labels, om.objective
+        os.path.join(out, "predictions_ensemble.csv"), [(ens_labels, om.objective)],
+        ens.num_classes,
     )
-    serialize.write_predictions(os.path.join(out, "predictions_max_model.csv"), mm_labels)
+    serialize.write_predictions(
+        os.path.join(out, "predictions_max_model.csv"), [(mm_labels, None)]
+    )
     write_metrics_csv(os.path.join(out, "metrics.csv"), report)
     # not to_json, which drops a None calibrated_accuracy
     metrics = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "trace"}
@@ -488,7 +491,7 @@ def _write_artifacts(cfg, train_ds, test_ds, shards, ens, om, report, ens_labels
 def write_metrics_csv(path, report: MetricsReport) -> None:
     """Deterministic ``method,accuracy`` rows (no timings, no wall clock)."""
     methods, accuracies = zip(*report.accuracies())
-    _write_columns(path, ["method", "accuracy"], [methods, map(repr, accuracies)])
+    _write_columns(path, ["method", "accuracy"], [[methods, map(repr, accuracies)]])
 
 
 def sweep(
@@ -520,4 +523,4 @@ def write_sweep_csv(path, reports: list[MetricsReport]) -> None:
     summary = sweep_summary(reports)
     means, stds = zip(*summary.values())
     columns = [summary.keys(), map(repr, means), map(repr, stds)]
-    _write_columns(path, ["method", "mean", "std"], columns)
+    _write_columns(path, ["method", "mean", "std"], [columns])

@@ -2,7 +2,8 @@
 
 Grids are rasterized into per-row runs of equal color so the output stays
 small at high resolutions; no plotting library is involved and the files
-parse with any XML reader.
+parse with any XML reader. Marks (rectangles and circles) are formatted and
+written ``_MARK_BLOCK`` at a time, so no string holds a whole file.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from .ensemble import EnsembleModel, decide, evaluate_objective
+from .ensemble import EnsembleModel, decide, score_chunks
 
 CANVAS = 480
 
@@ -22,6 +23,9 @@ CLASS_PALETTE = [
 
 DENSITY_LOW = (13, 8, 65)
 DENSITY_HIGH = (250, 231, 85)
+
+# Marks formatted with one ``%`` and written at once: about 100 KB of text.
+_MARK_BLOCK = 1024
 
 
 def class_color(k: int) -> str:
@@ -39,19 +43,22 @@ def _grid_centers(region, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _marks(template: str, *columns) -> str:
-    """Lines ``template % row`` for each row of the columns, formatted with
-    one ``%`` over every row: ``"%.2f" % x`` has the bytes of ``f"{x:.2f}"``."""
-    cells = [c.tolist() for c in columns]
-    return "\n".join([template] * len(cells[0])) % tuple(chain(*zip(*cells)))
+def _write_marks(fh, template: str, *columns: np.ndarray) -> None:
+    """Write the line ``template % row`` for each row of the columns,
+    ``_MARK_BLOCK`` rows at a time, each block formatted with one ``%``:
+    ``"%.2f" % x`` has the bytes of ``f"{x:.2f}"``."""
+    for start in range(0, len(columns[0]), _MARK_BLOCK):
+        cells = [c[start : start + _MARK_BLOCK].tolist() for c in columns]
+        fh.write("\n".join([template] * len(cells[0])) % tuple(chain(*zip(*cells))) + "\n")
 
 
-def _svg_grid(path, colors: np.ndarray, overlay: str = "") -> None:
+def _svg_grid(path, colors: np.ndarray, overlay: tuple | None = None) -> None:
     """Write an SVG whose rows of colored cells come from a (r, r) index grid.
 
     ``colors`` holds palette strings; row 0 is the bottom of the region, so
     rows are flipped into screen coordinates here. Each maximal run of one
-    color within a row is one rectangle.
+    color within a row is one rectangle. ``overlay`` is the template and
+    columns of marks drawn over the grid, as ``_point_overlay`` returns.
     """
     res, width = colors.shape
     cell = CANVAS / res
@@ -67,20 +74,20 @@ def _svg_grid(path, colors: np.ndarray, overlay: str = "") -> None:
     template = (
         f'<rect x="%.2f" y="%.2f" width="%.2f" height="{cell + 0.01:.2f}" fill="%s"/>'
     )
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
-        f'viewBox="0 0 {CANVAS} {CANVAS}">',
-        _marks(template, cols * cell, (res - 1 - rows) * cell, (stops - cols) * cell,
-               colors[rows, cols]),
-    ]
-    if overlay:
-        parts.append(overlay)
-    parts.append("</svg>")
     with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
+            f'viewBox="0 0 {CANVAS} {CANVAS}">\n'
+        )
+        _write_marks(fh, template, cols * cell, (res - 1 - rows) * cell,
+                     (stops - cols) * cell, colors[rows, cols])
+        if overlay is not None:
+            _write_marks(fh, *overlay)
+        fh.write("</svg>\n")
 
 
-def _point_overlay(region, points: np.ndarray, labels: np.ndarray) -> str:
+def _point_overlay(region, points: np.ndarray, labels: np.ndarray) -> tuple:
+    """The circle template and its columns (x, y, fill) for ``_write_marks``."""
     xmin, xmax, ymin, ymax = region
     cx = (points[:, 0] - xmin) / (xmax - xmin) * CANVAS
     cy = (1.0 - (points[:, 1] - ymin) / (ymax - ymin)) * CANVAS
@@ -88,7 +95,7 @@ def _point_overlay(region, points: np.ndarray, labels: np.ndarray) -> str:
     template = (
         '<circle cx="%.2f" cy="%.2f" r="2.5" fill="%s" stroke="#222222" stroke-width="0.6"/>'
     )
-    return _marks(template, cx, cy, fills)
+    return template, cx, cy, fills
 
 
 def plot_decision_boundary(
@@ -99,18 +106,23 @@ def plot_decision_boundary(
     points: np.ndarray | None = None,
     labels: np.ndarray | None = None,
 ) -> None:
-    """Rasterize the ensemble decision over a 2D box; optional data overlay."""
+    """Rasterize the ensemble decision over a 2D box; optional data overlay.
+
+    The grid is scored through ``score_chunks``, so a fine grid holds one
+    chunk's posteriors at a time.
+    """
     first = ens.parties[0].classifier
     if getattr(first, "dim", 2) != 2:
         raise ValueError("decision boundary plots need 2D features")
     xs, ys = _grid_centers(region, resolution)
     gx, gy = np.meshgrid(xs, ys)
     queries = np.column_stack([gx.ravel(), gy.ravel()])
-    grid = decide(evaluate_objective(ens, queries)).reshape(resolution, resolution)
+    grid = np.concatenate([decide(om) for _, om in score_chunks(ens, queries)])
+    grid = grid.reshape(resolution, resolution)
     colors = np.empty(grid.shape, dtype=object)
     for k in np.unique(grid):
         colors[grid == k] = class_color(int(k))
-    overlay = ""
+    overlay = None
     if points is not None and labels is not None:
         overlay = _point_overlay(region, np.asarray(points), np.asarray(labels))
     _svg_grid(path, colors, overlay)

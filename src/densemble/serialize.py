@@ -193,15 +193,33 @@ def load_ensemble(manifest_path) -> EnsembleModel:
     return build_ensemble(parties, num_classes=num_classes)
 
 
-def write_predictions(path, labels: np.ndarray, objective: np.ndarray | None = None) -> None:
-    """CSV ``query_index,label`` with optional per-class objective columns."""
-    labels = np.asarray(labels, dtype=np.int64)
+def write_predictions(path, chunks, num_classes: int | None = None) -> None:
+    """CSV ``query_index,label``, with objective columns ``j0 ... j{K-1}``
+    when ``num_classes`` K is given.
+
+    ``chunks`` yields ``(labels, objective)`` for consecutive runs of query
+    rows; a whole batch is one chunk. ``objective`` is the run's (rows, K)
+    objective, or None without ``num_classes``. Query indices count on across
+    chunks, and each chunk's cells are formatted only when it is written, so
+    the file has the same bytes however the rows are chunked.
+    """
     header = ["query_index", "label"]
-    columns = [map(str, range(len(labels))), map(str, labels.tolist())]
-    if objective is not None:
-        header += [f"j{k}" for k in range(objective.shape[1])]
-        columns += [map(repr, col.tolist()) for col in objective.T]
-    _write_columns(path, header, columns)
+    if num_classes is not None:
+        header += [f"j{k}" for k in range(num_classes)]
+    _write_columns(path, header, _prediction_columns(chunks))
+
+
+def _prediction_columns(chunks):
+    """Each ``(labels, objective)`` chunk's columns of cells, its query
+    indices counting on from the previous chunk's."""
+    start = 0
+    for labels, objective in chunks:
+        labels = np.asarray(labels, dtype=np.int64)
+        columns = [map(str, range(start, start + len(labels))), map(str, labels.tolist())]
+        if objective is not None:
+            columns += [map(repr, col.tolist()) for col in objective.T]
+        yield columns
+        start += len(labels)
 
 
 def write_trace(path, trace: list[TraceRow]) -> None:
@@ -211,4 +229,4 @@ def write_trace(path, trace: list[TraceRow]) -> None:
         [repr(float(row.loss)) for row in trace],
         ["" if row.test_accuracy is None else repr(float(row.test_accuracy)) for row in trace],
     ]
-    _write_columns(path, ["step", "loss", "test_accuracy"], columns)
+    _write_columns(path, ["step", "loss", "test_accuracy"], [columns])

@@ -1,14 +1,33 @@
 """Shared test doubles, parameter oracles, artifact readers and fast
 experiment configs."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from densemble.calibration import TraceRow
-from densemble.classifiers import _softmax_upstream_to_logits, _views
+from densemble.classifiers import SoftmaxRegression, _softmax_upstream_to_logits, _views
 from densemble.datasets import _read_columns
-from densemble.density import GMM_VARIANCE_FLOOR, GmmModel, GmmStack, _gmm_resp, _logsumexp
-from densemble.harness import ExperimentConfig, config_from_dict
+from densemble.density import (
+    GMM_VARIANCE_FLOOR,
+    GmmModel,
+    GmmStack,
+    _gmm_resp,
+    _logsumexp,
+    kde_fit,
+)
+from densemble.ensemble import PartyModel, build_ensemble
+from densemble.harness import (
+    ExperimentConfig,
+    config_from_dict,
+    load_config,
+    prepare_data,
+    stream_seeds,
+)
+from densemble.serialize import save_ensemble
 
 
 class ConstantClassifier:
@@ -162,3 +181,45 @@ def fast_experiment_doc() -> dict:
 @pytest.fixture
 def fast_config() -> ExperimentConfig:
     return config_from_dict(fast_experiment_doc())
+
+
+def toy3_untrained_manifest(out_dir) -> str:
+    """Manifest of toy3's seed-0 parties: KDEs on their shards and
+    softmax classifiers at random initial weights (no training)."""
+    cfg = load_config("toy3")
+    _, _, shards = prepare_data(cfg, stream_seeds(0, len(cfg.parties)))
+    rng = np.random.default_rng(0)
+    parties = [
+        PartyModel(
+            SoftmaxRegression.init_random(2, shard.label_space, rng),
+            kde_fit(shard.features, pcfg.estimator.bandwidth),
+            len(shard),
+        )
+        for pcfg, shard in zip(cfg.parties, shards)
+    ]
+    return save_ensemble(build_ensemble(parties, cfg.data.num_classes), out_dir)
+
+
+# Run the CLI in a child and print the child's own peak RSS in KiB: Linux's
+# VmHWM, because the child's ``ru_maxrss`` starts from the peak of the test
+# process that spawned it (a child of a 177 MB process reads 177 MB at once).
+MAXRSS_CHILD = (
+    "import sys\n"
+    "from densemble import cli\n"
+    "assert cli.main(sys.argv[1:]) == 0\n"
+    "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+)
+
+
+def cli_peak_rss_mb(argv: list[str]) -> float:
+    """Peak RSS in MB of a child process that runs ``densemble argv`` on one
+    BLAS thread, which must exit 0."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", MAXRSS_CHILD, *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return int(proc.stdout.split()[-1]) / 1024

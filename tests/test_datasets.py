@@ -243,7 +243,7 @@ def reference_write_csv(ds, path):
             fh.write(",".join(row) + "\n")
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 500])
+@pytest.mark.parametrize("n", [0, 1, 7, 500, 2500])
 def test_csv_bytes_match_cell_by_cell_writer(tmp_path, n):
     rng = np.random.default_rng(n)
     feats = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-320, 300, size=(n, 3))
@@ -325,7 +325,7 @@ def test_csv_byte_not_utf8_names_line(tmp_path, capsys, row, message):
     )
     manifest = save_ensemble(build_ensemble([party]), tmp_path / "model")
     assert cli.main(["eval-zeroshot", "--ensemble", manifest, "--data", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: line 3: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: line 3: {message}\n"
 
 
 def test_csv_lines_counted_across_blocks_and_blank_lines(tmp_path, monkeypatch):

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import ConstantClassifier, ConstantDensity, LinearDensity, random_simplex
+from densemble import ensemble
+from densemble.classifiers import MlpClassifier, SoftmaxRegression
+from densemble.density import gmm_fit, kde_fit
 from densemble.ensemble import (
     EnsembleModel,
     PartyModel,
@@ -14,6 +17,7 @@ from densemble.ensemble import (
     lambda_weights,
     max_model_decide,
     posterior,
+    score_chunks,
 )
 
 
@@ -261,3 +265,63 @@ def test_ensemble_model_validation():
         EnsembleModel([party], np.array([0.5, 0.5]), 1)
     with pytest.raises(ValueError, match="label_space"):
         EnsembleModel([party], np.array([1.0]), 0)
+
+
+def mixed_ensemble(rng):
+    """A softmax party with a KDE and an MLP party with a GMM, three classes."""
+    parties = [
+        PartyModel(
+            SoftmaxRegression.init_random(2, (0, 1), rng),
+            kde_fit(rng.normal(size=(30, 2)), 0.4),
+            30,
+        ),
+        PartyModel(
+            MlpClassifier.init_random(2, (1, 2), 8, rng),
+            gmm_fit(rng.normal(size=(40, 2)) + 1.0, 2, seed=0),
+            40,
+        ),
+    ]
+    return build_ensemble(parties, num_classes=3)
+
+
+def test_score_chunks_match_one_evaluation(monkeypatch):
+    # 2 x 7 + 3 rows in chunks of 7: every rule, table and row of one
+    # whole-batch evaluation, the objective to rounding
+    rng = np.random.default_rng(11)
+    ens = mixed_ensemble(rng)
+    X = rng.normal(size=(17, 2)) * 2.0
+    whole = evaluate_objective(ens, X)
+    monkeypatch.setattr(ensemble, "SCORE_CHUNK_ROWS", 7)
+    chunks = list(score_chunks(ens, X))
+    assert [(rows.start, rows.stop) for rows, _ in chunks] == [(0, 7), (7, 14), (14, 17)]
+    assert [len(om.objective) for _, om in chunks] == [7, 7, 3]
+    joined = {
+        name: np.concatenate([getattr(om, name) for _, om in chunks])
+        for name in ("posteriors", "loglik", "weights", "objective")
+    }
+    assert np.array_equal(joined["loglik"], whole.loglik)
+    for name in ("posteriors", "weights", "objective"):
+        np.testing.assert_allclose(joined[name], getattr(whole, name), rtol=1e-12, atol=0)
+    assert np.array_equal(np.concatenate([decide(om) for _, om in chunks]), decide(whole))
+    assert np.array_equal(
+        np.concatenate([max_model_decide(om) for _, om in chunks]), max_model_decide(whole)
+    )
+
+
+def test_score_chunks_of_one_chunk_is_one_evaluation():
+    rng = np.random.default_rng(12)
+    ens = mixed_ensemble(rng)
+    X = rng.normal(size=(50, 2))
+    ((rows, om),) = score_chunks(ens, X)
+    whole = evaluate_objective(ens, X)
+    assert (rows.start, rows.stop) == (0, 50)
+    for name in ("posteriors", "loglik", "weights", "objective"):
+        assert np.array_equal(getattr(om, name), getattr(whole, name))
+
+
+def test_score_chunks_reject_non_finite_queries_before_scoring():
+    ens = mixed_ensemble(np.random.default_rng(13))
+    X = np.zeros((3, 2))
+    X[2, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        next(score_chunks(ens, X))

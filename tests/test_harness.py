@@ -11,14 +11,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import ConstantClassifier, fast_experiment_doc, read_predictions
+from conftest import (
+    ConstantClassifier,
+    cli_peak_rss_mb,
+    fast_experiment_doc,
+    read_predictions,
+    toy3_untrained_manifest,
+)
 
-from densemble import cli, serialize
+from densemble import cli, ensemble, serialize
 from densemble.calibration import CalibrationConfig
 from densemble.classifiers import ClassifierStack, SoftmaxRegression
 from densemble.datasets import read_csv
 from densemble.density import KdeModel
-from densemble.ensemble import evaluate_objective
+from densemble.ensemble import decide, evaluate_objective, max_model_decide
 from densemble.harness import (
     PRESET_NAMES,
     MetricsReport,
@@ -774,6 +780,90 @@ def test_cli_wrong_feature_count_exits_2(
     assert cli.main(argv + command[1:]) == 2
     assert capsys.readouterr().err == f"error: {data}: 1 features, ensemble expects 2\n"
     assert not (tmp_path / "plot.svg").exists()
+
+
+@DATA_COMMANDS
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("99999999999999999999", "line 3: label 99999999999999999999 outside int64"),
+        ("7", "label_space (0, 7) not contained in [0, 5)"),
+        ("-1", "label_space (-1, 0) not contained in [0, 5)"),
+        ("one", "line 3: non-integer cell in '-0.5,1.0,one'"),
+    ],
+    ids=["int64-overflow", "above-range", "negative", "non-integer"],
+)
+def test_cli_bad_label_names_its_file_and_exits_2(
+    pipeline_artifacts, tmp_path, monkeypatch, capsys, command, label, message
+):
+    _, _, out = pipeline_artifacts
+    data = tmp_path / "bad.csv"
+    data.write_text(f"f0,f1,label\n0.5,0.5,0\n-0.5,1.0,{label}\n")
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], "--ensemble", str(out / "ensemble.json"), "--data", str(data)]
+    assert cli.main(argv + command[1:]) == 2
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
+    assert not (tmp_path / "plot.svg").exists()
+
+
+def test_cli_partition_bad_label_names_its_file_and_exits_2(pipeline_artifacts, tmp_path, capsys):
+    cfg, _, _ = pipeline_artifacts
+    spec = tmp_path / "spec.json"
+    cfg.partition.save(spec)
+    data = tmp_path / "bad.csv"
+    data.write_text("f0,f1,label\n0.5,0.5,0\n\n-0.5,1.0,-99999999999999999999\n")
+    argv = ["partition", "--data", str(data), "--spec", str(spec), "--out", str(tmp_path / "s")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data}: line 4: label -99999999999999999999 outside int64\n"
+    )
+
+
+@pytest.mark.parametrize("write_out", [True, False], ids=["out", "no-out"])
+def test_cli_eval_zeroshot_in_chunks_matches_one_evaluation(
+    pipeline_artifacts, tmp_path, monkeypatch, capsys, write_out
+):
+    # 2 x 7 + 3 rows in chunks of 7, a third of them mislabelled so that
+    # the accuracies add up hits from every chunk
+    _, _, out = pipeline_artifacts
+    manifest = str(out / "ensemble.json")
+    ens = serialize.load_ensemble(manifest)
+    X = read_csv(out / "test.csv").features[:17]
+    whole = evaluate_objective(ens, X)
+    labels = (decide(whole) + (np.arange(17) % 3 == 0)) % ens.num_classes
+    data = tmp_path / "q.csv"
+    rows = [f"{x!r},{y!r},{k}" for (x, y), k in zip(X.tolist(), labels.tolist())]
+    data.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+    pred = tmp_path / "pred.csv"
+    monkeypatch.setattr(ensemble, "SCORE_CHUNK_ROWS", 7)
+    argv = ["eval-zeroshot", "--ensemble", manifest, "--data", str(data)]
+    assert cli.main(argv + (["--out", str(pred)] if write_out else [])) == 0
+    acc = np.mean(decide(whole) == labels)
+    mm_acc = np.mean(max_model_decide(whole) == labels)
+    assert 0 < acc < 1
+    printed = f"ensemble accuracy   {acc:.4f}\nmax-model accuracy  {mm_acc:.4f}\n"
+    if not write_out:
+        assert capsys.readouterr().out == printed
+        assert not pred.exists()
+        return
+    assert capsys.readouterr().out == printed + f"predictions -> {pred}\n"
+    lines = pred.read_text().splitlines()
+    assert lines[0] == "query_index,label,j0,j1,j2,j3,j4"
+    assert len(lines) == 18 and sum(line.startswith("query_index") for line in lines) == 1
+    assert np.array_equal(read_predictions(pred), decide(whole))  # indices run 0 ... 16
+    cells = np.array([[float(c) for c in line.split(",")[2:]] for line in lines[1:]])
+    np.testing.assert_allclose(cells, whole.objective, rtol=1e-12, atol=0)
+
+
+def test_eval_zeroshot_on_200k_rows_stays_under_100_mb(tmp_path):
+    # the features, labels and (n, N) log-density table grow with the rows;
+    # posteriors, objective and prediction text are held one chunk at a time
+    manifest = toy3_untrained_manifest(tmp_path / "ens")
+    data = tmp_path / "q.csv"
+    assert cli.main(["gen-data", "--n", "200000", "--out", str(data)]) == 0
+    argv = ["eval-zeroshot", "--ensemble", manifest, "--data", str(data)]
+    peak_mb = cli_peak_rss_mb(argv + ["--out", str(tmp_path / "pred.csv")])
+    assert peak_mb < 100, peak_mb
 
 
 def test_cli_sweep(tmp_path, capsys):

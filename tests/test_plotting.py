@@ -1,19 +1,16 @@
 """SVG rendering of decision grids and density heatmaps."""
 
-import os
-import subprocess
-import sys
+import io
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from conftest import ConstantClassifier, ConstantDensity
+from conftest import ConstantClassifier, ConstantDensity, cli_peak_rss_mb, toy3_untrained_manifest
+from densemble import ensemble, plotting
 from densemble.classifiers import SoftmaxRegression
 from densemble.density import kde_fit
 from densemble.ensemble import PartyModel, build_ensemble
-from densemble.harness import load_config, prepare_data, stream_seeds
-from densemble.serialize import save_ensemble
 from densemble.plotting import (
     CANVAS,
     DENSITY_HIGH,
@@ -21,6 +18,7 @@ from densemble.plotting import (
     _grid_centers,
     _point_overlay,
     _svg_grid,
+    _write_marks,
     class_color,
     plot_decision_boundary,
     plot_density,
@@ -216,7 +214,15 @@ def reference_point_overlay(region, points, labels):
     return "\n".join(marks)
 
 
-def test_point_overlay_bytes_match_per_point_reference():
+def overlay_text(overlay) -> str:
+    """The lines ``_write_marks`` writes for ``_point_overlay``'s marks,
+    without the last newline."""
+    fh = io.StringIO()
+    _write_marks(fh, *overlay)
+    return fh.getvalue().removesuffix("\n")
+
+
+def test_point_overlay_bytes_match_per_point_reference(monkeypatch):
     rng = np.random.default_rng(3)
     region = (-2.0, 3.0, -1.5, 2.5)
     points = np.concatenate(
@@ -227,15 +233,18 @@ def test_point_overlay_bytes_match_per_point_reference():
         ]
     )
     labels = np.concatenate([rng.integers(0, 25, 300), [10, 19, 0, 11, 9]])
-    got = _point_overlay(region, points, labels)
+    got = overlay_text(_point_overlay(region, points, labels))
     assert got == reference_point_overlay(region, points, labels)
     assert 'cx="-0.00"' in got and 'cy="-0.00"' in got
     assert class_color(10) == class_color(0) and f'fill="{class_color(19)}"' in got
-    assert _point_overlay(region, points[:0], labels[:0]) == ""
+    assert overlay_text(_point_overlay(region, points[:0], labels[:0])) == ""
+    # 305 points in 76 blocks of 4 and one of 1
+    monkeypatch.setattr(plotting, "_MARK_BLOCK", 4)
+    assert overlay_text(_point_overlay(region, points, labels)) == got
 
 
 @pytest.mark.parametrize("resolution", [1, 2, 9, 64])
-def test_svg_grid_bytes_match_per_cell_reference(tmp_path, resolution):
+def test_svg_grid_bytes_match_per_cell_reference(tmp_path, monkeypatch, resolution):
     rng = np.random.default_rng(resolution)
     # long runs and single cells: smoothed random labels, a few flipped
     grid = np.cumsum(rng.random((resolution, resolution)) < 0.15, axis=1) % 3
@@ -244,45 +253,41 @@ def test_svg_grid_bytes_match_per_cell_reference(tmp_path, resolution):
     for k in np.unique(grid):
         colors[grid == k] = class_color(int(k))
     overlay = _point_overlay((-1, 1, -1, 1), rng.normal(size=(5, 2)), np.arange(5))
-    for extra in ("", overlay):
-        _svg_grid(tmp_path / "new.svg", colors, extra)
-        reference_svg_grid(tmp_path / "ref.svg", colors, extra)
-        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
-
-
-# Run the CLI in a child and print the child's own peak RSS (KiB on Linux).
-MAXRSS_CHILD = (
-    "import resource, sys\n"
-    "from densemble import cli\n"
-    "assert cli.main(sys.argv[1:]) == 0\n"
-    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-)
+    blocks = (plotting._MARK_BLOCK, 7)  # marks in one block, and in blocks of 7
+    for extra in (None, overlay):
+        text = "" if extra is None else overlay_text(extra)
+        reference_svg_grid(tmp_path / "ref.svg", colors, text)
+        for block in blocks:
+            monkeypatch.setattr(plotting, "_MARK_BLOCK", block)
+            _svg_grid(tmp_path / "new.svg", colors, extra)
+            assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
 
 @pytest.mark.parametrize("args", [[], ["--density", "0"]], ids=["boundary", "density"])
 def test_plot_at_resolution_400_stays_under_300_mb(tmp_path, args):
     # toy3's shards: 160000 grid queries against about 560 points per party
     # would be a 717 MB (queries x points) array if the kernel formed one
-    cfg = load_config("toy3")
-    _, _, shards = prepare_data(cfg, stream_seeds(0, len(cfg.parties)))
-    rng = np.random.default_rng(0)
+    manifest = toy3_untrained_manifest(tmp_path / "ens")
+    argv = ["plot", "--ensemble", manifest, "--resolution", "400", *args]
+    peak_mb = cli_peak_rss_mb(argv + ["--out", str(tmp_path / "plot.svg")])
+    assert peak_mb < 300, peak_mb
+
+
+def test_boundary_plot_in_chunks_has_the_bytes_of_one_batch(tmp_path, monkeypatch):
+    # the 10 x 10 grid is one chunk by default, 15 chunks of 7 rows patched
+    rng = np.random.default_rng(3)
     parties = [
         PartyModel(
-            SoftmaxRegression.init_random(2, shard.label_space, rng),
-            kde_fit(shard.features, pcfg.estimator.bandwidth),
-            len(shard),
+            SoftmaxRegression.init_random(2, space, rng),
+            kde_fit(rng.normal(size=(20, 2)) + shift, 0.5),
+            20,
         )
-        for pcfg, shard in zip(cfg.parties, shards)
+        for space, shift in (((0, 1), -1.0), ((1, 2), 1.0))
     ]
-    manifest = save_ensemble(build_ensemble(parties, cfg.data.num_classes), tmp_path / "ens")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    argv = ["plot", "--ensemble", manifest, "--resolution", "400", *args]
-    proc = subprocess.run(
-        [sys.executable, "-c", MAXRSS_CHILD, *argv, "--out", str(tmp_path / "plot.svg")],
-        env=dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1"),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    peak_mb = int(proc.stdout.split()[-1]) / 1024
-    assert peak_mb < 300, peak_mb
+    ens = build_ensemble(parties, num_classes=3)
+    region = (-3.0, 3.0, -3.0, 3.0)
+    plot_decision_boundary(ens, region, 10, tmp_path / "whole.svg")
+    monkeypatch.setattr(ensemble, "SCORE_CHUNK_ROWS", 7)
+    plot_decision_boundary(ens, region, 10, tmp_path / "chunked.svg")
+    assert len({r.get("fill") for r in rects(tmp_path / "whole.svg")}) > 1
+    assert (tmp_path / "chunked.svg").read_bytes() == (tmp_path / "whole.svg").read_bytes()

@@ -215,7 +215,7 @@ def test_predictions_round_trip(tmp_path):
     path = tmp_path / "pred.csv"
     labels = np.array([2, 0, 1, 1])
     J = np.random.default_rng(7).random((4, 3))
-    write_predictions(path, labels, J)
+    write_predictions(path, [(labels, J)], 3)
     assert np.array_equal(read_predictions(path), labels)
     header = path.read_text().splitlines()[0]
     assert header == "query_index,label,j0,j1,j2"
@@ -223,7 +223,7 @@ def test_predictions_round_trip(tmp_path):
 
 def test_predictions_without_objective(tmp_path):
     path = tmp_path / "pred.csv"
-    write_predictions(path, np.array([0, 1]))
+    write_predictions(path, [(np.array([0, 1]), None)])
     assert path.read_text() == "query_index,label\n0,0\n1,1\n"
 
 
@@ -251,9 +251,26 @@ def test_predictions_bytes_match_cell_by_cell_writer(tmp_path, n, with_objective
     J = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-320, 300, size=(n, 4))
     J[:, 0] = np.where(rng.random(n) < 0.3, -0.0, J[:, 0])
     J = J if with_objective else None
-    write_predictions(tmp_path / "got.csv", labels, J)
+    write_predictions(tmp_path / "got.csv", [(labels, J)], 4 if with_objective else None)
     reference_write_predictions(tmp_path / "want.csv", labels, J)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("with_objective", [False, True])
+def test_predictions_in_chunks_have_the_bytes_of_one_chunk(tmp_path, monkeypatch, with_objective):
+    # chunks of 7, 7, 0 and 3 rows, joined and written 4 lines at a time
+    monkeypatch.setattr(datasets, "_CSV_BLOCK_LINES", 4)
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 4, size=17)
+    J = rng.normal(size=(17, 4)) * 10.0 ** rng.integers(-320, 300, size=(17, 4))
+    J, K = (J, 4) if with_objective else (None, None)
+    cuts = [(0, 7), (7, 14), (14, 14), (14, 17)]
+    chunks = ((labels[a:b], None if J is None else J[a:b]) for a, b in cuts)
+    write_predictions(tmp_path / "chunked.csv", chunks, K)
+    write_predictions(tmp_path / "whole.csv", [(labels, J)], K)
+    reference_write_predictions(tmp_path / "want.csv", labels, J)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_trace_round_trip(tmp_path):

@@ -42,6 +42,11 @@ classifier stacks interleave in the flat gradient.
 ``partition`` loads a partition spec, written to ``OUT/configs`` from the
 toy3 preset's ``partition`` block, and splits the generated queries into
 shard CSVs with it.
+``queries.csv`` (3000 rows) is one scoring chunk; ``queries20k.csv`` (20000
+rows) is several (``ensemble.SCORE_CHUNK_ROWS``), so ``eval-zeroshot-20k``
+and ``splitD-density-eval-20k`` cover predictions written chunk by chunk,
+and ``plot-boundary-400`` a 160000-cell grid scored chunk by chunk under an
+overlay of those rows.
 """
 
 from __future__ import annotations
@@ -133,6 +138,19 @@ COMMANDS = {
     "plot-density": [
         "plot", "--ensemble", "toy3-seed0/ensemble.json", "--density", "0",
         "--resolution", "150", "--out", "density0.svg",
+    ],
+    "gen-data-20k": ["gen-data", "--seed", "8", "--n", "20000", "--out", "queries20k.csv"],
+    "eval-zeroshot-20k": [
+        "eval-zeroshot", "--ensemble", "toy3-seed0/ensemble.json",
+        "--data", "queries20k.csv", "--out", "queries20k_predictions.csv",
+    ],
+    "splitD-density-eval-20k": [
+        "eval-zeroshot", "--ensemble", "splitD-density/ensemble.json",
+        "--data", "queries20k.csv", "--out", "splitD-density_predictions20k.csv",
+    ],
+    "plot-boundary-400": [
+        "plot", "--ensemble", "toy3-seed0/ensemble.json",
+        "--data", "queries20k.csv", "--resolution", "400", "--out", "boundary400.svg",
     ],
     "sweep": ["sweep", "--config", "toy3", "--seeds", "2", "--out", "sweep"],
     "toy3-narrow": [
