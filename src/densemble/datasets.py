@@ -6,13 +6,15 @@ can actually observe. Partitioning a dataset according to a ``PartitionSpec``
 produces one such shard per party, with label-biased class assignments and
 optional per-class subsampling fractions.
 
-Every CSV the toolkit touches (datasets, predictions, traces, metrics,
-sweeps) is written by ``_write_columns`` and read by ``_read_columns``:
-one writer and one reader, column by column.
+Every CSV the toolkit writes (datasets, predictions, traces, metrics,
+sweeps) goes through one writer, ``_write_columns``. The only CSVs it reads
+back are data CSVs: ``read_csv`` parses them with numpy's C text reader and
+rescans the file in Python only to name the first line that reader rejects.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 
@@ -27,9 +29,10 @@ TOY_BLOB_SIGMA = 0.8
 # 100% accuracy instead of saturating.
 TOY_OVERLAP_PAIR = (1, 2)
 TOY_OVERLAP_DISTANCE = 3.2
-# ``_read_columns`` splits and parses, and ``_write_columns`` joins and
-# writes, this many lines at a time.
+# ``_write_columns`` joins and writes this many lines at a time.
 _CSV_BLOCK_LINES = 1 << 10
+# a class-coverage error lists at most this many unassigned classes
+_SHOWN_CLASSES = 10
 
 
 @dataclass
@@ -128,6 +131,19 @@ class PartitionSpec:
     def covered_classes(self) -> set[int]:
         return {c for rule in self.parties for c in rule.classes}
 
+    def unassigned(self, num_classes: int) -> str | None:
+        """The classes 0 ... num_classes-1 that no rule claims, as text:
+        ``classes [5]``, or the first ``_SHOWN_CLASSES`` of them and their
+        count, ``classes [2, 3, ...] (99998 in all)``; None if every class
+        is claimed. The work and the text grow with the rules, not with
+        ``num_classes``."""
+        covered = self.covered_classes
+        count = num_classes - sum(0 <= c < num_classes for c in covered)
+        free = (c for c in range(num_classes) if c not in covered)
+        shown = ", ".join(map(str, islice(free, _SHOWN_CLASSES)))
+        more = f", ...] ({count} in all)" if count > _SHOWN_CLASSES else "]"
+        return f"classes [{shown}{more}" if count > 0 else None
+
     def save(self, path) -> None:
         write_json(path, to_json(self))
 
@@ -214,9 +230,9 @@ def partition(ds: LocalDataset, spec: PartitionSpec) -> list[LocalDataset]:
     never duplicated across shards. Classes absent from every rule would be
     globally unlearnable and are rejected.
     """
-    missing = set(range(ds.num_classes)) - spec.covered_classes
+    missing = spec.unassigned(ds.num_classes)
     if missing:
-        raise ValueError(f"classes {sorted(missing)} not assigned to any party")
+        raise ValueError(f"{missing} not assigned to any party")
     rng = np.random.default_rng(spec.seed)
     shard_indices: list[list[np.ndarray]] = [[] for _ in spec.parties]
     for c in sorted(spec.covered_classes):
@@ -264,97 +280,77 @@ def _write_columns(path, header: list[str], chunks) -> None:
                 fh.write("\n".join(block) + "\n")
 
 
-def _read_columns(path, check_header) -> tuple[list[int], list[list]]:
-    """Read a CSV column by column: the mirror of ``_write_columns``.
-
-    ``check_header`` gets the stripped header line, raises ValueError if it
-    is wrong, and returns one parser per leading column to parse; any later
-    columns are counted but not parsed. Lines are stripped and blank ones
-    skipped. Returns the data rows' line numbers and, per parser, the list
-    of its column's parsed cells. A row whose field count differs from the
-    header's, or a parsed cell that is not ``_plain`` or that its parser
-    rejects, raises ValueError naming the first bad line. The lines are
-    split and parsed ``_CSV_BLOCK_LINES`` at a time, so no more than one
-    block's cell strings are held at once.
-    """
-    # a byte that is not UTF-8 decodes to a lone surrogate, which ``_plain``
-    # rejects as a non-ASCII cell on its numbered line
-    with open(path, errors="surrogateescape") as fh:
-        header = fh.readline().strip()
-        parsers = check_header(header)
-        width = len(header.split(","))
-        linenos, columns = [], [[] for _ in parsers]
-        start = 2
-        while block := [line.strip() for line in islice(fh, _CSV_BLOCK_LINES)]:
-            rows = [line.split(",") for line in block if line]
-            try:
-                if any(len(row) != width for row in rows):
-                    raise ValueError
-                for column, parse, cells in zip(columns, parsers, zip(*rows)):
-                    if not _plain("".join(cells)):
-                        raise ValueError
-                    column.extend(map(parse, cells))
-            except ValueError:
-                raise _bad_line(block, start, width, parsers) from None
-            linenos += [n for n, line in enumerate(block, start) if line]
-            start += len(block)
-    return linenos, columns
-
-
-def _plain(text: str) -> bool:
-    """Whether ``text`` has no ``_`` and no non-ASCII character: ``float``
-    and ``int`` read Python literal syntax, ``1_0`` as 10 and a full-width
-    ``２`` as 2, which no CSV the toolkit writes holds. Checked on a block's
-    joined cells, so it costs no Python call per cell."""
-    return text.isascii() and "_" not in text
-
-
-def _bad_line(lines: list[str], start: int, width: int, parsers) -> ValueError:
-    """The error for the first of ``lines`` (numbered from ``start``) with
-    the wrong field count or a cell its parser rejects or that is not
-    ``_plain``: ``non-integer cell`` under an ``int`` column,
-    ``non-numeric cell`` under any other."""
-    for lineno, line in enumerate(lines, start):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != width:
-            return ValueError(f"line {lineno}: expected {width} fields, got {len(cells)}")
-        for parse, cell in zip(parsers, cells):
-            try:
-                if not _plain(cell):
-                    raise ValueError
-                parse(cell)
-            except ValueError:
-                kind = "non-integer" if parse is int else "non-numeric"
-                return ValueError(f"line {lineno}: {kind} cell in {line!r}")
-
-
-def _dataset_header(header: str) -> list:
-    """Parsers for ``f0,...,f{d-1},label``: float features, an int label."""
+def _dataset_header(header: str) -> int:
+    """The feature count d of a ``f0,...,f{d-1},label`` header."""
     if not header:
         raise ValueError("line 1: missing header")
     cols = header.split(",")
     if cols[-1] != "label" or any(c != f"f{i}" for i, c in enumerate(cols[:-1])):
         raise ValueError(f"line 1: unexpected header {header!r}")
-    return [float] * (len(cols) - 1) + [int]
+    return len(cols) - 1
 
 
 def read_csv(path, num_classes: int | None = None) -> LocalDataset:
     """Read a dataset written by ``write_csv``.
 
-    ``num_classes`` defaults to max(label)+1. Malformed rows, and a label
-    outside int64, raise ValueError naming the offending line.
+    The data lines, stripped, go to one ``np.loadtxt`` call, whose C reader
+    parses a cell with ``PyOS_string_to_double``, the routine ``float``
+    uses, so every cell reads to the bits ``float`` or ``int`` gives it.
+    Blank lines are skipped. The features and labels are views of the one
+    record array the reader returns. ``num_classes`` defaults to max(label)+1.
+    Malformed rows, and a label outside int64, raise ValueError naming the
+    offending line.
     """
-    linenos, columns = _read_columns(path, _dataset_header)
-    labels = columns.pop()
-    try:
-        label_array = np.array(labels, dtype=np.int64)
-    except OverflowError:
-        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-        i = next(i for i, label in enumerate(labels) if not lo <= label <= hi)
-        raise ValueError(f"line {linenos[i]}: label {labels[i]} outside int64") from None
-    features = np.array(columns, dtype=np.float64).reshape(len(columns), len(labels))
+    # a byte that is not UTF-8 decodes to a lone surrogate, which the reader
+    # rejects and ``_bad_line`` names as a non-ASCII cell on its line
+    with open(path, errors="surrogateescape") as fh:
+        d = _dataset_header(fh.readline().strip())
+        try:
+            with warnings.catch_warnings():
+                # a header-only file: numpy warns that it read no data
+                warnings.simplefilter("ignore", UserWarning)
+                # numpy < 2 reads ``1.0`` in an int column, with this warning
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(
+                    map(str.strip, fh), [("f", np.float64, (d,)), ("label", np.int64)],
+                    delimiter=",", comments=None, ndmin=1,
+                )
+        except (ValueError, DeprecationWarning):
+            raise _bad_line(path, d + 1) from None
+    labels = rows["label"]
     if num_classes is None:
-        num_classes = (max(labels) + 1) if labels else 0
-    return LocalDataset(features.T.copy(), label_array, sorted(set(labels)), num_classes)
+        num_classes = int(labels.max()) + 1 if len(labels) else 0
+    return LocalDataset(rows["f"], labels, np.unique(labels).tolist(), num_classes)
+
+
+def _bad_line(path, width: int) -> ValueError:
+    """The error for the first data line of ``path`` that ``read_csv``'s
+    reader rejects, lines numbered from 2 with the blank ones counted: the
+    wrong field count, a feature ``float`` rejects (``non-numeric cell``),
+    a label ``int`` rejects (``non-integer cell``) or one outside int64.
+    Every line the reader rejects is one of these, so this never falls
+    through to its last line."""
+    with open(path, errors="surrogateescape") as fh:
+        next(fh)
+        for lineno, line in enumerate(map(str.strip, fh), 2):
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != width:
+                return ValueError(f"line {lineno}: expected {width} fields, got {len(cells)}")
+            # ``float`` and ``int`` read Python literal syntax, ``1_0`` as 10
+            # and a full-width ``２`` as 2, which the reader rejects: such a
+            # cell becomes one they reject too
+            cells = [c if c.isascii() and "_" not in c else "?" for c in cells]
+            try:
+                for cell in cells[:-1]:
+                    float(cell)
+            except ValueError:
+                return ValueError(f"line {lineno}: non-numeric cell in {line!r}")
+            try:
+                label = int(cells[-1])
+            except ValueError:
+                return ValueError(f"line {lineno}: non-integer cell in {line!r}")
+            if not -(2**63) <= label < 2**63:
+                return ValueError(f"line {lineno}: label {label} outside int64")
+    raise AssertionError(f"{path}: numpy rejected a line that float and int accept")

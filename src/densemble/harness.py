@@ -56,6 +56,7 @@ from .datasets import (
     write_csv,
 )
 from .ensemble import (
+    ObjectiveMatrix,
     PartyModel,
     build_ensemble,
     decide,
@@ -138,11 +139,9 @@ class ExperimentConfig:
                 raise ValueError(
                     f"partition.parties[{i}].classes: {outside} outside [0, {k})"
                 )
-        missing = set(range(k)) - self.partition.covered_classes
+        missing = self.partition.unassigned(k)
         if missing:
-            raise ValueError(
-                f"partition: classes {sorted(missing)} not assigned to any party"
-            )
+            raise ValueError(f"partition: {missing} not assigned to any party")
         if len(self.parties) != len(self.partition.parties):
             raise ValueError(
                 f"parties: got {len(self.parties)} model configs for "
@@ -393,13 +392,18 @@ def prepare_data(
     return train_ds, test_ds, partition(train_ds, spec)
 
 
-def local_accuracy(clf, test_ds: LocalDataset) -> float:
-    """Classifier accuracy on the test samples it could possibly label."""
-    mask = np.isin(test_ds.labels, list(clf.label_space))
-    if not mask.any():
-        return float("nan")
-    sub = test_ds.subset(np.where(mask)[0], label_space=clf.label_space)
-    return classifiers.accuracy(clf, sub)
+def local_accuracies(
+    om: ObjectiveMatrix, labels: np.ndarray, parties: list[PartyModel]
+) -> list[float]:
+    """Each party's accuracy on the queries whose label it could give: the
+    argmax of its zero-filled posterior row in ``om`` against ``labels``,
+    NaN when no label is in its label space."""
+    accs = []
+    for j, party in enumerate(parties):
+        mask = np.isin(labels, party.classifier.label_space)
+        hits = np.argmax(om.posteriors[mask, j], axis=1) == labels[mask]
+        accs.append(float(np.mean(hits)) if mask.any() else float("nan"))
+    return accs
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
@@ -426,7 +430,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     ens_acc = float(np.mean(ens_labels == test_ds.labels))
     mm_labels = max_model_decide(om)
     mm_acc = float(np.mean(mm_labels == test_ds.labels))
-    local_accs = [local_accuracy(p.classifier, test_ds) for p in parties]
+    local_accs = local_accuracies(om, test_ds.labels, parties)
     timings["eval_zeroshot"] = time.perf_counter() - t0
 
     calibrated_acc = None

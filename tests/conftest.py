@@ -10,7 +10,6 @@ import pytest
 
 from densemble.calibration import TraceRow
 from densemble.classifiers import SoftmaxRegression, _softmax_upstream_to_logits, _views
-from densemble.datasets import _read_columns
 from densemble.density import (
     GMM_VARIANCE_FLOOR,
     GmmModel,
@@ -110,6 +109,42 @@ def random_simplex(rng, shape):
     return v / v.sum(axis=-1, keepdims=True)
 
 
+def read_columns(path, check_header) -> tuple[list[int], list[list]]:
+    """Read a CSV the toolkit writes, column by column.
+
+    ``check_header`` gets the stripped header line, raises ValueError if it
+    is wrong, and returns one parser per leading column to parse; any later
+    columns are counted but not parsed. Lines are stripped and blank ones
+    skipped. Returns the data rows' line numbers and, per parser, the list
+    of its column's parsed cells. A row whose field count differs from the
+    header's, or a parsed cell that its parser rejects or that holds ``_``
+    or a non-ASCII character (Python literal syntax, which ``float`` and
+    ``int`` accept), raises ValueError naming its line: ``non-integer cell``
+    under an ``int`` column, ``non-numeric cell`` under any other.
+    """
+    with open(path, errors="surrogateescape") as fh:
+        header = fh.readline().strip()
+        parsers = check_header(header)
+        width = len(header.split(","))
+        linenos, columns = [], [[] for _ in parsers]
+        for lineno, line in enumerate(map(str.strip, fh), 2):
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != width:
+                raise ValueError(f"line {lineno}: expected {width} fields, got {len(cells)}")
+            for column, parse, cell in zip(columns, parsers, cells):
+                try:
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError
+                    column.append(parse(cell))
+                except ValueError:
+                    kind = "non-integer" if parse is int else "non-numeric"
+                    raise ValueError(f"line {lineno}: {kind} cell in {line!r}") from None
+            linenos.append(lineno)
+    return linenos, columns
+
+
 def _predictions_header(header: str) -> list:
     names = header.split(",")
     if names[:2] != ["query_index", "label"]:
@@ -120,7 +155,7 @@ def _predictions_header(header: str) -> list:
 def read_predictions(path) -> np.ndarray:
     """The label column of a ``write_predictions`` file, whose query indices
     must count up from 0."""
-    linenos, (index, labels) = _read_columns(path, _predictions_header)
+    linenos, (index, labels) = read_columns(path, _predictions_header)
     for lineno, got, want in zip(linenos, index, range(len(index))):
         if got != want:
             raise ValueError(f"line {lineno}: query_index out of order")
@@ -144,7 +179,7 @@ def _trace_header(header: str) -> list:
 
 
 def read_trace(path) -> list[TraceRow]:
-    _, columns = _read_columns(path, _trace_header)
+    _, columns = read_columns(path, _trace_header)
     return [TraceRow(*row) for row in zip(*columns)]
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from densemble import cli, datasets
+from densemble import cli
 from densemble.classifiers import SoftmaxRegression
 from densemble.datasets import (
     LocalDataset,
@@ -188,6 +188,20 @@ def test_partition_uncovered_class_rejected():
         partition(ds, spec)
 
 
+def test_partition_error_for_a_large_label_lists_a_few_classes(tmp_path, capsys):
+    # num_classes is 1 + the largest label; the error names the first ten
+    # unassigned classes and their count, not all 99998 of them
+    data = tmp_path / "data.csv"
+    data.write_text("f0,f1,label\n0.0,0.0,0\n1.0,1.0,1\n2.0,2.0,100000\n")
+    spec = tmp_path / "spec.json"
+    PartitionSpec(parties=[PartyRule((0, 1)), PartyRule((100000,))]).save(spec)
+    argv = ["partition", "--data", str(data), "--spec", str(spec), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    first = ", ".join(map(str, range(2, 12)))
+    message = f"classes [{first}, ...] (99998 in all) not assigned to any party"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_partition_overallocated_class_rejected():
     with pytest.raises(ValueError, match="exceed"):
         PartitionSpec(parties=[PartyRule((0, 1), 1.0), PartyRule((1, 2), 0.7)], seed=0)
@@ -328,10 +342,8 @@ def test_csv_byte_not_utf8_names_line(tmp_path, capsys, row, message):
     assert capsys.readouterr().err == f"error: {path}: line 3: {message}\n"
 
 
-def test_csv_lines_counted_across_blocks_and_blank_lines(tmp_path, monkeypatch):
-    # the reader parses a few lines at a time; line numbers run on across
-    # blocks and count the blank lines it skips
-    monkeypatch.setattr(datasets, "_CSV_BLOCK_LINES", 4)
+def test_csv_lines_counted_across_blocks_and_blank_lines(tmp_path):
+    # line numbers count the blank and whitespace-only lines the reader skips
     rows = [f"{i}.5,{-i},{i % 3}" for i in range(11)]
     path = tmp_path / "data.csv"
     path.write_text("f0,f1,label\n" + "\n".join(rows[:5] + ["", "  "] + rows[5:]) + "\n")
@@ -343,6 +355,55 @@ def test_csv_lines_counted_across_blocks_and_blank_lines(tmp_path, monkeypatch):
     with pytest.raises(ValueError) as err:
         read_csv(path)
     assert str(err.value) == "line 13: non-numeric cell in '9.5,nine,0'"
+
+
+MUTANT_ROWS = [[b"0.5", b"-1.25", b"0"], [b"3.0", b"2e-3", b"2"], [b"-7.5", b"0.0", b"1"]]
+
+
+def python_reads(rows: list[list[bytes]]):
+    """(features, labels) as ``float`` and ``int`` read the cells, or None
+    if a row has the wrong field count, a label is outside int64, or a cell
+    is rejected or is not ASCII or holds ``_`` (Python literal syntax)."""
+    try:
+        cells = [[c.decode("ascii") for c in row] for row in rows]
+        if any(len(row) != 3 or "_" in "".join(row) for row in cells):
+            return None
+        features = np.array([[float(c) for c in row[:2]] for row in cells])
+        return features, np.array([int(row[2]) for row in cells], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+
+
+@pytest.mark.parametrize(
+    "token",
+    [b"", b" ", b"x", b"1_0", "\uff11".encode(), b"0x10", b"1e400", b"nan", b"1.0",
+     b"99999999999999999999", b"+1", b"-0", b"\xff", None],
+    ids=lambda t: "extra-field" if t is None else t.decode(errors="backslashreplace") or "empty",
+)
+def test_mutated_data_cell_loads_its_python_value_or_names_its_line(tmp_path, token):
+    # every cell of a small CSV in turn is set to the token (None: one more
+    # field on each line in turn). The file loads with the bits float and
+    # int give each cell if they read them all and the features are finite;
+    # it fails the finiteness check if they read them all but one is not;
+    # otherwise it raises a ValueError that names the mutated line
+    path = tmp_path / "data.csv"
+    spots = [(i, j) for i in range(3) for j in (range(3) if token is not None else [3])]
+    for i, j in spots:
+        rows = [list(row) for row in MUTANT_ROWS]
+        rows[i][j:j + 1] = [b"1" if token is None else token]
+        path.write_bytes(b"f0,f1,label\n" + b"".join(b",".join(r) + b"\n" for r in rows))
+        want = python_reads(rows)
+        if want is not None and np.all(np.isfinite(want[0])):
+            ds = read_csv(path)
+            assert ds.features.tobytes() == want[0].tobytes(), (i, j)
+            assert ds.labels.tolist() == want[1].tolist(), (i, j)
+            continue
+        with pytest.raises(ValueError) as err:
+            read_csv(path)
+        if want is not None:
+            assert str(err.value) == "features must be finite (found NaN or Inf)", (i, j)
+        else:
+            assert str(err.value).startswith(f"line {i + 2}: "), (i, j, str(err.value))
 
 
 def test_csv_bad_header_rejected(tmp_path):

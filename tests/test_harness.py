@@ -13,18 +13,25 @@ import numpy as np
 import pytest
 from conftest import (
     ConstantClassifier,
+    ConstantDensity,
     cli_peak_rss_mb,
     fast_experiment_doc,
     read_predictions,
     toy3_untrained_manifest,
 )
 
-from densemble import cli, ensemble, serialize
+from densemble import classifiers, cli, ensemble, serialize
 from densemble.calibration import CalibrationConfig
 from densemble.classifiers import ClassifierStack, SoftmaxRegression
 from densemble.datasets import read_csv
 from densemble.density import KdeModel
-from densemble.ensemble import decide, evaluate_objective, max_model_decide
+from densemble.ensemble import (
+    PartyModel,
+    build_ensemble,
+    decide,
+    evaluate_objective,
+    max_model_decide,
+)
 from densemble.harness import (
     PRESET_NAMES,
     MetricsReport,
@@ -32,7 +39,7 @@ from densemble.harness import (
     config_from_dict,
     config_to_dict,
     load_config,
-    local_accuracy,
+    local_accuracies,
     prepare_data,
     run_experiment,
     stream_seeds,
@@ -238,6 +245,17 @@ def test_partition_rules_checked_against_num_classes(num_classes, message):
     with pytest.raises(ValueError) as err:
         config_from_dict(doc)
     assert str(err.value) == message
+
+
+def test_config_with_many_unassigned_classes_lists_a_few():
+    doc = fast_experiment_doc()
+    doc["data"]["num_classes"] = 200000
+    with pytest.raises(ValueError) as err:
+        config_from_dict(doc)
+    first = ", ".join(map(str, range(5, 15)))
+    assert str(err.value) == (
+        f"partition: classes [{first}, ...] (199995 in all) not assigned to any party"
+    )
 
 
 def test_partition_spec_without_parties_exits_2(tmp_path, capsys):
@@ -561,10 +579,19 @@ def test_calibrated_run_reuses_zero_shot_densities(monkeypatch):
 
 
 def test_local_accuracy_nan_when_no_test_labels_match(pipeline_artifacts):
+    # the trained party's accuracy on the rows it could label matches
+    # classifiers.accuracy on that subset; the constant party's is NaN
     _, _, out = pipeline_artifacts
     test_ds = read_csv(str(out / "test.csv"), num_classes=10)
-    clf = ConstantClassifier([0.5, 0.5], label_space=(7, 8))
-    assert math.isnan(local_accuracy(clf, test_ds))
+    trained = serialize.load_ensemble(str(out / "ensemble.json")).parties[0]
+    constant = PartyModel(ConstantClassifier([0.5, 0.5], (7, 8)), ConstantDensity(0.0), 1)
+    ens = build_ensemble([trained, constant], num_classes=10)
+    om = evaluate_objective(ens, test_ds.features)
+    accs = local_accuracies(om, test_ds.labels, ens.parties)
+    clf = trained.classifier
+    rows = np.flatnonzero(np.isin(test_ds.labels, clf.label_space))
+    assert accs[0] == classifiers.accuracy(clf, test_ds.subset(rows, clf.label_space))
+    assert math.isnan(accs[1])
 
 
 # ---------------------------------------------------------------- sweeps
@@ -855,15 +882,16 @@ def test_cli_eval_zeroshot_in_chunks_matches_one_evaluation(
     np.testing.assert_allclose(cells, whole.objective, rtol=1e-12, atol=0)
 
 
-def test_eval_zeroshot_on_200k_rows_stays_under_100_mb(tmp_path):
+def test_eval_zeroshot_on_200k_rows_stays_under_75_mb(tmp_path):
     # the features, labels and (n, N) log-density table grow with the rows;
-    # posteriors, objective and prediction text are held one chunk at a time
+    # posteriors, objective and prediction text are held one chunk at a time,
+    # and the CSV is parsed into one record array, no Python object per cell
     manifest = toy3_untrained_manifest(tmp_path / "ens")
     data = tmp_path / "q.csv"
     assert cli.main(["gen-data", "--n", "200000", "--out", str(data)]) == 0
     argv = ["eval-zeroshot", "--ensemble", manifest, "--data", str(data)]
     peak_mb = cli_peak_rss_mb(argv + ["--out", str(tmp_path / "pred.csv")])
-    assert peak_mb < 100, peak_mb
+    assert peak_mb < 75, peak_mb
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -355,8 +355,7 @@ def test_predictions_bad_row_names_its_line(tmp_path, row, message):
     assert str(err.value) == message
 
 
-def test_predictions_order_check_counts_blank_lines_across_blocks(tmp_path, monkeypatch):
-    monkeypatch.setattr(datasets, "_CSV_BLOCK_LINES", 3)
+def test_predictions_order_check_counts_blank_lines_across_blocks(tmp_path):
     rows = [f"{i},{i % 2}" for i in range(8)]
     path = tmp_path / "pred.csv"
     path.write_text("query_index,label\n" + "\n".join(rows[:2] + [""] + rows[2:]) + "\n")

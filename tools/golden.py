@@ -46,7 +46,11 @@ shard CSVs with it.
 rows) is several (``ensemble.SCORE_CHUNK_ROWS``), so ``eval-zeroshot-20k``
 and ``splitD-density-eval-20k`` cover predictions written chunk by chunk,
 and ``plot-boundary-400`` a 160000-cell grid scored chunk by chunk under an
-overlay of those rows.
+overlay of those rows. ``queries-crlf.csv``, written to ``OUT/configs``
+from a seeded ``random.Random``, ends its lines with CRLF and holds blank
+lines, whitespace-only lines and rows padded with spaces and tabs, which
+the data reader skips or strips; ``eval-zeroshot-crlf`` scores it and
+``partition-crlf`` splits it.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import csv
 import filecmp
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -152,6 +157,14 @@ COMMANDS = {
         "plot", "--ensemble", "toy3-seed0/ensemble.json",
         "--data", "queries20k.csv", "--resolution", "400", "--out", "boundary400.svg",
     ],
+    "eval-zeroshot-crlf": [
+        "eval-zeroshot", "--ensemble", "toy3-seed0/ensemble.json",
+        "--data", "../configs/queries-crlf.csv", "--out", "crlf_predictions.csv",
+    ],
+    "partition-crlf": [
+        "partition", "--data", "../configs/queries-crlf.csv",
+        "--spec", "../configs/toy3-partition.json", "--out", "parts-crlf",
+    ],
     "sweep": ["sweep", "--config", "toy3", "--seeds", "2", "--out", "sweep"],
     "toy3-narrow": [
         "train-local", "--config", "../configs/toy3-narrow.json", "--out", "toy3-narrow",
@@ -193,6 +206,23 @@ def write_configs(parent_root: str, out: str) -> None:
             json.dump(doc, fh, indent=2)
     with open(os.path.join(out, "configs", "toy3-partition.json"), "w") as fh:
         json.dump(read_preset(parent_root, "toy3")["partition"], fh, indent=2)
+    write_crlf_queries(os.path.join(out, "configs", "queries-crlf.csv"))
+
+
+def write_crlf_queries(path: str, n: int = 600) -> None:
+    """A toy3-shaped data CSV with CRLF line ends: every 7th line blank,
+    every 11th whitespace-only, every 5th row padded with spaces and tabs."""
+    rng = random.Random(11)
+    lines = ["f0,f1,label"]
+    for i in range(n):
+        if i % 7 == 3:
+            lines.append("")
+        if i % 11 == 5:
+            lines.append(" \t ")
+        row = f"{rng.uniform(-6, 6)!r},{rng.uniform(-6, 6)!r},{i % 5}"
+        lines.append(f" \t{row}  " if i % 5 == 2 else row)
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_preset(root: str, preset: str) -> dict:
