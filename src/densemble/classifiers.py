@@ -72,21 +72,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._reduce import reduce_last
 from .datasets import LocalDataset
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    # in place after the first subtraction, and the ufunc reductions that
-    # ndarray.max and .sum wrap: the same bits, fewer temporaries and calls
-    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    # in place after the first subtraction; over a local label space of
+    # fewer than 8 classes, reduce_last forms the max and the sum of a large
+    # batch as chains of elementwise ops over its columns, which combine them
+    # in numpy's own order: the bits of ndarray.max and .sum, at a fraction
+    # of the cost
+    e = z - reduce_last(np.maximum, z, keepdims=True)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    e /= reduce_last(np.add, e, keepdims=True)
     return e
 
 
 def _softmax_upstream_to_logits(P: np.ndarray, U: np.ndarray) -> np.ndarray:
     # d loss / d logits given d loss / d softmax, row by row: P*(U - <P, U>)
-    return P * (U - (P * U).sum(axis=-1, keepdims=True))
+    return P * (U - reduce_last(np.add, P * U, keepdims=True))
 
 
 def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -86,10 +86,6 @@ class LocalDataset:
     def dim(self) -> int:
         return self.features.shape[1] if self.features.ndim == 2 else 0
 
-    def class_counts(self) -> dict[int, int]:
-        vals, counts = np.unique(self.labels, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
-
     def subset(self, index: np.ndarray, label_space: tuple[int, ...] | None = None) -> "LocalDataset":
         space = self.label_space if label_space is None else label_space
         return LocalDataset(self.features[index], self.labels[index], space, self.num_classes)

@@ -25,7 +25,15 @@ element passes through the same operations either way, so a stacked row
 has the bits of its mixture alone. ``forward`` hands back the component
 table with the floored densities, and ``nll_grad`` takes it back, as a
 classifier stack's ``backward`` takes its ``forward`` state; its 0/1 row
-mask selects each mixture's rows.
+mask selects each mixture's rows. The tables are built from the queries
+tiled to (n, S*m*d), and the responsibilities repeated over d, so no op
+runs an inner loop of d elements. The sums over d and the max and sum over
+the m components are ``_reduce.reduce_last``: under 8 elements, on all but
+a small table, a chain of elementwise ops over the slices, which adds them
+in numpy's own order (from +0.0, index by index) and so gives the bits of
+``np.sum``; otherwise numpy's reduction itself. Every sum over the batch
+rows is still numpy's reduction over the leading axis, which adds the rows
+in order.
 
 ``KdeModel.log_density`` computes the plain formula
 ``logsumexp(-sum_c (x_c - p_c)^2 / 2h^2) - norm`` over the whole query
@@ -89,6 +97,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._reduce import reduce_last
+
 # exp(-745) is about 4.9e-324, the smallest positive subnormal double; anything
 # lower is 0 anyway. (The smallest normal double is exp(_EXP_CUTOFF), about
 # exp(-708.40).)
@@ -120,10 +130,11 @@ def _queries(X: np.ndarray, dim: int) -> np.ndarray:
     return X
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """logsumexp over the last axis, shifted by its finite max."""
+    m = reduce_last(np.maximum, a, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+    return m[..., 0] + np.log(reduce_last(np.add, np.exp(a - m)))
 
 
 @dataclass
@@ -267,18 +278,22 @@ def _gmm_table(X: np.ndarray, means: np.ndarray, variances: np.ndarray):
     """Component table of S stacked mixtures of one shape (m, d) at the rows
     of X: ``diff`` (x - mu) and ``scaled`` ((x - mu)**2 / var), both
     (n, S, m, d), and log N(x | mu, diag(var)), (n, S, m)."""
-    diff = X[:, None, None, :] - means[None]
-    scaled = diff**2 / variances[None]
-    mahal = np.sum(scaled, axis=3)
-    log_norm = 0.5 * (means.shape[2] * np.log(2.0 * np.pi) + np.sum(np.log(variances), axis=2))
-    return diff, scaled, -0.5 * mahal - log_norm[None]
+    n, (S, m, d) = len(X), means.shape
+    # X tiled to (n, S*m*d), so that each op runs over whole rows, not over
+    # runs of d elements
+    diff = np.tile(X, S * m).reshape(n, S, m, d)
+    diff -= means
+    scaled = diff**2 / variances
+    mahal = reduce_last(np.add, scaled)
+    log_norm = 0.5 * (d * np.log(2.0 * np.pi) + reduce_last(np.add, np.log(variances)))
+    return diff, scaled, -0.5 * mahal - log_norm
 
 
 def _gmm_joint(table: np.ndarray, weights: np.ndarray):
     """The joint table ``logj`` (log w + log N(x | component)) and its
     unfloored logsumexp over components, ``lse``."""
     logj = table + np.log(weights)
-    return logj, _logsumexp(logj, axis=-1)
+    return logj, _logsumexp(logj)
 
 
 def _gmm_resp(logj: np.ndarray, lse: np.ndarray) -> np.ndarray:
@@ -404,11 +419,18 @@ class GmmStack:
         if mask is not None:
             resp *= mask[:, :, None]
             count = np.sum(mask, axis=0)[:, None]
-        w = resp[..., None]
-        S, m, d = self.variances.shape
+        n, (S, m, d) = len(resp), self.variances.shape
+        # every table flattened to (n, S*m*d), resp repeated over each
+        # component's d dims: one inner loop per row; the sums over the
+        # batch still add its rows in order
+        w = np.repeat(resp.reshape(n, S * m), d, axis=1)
+        g = w * diff.reshape(n, -1)
+        g /= self.variances.reshape(-1)
         grad = np.empty((S, 2 * m * d + m))
-        grad[:, : m * d] = -np.sum(w * diff / self.variances[None], axis=0).reshape(S, m * d)
-        grad[:, m * d : 2 * m * d] = -0.5 * np.sum(w * (scaled - 1.0), axis=0).reshape(S, m * d)
+        grad[:, : m * d] = -np.add.reduce(g, axis=0).reshape(S, m * d)
+        np.subtract(scaled.reshape(n, -1), 1.0, out=g)
+        g *= w
+        grad[:, m * d : 2 * m * d] = -0.5 * np.add.reduce(g, axis=0).reshape(S, m * d)
         grad[:, 2 * m * d :] = count * self.weights - np.sum(resp, axis=0)
         if mask is not None:
             grad[count[:, 0] == 0] = 0.0
@@ -428,7 +450,7 @@ class GmmStack:
         log_var = np.log(self.variances) - step[:, m * d : 2 * m * d].reshape(S, m, d)
         self.variances = np.maximum(np.exp(log_var), GMM_VARIANCE_FLOOR)
         logits = np.log(self.weights) - step[:, 2 * m * d :]
-        self.weights = np.exp(logits - _logsumexp(logits, axis=-1)[:, None])
+        self.weights = np.exp(logits - _logsumexp(logits)[:, None])
         for model, *arrays in zip(self.models, self.weights, self.means, self.variances):
             model.weights, model.means, model.variances = arrays
 
@@ -474,11 +496,10 @@ def gmm_fit(
     global_var = np.maximum(X.var(axis=0), GMM_VARIANCE_FLOOR)
     variances = np.tile(global_var, (m, 1))
     weights = np.full(m, 1.0 / m)
-    model = GmmModel(weights, means, variances)
     prev = -np.inf
     for _ in range(GMM_MAX_ITER):
-        table = _gmm_table(X, model.means[None], model.variances[None])[2][:, 0]
-        logj, log_px = _gmm_joint(table, model.weights)
+        table = _gmm_table(X, means[None], variances[None])[2][:, 0]
+        logj, log_px = _gmm_joint(table, weights)
         ll = float(np.mean(log_px))
         if loglik_trace is not None:
             loglik_trace.append(ll)
@@ -489,11 +510,11 @@ def gmm_fit(
         sq = resp.T @ (X**2) / mass[:, None] - means**2
         variances = np.maximum(sq, GMM_VARIANCE_FLOOR)
         weights = mass / mass.sum()
-        model = GmmModel(weights, means, variances)
         if ll - prev < GMM_TOL:
             break
         prev = ll
-    return model
+    # validated once, as the fitted model, not at every iteration
+    return GmmModel(weights, means, variances)
 
 
 FAMILIES = {c.type_tag: c for c in (KdeModel, GmmModel)}

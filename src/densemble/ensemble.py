@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._reduce import reduce_last
 from .classifiers import global_posterior
 
 # Rows of a query batch that ``score_chunks`` evaluates at once: under 1 MB
@@ -157,7 +158,7 @@ def evaluate_objective(
     if P is None:
         P = np.stack([global_posterior(p.classifier, X, K) for p in ens.parties], axis=1)
     L = log_density_table(ens, X) if loglik is None else loglik
-    rowmax = L.max(axis=1)
+    rowmax = reduce_last(np.maximum, L)
     W = ens.priors[None, :] * np.exp(L - rowmax[:, None])
     J = np.einsum("njk,nj->nk", P, W)
     return ObjectiveMatrix(P, L, W, J)

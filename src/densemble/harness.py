@@ -355,7 +355,7 @@ def _run_forked(work, workers: int) -> list:
     for pid, status, payload in zip(pids, statuses, payloads):
         if not payload:
             code = os.waitstatus_to_exitcode(status)
-            raise RuntimeError(f"training worker {pid} exited with status {code} and no result")
+            raise RuntimeError(f"forked worker {pid} exited with status {code} and no result")
         result, error = pickle.loads(payload)
         if error is not None:
             raise error

@@ -57,7 +57,7 @@ def set_params(model, flat):
     model.means = flat[: m * d].reshape(m, d).copy()
     model.variances = np.maximum(np.exp(flat[m * d : 2 * m * d].reshape(m, d)), GMM_VARIANCE_FLOOR)
     logits = flat[2 * m * d :]
-    model.weights = np.exp(logits - _logsumexp(logits, axis=0))
+    model.weights = np.exp(logits - _logsumexp(logits))
 
 
 def posterior_grad(model, x, upstream):

@@ -16,6 +16,7 @@ from densemble.classifiers import (
     accuracy,
     cross_entropy,
     global_posterior,
+    softmax,
     train,
 )
 from densemble.datasets import LocalDataset, generate_toy, partition, PartitionSpec, PartyRule
@@ -424,6 +425,40 @@ def test_stacked_forward_backward_bitwise_equal_stacks_of_one(family, shared):
             assert P[s].tobytes() == P1[0].tobytes() == model.posterior(Xs).tobytes()
             G1 = one.backward(Xs, (H1, P1), U[s : s + 1])
             assert G[s].tobytes() == G1[0].tobytes() == posterior_grad(model, Xs, U[s]).tobytes()
+
+
+def head_softmax(z):
+    """Softmax over the last axis with numpy's own max and sum."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("family", ["softmax", "mlp"])
+@pytest.mark.parametrize("m", [2, 9])
+def test_softmax_and_stack_backward_match_numpy_reductions_bitwise(family, m):
+    # the chained max and sums over a local label space of 2 classes, and
+    # numpy's own past 8, give the bits of ndarray.max and .sum: in the
+    # softmax, in a stack's forward pass and in the upstream <P, U> of its
+    # backward pass
+    rng = np.random.default_rng(30 + m)
+    Z = rng.normal(size=(3, 200, m)) * np.exp(rng.uniform(-5.0, 6.0, (3, 200, 1)))
+    Z[0, :7, 0] = -np.inf
+    assert softmax(Z.copy()).tobytes() == head_softmax(Z).tobytes()
+    models = _random_stack(rng, family, 3, 4, m)
+    stack = ClassifierStack(models)
+    X = rng.normal(size=(50, 4)) * 3.0
+    U = rng.normal(size=(3, 50, m))
+    H, P = stack.forward(X)
+    if family == "softmax":
+        W, b = stack._params
+        logits = X @ W.swapaxes(-1, -2) + b
+    else:
+        logits = H @ stack._params[2].swapaxes(-1, -2) + stack._params[3]
+    assert P.tobytes() == head_softmax(logits).tobytes()
+    want = np.empty_like(stack._flat)
+    gz = P * (U - (P * U).sum(axis=-1, keepdims=True))
+    stack._backward(stack._params, X, H, gz, _views(want, models[0]._layout))
+    assert stack.backward(X, (H, P), U).tobytes() == want.tobytes()
 
 
 def test_stack_members_view_their_rows_and_step_together():

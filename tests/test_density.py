@@ -646,6 +646,96 @@ def test_gmm_nll_grad_over_masked_rows_matches_reference_bitwise():
         assert_bitwise_equal(L[:, s], model.log_density(X))
 
 
+def head_logsumexp(a):
+    """logsumexp over the last axis with numpy's own max and sum."""
+    m = np.max(a, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(a - m), axis=-1))
+
+
+def head_forward(stack, X):
+    """``GmmStack.forward`` written as (n, S, m, d) broadcasts and numpy's
+    own reductions over d and over the components."""
+    diff = X[:, None, None, :] - stack.means[None]
+    scaled = diff**2 / stack.variances[None]
+    mahal = np.sum(scaled, axis=3)
+    d = stack.means.shape[2]
+    log_norm = 0.5 * (d * np.log(2.0 * np.pi) + np.sum(np.log(stack.variances), axis=2))
+    logj = (-0.5 * mahal - log_norm[None]) + np.log(stack.weights)
+    lse = head_logsumexp(logj)
+    return (diff, scaled, logj, lse), np.maximum(lse, LOG_DENSITY_FLOOR)
+
+
+def head_nll_grad(stack, state, mask):
+    """``GmmStack.nll_grad`` with the responsibilities broadcast over d."""
+    diff, scaled, logj, lse = state
+    resp = np.exp(logj - lse[..., None])
+    count = len(resp)
+    if mask is not None:
+        resp = resp * mask[:, :, None]
+        count = np.sum(mask, axis=0)[:, None]
+    w = resp[..., None]
+    S = len(stack.models)
+    grad = np.concatenate(
+        [
+            -np.sum(w * diff / stack.variances[None], axis=0).reshape(S, -1),
+            -0.5 * np.sum(w * (scaled - 1.0), axis=0).reshape(S, -1),
+            count * stack.weights - np.sum(resp, axis=0),
+        ],
+        axis=1,
+    )
+    if mask is not None:
+        grad[count[:, 0] == 0] = 0.0
+    return grad
+
+
+def head_apply_grad(stack, grad, lr):
+    """The (weights, means, variances) one ``GmmStack.apply_grad`` step gives."""
+    S, m, d = stack.means.shape
+    step = lr * grad
+    means = stack.means - step[:, : m * d].reshape(S, m, d)
+    log_var = np.log(stack.variances) - step[:, m * d : 2 * m * d].reshape(S, m, d)
+    variances = np.maximum(np.exp(log_var), GMM_VARIANCE_FLOOR)
+    logits = np.log(stack.weights) - step[:, 2 * m * d :]
+    return np.exp(logits - head_logsumexp(logits)[:, None]), means, variances
+
+
+@pytest.mark.parametrize("d", [1, 2, 9])
+@pytest.mark.parametrize("m", [1, 4, 9])
+def test_gmm_stack_matches_broadcast_formulas_bitwise(m, d):
+    # the tiled tables and the chained reductions over d and over the
+    # components give the bits of the plain broadcasts and numpy reductions,
+    # on either side of the widths the chains cover; two far rows overflow
+    # to a -inf table, and the mask leaves the last mixture no rows
+    rng = np.random.default_rng(100 * m + d)
+    models = []
+    for _ in range(3):
+        w = rng.random(m) + 0.2
+        models.append(
+            GmmModel(w / w.sum(), rng.normal(size=(m, d)), rng.uniform(0.03, 3.0, (m, d)))
+        )
+    stack = GmmStack(models)
+    X = rng.normal(size=(40, d)) * 3.0
+    far = np.vstack([X, np.full((2, d), 1e200)])
+    with np.errstate(over="ignore", divide="ignore"):
+        want_state, want_L = head_forward(stack, far)
+    state, L = stack.forward(far)
+    assert L.tobytes() == want_L.tobytes()
+    for got, want in zip(state, want_state):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    state, _ = stack.forward(X)
+    mask = (rng.random((len(X), 3)) < 0.6).astype(np.float64)
+    mask[:, 2] = 0.0
+    for rows in (None, mask):
+        want = head_nll_grad(stack, stack.forward(X)[0], rows)
+        assert stack.nll_grad(state, rows).tobytes() == want.tobytes()
+    grad = rng.normal(size=(3, 2 * m * d + m)) * 40.0
+    want = head_apply_grad(stack, grad, 0.1)
+    stack.apply_grad(grad, 0.1)
+    for got, expected in zip((stack.weights, stack.means, stack.variances), want):
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_gmm_stack_log_density_row_blocks_match_whole_batch_bitwise(monkeypatch):
     # held-out scoring runs in row blocks of bounded size; a block's rows
     # have the bits of the same rows scored in one whole-batch forward pass

@@ -57,6 +57,24 @@ def test_objective_two_party_frozen_values():
     assert decide(om)[0] == 0
 
 
+@pytest.mark.parametrize("N", [1, 3, 7, 8, 11])
+def test_objective_weights_use_numpy_row_max_bitwise(N):
+    # the chained row max over fewer than 8 parties, and numpy's own from 8
+    # on, give the bits of ndarray.max, -inf rows (no party has mass) too
+    rng = np.random.default_rng(N)
+    parties = [
+        PartyModel(ConstantClassifier([0.5, 0.5], (0, 1)), ConstantDensity(0.0), int(size))
+        for size in rng.integers(1, 50, N)
+    ]
+    ens = build_ensemble(parties, num_classes=2)
+    L = rng.normal(size=(300, N)) * 100.0
+    L[:4] = -np.inf
+    with np.errstate(invalid="ignore"):
+        om = evaluate_objective(ens, np.zeros((300, 2)), loglik=L)
+        want = ens.priors[None, :] * np.exp(L - L.max(axis=1)[:, None])
+    assert om.weights.tobytes() == want.tobytes()
+
+
 def test_objective_weight_invariants():
     rng = np.random.default_rng(0)
     parties = [

@@ -39,6 +39,11 @@ and four components) interleave in the flat gradient.
 and updates densities with clipping and noise: the five softmax parties
 train in lockstep as one stack and the two MLPs as another, and the two
 classifier stacks interleave in the flat gradient.
+``splitD-nine`` gives party 0 the label space 0-8 and a nine-component
+mixture (every party takes a fifth of each of its classes, so that no class
+is over-drawn) and updates densities with clipping and noise, so that its
+softmax and its mixture's logsumexp reduce axes of 9, wider than
+``densemble._reduce`` chains.
 ``partition`` loads a partition spec, written to ``OUT/configs`` from the
 toy3 preset's ``partition`` block, and splits the generated queries into
 shard CSVs with it.
@@ -70,7 +75,8 @@ DENSITY_CLIP = {
 }
 
 # config name -> (preset, calibration block or None, {party: {block: fields}}),
-# where a block is "classifier" or "estimator"
+# where a block is "classifier", "estimator" or "partition" (the party's
+# entry in the partition spec)
 CONFIGS = {
     "toy3-raw": ("toy3", {"steps": 300}, {}),
     "splitD-density": ("splitD", DENSITY_CLIP, {}),
@@ -87,6 +93,17 @@ CONFIGS = {
     ),
     "splitD-mixed-classifiers": (
         "splitD", DENSITY_CLIP, {j: {"classifier": {"type": "mlp", "hidden": 16}} for j in (1, 4)}
+    ),
+    "splitD-nine": (
+        "splitD",
+        DENSITY_CLIP,
+        {
+            0: {
+                "partition": {"classes": list(range(9)), "fraction": 0.2},
+                "estimator": {"components": 9},
+            },
+            **{j: {"partition": {"fraction": 0.2}} for j in range(1, 7)},
+        },
     ),
 }
 
@@ -118,6 +135,9 @@ COMMANDS = {
     "splitD-mixed-classifiers": [
         "calibrate", "--config", "../configs/splitD-mixed-classifiers.json",
         "--out", "splitD-mixed-classifiers",
+    ],
+    "splitD-nine": [
+        "calibrate", "--config", "../configs/splitD-nine.json", "--out", "splitD-nine",
     ],
     "gen-data": ["gen-data", "--seed", "7", "--n", "3000", "--out", "queries.csv"],
     "partition": [
@@ -201,7 +221,10 @@ def write_configs(parent_root: str, out: str) -> None:
             doc["calibration"] = calibration
         for j, blocks in parties.items():
             for block, fields in blocks.items():
-                doc["parties"][j][block].update(fields)
+                if block == "partition":
+                    doc["partition"]["parties"][j].update(fields)
+                else:
+                    doc["parties"][j][block].update(fields)
         with open(os.path.join(out, "configs", f"{name}.json"), "w") as fh:
             json.dump(doc, fh, indent=2)
     with open(os.path.join(out, "configs", "toy3-partition.json"), "w") as fh:
