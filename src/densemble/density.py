@@ -37,13 +37,15 @@ in order.
 
 ``KdeModel.log_density`` computes the plain formula
 ``logsumexp(-sum_c (x_c - p_c)^2 / 2h^2) - norm`` over the whole query
-batch, except that a kernel term whose ``exp`` would be subnormal or zero
-(its input, less the row max, below ``_EXP_CUTOFF``) counts as 0. A row
-with a finite max sums its top term, exactly 1.0, and every dropped term is
-below 2^-1022, far under half an ulp of 1.0, so a row's bits can differ
-from the plain formula only through exact rounding ties in successive
-partial sums; none has been seen, and the tests compare rows with the plain
-formula bit for bit. The kernel is cheap in memory:
+batch, except that a kernel term whose input, less the row max, is below
+``_EXP_CLAMP`` (-700) counts as ``exp(_EXP_CLAMP)``, about 9.9e-305. A row
+with a finite max sums its top term, exactly 1.0. Every term the clamp
+changes is below 1e-304 before and after it, and a partial sum of such
+terms is far under half an ulp of 1.0, so it is absorbed exactly when it
+meets a partial sum of at least 1. A row's bits can therefore differ from
+the plain formula only through exact rounding ties among the smaller
+partial sums; none has been seen, and the tests compare rows with the
+plain formula bit for bit. The kernel is cheap in memory:
 
 - There is no GEMM. Squared distances are summed one dimension at a time,
   ``(p_0 - x_0)^2 + (p_1 - x_1)^2 + ...``, in that order; a sum of squares
@@ -58,15 +60,15 @@ formula bit for bit. The kernel is cheap in memory:
   the bits of such steps, and neither can the batch: a batch's rows are
   bitwise the same rows of a full-table call, so callers may score a query
   set once and gather rows from the result.
-- The whole block is exp'd in place, every input on numpy's fast vector
-  path: a vector holding any input below about -707.7 (a subnormal or
-  zero result) takes a path several times slower. Each dropped term is
-  first set to -0.0, whose ``exp`` is 1.0, and zeroed again after the
-  ``exp`` by a product with the 0/1 kept mask. A huge query's distance can
-  overflow to inf, so terms are clamped at ``2 * _EXP_CUTOFF`` before the
-  first product, which would turn ``-inf * 0`` into NaN. Every bandwidth
-  takes this one path, and the only memory besides the two blocks is the
-  1-byte-per-term kept mask.
+- The whole block is clamped at ``_EXP_CLAMP`` and exp'd in place, so every
+  input is on numpy's fast vector path: a vector holding any input below
+  about -707.7 (a subnormal or zero result) takes a path several times
+  slower. ``exp(_EXP_CLAMP)`` is a normal double. A huge query's kernel
+  exponent can overflow to -inf; it is clamped like any other. A row whose
+  every exponent overflows has the max -inf: it is shifted by 0, and its
+  log-sum is added to that -inf max, so it comes out -inf and is floored.
+  Every bandwidth takes this one path, and the two blocks are the only
+  memory it uses.
 - Queries must be finite: a NaN or infinite query row would otherwise
   come out as a floored density instead of NaN.
 
@@ -100,21 +102,20 @@ import numpy as np
 from ._reduce import reduce_last
 
 # exp(-745) is about 4.9e-324, the smallest positive subnormal double; anything
-# lower is 0 anyway. (The smallest normal double is exp(_EXP_CUTOFF), about
-# exp(-708.40).)
+# lower is 0 anyway. (The smallest normal double is about exp(-708.40).)
 LOG_DENSITY_FLOOR = -745.0
 GMM_VARIANCE_FLOOR = 1e-6
 # EM stops after this many iterations, or once the mean log-likelihood
 # improves by less than the tolerance.
 GMM_MAX_ITER = 200
 GMM_TOL = 1e-6
-# Byte budget of each of the two row blocks that the KDE kernel works in (its
-# kept-term mask takes an eighth as much again), and of each (rows, S, m, d)
-# table of a mixture row block.
+# Byte budget of each of the two row blocks that the KDE kernel works in, and
+# of each (rows, S, m, d) table of a mixture row block.
 _BLOCK_BYTES = 1 << 19
-# Below this, exp is subnormal or 0.0 in double precision; the KDE kernel
-# counts such a term as 0.
-_EXP_CUTOFF = float(np.log(np.finfo(np.float64).tiny))
+# The KDE kernel clamps each exp input, less its row max, at this: exp(-700)
+# is a normal double, about 9.9e-305, so every input stays on numpy's fast
+# exp path, and a clamped term is far under half an ulp of the row's 1.0.
+_EXP_CLAMP = -700.0
 # A KDE batch gets one more scoring thread per this many row blocks (several
 # ms of kernel work), up to one thread per CPU.
 _BLOCKS_PER_WORKER = 8
@@ -175,9 +176,9 @@ class KdeModel:
         """Mean-of-kernels log-density, evaluated batched and floored.
 
         Every step runs on row blocks and is elementwise or per-row, and a
-        term whose exp would be subnormal counts as 0 (module docstring): a
-        row's bits never depend on its batch, nor on the number of threads
-        that score the blocks.
+        term whose exp input is below ``_EXP_CLAMP`` counts as
+        ``exp(_EXP_CLAMP)`` (module docstring): a row's bits never depend on
+        its batch, nor on the number of threads that score the blocks.
         """
         X = _queries(X, self.dim)
         n, m = X.shape[0], len(self.points)
@@ -190,26 +191,23 @@ class KdeModel:
         # thread starts: buffers allocated in a worker land in its own
         # malloc arena and raise peak RSS
         shape = (min(rows, n), m)
-        buffers = [
-            (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool))
-            for _ in range(workers)
-        ]
+        buffers = [(np.empty(shape), np.empty(shape)) for _ in range(workers)]
         lse = np.empty(n)
         starts = iter(range(0, n, rows))
         lock = threading.Lock()
 
-        def work(buf, tmp, kept):
+        def work(buf, tmp):
             # numpy's error state is per thread: a huge finite query's
-            # distances overflow to inf and its kernel sum is 0, so its
-            # log is -inf, floored below, without a warning
-            with np.errstate(over="ignore", divide="ignore"):
+            # kernel exponents overflow to -inf, and so does its row's
+            # logsumexp, floored below, without a warning
+            with np.errstate(over="ignore"):
                 while True:
                     with lock:
                         r0 = next(starts, None)
                     if r0 is None:
                         return
                     rs = slice(r0, r0 + rows)
-                    _kde_block(X[rs], pts, -2.0 * h2, buf, tmp, kept, lse[rs])
+                    _kde_block(X[rs], pts, -2.0 * h2, buf, tmp, lse[rs])
 
         if workers == 1:
             work(*buffers[0])
@@ -234,15 +232,17 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _kde_block(x, pts, scale, buf, tmp, kept, out) -> None:
+def _kde_block(x, pts, scale, buf, tmp, out) -> None:
     """Write the kernel logsumexp of each row of ``x`` to ``out``.
 
-    ``pts`` is the (d, m) point table, ``scale`` is ``-2h^2``, and ``buf``,
-    ``tmp`` and ``kept`` are (rows, m) buffers with at least ``len(x)`` rows,
-    which this overwrites. On return, ``buf``'s first ``len(x)`` rows hold
-    the terms each row sums: the exp of every kept input, +0.0 for the rest.
+    ``pts`` is the (d, m) point table, ``scale`` is ``-2h^2``, and ``buf``
+    and ``tmp`` are (rows, m) buffers with at least ``len(x)`` rows, which
+    this overwrites. On return, ``buf``'s first ``len(x)`` rows hold the
+    terms each row sums, ``exp(max(shifted, _EXP_CLAMP))``, where
+    ``shifted`` is each input less its row's max (less 0 where that max is
+    -inf); ``out`` is that max plus the log of the row's sum.
     """
-    b, t, k = buf[: len(x)], tmp[: len(x)], kept[: len(x)]
+    b, t = buf[: len(x)], tmp[: len(x)]
     # squared distances, summed one dimension at a time; p - x is exactly
     # -(x - p), so its square has the same bits, and subtracting a column
     # from a copied row is the cheaper broadcast
@@ -255,19 +255,15 @@ def _kde_block(x, pts, scale, buf, tmp, kept, out) -> None:
         np.square(t, out=t)
         np.add(b, t, out=b)
     np.divide(b, scale, out=b)
-    # logsumexp along rows, as _logsumexp computes it
+    # logsumexp along rows, shifted by the finite row max; a row whose every
+    # exponent overflowed is shifted by 0 and keeps its -inf max below, so
+    # its log is -inf (floored) whatever the clamped terms sum to
     top = np.max(b, axis=1)
-    top = np.where(np.isfinite(top), top, 0.0)
-    np.subtract(b, top[:, None], out=b)
-    np.greater_equal(b, _EXP_CUTOFF, out=k)
-    # dropped terms become -0.0 (first clamped, so an overflowed distance's
-    # -inf times 0 is not NaN), whose exp is 1.0: every exp input is then on
-    # numpy's fast vector path, and the second product zeroes those terms
-    np.maximum(b, 2.0 * _EXP_CUTOFF, out=b)
-    np.multiply(b, k, out=b)
+    np.subtract(b, np.where(np.isfinite(top), top, 0.0)[:, None], out=b)
+    # clamped, every exp input is on numpy's fast vector path
+    np.maximum(b, _EXP_CLAMP, out=b)
     np.exp(b, out=b)
-    np.multiply(b, k, out=b)
-    out[:] = top + np.log(np.sum(b, axis=1))
+    np.add(top, np.log(np.sum(b, axis=1)), out=out)
 
 
 def kde_fit(X: np.ndarray, bandwidth: float) -> KdeModel:

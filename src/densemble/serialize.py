@@ -19,8 +19,11 @@ a fractional or boolean ``shard_size``, a string ``num_classes`` or
 ``bandwidth`` and a fractional label are rejected, not coerced. An array
 object has no key but ``shape`` and ``data``; its ``shape`` must be a list
 of non-negative integers and its ``data`` a flat list of JSON numbers, as
-many as the shape holds: a string or boolean cell, or a ``-1`` extent for
-numpy to infer, is rejected too.
+many as the shape holds: a string or boolean cell, one cell too many, or a
+``-1`` extent for numpy to infer, is rejected too. Every error names the
+file and the dotted path of the field at fault (``classifier.W.data``,
+``parties[1].shard_size``), or the model's slot for an error its class
+raises, such as a shape mismatch or a NaN parameter.
 
 Party files and manifests go through ``jsonconfig.read_json`` and
 ``write_json``, and the CSVs through ``datasets._write_columns``; this
@@ -30,7 +33,9 @@ back, so their readers live with the tests.
 
 from __future__ import annotations
 
+import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from . import classifiers, density
 from .calibration import TraceRow
 from .datasets import _write_columns
 from .ensemble import EnsembleModel, PartyModel, build_ensemble
-from .jsonconfig import from_json, read_json, write_json
+from .jsonconfig import from_json, read_json, to_json, write_json
 
 _MODELS = {**classifiers.FAMILIES, **density.FAMILIES}
 
@@ -70,6 +75,8 @@ def _decode_array(name: str, value) -> np.ndarray:
     data = value["data"]
     if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
         raise ValueError(f"{name}.data: expected an array of numbers")
+    if len(data) != math.prod(shape):
+        raise ValueError(f"{name}: shape {list(shape)} does not hold {len(data)} numbers")
     try:
         cells = np.array(data, dtype=np.float64)
     except OverflowError:
@@ -86,17 +93,32 @@ def model_to_dict(model) -> dict:
     return doc
 
 
-def model_from_dict(d: dict, families: dict = _MODELS):
+def _check_keys(d: dict, keys, at: str = "") -> None:
+    """ValueError naming the first key, in sorted order, that ``d`` holds
+    and ``keys`` does not, or the other way round."""
+    odd = sorted(d.keys() ^ set(keys))
+    if odd:
+        raise ValueError(f"{at}{odd[0]}: {'unknown field' if odd[0] in d else 'missing'}")
+
+
+def model_from_dict(d: dict, families: dict = _MODELS, path: str = ""):
     """Rebuild a model of one of ``families`` (tag -> class) from
-    ``model_to_dict`` output."""
-    kind = d["type"]
+    ``model_to_dict`` output. A ValueError starts with the path of the
+    offending value under ``path``, the model's key in its file (as in
+    ``classifier.W.shape``); one that no single field causes, such as a
+    shape mismatch, starts with ``path`` itself."""
+    at = f"{path}." if path else ""
+    d = from_json(dict, d, path)
+    kind = from_json(str, d.get("type"), f"{at}type")
     cls = families.get(kind)
     if cls is None:
-        raise ValueError(f"unknown model type {kind!r}")
-    unknown = sorted(set(d) - {"type", *cls.file_fields})
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {kind!r} model")
-    return cls(**{name: _decode(name, kind, d[name]) for name, kind in cls.file_fields.items()})
+        raise ValueError(f"{at}type: unknown model type {kind!r}")
+    _check_keys(d, ("type", *cls.file_fields), at)
+    fields = {name: _decode(at + name, kind, d[name]) for name, kind in cls.file_fields.items()}
+    try:
+        return cls(**fields)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}" if path else str(err)) from None
 
 
 def save_party(party: PartyModel, path) -> None:
@@ -108,9 +130,8 @@ def save_party(party: PartyModel, path) -> None:
     write_json(path, doc, indent=None)
 
 
-def _malformed(path, what: str, err: Exception) -> ValueError:
-    detail = f"missing key {err}" if isinstance(err, KeyError) else str(err)
-    return ValueError(f"{path}: malformed {what}: {detail}")
+def _malformed(path, what: str, err: ValueError) -> ValueError:
+    return ValueError(f"{path}: malformed {what}: {err}")
 
 
 def load_party(path) -> PartyModel:
@@ -118,17 +139,34 @@ def load_party(path) -> PartyModel:
     must take queries of one feature dimension."""
     doc = read_json(path)
     try:
+        doc = from_json(dict, doc)
+        _check_keys(doc, ("classifier", "estimator", "shard_size"))
         party = PartyModel(
-            model_from_dict(doc["classifier"], classifiers.FAMILIES),
-            model_from_dict(doc["estimator"], density.FAMILIES),
+            model_from_dict(doc["classifier"], classifiers.FAMILIES, "classifier"),
+            model_from_dict(doc["estimator"], density.FAMILIES, "estimator"),
             from_json(int, doc["shard_size"], "shard_size"),
         )
         c, e = party.classifier.dim, party.estimator.dim
         if c != e:
             raise ValueError(f"classifier dim {c} != estimator dim {e}")
-    except (KeyError, TypeError, ValueError) as err:
+    except ValueError as err:
         raise _malformed(path, "party file", err) from None
     return party
+
+
+@dataclass(frozen=True)
+class _ManifestEntry:
+    model: str
+    shard_size: int
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    """An ``ensemble.json`` document: the class count and each party's file
+    (relative to the manifest's directory) with its shard size."""
+
+    num_classes: int
+    parties: list[_ManifestEntry]
 
 
 def save_ensemble(ens: EnsembleModel, out_dir) -> str:
@@ -142,40 +180,42 @@ def save_ensemble(ens: EnsembleModel, out_dir) -> str:
     for j, party in enumerate(ens.parties):
         name = f"party_{j}.json"
         save_party(party, os.path.join(out_dir, name))
-        entries.append({"model": name, "shard_size": party.shard_size})
-    manifest = {"num_classes": ens.num_classes, "parties": entries}
+        entries.append(_ManifestEntry(name, party.shard_size))
     path = os.path.join(out_dir, "ensemble.json")
-    write_json(path, manifest)
+    write_json(path, to_json(_Manifest(ens.num_classes, entries)))
     return path
 
 
 def load_ensemble(manifest_path) -> EnsembleModel:
     """Load a manifest and its parties; party files must lie in its directory,
     every party must take queries of party 0's feature dimension, and
-    ``num_classes`` must be 1 + the largest label of any party."""
-    manifest = read_json(manifest_path)
+    ``num_classes`` must be 1 + the largest label of any party. A ValueError
+    names the file at fault and its field; a mismatch between the manifest
+    and a party file names both."""
+
+    def malformed(field: str, detail: str) -> ValueError:
+        return _malformed(manifest_path, "manifest", ValueError(f"{field}: {detail}"))
+
+    doc = read_json(manifest_path)
     try:
-        num_classes = from_json(int, manifest["num_classes"], "num_classes")
-        entries = [
-            (
-                from_json(str, e["model"], f"parties[{i}].model"),
-                from_json(int, e["shard_size"], f"parties[{i}].shard_size"),
-            )
-            for i, e in enumerate(manifest["parties"])
-        ]
-    except (KeyError, TypeError, ValueError) as err:
+        manifest = from_json(_Manifest, doc)
+    except ValueError as err:
         raise _malformed(manifest_path, "manifest", err) from None
+    if not manifest.parties:
+        raise malformed("parties", "expected at least one party")
     base = os.path.dirname(os.path.abspath(manifest_path))
     parties = []
-    for model, shard_size in entries:
-        path = os.path.normpath(os.path.join(base, model))
-        if os.path.isabs(model) or os.path.commonpath([base, path]) != base:
-            raise ValueError(f"manifest party path {model!r} is not inside {base}")
+    for i, entry in enumerate(manifest.parties):
+        path = os.path.normpath(os.path.join(base, entry.model))
+        if os.path.isabs(entry.model) or os.path.commonpath([base, path]) != base:
+            raise malformed(f"parties[{i}].model", f"{entry.model!r} is not inside {base}")
+        if not os.path.isfile(path):
+            raise malformed(f"parties[{i}].model", f"no party file {entry.model!r} in {base}")
         party = load_party(path)
-        if party.shard_size != shard_size:
-            raise ValueError(
-                f"manifest shard_size {shard_size} disagrees with "
-                f"{model} ({party.shard_size})"
+        if party.shard_size != entry.shard_size:
+            raise malformed(
+                f"parties[{i}].shard_size",
+                f"{entry.shard_size} disagrees with {entry.model} ({party.shard_size})",
             )
         if parties and party.estimator.dim != parties[0].estimator.dim:
             raise ValueError(
@@ -183,14 +223,19 @@ def load_ensemble(manifest_path) -> EnsembleModel:
                 f"party 0's ({parties[0].estimator.dim})"
             )
         parties.append(party)
-    # a class no party can predict has no column any party fills, and a huge
-    # count would fail later in numpy, naming no file; labels are sorted, and
-    # an empty party list is left to build_ensemble
-    classes = 1 + max((p.classifier.label_space[-1] for p in parties), default=num_classes)
-    if num_classes > classes:
-        err = ValueError(f"num_classes: {num_classes} exceeds 1 + the largest label, {classes}")
-        raise _malformed(manifest_path, "manifest", err)
-    return build_ensemble(parties, num_classes=num_classes)
+    # a class no party can predict has no column any party fills, a label
+    # past the count has no column at all, and a huge count would fail later
+    # in numpy, naming no file; label spaces are sorted
+    top, name = max(
+        (p.classifier.label_space[-1], e.model) for p, e in zip(parties, manifest.parties)
+    )
+    if manifest.num_classes != 1 + top:
+        raise malformed(
+            "num_classes",
+            f"{manifest.num_classes} is not 1 + the largest label of the parties, "
+            f"{top} in {name}'s classifier.label_space",
+        )
+    return build_ensemble(parties, num_classes=manifest.num_classes)
 
 
 def write_predictions(path, chunks, num_classes: int | None = None) -> None:

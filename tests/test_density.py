@@ -150,22 +150,29 @@ def test_kde_all_floored_matches_reference():
     assert_bitwise_equal(got, reference_kde_log_density(model, X))
 
 
-def subnormal_model_and_queries():
-    """Points on a line, 0.5 h apart, from 37 h to 39 h from the queries:
-    relative to the nearest point, the far terms' exp inputs reach -745 to
-    -708, where exp returns subnormals."""
+# Below this exp input, exp is subnormal or 0.0 in double precision.
+EXP_CUTOFF = float(np.log(np.finfo(np.float64).tiny))
+
+
+def line_model_and_queries(lo, hi, spread=0.01):
+    """A point at the origin and 400 points on a line, ``lo`` h to ``hi`` h
+    from it, with queries within about ``spread`` of the origin: relative to
+    the nearest point, the far terms' exp inputs run from about -hi^2/2 to
+    -lo^2/2."""
     h = 0.1
     near = np.zeros((1, 2))
-    far = np.stack([np.linspace(37.0 * h, 39.0 * h, 400), np.zeros(400)], axis=1)
+    far = np.stack([np.linspace(lo * h, hi * h, 400), np.zeros(400)], axis=1)
     model = kde_fit(np.concatenate([near, far]), h)
-    X = np.random.default_rng(4).normal(size=(30, 2)) * 0.01
+    X = np.random.default_rng(4).normal(size=(30, 2)) * spread
     return model, X
 
 
-def test_kde_flushed_subnormal_terms_match_reference():
-    # the kernel counts the subnormal terms as 0; each is below half an ulp
-    # of the row's top term, 1.0, so the row keeps the plain formula's bits
-    model, X = subnormal_model_and_queries()
+def test_kde_clamped_subnormal_terms_match_reference():
+    # exp inputs from -745 to -708: the kernel counts each such term as
+    # exp(_EXP_CLAMP), which like the subnormal it replaces is far below
+    # half an ulp of the row's top term, 1.0, so the row keeps the plain
+    # formula's bits
+    model, X = line_model_and_queries(37.0, 39.0)
     shifted, _ = reference_exp_inputs(model, X)
     sub = (shifted >= -745.13) & (shifted <= -708.4)
     assert sub.sum() > 1000
@@ -173,26 +180,37 @@ def test_kde_flushed_subnormal_terms_match_reference():
     assert_bitwise_equal(model.log_density(X), reference_kde_log_density(model, X))
 
 
-def test_kde_block_keeps_normal_exps_and_zeroes_the_rest():
-    # buffers with more rows than the block, as a ragged last block has
-    model, X = subnormal_model_and_queries()
-    X = np.concatenate([X, np.random.default_rng(5).normal(size=(20, 2))])
+def test_kde_clamped_normal_terms_match_reference():
+    # exp inputs in [-708.4, -700): normal exps, each of which the kernel
+    # replaces by exp(_EXP_CLAMP); the rows keep the plain formula's bits
+    model, X = line_model_and_queries(37.45, 37.6, spread=1e-4)
+    shifted, _ = reference_exp_inputs(model, X)
+    band = (shifted >= EXP_CUTOFF) & (shifted < density._EXP_CLAMP)
+    assert band.sum() > 1000
+    assert np.all(np.exp(shifted[band]) >= np.finfo(np.float64).tiny)
+    assert_bitwise_equal(model.log_density(X), reference_kde_log_density(model, X))
+
+
+def test_kde_block_terms_are_clamped_exps():
+    # buffers with more rows than the block, as a ragged last block has;
+    # subnormal, clamped-normal and overflowed terms beside near ones
+    model, X = line_model_and_queries(37.0, 39.0)
+    X = np.concatenate([X, np.random.default_rng(5).normal(size=(20, 2)), [[1e200, 0.0]]])
     n, m = len(X), len(model.points)
-    buf, tmp, kept = np.empty((n + 7, m)), np.empty((n + 7, m)), np.empty((n + 7, m), bool)
+    buf, tmp = np.empty((n + 7, m)), np.empty((n + 7, m))
     out = np.empty(n)
     scale = -2.0 * model.bandwidth**2
-    density._kde_block(X, model.points.T.copy(), scale, buf, tmp, kept, out)
-    shifted, top = reference_exp_inputs(model, X)
-    terms = buf[:n]
-    keep = terms != 0.0
-    # every entry is a normal exp or +0.0, and the dropped ones include
-    # every subnormal or zero exp
-    assert np.all(terms[keep] >= np.finfo(np.float64).tiny)
-    assert np.all(terms[~keep].view(np.int64) == 0)
-    assert np.all(np.exp(shifted[~keep]) < np.finfo(np.float64).tiny)
-    assert np.any((np.exp(shifted) > 0.0) & ~keep)
-    assert_bitwise_equal(terms[keep], np.exp(shifted[keep]))
-    assert_bitwise_equal(out, top + np.log(np.sum(np.exp(shifted), axis=1)))
+    with np.errstate(over="ignore", divide="ignore"):
+        density._kde_block(X, model.points.T.copy(), scale, buf, tmp, out)
+        shifted, top = reference_exp_inputs(model, X)
+        want = top + np.log(np.sum(np.exp(shifted), axis=1))
+    assert np.any(shifted < EXP_CUTOFF) and np.any(np.isneginf(shifted))
+    assert np.any((shifted >= EXP_CUTOFF) & (shifted < density._EXP_CLAMP))
+    # the clamped exp is a normal double, on numpy's fast exp path
+    assert np.exp(density._EXP_CLAMP) >= np.finfo(np.float64).tiny
+    assert_bitwise_equal(buf[:n], np.exp(np.maximum(shifted, density._EXP_CLAMP)))
+    assert out[-1] == -np.inf
+    assert_bitwise_equal(out, want)
 
 
 def test_kde_overflowed_distance_beside_finite_ones_matches_reference():
@@ -217,7 +235,7 @@ def test_kde_only_row_max_kept_matches_reference():
     model = kde_fit(pts, 0.1)
     X = pts[rng.integers(0, 200, size=150)] + rng.normal(size=(150, 2)) * 0.05
     shifted, _ = reference_exp_inputs(model, X)
-    assert np.all(np.sum(shifted >= density._EXP_CUTOFF, axis=1) == 1)
+    assert np.all(np.sum(shifted >= density._EXP_CLAMP, axis=1) == 1)
     assert_bitwise_equal(model.log_density(X), reference_kde_log_density(model, X))
 
 
@@ -226,7 +244,7 @@ def test_kde_every_term_kept_matches_reference():
     model = kde_fit(rng.normal(size=(700, 3)), 1.0)
     X = rng.normal(size=(400, 3))
     shifted, _ = reference_exp_inputs(model, X)
-    assert np.all(shifted >= density._EXP_CUTOFF)
+    assert np.all(shifted >= density._EXP_CLAMP)
     assert_bitwise_equal(model.log_density(X), reference_kde_log_density(model, X))
 
 
@@ -302,9 +320,9 @@ def test_kde_peak_memory_is_one_product():
 
 def test_kde_peak_memory_is_a_few_blocks(monkeypatch):
     monkeypatch.setattr(density, "_cpu_count", lambda: 1)
-    # the distance block, its scratch twin and the kept mask are each at most
-    # _BLOCK_BYTES; the output and the finite check are O(n). No
-    # (queries x points) array is formed.
+    # the distance block and its scratch twin are each at most _BLOCK_BYTES;
+    # the output and the finite check are O(n). No (queries x points) array
+    # is formed.
     n, m = 20000, 560
     rng = np.random.default_rng(3)
     model = kde_fit(rng.normal(size=(m, 2)), 0.1)
@@ -858,3 +876,19 @@ def test_huge_finite_queries_floor_without_warnings(monkeypatch, workers):
         assert np.all(got[huge] == LOG_DENSITY_FLOOR)
         assert np.array_equal(got[plain], model.log_density(X[plain]))
     assert bool(started) == (workers > 1)
+
+
+def test_kde_batch_of_overflowed_rows_floors_on_two_threads(monkeypatch):
+    # every distance of every row overflows: each row's max is -inf, and its
+    # clamped terms must not lift it off the floor, on either thread
+    monkeypatch.setattr(density, "_cpu_count", lambda: 2)
+    started = count_threads(monkeypatch)
+    rng = np.random.default_rng(15)
+    model = kde_fit(rng.normal(size=(300, 2)), 0.1)
+    X = np.where(rng.random((blocks_of(300, 20, 3), 2)) < 0.5, -1e200, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.log_density(X)
+    assert len(started) == 1
+    assert not np.isnan(got).any()
+    assert np.all(got == LOG_DENSITY_FLOOR)

@@ -1,6 +1,8 @@
 """Model and artifact round-trips through JSON and CSV."""
 
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from densemble.calibration import TraceRow
 from densemble.classifiers import MlpClassifier, SoftmaxRegression
 from densemble.datasets import generate_toy
 from densemble.density import GmmModel, kde_fit
-from densemble.ensemble import PartyModel, build_ensemble
+from densemble.ensemble import PartyModel, build_ensemble, evaluate_objective
 from densemble.harness import ClassifierConfig, EstimatorConfig
 from densemble.serialize import (
     load_ensemble,
@@ -374,6 +376,7 @@ MALFORMED = {
     "party-missing-array": ("party_0.json", lambda doc: doc["classifier"].pop("W")),
     "party-array-as-number": ("party_0.json", lambda doc: doc["classifier"].update(W=3.0)),
     "party-unknown-key": ("party_0.json", lambda doc: doc["estimator"].update(extra=1)),
+    "party-unknown-top-level-key": ("party_0.json", lambda doc: doc.update(extra=1)),
     "estimator-classifier-tag": (
         "party_0.json", lambda doc: doc.update(estimator=dict(doc["classifier"])),
     ),
@@ -504,7 +507,7 @@ def test_model_field_of_the_wrong_kind_is_rejected(tmp_path, capsys, case):
     doc = json.loads(path.read_text())
     doc[slot][field] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"malformed party file: {field}: expected"):
+    with pytest.raises(ValueError, match=f"malformed party file: {slot}.{field}: expected"):
         load_ensemble(manifest)
     rc = cli.main(["eval-zeroshot", "--ensemble", manifest, "--data", str(tmp_path / "x.csv")])
     assert rc == 2
@@ -534,3 +537,96 @@ def test_party_of_another_feature_dimension_is_rejected(tmp_path, capsys, case):
     assert rc == 2
     stderr = capsys.readouterr().err
     assert str(path) in stderr and "dim" in stderr and "matmul" not in stderr
+
+
+# Each value a mutated key or list element is set to; DELETE removes it.
+MUTATION_VALUES = [None, True, False, 0, 1, -1, 2.5, 1e300, 2**64, math.nan, "1", [], {}]
+DELETE = object()
+
+
+def json_paths(doc, prefix=()):
+    """The path of every object value and array element under ``doc``."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
+
+
+def mutated(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` set, or removed for DELETE."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def valid_alternative(name, path, value):
+    """Whether a mutation is a valid file that may load to other scores: a
+    finite number in an array cell, an integer label, a positive bandwidth,
+    or the manifest without one party's entry. Each may still be rejected
+    (weights that no longer sum to 1, a label out of order)."""
+    number = type(value) in (int, float) and math.isfinite(value)
+    if path[-2:-1] == ("data",):
+        return number
+    if path[-2:-1] == ("label_space",):
+        return type(value) is int
+    if path[-1] == "bandwidth":
+        return number and value > 0
+    return name == "ensemble.json" and len(path) == 2 and value is DELETE
+
+
+@pytest.mark.parametrize("name", ["ensemble.json", "party_0.json", "party_1.json"])
+def test_mutated_party_file_or_manifest_loads_or_names_file_and_field(tmp_path, capsys, name):
+    # every key and list element of the file, set to each value or deleted:
+    # the ensemble loads to the same scores, is a valid alternative, or the
+    # load raises a ValueError naming the file and a key on the path (the
+    # CLI exits 2 with it); all four model families are covered
+    rng = np.random.default_rng(21)
+    parties = [
+        PartyModel(
+            SoftmaxRegression(rng.normal(size=(2, 2)), rng.normal(size=2), (0, 1)),
+            kde_fit(rng.normal(size=(3, 2)), 0.5),
+            3,
+        ),
+        PartyModel(
+            MlpClassifier(
+                rng.normal(size=(2, 2)), rng.normal(size=2),
+                rng.normal(size=(2, 2)), rng.normal(size=2), (1, 2),
+            ),
+            GmmModel(np.array([0.25, 0.75]), rng.normal(size=(2, 2)), rng.uniform(0.5, 2.0, (2, 2))),
+            4,
+        ),
+    ]
+    manifest = save_ensemble(build_ensemble(parties, num_classes=3), tmp_path / "model")
+    X = rng.normal(size=(16, 2))
+    want = evaluate_objective(load_ensemble(manifest), X)
+    path = tmp_path / "model" / name
+    doc = json.loads(path.read_text())
+    outcomes = {"same": 0, "alternative": 0, "rejected": 0}
+    for p in json_paths(doc):
+        for value in [*MUTATION_VALUES, DELETE]:
+            path.write_text(json.dumps(mutated(doc, p, value)))
+            case = f"{name} {p} {'deleted' if value is DELETE else repr(value)}"
+            try:
+                with np.errstate(all="ignore"):
+                    got = evaluate_objective(load_ensemble(manifest), X)
+            except ValueError as err:
+                keys = [k for k in p if isinstance(k, str)]
+                assert name in str(err) and any(k in str(err) for k in keys), (case, str(err))
+                assert cli.main(["eval-zeroshot", "--ensemble", manifest, "--data", "x.csv"]) == 2
+                assert str(err) in capsys.readouterr().err, case
+                outcomes["rejected"] += 1
+                continue
+            if valid_alternative(name, p, value):
+                outcomes["alternative"] += 1
+                continue
+            for field in ("posteriors", "loglik", "weights", "objective"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (case, field)
+            outcomes["same"] += 1
+    assert outcomes["rejected"] > 100 and outcomes["alternative"] > 0, outcomes

@@ -20,10 +20,11 @@ same way.
 
 The configs that set calibration or estimator fields are written once to
 ``OUT/configs`` from PARENT_ROOT's presets, so both sides read the same
-inputs. ``toy3-narrow`` (bandwidth 0.03) drops over 90 % of the kernel
-terms below the exp cutoff and puts a few per query in the subnormal range,
-so its scoring and density plot cover the KDE tail's sparse case;
-``toy3-wide`` (bandwidth 0.3) keeps nearly every kernel term, its dense case.
+inputs. ``toy3-narrow`` (bandwidth 0.03) puts over 90 % of the kernel
+terms below the KDE kernel's exp clamp (-700 after the row max), where each
+counts as exp(-700), so its scoring and density plot cover the kernel
+tail's sparse case; ``toy3-wide`` (bandwidth 0.3) leaves nearly every
+kernel term above the clamp, its dense case.
 ``toy3-mixed`` gives toy3's third party a GMM and calibrates with
 ``update_density``, clipping and noise, so the flat gradient mixes KDE
 parties (no density block) with a GMM party; ``splitD-density-eval`` loads
@@ -55,7 +56,13 @@ overlay of those rows. ``queries-crlf.csv``, written to ``OUT/configs``
 from a seeded ``random.Random``, ends its lines with CRLF and holds blank
 lines, whitespace-only lines and rows padded with spaces and tabs, which
 the data reader skips or strips; ``eval-zeroshot-crlf`` scores it and
-``partition-crlf`` splits it.
+``partition-crlf`` splits it. ``queries-far.csv``, written the same way,
+holds queries among the blobs, whose kernel terms include exp inputs in
+[-708.4, -700) (normal exps the clamp replaces) and below; queries 8 to
+1e100 from the data, whose row max is far below 0; and queries with a
+coordinate of +-1e154 or +-1e200, whose every kernel exponent overflows to
+-inf, so their rows stay at the floor. ``eval-zeroshot-far`` scores it with toy3 and
+``toy3-narrow-eval-far`` with ``toy3-narrow``.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from __future__ import annotations
 import csv
 import filecmp
 import json
+import math
 import os
 import random
 import subprocess
@@ -185,6 +193,10 @@ COMMANDS = {
         "partition", "--data", "../configs/queries-crlf.csv",
         "--spec", "../configs/toy3-partition.json", "--out", "parts-crlf",
     ],
+    "eval-zeroshot-far": [
+        "eval-zeroshot", "--ensemble", "toy3-seed0/ensemble.json",
+        "--data", "../configs/queries-far.csv", "--out", "far_predictions.csv",
+    ],
     "sweep": ["sweep", "--config", "toy3", "--seeds", "2", "--out", "sweep"],
     "toy3-narrow": [
         "train-local", "--config", "../configs/toy3-narrow.json", "--out", "toy3-narrow",
@@ -192,6 +204,10 @@ COMMANDS = {
     "toy3-narrow-eval": [
         "eval-zeroshot", "--ensemble", "toy3-narrow/ensemble.json",
         "--data", "queries.csv", "--out", "toy3-narrow_predictions.csv",
+    ],
+    "toy3-narrow-eval-far": [
+        "eval-zeroshot", "--ensemble", "toy3-narrow/ensemble.json",
+        "--data", "../configs/queries-far.csv", "--out", "toy3-narrow_far_predictions.csv",
     ],
     "toy3-narrow-density": [
         "plot", "--ensemble", "toy3-narrow/ensemble.json", "--density", "1",
@@ -230,6 +246,7 @@ def write_configs(parent_root: str, out: str) -> None:
     with open(os.path.join(out, "configs", "toy3-partition.json"), "w") as fh:
         json.dump(read_preset(parent_root, "toy3")["partition"], fh, indent=2)
     write_crlf_queries(os.path.join(out, "configs", "queries-crlf.csv"))
+    write_far_queries(os.path.join(out, "configs", "queries-far.csv"))
 
 
 def write_crlf_queries(path: str, n: int = 600) -> None:
@@ -246,6 +263,26 @@ def write_crlf_queries(path: str, n: int = 600) -> None:
         lines.append(f" \t{row}  " if i % 5 == 2 else row)
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
+
+
+def write_far_queries(path: str, n: int = 600) -> None:
+    """A toy3-shaped data CSV: a third of the rows among the blobs, a third
+    8 to 1e100 from the data, and a third with a coordinate of +-1e154 or
+    +-1e200, whose kernel exponents overflow to -inf at toy3's bandwidths."""
+    rng = random.Random(13)
+    lines = ["f0,f1,label"]
+    for i in range(n):
+        if i % 3 == 0:
+            x = [rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)]
+        elif i % 3 == 1:
+            angle, r = rng.uniform(0.0, 2.0 * math.pi), 10.0 ** rng.uniform(0.9, 100.0)
+            x = [r * math.cos(angle), r * math.sin(angle)]
+        else:
+            x = [rng.uniform(-6.0, 6.0), rng.choice([-1e200, -1e154, 1e154, 1e200])]
+            rng.shuffle(x)
+        lines.append(f"{x[0]!r},{x[1]!r},{i % 5}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_preset(root: str, preset: str) -> dict:
