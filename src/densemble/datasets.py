@@ -108,20 +108,20 @@ class PartitionSpec:
 
     def __post_init__(self):
         if not self.parties:
-            raise ValueError("partition spec needs at least one party")
-        per_class: dict[int, float] = {}
+            raise ValueError("parties: a partition spec needs at least one party")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be nonnegative, got {self.seed}")
         for i, rule in enumerate(self.parties):
-            if not rule.classes:
-                raise ValueError(f"parties[{i}]: empty class set")
+            if not rule.classes or min(rule.classes) < 0:
+                raise ValueError(f"parties[{i}].classes: {list(rule.classes)} is empty or below 0")
             if not (0.0 < rule.fraction <= 1.0):
-                raise ValueError(
-                    f"parties[{i}]: fraction {rule.fraction} outside (0, 1]"
-                )
-            for c in rule.classes:
-                per_class[c] = per_class.get(c, 0.0) + rule.fraction
-        bad = {c: s for c, s in per_class.items() if s > 1.0 + 1e-9}
-        if bad:
-            raise ValueError(f"class fractions exceed 1: {bad}")
+                raise ValueError(f"parties[{i}].fraction: {rule.fraction} outside (0, 1]")
+        for c in sorted(self.covered_classes):
+            claimants = [i for i, rule in enumerate(self.parties) if c in rule.classes]
+            total = sum(self.parties[i].fraction for i in claimants)
+            if total > 1.0 + 1e-9:
+                names = " + ".join(f"parties[{i}].fraction" for i in claimants)
+                raise ValueError(f"{names}: class {c} gets {total} in all; fractions exceed 1")
 
     @property
     def covered_classes(self) -> set[int]:

@@ -72,20 +72,13 @@ plain formula bit for bit. The kernel is cheap in memory:
 - Queries must be finite: a NaN or infinite query row would otherwise
   come out as a floored density instead of NaN.
 
-Large batches are scored on several threads; numpy releases the GIL inside
-each ufunc, so the row blocks run in parallel. The worker count is the
-number of CPUs in the process's affinity mask (``taskset -c 0`` gives one),
-capped so that each worker has at least ``_BLOCKS_PER_WORKER`` (8) row
-blocks, several ms of kernel work: a batch of fewer than 16 blocks
-(toy3's training and test sets, or a calibration batch) starts no thread.
-The calling thread scores blocks too, the other workers run on a standard
-``concurrent.futures`` thread pool (imported only by a batch that starts
-one), and every worker takes the next block from one shared counter. The
-pool's ``with`` block joins every thread before ``log_density`` returns or
-raises, and an error on a pool thread is raised on the calling thread, so
-no scoring thread outlives the call (``harness`` forks only while no other
-thread runs). Each worker has its own block buffers, which the calling
-thread allocates, so peak memory is a few blocks per worker plus
+Large batches are scored by ``workers.threaded``, whose contract (run
+order, joins, errors) that module states. There is one worker per
+``_BLOCKS_PER_WORKER`` (8) row blocks, several ms of kernel work, up to
+``workers.count``'s one per CPU: a batch of fewer than 16 blocks (toy3's
+training and test sets, or a calibration batch) starts no thread. Worker w
+scores blocks w, w + W, w + 2W, ... in its own block buffers, which the
+calling thread allocates, so peak memory is a few blocks per worker plus
 O(queries). Each row goes through the same operations in the same order on
 whichever thread takes it, and each thread writes only its own rows, so the
 result has the same bits for any worker count.
@@ -93,13 +86,12 @@ result has the same bits for any worker count.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._reduce import reduce_last
+from .workers import count, threaded
 
 # exp(-745) is about 4.9e-324, the smallest positive subnormal double; anything
 # lower is 0 anyway. (The smallest normal double is about exp(-708.40).)
@@ -186,50 +178,26 @@ class KdeModel:
         pts = self.points.T.copy()  # (d, m): each dimension's row contiguous
         rows = max(1, _BLOCK_BYTES // (8 * m))
         blocks = -(-n // rows)
-        workers = max(1, min(_cpu_count(), blocks // _BLOCKS_PER_WORKER))
+        workers = count(blocks // _BLOCKS_PER_WORKER)
         # every worker's buffers come from the calling thread, before any
         # thread starts: buffers allocated in a worker land in its own
         # malloc arena and raise peak RSS
         shape = (min(rows, n), m)
         buffers = [(np.empty(shape), np.empty(shape)) for _ in range(workers)]
         lse = np.empty(n)
-        starts = iter(range(0, n, rows))
-        lock = threading.Lock()
 
-        def work(buf, tmp):
+        def work(w):
             # numpy's error state is per thread: a huge finite query's
             # kernel exponents overflow to -inf, and so does its row's
             # logsumexp, floored below, without a warning
             with np.errstate(over="ignore"):
-                while True:
-                    with lock:
-                        r0 = next(starts, None)
-                    if r0 is None:
-                        return
+                for r0 in range(w * rows, n, workers * rows):
                     rs = slice(r0, r0 + rows)
-                    _kde_block(X[rs], pts, -2.0 * h2, buf, tmp, lse[rs])
+                    _kde_block(X[rs], pts, -2.0 * h2, *buffers[w], lse[rs])
 
-        if workers == 1:
-            work(*buffers[0])
-        else:
-            # imported here: only a batch that starts threads pays for it
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(workers - 1) as pool:
-                futures = [pool.submit(work, *b) for b in buffers[1:]]
-                work(*buffers[0])
-                for f in futures:
-                    f.result()
+        threaded(work, workers)
         norm = np.log(m) + 0.5 * self.dim * np.log(2.0 * np.pi * h2)
         return np.maximum(lse - norm, LOG_DENSITY_FLOOR)
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask, else the machine's."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _kde_block(x, pts, scale, buf, tmp, out) -> None:

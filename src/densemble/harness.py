@@ -11,17 +11,13 @@ table's ``from_config``. Apart from the two config blocks' default
 classifiers in lockstep groups: parties whose classifiers share family,
 parameter shapes, shard size and training settings train as one stack, so
 a preset of many like parties (splitD's seven) takes one minibatch loop.
-The groups are independent, so they train on W = min(groups, CPUs)
-workers: this process trains groups 0, W, 2W, ... and each other worker is
-a forked child that trains its share through the same ``classifiers.train``
-call and pipes each member's trained flat buffer back, which is copied into
+The groups are independent, so ``workers.forked`` trains them on W =
+``workers.count(groups)`` workers, under the contract (when it forks, how
+children exit and errors return) stated in that module: worker w trains
+groups w, w + W, w + 2W, ... through the same ``classifiers.train`` call
+and hands back each member's trained flat buffer, which is copied into
 this process's classifier. Every group runs the same code on the same
-inputs and seeds wherever it runs, so the bits do not depend on W. With one
-group, one CPU, no ``os.fork`` (or not on Linux), or a second live thread,
-W is 1 and nothing is forked. A child's exception is raised here once every
-child has been reaped; if this process raises first, it kills and reaps its
-children before the error propagates. Only the pids forked here are reaped,
-never any other child of the caller.
+inputs and seeds wherever it runs, so the bits do not depend on W.
 All randomness descends from one root seed, split into four named streams
 (data, init, batching, noise) so reruns and sweeps are reproducible while
 stages stay independently perturbable.
@@ -34,13 +30,8 @@ from __future__ import annotations
 
 import importlib.resources
 import os
-import pickle
-import signal
-import sys
-import threading
 import time
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -64,6 +55,7 @@ from .ensemble import (
     max_model_decide,
 )
 from .jsonconfig import from_json, read_json, to_json, write_json
+from .workers import count, forked
 
 PRESET_NAMES = ("toy3", "splitA", "splitB", "splitC", "splitD")
 
@@ -77,6 +69,8 @@ class DataConfig:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"n must be nonnegative, got {self.n}")
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
         if not (0 < self.train_ratio < 1):
             raise ValueError(f"train_ratio {self.train_ratio} outside (0, 1)")
 
@@ -132,6 +126,8 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed: must be nonnegative, got {self.seed}")
         k = self.data.num_classes
         for i, rule in enumerate(self.partition.parties):
             outside = sorted(c for c in rule.classes if not 0 <= c < k)
@@ -272,9 +268,7 @@ def build_parties(
             key = (clf.type_tag, clf.shapes, len(shard), cc.lr, cc.epochs, cc.batch)
             groups.setdefault(key, []).append(j)
         jobs = list(groups.items())
-        workers = min(len(jobs), density._cpu_count())
-        if not _can_fork(workers):
-            workers = 1
+        workers = count(len(jobs))
 
         def train_share(w: int) -> list[tuple[int, np.ndarray]]:
             trained = []
@@ -290,8 +284,7 @@ def build_parties(
                 trained += [(j, clfs[j].params) for j in members]
             return trained
 
-        # worker 0 trained this process's own classifiers
-        for share in _run_forked(train_share, workers)[1:]:
+        for share in forked(train_share, workers):
             for j, flat in share:
                 clfs[j]._flat[...] = flat
     return [
@@ -304,82 +297,6 @@ def build_parties(
         )
         for j, (pc, clf, shard) in enumerate(zip(party_cfgs, clfs, shards))
     ]
-
-
-def _can_fork(workers: int) -> bool:
-    """Whether ``workers`` > 1 can run as forked children: only on Linux, and
-    only while this is the process's one thread, since a fork copies no
-    other thread and any lock one holds stays held in the child."""
-    return (
-        workers > 1
-        and hasattr(os, "fork")
-        and sys.platform.startswith("linux")
-        and threading.active_count() == 1
-    )
-
-
-def _run_forked(work, workers: int) -> list:
-    """``[work(0), ..., work(workers - 1)]``, with ``work(0)`` run here and
-    every other call in a forked child that pickles its result back.
-
-    Each pipe is read to EOF, then exactly the pids forked here are reaped,
-    and only then is a child's exception re-raised here, or a
-    ``RuntimeError`` naming the exit status of a child that sent nothing. If
-    this process raises first, every child is killed and reaped before the
-    exception propagates.
-    """
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pids, fds = [], []
-    try:
-        for w in range(1, workers):
-            r, wfd = os.pipe()
-            fds.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(work, w, wfd)
-                pids.append(pid)
-            finally:
-                os.close(wfd)
-        results = [work(0)]
-        payloads = [b"".join(iter(partial(os.read, r, 1 << 16), b"")) for r in fds]
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for r in fds:
-            os.close(r)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for pid, status, payload in zip(pids, statuses, payloads):
-        if not payload:
-            code = os.waitstatus_to_exitcode(status)
-            raise RuntimeError(f"forked worker {pid} exited with status {code} and no result")
-        result, error = pickle.loads(payload)
-        if error is not None:
-            raise error
-        results.append(result)
-    return results
-
-
-def _child(work, w: int, wfd: int) -> None:
-    """A forked worker's whole life: run ``work(w)``, pickle ``(result,
-    None)`` or ``(None, exception)`` into the pipe, and leave through
-    ``os._exit``, so no handler, buffer flush or ``finally`` of the parent's
-    stack runs twice. A child that cannot pickle either exits with status 1
-    and sends nothing."""
-    code = 1
-    try:
-        try:
-            payload = pickle.dumps((work(w), None))
-        except BaseException as e:
-            payload = pickle.dumps((None, e))
-        with os.fdopen(wfd, "wb") as fh:
-            fh.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def prepare_data(

@@ -1,0 +1,128 @@
+"""Independent shares of work on several CPUs: the one module that knows
+about CPUs, threads and ``os.fork``.
+
+``count(shares)`` sizes a run: one worker per share, at most one per CPU in
+this process's affinity mask (``taskset -c 0`` gives one). Both runners take
+``work(w)`` for shares w = 0, ..., W - 1 and return ``[work(0), ...,
+work(W - 1)]`` in share order, with ``work(0)`` run on the calling thread,
+so W = 1 starts nothing. A share's result never depends on where it ran:
+each share must compute the same bits alone as beside the others.
+
+- ``threaded`` runs the other shares on a standard ``concurrent.futures``
+  thread pool (imported only when W > 1). It suits numpy work, which
+  releases the GIL inside each ufunc. A share may write only its own
+  outputs, and numpy's error state is per thread, so a share sets its own.
+  The pool's ``with`` block joins every thread before ``threaded`` returns
+  or raises, and an error on a pool thread is raised on the calling thread:
+  no thread outlives the call.
+- ``forked`` runs each other share in a forked child that pickles its result
+  (or its exception) back through a pipe, so a share may change whatever it
+  likes, and the caller copies back what it needs. A fork copies only the
+  calling thread, and a lock another thread holds stays held in the child,
+  so ``forked`` forks only on Linux while this is the process's one thread
+  (which ``threaded`` guarantees of its own threads); otherwise it runs
+  every share in this process, in share order. It flushes stdout and stderr
+  before the first fork. A child leaves through ``os._exit``, so no handler,
+  buffer flush or ``finally`` of the caller's stack runs twice. Each pipe is
+  read to EOF, then exactly the pids forked here are reaped, never another
+  child of the caller, and only then is a child's exception re-raised here,
+  or a ``RuntimeError`` naming the exit status of a child that sent
+  nothing. If this process raises first, every child is killed and reaped
+  before the exception propagates.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import signal
+import sys
+import threading
+from functools import partial
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def count(shares: int) -> int:
+    """Workers for ``shares`` independent shares: at least 1, at most one
+    per share and one per CPU."""
+    return max(1, min(cpu_count(), shares))
+
+
+def threaded(work, workers: int) -> list:
+    """``[work(0), ..., work(workers - 1)]``, the calls after the first on
+    a thread pool (module docstring)."""
+    if workers == 1:
+        return [work(0)]
+    # imported here: only a run that starts threads pays for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(work, w) for w in range(1, workers)]
+        first = work(0)
+        return [first] + [f.result() for f in futures]
+
+
+def forked(work, workers: int) -> list:
+    """``[work(0), ..., work(workers - 1)]``, the calls after the first in
+    forked children when a fork is safe, else here (module docstring)."""
+    linux = hasattr(os, "fork") and sys.platform.startswith("linux")
+    if workers == 1 or not linux or threading.active_count() > 1:
+        return [work(w) for w in range(workers)]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, fds = [], []
+    try:
+        for w in range(1, workers):
+            r, wfd = os.pipe()
+            fds.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(work, w, wfd)
+                pids.append(pid)
+            finally:
+                os.close(wfd)
+        results = [work(0)]
+        payloads = [b"".join(iter(partial(os.read, r, 1 << 16), b"")) for r in fds]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for r in fds:
+            os.close(r)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, status, payload in zip(pids, statuses, payloads):
+        if not payload:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"forked worker {pid} exited with status {code} and no result")
+        result, error = pickle.loads(payload)
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
+
+
+def _child(work, w: int, wfd: int) -> None:
+    """A forked worker's whole life: run ``work(w)``, pickle ``(result,
+    None)`` or ``(None, exception)`` into the pipe, and leave through
+    ``os._exit``. A child that cannot pickle either exits with status 1
+    and sends nothing."""
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps((work(w), None))
+        except BaseException as e:
+            payload = pickle.dumps((None, e))
+        with os.fdopen(wfd, "wb") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        os._exit(code)

@@ -1,6 +1,8 @@
-"""Shared test doubles, parameter oracles, artifact readers and fast
-experiment configs."""
+"""Shared test doubles, parameter oracles, artifact readers, fast
+experiment configs and JSON mutation helpers."""
 
+import copy
+import math
 import os
 import subprocess
 import sys
@@ -258,3 +260,52 @@ def cli_peak_rss_mb(argv: list[str]) -> float:
         check=True,
     )
     return int(proc.stdout.split()[-1]) / 1024
+
+
+# Each value a mutated key or list element is set to; DELETE removes it.
+MUTATION_VALUES = [None, True, False, 0, 1, -1, 2.5, 1e300, 2**64, math.nan, "1", [], {}]
+DELETE = object()
+
+
+def json_paths(doc, prefix=()):
+    """The path of every object value and array element under ``doc``."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
+
+
+def mutated(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` set, or removed for DELETE."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids each ``os.fork`` call returned to this process."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids):
+    """Every pid in ``pids`` has been reaped: none is a child left to wait for."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import responsibilities, set_params
-from densemble import density
+from densemble import density, workers
 from densemble.density import (
     GMM_VARIANCE_FLOOR,
     LOG_DENSITY_FLOOR,
@@ -319,7 +319,7 @@ def test_kde_peak_memory_is_one_product():
 
 
 def test_kde_peak_memory_is_a_few_blocks(monkeypatch):
-    monkeypatch.setattr(density, "_cpu_count", lambda: 1)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 1)
     # the distance block and its scratch twin are each at most _BLOCK_BYTES;
     # the output and the finite check are O(n). No (queries x points) array
     # is formed.
@@ -340,7 +340,7 @@ def test_kde_peak_memory_is_a_few_blocks(monkeypatch):
 def test_kde_peak_memory_is_a_few_blocks_per_worker(monkeypatch, workers):
     # each worker has its own blocks (see above); the output and the
     # finite check stay O(n), whatever the worker count
-    monkeypatch.setattr(density, "_cpu_count", lambda: workers)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: workers)
     started = count_threads(monkeypatch)
     n, m = 20000, 560
     rng = np.random.default_rng(3)
@@ -358,7 +358,7 @@ def test_kde_peak_memory_is_a_few_blocks_per_worker(monkeypatch, workers):
 
 
 def count_threads(monkeypatch):
-    """Record every thread the density module starts; returns the list."""
+    """Record every thread started; returns the list."""
     started = []
 
     class CountingThread(threading.Thread):
@@ -366,7 +366,7 @@ def count_threads(monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(density.threading, "Thread", CountingThread)
+    monkeypatch.setattr(workers.threading, "Thread", CountingThread)
     return started
 
 
@@ -391,10 +391,10 @@ def test_kde_bits_equal_for_any_worker_count(monkeypatch, d, m, h, n, threads):
     model = kde_fit(rng.normal(size=(m, d)) * 2.0, h)
     X = rng.normal(size=(n, d)) * rng.choice([0.5, 3.0, 12.0], size=(n, 1))
     started = count_threads(monkeypatch)
-    monkeypatch.setattr(density, "_cpu_count", lambda: 1)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 1)
     serial = model.log_density(X)
     assert started == []
-    monkeypatch.setattr(density, "_cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
     threaded = model.log_density(X)
     assert len(started) == threads
     assert_bitwise_equal(threaded, serial)
@@ -407,7 +407,7 @@ def test_kde_threads_take_every_block_once_under_fast_switching(monkeypatch):
     rng = np.random.default_rng(11)
     model = kde_fit(rng.normal(size=(4000, 2)), 0.2)
     X = rng.normal(size=(blocks_of(4000, 160, 3), 2)) * 2.0
-    monkeypatch.setattr(density, "_cpu_count", lambda: 8)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 8)
     started = count_threads(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -416,13 +416,13 @@ def test_kde_threads_take_every_block_once_under_fast_switching(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(started) == 7
-    monkeypatch.setattr(density, "_cpu_count", lambda: 1)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 1)
     assert_bitwise_equal(got, model.log_density(X))
 
 
 @pytest.mark.parametrize("n_blocks, threads", [(15, 0), (16, 1)])
 def test_kde_starts_a_thread_per_eight_blocks(monkeypatch, n_blocks, threads):
-    monkeypatch.setattr(density, "_cpu_count", lambda: 4)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 4)
     started = count_threads(monkeypatch)
     rng = np.random.default_rng(12)
     model = kde_fit(rng.normal(size=(560, 2)), 0.1)
@@ -432,7 +432,7 @@ def test_kde_starts_a_thread_per_eight_blocks(monkeypatch, n_blocks, threads):
 
 @pytest.mark.parametrize("raiser", ["worker", "caller"])
 def test_kde_error_on_any_thread_is_raised_after_every_join(monkeypatch, raiser):
-    monkeypatch.setattr(density, "_cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
     worker_ran = threading.Event()
     score = density._kde_block
 
@@ -858,7 +858,7 @@ def test_huge_finite_queries_floor_without_warnings(monkeypatch, workers):
     # (1e200)^2 overflows to inf: the row's density is the floor, and numpy
     # must not warn about the overflow or the log of a zero kernel sum, on
     # the calling thread or on a scoring thread
-    monkeypatch.setattr(density, "_cpu_count", lambda: workers)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: workers)
     started = count_threads(monkeypatch)
     rng = np.random.default_rng(11)
     points = rng.normal(size=(300, 2))
@@ -881,7 +881,7 @@ def test_huge_finite_queries_floor_without_warnings(monkeypatch, workers):
 def test_kde_batch_of_overflowed_rows_floors_on_two_threads(monkeypatch):
     # every distance of every row overflows: each row's max is -inf, and its
     # clamped terms must not lift it off the floor, on either thread
-    monkeypatch.setattr(density, "_cpu_count", lambda: 2)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 2)
     started = count_threads(monkeypatch)
     rng = np.random.default_rng(15)
     model = kde_fit(rng.normal(size=(300, 2)), 0.1)

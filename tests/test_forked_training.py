@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import assert_reaped
 
 from densemble import classifiers, density
 from densemble.harness import (
@@ -41,28 +42,6 @@ def _params(parties):
     return [p.classifier.params for p in parties]
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids each ``os.fork`` call returned to this process."""
-    pids = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-    return pids
-
-
-def _assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def _fail_group(monkeypatch, rows, action):
     """Make ``classifiers.train`` run ``action()`` for the group whose first
     parameter array has ``rows`` rows (toy3: 2 is the softmax party's group,
@@ -81,15 +60,15 @@ def _fail_group(monkeypatch, rows, action):
 def test_worker_count_moves_no_bit(name, monkeypatch, forks):
     cfg = _splitd_two_mlps() if name == "splitD-two-mlps" else load_config(name)
     inputs = _inputs(cfg)
-    monkeypatch.setattr(density, "_cpu_count", lambda: 1)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 1)
     alone = _params(build_parties(*inputs, pretrain=True))
     assert forks == []
-    monkeypatch.setattr(density, "_cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
     shared = _params(build_parties(*inputs, pretrain=True))
     # toy3: three groups on three workers; splitD: the softmax group here,
     # the two-MLP group in the one child
     assert len(forks) == (2 if name == "toy3" else 1)
-    _assert_reaped(forks)
+    assert_reaped(forks)
     assert len(alone) == len(shared) == len(cfg.parties)
     for a, b in zip(alone, shared):
         assert a.tobytes() == b.tobytes()
@@ -97,7 +76,7 @@ def test_worker_count_moves_no_bit(name, monkeypatch, forks):
 
 @pytest.mark.parametrize("rows", [2, 48], ids=["parent-group", "child-group"])
 def test_a_failing_group_raises_its_error_and_every_child_is_reaped(rows, monkeypatch, forks):
-    monkeypatch.setattr(density, "_cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
 
     def fail():
         raise ValueError(f"group of {rows} rows failed")
@@ -106,13 +85,13 @@ def test_a_failing_group_raises_its_error_and_every_child_is_reaped(rows, monkey
     with pytest.raises(ValueError, match=f"group of {rows} rows failed"):
         build_parties(*_inputs(load_config("toy3")), pretrain=True)
     assert len(forks) == 2
-    _assert_reaped(forks)
+    assert_reaped(forks)
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_parent_error_kills_and_reaps_children(error, monkeypatch, forks):
     # the children would train for a minute; the parent's group fails at once
-    monkeypatch.setattr(density, "_cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
     train = classifiers.train
 
     def slow_children(models, *args, **kwargs):
@@ -127,15 +106,15 @@ def test_parent_error_kills_and_reaps_children(error, monkeypatch, forks):
         build_parties(*_inputs(load_config("toy3")), pretrain=True)
     assert time.perf_counter() - t0 < 30
     assert len(forks) == 2
-    _assert_reaped(forks)
+    assert_reaped(forks)
 
 
 def test_child_without_a_result_raises_runtime_error_with_its_status(monkeypatch, forks):
-    monkeypatch.setattr(density, "_cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
     _fail_group(monkeypatch, 48, lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exited with status 3 and no result"):
         build_parties(*_inputs(load_config("toy3")), pretrain=True)
-    _assert_reaped(forks)
+    assert_reaped(forks)
 
 
 def test_children_leave_through_os_exit_only(monkeypatch, forks, tmp_path):
@@ -150,7 +129,7 @@ def test_children_leave_through_os_exit_only(monkeypatch, forks, tmp_path):
 
     atexit.register(mark)
     try:
-        monkeypatch.setattr(density, "_cpu_count", lambda: 3)
+        monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
 
         def leave():
             raise SystemExit(5)
@@ -162,7 +141,7 @@ def test_children_leave_through_os_exit_only(monkeypatch, forks, tmp_path):
     finally:
         atexit.unregister(mark)
     assert len(forks) == 2
-    _assert_reaped(forks)
+    assert_reaped(forks)
     assert not marker.exists()
 
 
@@ -190,7 +169,7 @@ def test_streams_flushed_before_the_first_fork(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", recorded)
-    monkeypatch.setattr(density, "_cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
     build_parties(*_inputs(load_config("toy3")), pretrain=True)
     first = events.index("fork")
     assert {"flush stdout", "flush stderr"} <= set(events[:first])
@@ -203,12 +182,12 @@ def test_other_children_of_the_caller_are_left_alone(monkeypatch, forks):
     if pid == 0:
         os._exit(7)
     os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # exited, not reaped
-    monkeypatch.setattr(density, "_cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
     build_parties(*_inputs(load_config("toy3")), pretrain=True)
     assert len(forks) == 3  # the caller's child, then two workers
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 7
-    _assert_reaped(forks[1:])
+    assert_reaped(forks[1:])
 
 
 @pytest.mark.parametrize("case", ["one-group", "one-cpu", "second-thread"])
@@ -220,7 +199,7 @@ def test_no_fork_without_two_groups_two_cpus_and_one_thread(case, monkeypatch):
         raise AssertionError("os.fork called")
 
     monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr(density, "_cpu_count", lambda: 1 if case == "one-cpu" else 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 1 if case == "one-cpu" else 3)
     cfg = load_config("splitD" if case == "one-group" else "toy3")
     inputs = _inputs(cfg)
     release = threading.Event()
@@ -240,7 +219,7 @@ def test_no_fork_without_two_groups_two_cpus_and_one_thread(case, monkeypatch):
 def test_threaded_kde_scoring_leaves_no_thread_so_training_still_forks(monkeypatch, forks):
     # forking needs this process to run one thread: a scoring thread that
     # outlived its batch would make local training run every group here
-    monkeypatch.setattr(density, "_cpu_count", lambda: 2)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 2)
     rng = np.random.default_rng(17)
     model = density.kde_fit(rng.normal(size=(560, 2)), 0.1)
     rows = density._BLOCK_BYTES // (8 * 560)
@@ -258,4 +237,4 @@ def test_threaded_kde_scoring_leaves_no_thread_so_training_still_forks(monkeypat
     assert threading.active_count() == before
     build_parties(*_inputs(load_config("toy3")), pretrain=True)
     assert len(forks) == 1
-    _assert_reaped(forks)
+    assert_reaped(forks)

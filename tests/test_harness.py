@@ -1,8 +1,10 @@
 """Experiment orchestration: configs, presets, pipeline runs, sweeps, CLI."""
 
+import copy
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,18 +14,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (
+    DELETE,
+    MUTATION_VALUES,
     ConstantClassifier,
     ConstantDensity,
     cli_peak_rss_mb,
     fast_experiment_doc,
+    json_paths,
+    mutated,
     read_predictions,
     toy3_untrained_manifest,
 )
 
 from densemble import classifiers, cli, ensemble, serialize
-from densemble.calibration import CalibrationConfig
+from densemble.calibration import CalibrationConfig, ClipConfig
 from densemble.classifiers import ClassifierStack, SoftmaxRegression
-from densemble.datasets import read_csv
+from densemble.datasets import PartitionSpec, generate_toy, read_csv, write_csv
 from densemble.density import KdeModel
 from densemble.ensemble import (
     PartyModel,
@@ -34,6 +40,7 @@ from densemble.ensemble import (
 )
 from densemble.harness import (
     PRESET_NAMES,
+    EstimatorConfig,
     MetricsReport,
     build_parties,
     config_from_dict,
@@ -48,6 +55,7 @@ from densemble.harness import (
     write_metrics_csv,
     write_sweep_csv,
 )
+from densemble.jsonconfig import from_json, to_json
 
 
 @pytest.fixture(scope="module")
@@ -989,3 +997,173 @@ def test_cli_eval_zeroshot_huge_finite_query_writes_no_warning(pipeline_artifact
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "ensemble accuracy" in proc.stdout
+
+
+# The least value of each integer field, and of a partition rule's classes.
+INT_MIN = {
+    "seed": 0, "n": 0, "epochs": 0, "steps": 0, "classes": 0,
+    "num_classes": 1, "hidden": 1, "batch": 1, "components": 1, "eval_every": 1,
+}
+FIELD = r"[a-z_]+(?:\[\d+\])*(?:\.[a-z_]+(?:\[\d+\])*)*"
+# an error starts with the fields it blames, joined by " + ", and a colon
+BLAMED = re.compile(rf"^({FIELD}(?: \+ {FIELD})*): ")
+
+
+def dotted(path):
+    """``("parties", 0, "classes")`` as ``parties[0].classes``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def valid_alternative(path, value):
+    """Whether a mutation is a config or partition spec that may load to
+    other settings: a field left to its default (deleted, or an empty
+    block), no calibration or no clipping, or a value inside the field's
+    stated range. Each may still be rejected (a class no rule claims
+    any more, fractions that exceed 1)."""
+    if value is DELETE or value == {}:
+        return True
+    key = path[-2] if isinstance(path[-1], int) else path[-1]
+    number = type(value) in (int, float) and math.isfinite(value)
+    if value is None:
+        return key in ("calibration", "clip")
+    if key in ("calibrate_from_raw", "update_density"):
+        return type(value) is bool
+    if key in INT_MIN:
+        return type(value) is int and value >= INT_MIN[key]
+    if key in ("lr", "bandwidth", "clip_norm"):
+        return number and value > 0
+    if key == "noise_sigma":
+        return number and value >= 0
+    if key == "fraction":
+        return number and 0 < value <= 1
+    if key == "train_ratio":
+        return number and 0 < value < 1
+    return False
+
+
+def dropped(doc, path):
+    """A copy of ``doc`` without the value at ``path``: a key removed if it
+    is there, a list element set to None."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if isinstance(node, list):
+        node[path[-1]] = None
+    else:
+        node.pop(path[-1], None)
+    return doc
+
+
+def check_mutations(doc, load, dump, cli_exit, want_rejected):
+    """Load every mutation of ``doc``: each loads to the unmutated settings,
+    loads as a valid alternative that changes only the mutated value, or
+    raises a ValueError that blames fields of the document (a field on the
+    mutated path if no other) and that the CLI exits 2 with."""
+    base = load(doc)
+    known = {dotted(p) for p in json_paths(doc)}
+    keys = {k for p in json_paths(doc) for k in p if isinstance(k, str)}
+    outcomes = {"same": 0, "alternative": 0, "rejected": 0}
+    for path in json_paths(doc):
+        for value in [*MUTATION_VALUES, DELETE]:
+            variant = mutated(doc, path, value)
+            case = f"{dotted(path)} {'deleted' if value is DELETE else repr(value)}"
+            try:
+                got = load(variant)
+            except ValueError as err:
+                msg = str(err)
+                head = BLAMED.match(msg)
+                assert head, (case, msg)
+                blamed = head.group(1).split(" + ")
+                assert set(blamed) <= known | {dotted(p) for p in json_paths(variant)}, (case, msg)
+                # the mutated field: a list element's field is its list's
+                last = max(i for i, k in enumerate(path) if isinstance(k, str))
+                field = dotted(path[: last + 1])
+                if field not in blamed and all(field.startswith(f) for f in blamed):
+                    # only blocks above the field are blamed: the rest names a field
+                    tail = msg[head.end():]
+                    assert any(re.search(rf"\b{k}\b", tail) for k in keys), (case, msg)
+                assert cli_exit(variant) == (2, f"error: {msg}\n"), case
+                outcomes["rejected"] += 1
+                continue
+            if got == base:
+                outcomes["same"] += 1
+                continue
+            assert valid_alternative(path, value), case
+            out = dump(got)
+            if value is DELETE and isinstance(path[-1], int):
+                assert out == variant, case  # a shorter list
+            elif value is DELETE or value == {} or value is None:
+                assert dropped(out, path) == dropped(variant, path), case
+            else:
+                assert out == variant, case
+            outcomes["alternative"] += 1
+    assert outcomes["rejected"] >= want_rejected and outcomes["alternative"] > 0, outcomes
+
+
+def test_mutated_config_loads_or_names_its_field(tmp_path, capsys):
+    # toy3 with an MLP party, a GMM party, calibration and clipping: every
+    # key and list element set to each value or deleted
+    cfg = load_config("toy3")
+    gmm = replace(cfg.parties[2], estimator=EstimatorConfig(type="gmm", components=3))
+    clip = ClipConfig(clip_norm=1.0, noise_sigma=0.1)
+    calibration = CalibrationConfig(steps=10, update_density=True, clip=clip)
+    doc = config_to_dict(
+        replace(cfg, parties=[*cfg.parties[:2], gmm], calibration=calibration)
+    )
+    path = tmp_path / "exp.json"
+
+    def cli_exit(variant):
+        path.write_text(json.dumps(variant))
+        rc = cli.main(["train-local", "--config", str(path)])
+        return rc, capsys.readouterr().err
+
+    check_mutations(doc, config_from_dict, config_to_dict, cli_exit, want_rejected=700)
+
+
+def test_mutated_partition_spec_loads_or_names_its_field(tmp_path, capsys):
+    doc = config_to_dict(load_config("toy3"))["partition"]
+    data = tmp_path / "data.csv"
+    write_csv(generate_toy(np.random.default_rng(5).integers(1000), 60, 5), data)
+    path = tmp_path / "spec.json"
+
+    def cli_exit(variant):
+        path.write_text(json.dumps(variant))
+        argv = ["partition", "--data", str(data), "--spec", str(path)]
+        rc = cli.main(argv + ["--out", str(tmp_path / "shards")])
+        return rc, capsys.readouterr().err
+
+    def load(variant):
+        return from_json(PartitionSpec, variant)
+
+    check_mutations(doc, load, to_json, cli_exit, want_rejected=150)
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("data", "num_classes"), 0, "data: num_classes must be at least 1, got 0"),
+        (("data", "num_classes"), -1, "data: num_classes must be at least 1, got -1"),
+        (("seed",), -1, "seed: must be nonnegative, got -1"),
+        (
+            ("partition", "parties"),
+            [],
+            "partition: parties: a partition spec needs at least one party",
+        ),
+        (
+            ("partition", "parties", 1, "classes"),
+            [],
+            "partition: parties[1].classes: [] is empty or below 0",
+        ),
+        (
+            ("partition", "parties", 1, "fraction"),
+            0.75,
+            "partition: parties[1].fraction + parties[2].fraction: class 3 gets 1.25 in all; "
+            "fractions exceed 1",
+        ),
+    ],
+)
+def test_config_errors_name_the_field_at_fault(where, value, message):
+    with pytest.raises(ValueError) as err:
+        config_from_dict(mutated(config_to_dict(load_config("toy3")), where, value))
+    assert str(err.value) == message

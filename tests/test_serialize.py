@@ -1,13 +1,12 @@
 """Model and artifact round-trips through JSON and CSV."""
 
-import copy
 import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import read_predictions, read_trace
+from conftest import DELETE, MUTATION_VALUES, json_paths, mutated, read_predictions, read_trace
 from densemble import classifiers, cli, datasets, density
 from densemble.calibration import TraceRow
 from densemble.classifiers import MlpClassifier, SoftmaxRegression
@@ -537,32 +536,6 @@ def test_party_of_another_feature_dimension_is_rejected(tmp_path, capsys, case):
     assert rc == 2
     stderr = capsys.readouterr().err
     assert str(path) in stderr and "dim" in stderr and "matmul" not in stderr
-
-
-# Each value a mutated key or list element is set to; DELETE removes it.
-MUTATION_VALUES = [None, True, False, 0, 1, -1, 2.5, 1e300, 2**64, math.nan, "1", [], {}]
-DELETE = object()
-
-
-def json_paths(doc, prefix=()):
-    """The path of every object value and array element under ``doc``."""
-    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
-        yield prefix + (key,)
-        if isinstance(value, (dict, list)):
-            yield from json_paths(value, prefix + (key,))
-
-
-def mutated(doc, path, value):
-    """A copy of ``doc`` with the value at ``path`` set, or removed for DELETE."""
-    doc = copy.deepcopy(doc)
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    if value is DELETE:
-        del node[path[-1]]
-    else:
-        node[path[-1]] = value
-    return doc
 
 
 def valid_alternative(name, path, value):

@@ -8,8 +8,16 @@ command's printed output is kept next to its artifacts. Then every file is
 compared byte for byte, except ``metrics.json``, whose ``timings`` differ
 from run to run: both sides are parsed, ``timings`` is dropped, and the
 rest must hold the same values under the same keys in the same order.
-Exits 1 if a command fails, or if a file differs or exists on one side
-only. Under each CSV that differs, it says whether every integer column
+Each side then reruns ``toy3-seed0``, ``gen-data-20k``, ``eval-zeroshot-20k``
+and ``plot-boundary-400`` in ``OUT/<side>-one-cpu``, each command's process
+pinned to one CPU with ``os.sched_setaffinity`` (the pass is skipped where
+that call is missing), and every file there must equal the same side's
+all-CPU file. On one CPU, local training runs every lockstep group in one
+process and KDE scoring every row block on one thread, so the pass compares
+both parallel paths with their in-process fallbacks.
+Exits 1 if a command fails, if a file differs or exists on one side
+only, or if a one-CPU file differs from its all-CPU twin. Under each CSV
+that differs, it says whether every integer column
 (labels, indices, steps) is equal, and gives the largest
 absolute difference in each other numeric column, so a deliberate bit move
 reads as "labels equal, |delta| <= x" straight from the output. Under each
@@ -226,6 +234,11 @@ COMMANDS = {
     ],
 }
 
+# Rerun on one CPU, where training and KDE scoring run every share in one
+# process and one thread; toy3-seed0 and gen-data-20k make the inputs of
+# the other two.
+ONE_CPU = ("toy3-seed0", "gen-data-20k", "eval-zeroshot-20k", "plot-boundary-400")
+
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -290,15 +303,22 @@ def read_preset(root: str, preset: str) -> dict:
         return json.load(fh)
 
 
-def run_side(root: str, workdir: str) -> list[str]:
-    """Run every command in ``workdir`` against ``root``; one message per failure."""
+def pin_to_one_cpu() -> None:
+    """Restrict the calling process (a command's child, before it execs) to
+    the lowest CPU it may run on."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_side(root: str, workdir: str, names=COMMANDS, preexec_fn=None) -> list[str]:
+    """Run the ``names`` commands in ``workdir`` against ``root``, each child
+    set up by ``preexec_fn``; one message per failure."""
     os.makedirs(workdir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"), **ONE_THREAD)
     failed = []
-    for name, args in COMMANDS.items():
+    for name in names:
         proc = subprocess.run(
-            [sys.executable, "-m", "densemble.cli", *args],
-            cwd=workdir, env=env, capture_output=True, text=True,
+            [sys.executable, "-m", "densemble.cli", *COMMANDS[name]],
+            cwd=workdir, env=env, capture_output=True, text=True, preexec_fn=preexec_fn,
         )
         with open(os.path.join(workdir, f"{name}.stdout"), "w") as fh:
             fh.write(proc.stdout)
@@ -426,6 +446,23 @@ def main(argv: list[str]) -> int:
     for side, root in sides.items():
         print(f"running {side}: {root}", flush=True)
         failed += [f"{side}: {msg}" for msg in run_side(root, os.path.join(out, side))]
+    if hasattr(os, "sched_setaffinity"):
+        for side, root in sides.items():
+            print(f"running {side} on one CPU", flush=True)
+            workdir = os.path.join(out, f"{side}-one-cpu")
+            failed += [
+                f"{side} on one CPU: {msg}"
+                for msg in run_side(root, workdir, ONE_CPU, pin_to_one_cpu)
+            ]
+            pinned = sorted(files_under(workdir))
+            unequal = [
+                p for p in pinned
+                if not same(os.path.join(workdir, p), os.path.join(out, side, p))
+            ]
+            print(f"{side} on one CPU: {len(pinned)} files compared, {len(unequal)} differ")
+            failed += [f"{side} on one CPU: {p} differs from the all-CPU run" for p in unequal]
+    else:
+        print("one-CPU pass skipped: no os.sched_setaffinity")
     a, b = (os.path.join(out, side) for side in sides)
     files_a, files_b = files_under(a), files_under(b)
     compared = sorted(files_a & files_b)
