@@ -141,7 +141,7 @@ class FlatClassifier:
 
     Subclasses name their arrays in ``_names``, take them positionally in
     that order followed by ``label_space``, tag themselves with ``type_tag``,
-    map each stored field to its kind in ``file_fields`` for serialization
+    map each stored field to its kind in ``file_fields`` for ``jsonconfig``
     (``label_space``, a tuple of ints, then the arrays, in file order), and
     implement ``from_config``, ``_check_shapes``, ``_forward`` and
     ``_backward``; a subclass is a family once it is in ``FAMILIES``. The

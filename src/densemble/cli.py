@@ -23,6 +23,13 @@ from . import harness, plotting, serialize
 from .calibration import CalibrationConfig
 from .datasets import LocalDataset, PartitionSpec, generate_toy, partition, read_csv, write_csv
 from .ensemble import decide, max_model_decide, score_chunks
+from .jsonconfig import from_json
+
+
+def int64(text: str) -> int:
+    """An integer option, held to the int64 bound of every JSON integer;
+    argparse names the option in the error of a value that fails."""
+    return from_json(int, int(text))
 
 
 def _read_csv(path: str, num_classes: int | None = None) -> LocalDataset:
@@ -177,22 +184,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic blob dataset")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--classes", type=int, default=5)
+    p.add_argument("--seed", type=int64, default=0)
+    p.add_argument("--n", type=int64, default=2000)
+    p.add_argument("--classes", type=int64, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("partition", help="split a dataset into party shards")
     p.add_argument("--data", required=True)
     p.add_argument("--spec", required=True, help="partition spec JSON")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int64, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("train-local", help="train party models, save the ensemble")
     p.add_argument("--config", required=True, help="config path or preset name")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int64, default=None)
     p.add_argument("--out", default=None, help="artifact directory")
     p.set_defaults(func=_cmd_train_local)
 
@@ -204,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="run the pipeline with calibration")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int64, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--from-raw", action="store_true", help="skip local pre-training")
     p.set_defaults(func=_cmd_calibrate)
@@ -212,15 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render a decision boundary or density SVG")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--data", default=None, help="points to overlay / set the region")
-    p.add_argument("--resolution", type=int, default=200)
-    p.add_argument("--density", type=int, default=None, help="party index: plot its density")
+    p.add_argument("--resolution", type=int64, default=200)
+    p.add_argument("--density", type=int64, default=None, help="party index: plot its density")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("sweep", help="run many seeds, report mean and std")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--base-seed", type=int, default=0)
+    p.add_argument("--seeds", type=int64, default=20)
+    p.add_argument("--base-seed", type=int64, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 

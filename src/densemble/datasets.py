@@ -20,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .jsonconfig import from_json, read_json, to_json, write_json
+from .jsonconfig import from_json, read_json
 
 TOY_CIRCLE_RADIUS = 4.0
 TOY_BLOB_SIGMA = 0.8
@@ -84,7 +84,7 @@ class LocalDataset:
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1] if self.features.ndim == 2 else 0
+        return self.features.shape[1]
 
     def subset(self, index: np.ndarray, label_space: tuple[int, ...] | None = None) -> "LocalDataset":
         space = self.label_space if label_space is None else label_space
@@ -139,9 +139,6 @@ class PartitionSpec:
         shown = ", ".join(map(str, islice(free, _SHOWN_CLASSES)))
         more = f", ...] ({count} in all)" if count > _SHOWN_CLASSES else "]"
         return f"classes [{shown}{more}" if count > 0 else None
-
-    def save(self, path) -> None:
-        write_json(path, to_json(self))
 
     @classmethod
     def load(cls, path) -> "PartitionSpec":

@@ -2,7 +2,8 @@
 
 Both estimators expose ``log_density(X) -> (n,)`` so downstream code can mix
 estimator families freely. Like the classifiers, both carry a ``type_tag``
-and ``file_fields`` (each stored field and its kind) for ``serialize`` and
+and ``file_fields`` (each stored field and its kind, read and written by
+``jsonconfig``) and
 build themselves from their config block and their party's shard with
 ``from_config(cfg, shard, seed)``, and
 ``FAMILIES`` maps each tag to its class: it is the only list of estimator

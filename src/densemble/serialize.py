@@ -1,29 +1,23 @@
-"""JSON round-trip for models, and the prediction and trace CSV writers.
+"""Party files and manifests, and the prediction and trace CSV writers.
 
-One codec serves every model: ``model_to_dict`` writes ``{"type": type_tag}``
-and then each of the class's ``file_fields``, and ``model_from_dict`` looks
+A model is stored as ``{"type": type_tag}`` followed by its record: each
+field its class lists in ``file_fields``, in that order, read and written
+by ``jsonconfig`` as every typed JSON document is (that module states the
+rules: a field is read by the kind its class declares, never by the shape
+of its JSON value; an ``np.ndarray`` is an array object; an unknown or
+missing key, a wrong JSON type, an integer outside int64 or a number
+outside double range is rejected by its path). ``model_from_dict`` looks
 the tag up in a family table: ``classifiers.FAMILIES`` for a party file's
 ``classifier`` slot, ``density.FAMILIES`` for its ``estimator`` slot, and
-both for a bare model. No other class is written or read. ``file_fields``
-maps each field, in file order, to the kind the class declares for it, and
-a field is decoded by that kind alone, never by the shape of its JSON
-value: ``np.ndarray`` is an array object, ``float`` a JSON number and
-``tuple[int, ...]`` a list of integers (a label space). A field of another
-kind, such as an array object for a label space or a bandwidth, or a plain
-list for mixture weights, raises a ValueError that names the field. Arrays
-are stored as ``{"shape": [...], "data": [row-major floats]}`` so a load
-reproduces the exact parameter values (JSON floats carry full double
-precision). Scalar fields, label spaces, shard sizes and the class count
-are read with ``jsonconfig.from_json``, so each needs its exact JSON type:
-a fractional or boolean ``shard_size``, a string ``num_classes`` or
-``bandwidth`` and a fractional label are rejected, not coerced. An array
-object has no key but ``shape`` and ``data``; its ``shape`` must be a list
-of non-negative integers and its ``data`` a flat list of JSON numbers, as
-many as the shape holds: a string or boolean cell, one cell too many, or a
-``-1`` extent for numpy to infer, is rejected too. Every error names the
-file and the dotted path of the field at fault (``classifier.W.data``,
-``parties[1].shard_size``), or the model's slot for an error its class
-raises, such as a shape mismatch or a NaN parameter.
+both for a bare model. No other class is written or read. A party file is
+read as a ``_PartyFile`` and a manifest as a ``_Manifest``. This module adds
+only the checks that span fields or files: a party's classifier and
+estimator take one feature dimension; a manifest's party files lie in its
+directory, agree with it on their shard sizes and take party 0's feature
+dimension; and its ``num_classes`` is 1 + the largest label. Every error
+names the file and the dotted path of the field at fault
+(``classifier.W.data``, ``parties[1].shard_size``), or the model's slot for
+an error its class raises, such as a shape mismatch or a NaN parameter.
 
 Party files and manifests go through ``jsonconfig.read_json`` and
 ``write_json``, and the CSVs through ``datasets._write_columns``; this
@@ -33,7 +27,6 @@ back, so their readers live with the tests.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -48,57 +41,11 @@ from .jsonconfig import from_json, read_json, to_json, write_json
 _MODELS = {**classifiers.FAMILIES, **density.FAMILIES}
 
 
-def _encode(value):
-    if isinstance(value, np.ndarray):
-        return {"shape": list(value.shape), "data": value.ravel().tolist()}
-    return list(value) if isinstance(value, tuple) else value
-
-
-def _decode(name: str, kind, value):
-    """``value`` read as field ``name`` of the declared ``kind``: an array
-    object for ``np.ndarray``, else ``from_json``'s strict reading."""
-    if kind is np.ndarray:
-        return _decode_array(name, value)
-    return from_json(kind, value, name)
-
-
-def _decode_array(name: str, value) -> np.ndarray:
-    """An array object read strictly: its keys are ``shape``, a list of
-    non-negative integers, and ``data``, a list of JSON numbers (no booleans,
-    strings or nested lists), one per cell, or ValueError."""
-    value = from_json(dict, value, name)
-    if sorted(value) != ["data", "shape"]:
-        raise ValueError(f"{name}: expected keys 'data' and 'shape', got {sorted(value)}")
-    shape = from_json(tuple[int, ...], value["shape"], f"{name}.shape")
-    if any(s < 0 for s in shape):
-        raise ValueError(f"{name}.shape: negative extent in {list(shape)}")
-    data = value["data"]
-    if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
-        raise ValueError(f"{name}.data: expected an array of numbers")
-    if len(data) != math.prod(shape):
-        raise ValueError(f"{name}: shape {list(shape)} does not hold {len(data)} numbers")
-    try:
-        cells = np.array(data, dtype=np.float64)
-    except OverflowError:
-        raise ValueError(f"{name}.data: a number is out of double range") from None
-    return cells.reshape(shape)
-
-
 def model_to_dict(model) -> dict:
     """``{"type": type_tag, <field>: <value>, ...}`` in ``file_fields`` order."""
     if _MODELS.get(getattr(model, "type_tag", None)) is not type(model):
         raise ValueError(f"unknown model type {type(model).__name__}")
-    doc = {"type": model.type_tag}
-    doc.update((name, _encode(getattr(model, name))) for name in model.file_fields)
-    return doc
-
-
-def _check_keys(d: dict, keys, at: str = "") -> None:
-    """ValueError naming the first key, in sorted order, that ``d`` holds
-    and ``keys`` does not, or the other way round."""
-    odd = sorted(d.keys() ^ set(keys))
-    if odd:
-        raise ValueError(f"{at}{odd[0]}: {'unknown field' if odd[0] in d else 'missing'}")
+    return {"type": model.type_tag, **to_json(model)}
 
 
 def model_from_dict(d: dict, families: dict = _MODELS, path: str = ""):
@@ -113,21 +60,22 @@ def model_from_dict(d: dict, families: dict = _MODELS, path: str = ""):
     cls = families.get(kind)
     if cls is None:
         raise ValueError(f"{at}type: unknown model type {kind!r}")
-    _check_keys(d, ("type", *cls.file_fields), at)
-    fields = {name: _decode(at + name, kind, d[name]) for name, kind in cls.file_fields.items()}
-    try:
-        return cls(**fields)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}" if path else str(err)) from None
+    return from_json(cls, {k: v for k, v in d.items() if k != "type"}, path)
+
+
+@dataclass(frozen=True)
+class _PartyFile:
+    """A party file: its classifier's and estimator's ``model_to_dict``
+    documents and its shard size."""
+
+    classifier: dict
+    estimator: dict
+    shard_size: int
 
 
 def save_party(party: PartyModel, path) -> None:
-    doc = {
-        "classifier": model_to_dict(party.classifier),
-        "estimator": model_to_dict(party.estimator),
-        "shard_size": party.shard_size,
-    }
-    write_json(path, doc, indent=None)
+    clf, est = model_to_dict(party.classifier), model_to_dict(party.estimator)
+    write_json(path, to_json(_PartyFile(clf, est, party.shard_size)), indent=None)
 
 
 def _malformed(path, what: str, err: ValueError) -> ValueError:
@@ -139,12 +87,11 @@ def load_party(path) -> PartyModel:
     must take queries of one feature dimension."""
     doc = read_json(path)
     try:
-        doc = from_json(dict, doc)
-        _check_keys(doc, ("classifier", "estimator", "shard_size"))
+        doc = from_json(_PartyFile, doc)
         party = PartyModel(
-            model_from_dict(doc["classifier"], classifiers.FAMILIES, "classifier"),
-            model_from_dict(doc["estimator"], density.FAMILIES, "estimator"),
-            from_json(int, doc["shard_size"], "shard_size"),
+            model_from_dict(doc.classifier, classifiers.FAMILIES, "classifier"),
+            model_from_dict(doc.estimator, density.FAMILIES, "estimator"),
+            doc.shard_size,
         )
         c, e = party.classifier.dim, party.estimator.dim
         if c != e:

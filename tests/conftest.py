@@ -263,7 +263,7 @@ def cli_peak_rss_mb(argv: list[str]) -> float:
 
 
 # Each value a mutated key or list element is set to; DELETE removes it.
-MUTATION_VALUES = [None, True, False, 0, 1, -1, 2.5, 1e300, 2**64, math.nan, "1", [], {}]
+MUTATION_VALUES = [None, True, False, 0, 1, -1, 2.5, 1e300, 2**64, 10**400, math.nan, "1", [], {}]
 DELETE = object()
 
 

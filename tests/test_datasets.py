@@ -20,6 +20,7 @@ from densemble.datasets import (
 )
 from densemble.density import kde_fit
 from densemble.ensemble import PartyModel, build_ensemble
+from densemble.jsonconfig import to_json, write_json
 from densemble.serialize import save_ensemble
 
 
@@ -200,7 +201,7 @@ def test_partition_error_for_a_large_label_lists_a_few_classes(tmp_path, capsys)
     data = tmp_path / "data.csv"
     data.write_text("f0,f1,label\n0.0,0.0,0\n1.0,1.0,1\n2.0,2.0,100000\n")
     spec = tmp_path / "spec.json"
-    PartitionSpec(parties=[PartyRule((0, 1)), PartyRule((100000,))]).save(spec)
+    write_json(spec, to_json(PartitionSpec(parties=[PartyRule((0, 1)), PartyRule((100000,))])))
     argv = ["partition", "--data", str(data), "--spec", str(spec), "--out", str(tmp_path / "o")]
     assert cli.main(argv) == 2
     first = ", ".join(map(str, range(2, 12)))
@@ -225,7 +226,7 @@ def test_partition_spec_json_round_trip(tmp_path):
         seed=17,
     )
     path = tmp_path / "spec.json"
-    spec.save(path)
+    write_json(path, to_json(spec))
     loaded = PartitionSpec.load(path)
     assert loaded.seed == 17
     assert [r.classes for r in loaded.parties] == [r.classes for r in spec.parties]
@@ -235,7 +236,7 @@ def test_partition_spec_json_round_trip(tmp_path):
 def test_partition_spec_save_bytes_are_pinned(tmp_path):
     spec = PartitionSpec(parties=[PartyRule((0, 1)), PartyRule((2,), 0.5)], seed=4)
     path = tmp_path / "spec.json"
-    spec.save(path)
+    write_json(path, to_json(spec))
     rules = [{"classes": [0, 1], "fraction": 1.0}, {"classes": [2], "fraction": 0.5}]
     expected = json.dumps({"seed": 4, "parties": rules}, indent=2) + "\n"
     assert path.read_text() == expected

@@ -55,7 +55,7 @@ from densemble.harness import (
     write_metrics_csv,
     write_sweep_csv,
 )
-from densemble.jsonconfig import from_json, to_json
+from densemble.jsonconfig import from_json, to_json, write_json
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +193,13 @@ MALFORMED_CONFIGS = {
         "partition.parties[0].fractoin",
     ),
     "n-as-string": (_set("data", "n", "2000"), "data.n"),
+    "n-past-int64": (_set("data", "n", 10**30), "data.n"),
+    "n-at-2**64": (_set("data", "n", 2**64), "data.n"),
+    "hidden-at-2**64": (
+        _set("parties", 1, "classifier", "hidden", 2**64), "parties[1].classifier.hidden"
+    ),
+    "seed-at-2**63": (_set("seed", 2**63), "seed"),
+    "lr-past-double": (_set("parties", 0, "classifier", "lr", 10**400), "parties[0].classifier.lr"),
     "class-outside-num-classes": (
         _set("data", "num_classes", 3),
         "partition.parties[1].classes",
@@ -683,6 +690,16 @@ def test_cli_gen_data(tmp_path):
     assert set(np.unique(ds.labels)) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("option", ["--seed", "--n", "--classes"])
+def test_cli_integer_option_outside_int64_exits_2(tmp_path, capsys, option):
+    argv = ["gen-data", option, str(10**30), "--out", str(tmp_path / "data.csv")]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert f"argument {option}: invalid int64 value: '{10**30}'" in capsys.readouterr().err
+    assert not (tmp_path / "data.csv").exists()
+
+
 def test_cli_partition(tmp_path):
     data = tmp_path / "data.csv"
     cli.main(["gen-data", "--seed", "2", "--n", "90", "--classes", "3", "--out", str(data)])
@@ -844,7 +861,7 @@ def test_cli_bad_label_names_its_file_and_exits_2(
 def test_cli_partition_bad_label_names_its_file_and_exits_2(pipeline_artifacts, tmp_path, capsys):
     cfg, _, _ = pipeline_artifacts
     spec = tmp_path / "spec.json"
-    cfg.partition.save(spec)
+    write_json(spec, to_json(cfg.partition))
     data = tmp_path / "bad.csv"
     data.write_text("f0,f1,label\n0.5,0.5,0\n\n-0.5,1.0,-99999999999999999999\n")
     argv = ["partition", "--data", str(data), "--spec", str(spec), "--out", str(tmp_path / "s")]
@@ -944,7 +961,7 @@ def test_cli_truncated_json_names_its_file_and_exits_2(
     run = tmp_path / "run"
     shutil.copytree(out, run)
     spec = tmp_path / "spec.json"
-    cfg.partition.save(spec)
+    write_json(spec, to_json(cfg.partition))
     evaluate = ["eval-zeroshot", "--ensemble", str(run / "ensemble.json")]
     evaluate += ["--data", str(run / "test.csv")]
     split = ["partition", "--data", str(run / "train.csv"), "--spec", str(spec)]
@@ -1023,13 +1040,14 @@ def valid_alternative(path, value):
     if value is DELETE or value == {}:
         return True
     key = path[-2] if isinstance(path[-1], int) else path[-1]
-    number = type(value) in (int, float) and math.isfinite(value)
+    # compared exactly, so an integer past the largest double is no number
+    number = type(value) in (int, float) and abs(value) <= sys.float_info.max
     if value is None:
         return key in ("calibration", "clip")
     if key in ("calibrate_from_raw", "update_density"):
         return type(value) is bool
     if key in INT_MIN:
-        return type(value) is int and value >= INT_MIN[key]
+        return type(value) is int and INT_MIN[key] <= value < 2**63
     if key in ("lr", "bandwidth", "clip_norm"):
         return number and value > 0
     if key == "noise_sigma":

@@ -1,7 +1,7 @@
 """Model and artifact round-trips through JSON and CSV."""
 
 import json
-import math
+import sys
 
 import numpy as np
 import pytest
@@ -415,6 +415,9 @@ MALFORMED = {
     "party-bandwidth-overflow": (
         "party_0.json", lambda doc: doc["estimator"].update(bandwidth=1e200),
     ),
+    "party-bandwidth-huge-integer": (
+        "party_0.json", lambda doc: doc["estimator"].update(bandwidth=10**400),
+    ),
     "estimator-string-bandwidth": (
         "party_0.json", lambda doc: doc["estimator"].update(bandwidth="0.2"),
     ),
@@ -543,7 +546,8 @@ def valid_alternative(name, path, value):
     finite number in an array cell, an integer label, a positive bandwidth,
     or the manifest without one party's entry. Each may still be rejected
     (weights that no longer sum to 1, a label out of order)."""
-    number = type(value) in (int, float) and math.isfinite(value)
+    # compared exactly, so an integer past the largest double is no number
+    number = type(value) in (int, float) and abs(value) <= sys.float_info.max
     if path[-2:-1] == ("data",):
         return number
     if path[-2:-1] == ("label_space",):

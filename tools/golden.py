@@ -15,8 +15,17 @@ that call is missing), and every file there must equal the same side's
 all-CPU file. On one CPU, local training runs every lockstep group in one
 process and KDE scoring every row block on one thread, so the pass compares
 both parallel paths with their in-process fallbacks.
-Exits 1 if a command fails, if a file differs or exists on one side
-only, or if a one-CPU file differs from its all-CPU twin. Under each CSV
+Each side also runs a fixed set of commands that must fail (``MUST_FAIL``):
+``eval-zeroshot`` on copies of the parent's toy3-seed0 ensemble, written to
+``OUT/configs`` with one fault in ``party_0.json`` each (no ``classifier.W``,
+an unknown ``estimator`` key, a list where ``estimator.bandwidth`` belongs,
+a ``classifier.b`` shape that does not hold its data), and ``train-local``
+on a toy3 config with an unknown ``data`` key. Each must exit 2, and its
+stderr, kept as ``<name>.stderr``, is compared byte for byte like every
+other file; the files it names lie under ``OUT/configs`` on both sides.
+Exits 1 if a command fails (or a must-fail command does not exit 2), if a
+file differs or exists on one side only, or if a one-CPU file differs from
+its all-CPU twin. Under each CSV
 that differs, it says whether every integer column
 (labels, indices, steps) is equal, and gives the largest
 absolute difference in each other numeric column, so a deliberate bit move
@@ -81,6 +90,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -234,6 +244,27 @@ COMMANDS = {
     ],
 }
 
+# Faults written into party_0.json of a copy of toy3-seed0's ensemble, one
+# copy each in OUT/configs/<name>; each copy is scored by MUST_FAIL[name].
+BAD_PARTY = {
+    "bad-missing-W": lambda doc: doc["classifier"].pop("W"),
+    "bad-estimator-key": lambda doc: doc["estimator"].update(extra=1),
+    "bad-bandwidth-list": lambda doc: doc["estimator"].update(bandwidth=[0.1]),
+    "bad-shape": lambda doc: doc["classifier"]["b"].update(shape=[7]),
+}
+
+# Commands that must exit 2 on both sides, with the same stderr.
+MUST_FAIL = {
+    **{
+        name: [
+            "eval-zeroshot", "--ensemble", f"../configs/{name}/ensemble.json",
+            "--data", "queries.csv",
+        ]
+        for name in BAD_PARTY
+    },
+    "bad-config-key": ["train-local", "--config", "../configs/bad-config-key.json"],
+}
+
 # Rerun on one CPU, where training and KDE scoring run every share in one
 # process and one thread; toy3-seed0 and gen-data-20k make the inputs of
 # the other two.
@@ -256,6 +287,10 @@ def write_configs(parent_root: str, out: str) -> None:
                     doc["parties"][j][block].update(fields)
         with open(os.path.join(out, "configs", f"{name}.json"), "w") as fh:
             json.dump(doc, fh, indent=2)
+    bad = read_preset(parent_root, "toy3")
+    bad["data"]["num_clases"] = 5
+    with open(os.path.join(out, "configs", "bad-config-key.json"), "w") as fh:
+        json.dump(bad, fh, indent=2)
     with open(os.path.join(out, "configs", "toy3-partition.json"), "w") as fh:
         json.dump(read_preset(parent_root, "toy3")["partition"], fh, indent=2)
     write_crlf_queries(os.path.join(out, "configs", "queries-crlf.csv"))
@@ -298,6 +333,26 @@ def write_far_queries(path: str, n: int = 600) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def write_bad_parties(source: str, out: str) -> None:
+    """A copy of the manifest and party files in ``source`` for each
+    ``BAD_PARTY`` fault, in ``OUT/configs/<name>``, with the fault in
+    ``party_0.json``; nothing where ``source`` holds no manifest."""
+    if not os.path.isfile(os.path.join(source, "ensemble.json")):
+        return
+    for name, fault in BAD_PARTY.items():
+        target = os.path.join(out, "configs", name)
+        os.makedirs(target, exist_ok=True)
+        for f in os.listdir(source):
+            if f == "ensemble.json" or f.startswith("party_"):
+                shutil.copy(os.path.join(source, f), target)
+        path = os.path.join(target, "party_0.json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        fault(doc)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+
+
 def read_preset(root: str, preset: str) -> dict:
     with open(os.path.join(root, "src/densemble/presets", f"{preset}.json")) as fh:
         return json.load(fh)
@@ -309,20 +364,26 @@ def pin_to_one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-def run_side(root: str, workdir: str, names=COMMANDS, preexec_fn=None) -> list[str]:
-    """Run the ``names`` commands in ``workdir`` against ``root``, each child
-    set up by ``preexec_fn``; one message per failure."""
+def run_side(
+    root: str, workdir: str, commands=COMMANDS, preexec_fn=None, status: int = 0
+) -> list[str]:
+    """Run ``commands`` (name -> argv) in ``workdir`` against ``root``, each
+    child set up by ``preexec_fn``; one message per command that does not
+    exit ``status``. A command that must fail keeps its stderr too."""
     os.makedirs(workdir, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"), **ONE_THREAD)
     failed = []
-    for name in names:
+    for name, argv in commands.items():
         proc = subprocess.run(
-            [sys.executable, "-m", "densemble.cli", *COMMANDS[name]],
+            [sys.executable, "-m", "densemble.cli", *argv],
             cwd=workdir, env=env, capture_output=True, text=True, preexec_fn=preexec_fn,
         )
         with open(os.path.join(workdir, f"{name}.stdout"), "w") as fh:
             fh.write(proc.stdout)
-        if proc.returncode != 0:
+        if status:
+            with open(os.path.join(workdir, f"{name}.stderr"), "w") as fh:
+                fh.write(proc.stderr)
+        if proc.returncode != status:
             failed.append(f"{name} (exit {proc.returncode}): {proc.stderr.strip()}")
     return failed
 
@@ -446,13 +507,22 @@ def main(argv: list[str]) -> int:
     for side, root in sides.items():
         print(f"running {side}: {root}", flush=True)
         failed += [f"{side}: {msg}" for msg in run_side(root, os.path.join(out, side))]
+    write_bad_parties(os.path.join(out, "parent", "toy3-seed0"), out)
+    for side, root in sides.items():
+        print(f"running {side}: commands that must fail", flush=True)
+        workdir = os.path.join(out, side)
+        failed += [
+            f"{side}: {msg}" for msg in run_side(root, workdir, MUST_FAIL, status=2)
+        ]
     if hasattr(os, "sched_setaffinity"):
         for side, root in sides.items():
             print(f"running {side} on one CPU", flush=True)
             workdir = os.path.join(out, f"{side}-one-cpu")
             failed += [
                 f"{side} on one CPU: {msg}"
-                for msg in run_side(root, workdir, ONE_CPU, pin_to_one_cpu)
+                for msg in run_side(
+                    root, workdir, {n: COMMANDS[n] for n in ONE_CPU}, pin_to_one_cpu
+                )
             ]
             pinned = sorted(files_under(workdir))
             unequal = [
