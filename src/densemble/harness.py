@@ -11,13 +11,18 @@ table's ``from_config``. Apart from the two config blocks' default
 classifiers in lockstep groups: parties whose classifiers share family,
 parameter shapes, shard size and training settings train as one stack, so
 a preset of many like parties (splitD's seven) takes one minibatch loop.
-The groups are independent, so ``workers.forked`` trains them on W =
-``workers.count(groups)`` workers, under the contract (when it forks, how
-children exit and errors return) stated in that module: worker w trains
-groups w, w + W, w + 2W, ... through the same ``classifiers.train`` call
-and hands back each member's trained flat buffer, which is copied into
-this process's classifier. Every group runs the same code on the same
-inputs and seeds wherever it runs, so the bits do not depend on W.
+The groups are independent, coarse jobs, so ``workers.forked`` trains
+them on W = ``workers.job_count(groups)`` workers, under the contract (when
+it forks, how children exit and errors return) stated in that module. On
+two or more CPUs every group gets its own worker, up to that module's bound
+of workers per CPU: the caller trains group 0 and each other group trains
+in its own forked child, and the kernel shares the CPUs among them (toy3's
+three groups run at once on two CPUs). Only past the bound does worker w
+train groups w, w + W, w + 2W, ... One CPU trains every group here. Each
+group runs through the same ``classifiers.train`` call, and each member's
+trained flat buffer is copied into this process's classifier. Every group
+runs the same code on the same inputs and seeds wherever it runs, so the
+bits do not depend on W.
 All randomness descends from one root seed, split into four named streams
 (data, init, batching, noise) so reruns and sweeps are reproducible while
 stages stay independently perturbable.
@@ -55,7 +60,7 @@ from .ensemble import (
     max_model_decide,
 )
 from .jsonconfig import from_json, read_json, to_json, write_json
-from .workers import count, forked
+from .workers import forked, job_count
 
 PRESET_NAMES = ("toy3", "splitA", "splitB", "splitC", "splitD")
 
@@ -250,8 +255,10 @@ def build_parties(
     ``seeds["init"][2 * j + 1]``. Classifiers whose family, parameter
     shapes, shard size, ``lr``, ``epochs`` and ``batch`` all match train in
     lockstep, in one ``classifiers.train`` call; each ends with the bits it
-    would have trained to alone. The groups are shared among forked
-    workers (module docstring), which cannot move a bit. Each model's class
+    would have trained to alone. W = ``workers.job_count(groups)`` workers
+    share the groups: one group per worker, the first here and each other
+    in a forked child, or, past the bound, groups w, w + W, ... on worker w
+    (module docstring). W cannot move a bit. Each model's class
     is its config block's ``type`` in its module's ``FAMILIES``; any other
     ``type`` raises ``KeyError``.
     """
@@ -268,7 +275,7 @@ def build_parties(
             key = (clf.type_tag, clf.shapes, len(shard), cc.lr, cc.epochs, cc.batch)
             groups.setdefault(key, []).append(j)
         jobs = list(groups.items())
-        workers = count(len(jobs))
+        workers = job_count(len(jobs))
 
         def train_share(w: int) -> list[tuple[int, np.ndarray]]:
             trained = []

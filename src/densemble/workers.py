@@ -1,12 +1,22 @@
 """Independent shares of work on several CPUs: the one module that knows
 about CPUs, threads and ``os.fork``.
 
-``count(shares)`` sizes a run: one worker per share, at most one per CPU in
-this process's affinity mask (``taskset -c 0`` gives one). Both runners take
-``work(w)`` for shares w = 0, ..., W - 1 and return ``[work(0), ...,
-work(W - 1)]`` in share order, with ``work(0)`` run on the calling thread,
-so W = 1 starts nothing. A share's result never depends on where it ran:
-each share must compute the same bits alone as beside the others.
+Two rules size a run, both over the CPUs in this process's affinity mask
+(``taskset -c 0`` gives one). ``count(shares)`` gives one worker per share,
+at most one per CPU. It sizes fine-grained shares of equal cost (KDE row
+blocks), which gain nothing from outnumbering the CPUs. ``job_count(jobs)``
+sizes coarse, indivisible jobs (lockstep training groups). On one CPU it
+gives 1, since time-slicing there only adds the cost of a fork. Otherwise
+it gives one worker per job, and the kernel shares the CPUs among them, so
+no CPU idles while another runs two jobs back to back. Only past
+``MAX_JOBS_PER_CPU`` workers per CPU does a caller deal several jobs to one
+worker.
+
+Both runners take ``work(w)`` for shares w = 0, ..., W - 1 and return
+``[work(0), ..., work(W - 1)]`` in share order, with ``work(0)`` run on the
+calling thread, so W = 1 starts nothing. A share's result never depends on
+where it ran: each share must compute the same bits alone as beside the
+others.
 
 - ``threaded`` runs the other shares on a standard ``concurrent.futures``
   thread pool (imported only when W > 1). It suits numpy work, which
@@ -53,6 +63,21 @@ def count(shares: int) -> int:
     """Workers for ``shares`` independent shares: at least 1, at most one
     per share and one per CPU."""
     return max(1, min(cpu_count(), shares))
+
+
+# ``job_count`` gives at most this many workers per CPU, so that a config
+# of very many distinct parties cannot fork without limit. No preset comes
+# near it.
+MAX_JOBS_PER_CPU = 2
+
+
+def job_count(jobs: int) -> int:
+    """Workers for ``jobs`` coarse jobs: 1 on one CPU, else one per job, at
+    most ``MAX_JOBS_PER_CPU`` per CPU (module docstring)."""
+    cpus = cpu_count()
+    if cpus == 1:
+        return 1
+    return max(1, min(MAX_JOBS_PER_CPU * cpus, jobs))
 
 
 def threaded(work, workers: int) -> list:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import assert_reaped
 
-from densemble import classifiers, density
+from densemble import classifiers, density, workers
 from densemble.harness import (
     ClassifierConfig,
     build_parties,
@@ -63,20 +63,48 @@ def test_worker_count_moves_no_bit(name, monkeypatch, forks):
     monkeypatch.setattr("densemble.workers.cpu_count", lambda: 1)
     alone = _params(build_parties(*inputs, pretrain=True))
     assert forks == []
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
+    for cpus in (2, 3):
+        monkeypatch.setattr("densemble.workers.cpu_count", lambda: cpus)
+        shared = _params(build_parties(*inputs, pretrain=True))
+        # one worker per group on two CPUs as on three: toy3's three
+        # groups are one here and two children; splitD's softmax group is
+        # here and the two-MLP group in the one child
+        assert len(forks) == (2 if name == "toy3" else 1)
+        assert_reaped(forks)
+        forks.clear()
+        assert len(alone) == len(shared) == len(cfg.parties)
+        for a, b in zip(alone, shared):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_groups_past_the_bound_are_dealt_round_robin(monkeypatch, forks):
+    # seven MLPs of distinct widths are seven groups, past the bound of
+    # 2 x 2 workers on two CPUs: four workers, so three children
+    cfg = load_config("splitD")
+    parties = [
+        replace(pc, classifier=ClassifierConfig(type="mlp", hidden=4 + j, lr=0.05, epochs=3))
+        for j, pc in enumerate(cfg.parties)
+    ]
+    inputs = _inputs(replace(cfg, parties=parties))
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 1)
+    alone = _params(build_parties(*inputs, pretrain=True))
+    assert forks == []
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 2)
+    bound = workers.job_count(len(parties))
+    assert bound == 2 * workers.MAX_JOBS_PER_CPU < len(parties)
+    t0 = time.perf_counter()
     shared = _params(build_parties(*inputs, pretrain=True))
-    # toy3: three groups on three workers; splitD: the softmax group here,
-    # the two-MLP group in the one child
-    assert len(forks) == (2 if name == "toy3" else 1)
+    assert time.perf_counter() - t0 < 30
+    assert len(forks) == bound - 1
     assert_reaped(forks)
-    assert len(alone) == len(shared) == len(cfg.parties)
+    assert len(alone) == len(shared) == len(parties)
     for a, b in zip(alone, shared):
         assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("rows", [2, 48], ids=["parent-group", "child-group"])
 def test_a_failing_group_raises_its_error_and_every_child_is_reaped(rows, monkeypatch, forks):
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 2)
 
     def fail():
         raise ValueError(f"group of {rows} rows failed")
@@ -91,7 +119,7 @@ def test_a_failing_group_raises_its_error_and_every_child_is_reaped(rows, monkey
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_parent_error_kills_and_reaps_children(error, monkeypatch, forks):
     # the children would train for a minute; the parent's group fails at once
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 2)
     train = classifiers.train
 
     def slow_children(models, *args, **kwargs):
@@ -110,7 +138,7 @@ def test_parent_error_kills_and_reaps_children(error, monkeypatch, forks):
 
 
 def test_child_without_a_result_raises_runtime_error_with_its_status(monkeypatch, forks):
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 2)
     _fail_group(monkeypatch, 48, lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exited with status 3 and no result"):
         build_parties(*_inputs(load_config("toy3")), pretrain=True)
@@ -129,7 +157,7 @@ def test_children_leave_through_os_exit_only(monkeypatch, forks, tmp_path):
 
     atexit.register(mark)
     try:
-        monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
+        monkeypatch.setattr("densemble.workers.cpu_count", lambda: 2)
 
         def leave():
             raise SystemExit(5)
@@ -169,7 +197,7 @@ def test_streams_flushed_before_the_first_fork(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", recorded)
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 2)
     build_parties(*_inputs(load_config("toy3")), pretrain=True)
     first = events.index("fork")
     assert {"flush stdout", "flush stderr"} <= set(events[:first])
@@ -182,7 +210,7 @@ def test_other_children_of_the_caller_are_left_alone(monkeypatch, forks):
     if pid == 0:
         os._exit(7)
     os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # exited, not reaped
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 2)
     build_parties(*_inputs(load_config("toy3")), pretrain=True)
     assert len(forks) == 3  # the caller's child, then two workers
     _, status = os.waitpid(pid, 0)
@@ -199,7 +227,7 @@ def test_no_fork_without_two_groups_two_cpus_and_one_thread(case, monkeypatch):
         raise AssertionError("os.fork called")
 
     monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 1 if case == "one-cpu" else 3)
+    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 1 if case == "one-cpu" else 2)
     cfg = load_config("splitD" if case == "one-group" else "toy3")
     inputs = _inputs(cfg)
     release = threading.Event()
@@ -236,5 +264,5 @@ def test_threaded_kde_scoring_leaves_no_thread_so_training_still_forks(monkeypat
     assert len(scored_on) == 2
     assert threading.active_count() == before
     build_parties(*_inputs(load_config("toy3")), pretrain=True)
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert_reaped(forks)

@@ -87,3 +87,14 @@ def test_forked_runs_every_share_here_under_a_second_thread(forks):
 def test_count_is_one_per_share_and_cpu(monkeypatch, cpus, shares, want):
     monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
     assert workers.count(shares) == want
+
+
+@pytest.mark.parametrize(
+    "cpus, jobs, want",
+    [(1, 1, 1), (1, 3, 1), (1, 50, 1), (2, 0, 1), (2, 1, 1), (2, 3, 3), (2, 4, 4)]
+    + [(2, 5, 4), (2, 50, 4), (3, 5, 5), (3, 6, 6), (3, 7, 6)],
+)
+def test_job_count_is_1_on_one_cpu_else_one_per_job_up_to_the_bound(monkeypatch, cpus, jobs, want):
+    monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
+    assert workers.MAX_JOBS_PER_CPU == 2
+    assert workers.job_count(jobs) == want
