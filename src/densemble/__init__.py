@@ -10,19 +10,15 @@ optional gradient clipping and noising.
 from .calibration import (
     CalibrationConfig,
     ClipConfig,
-    MpceLossValue,
     TraceRow,
     calibrate,
     clip_and_noise,
     ensemble_accuracy,
     mpce_grad,
-    mpce_loss,
 )
 from .classifiers import (
     MlpClassifier,
     SoftmaxRegression,
-    accuracy,
-    cross_entropy,
     global_posterior,
     train,
 )
@@ -43,7 +39,6 @@ from .ensemble import (
     PartyModel,
     build_ensemble,
     decide,
-    decide_with_weights,
     evaluate_objective,
     lambda_weights,
     max_model_decide,

@@ -59,14 +59,6 @@ PROBABILITY_FLOOR = 1e-12
 
 
 @dataclass
-class MpceLossValue:
-    """Loss value with the per-party weights that produced it."""
-
-    value: float
-    weights: np.ndarray
-
-
-@dataclass
 class ClipConfig:
     """Gradient post-processing: norm clip to ``clip_norm``, Gaussian noise.
 
@@ -146,14 +138,6 @@ def _label_positions(ens: EnsembleModel, y: np.ndarray) -> np.ndarray:
 def _check_label(ens: EnsembleModel, y: int) -> None:
     if not (0 <= y < ens.num_classes):
         raise ValueError(f"label {y} outside [0, {ens.num_classes})")
-
-
-def mpce_loss(ens: EnsembleModel, x: np.ndarray, y: int) -> MpceLossValue:
-    """Negative log density-weighted true-class score for one sample."""
-    _check_label(ens, y)
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    om, score = _batch_scores(ens, X, np.array([y]))
-    return MpceLossValue(float(-np.log(score[0])), om.weights[0])
 
 
 @dataclass
@@ -246,7 +230,7 @@ def _step_grad(ens: EnsembleModel, plan: _Plan, X, y, pos, scope: str, loglik=No
     for j in plan.frozen:
         post[:, j] = global_posterior(ens.parties[j].classifier, X, K)
     if loglik is None:
-        loglik = log_density_table(ens, X, parties=plan.fixed)
+        loglik = log_density_table(ens.estimators, X, parties=plan.fixed)
     mixture_states = []
     for cols, stack, _ in plan.mixtures:
         state, loglik[:, cols] = stack.forward(X)
@@ -329,9 +313,9 @@ def calibrate(
     whole held-out table. Only the training mixtures are rescored, one
     stack at a time, on each batch and at each evaluation. A row of a table
     is bitwise the row a fresh batch would score, so caching moves no bits.
-    ``test_loglik`` is ``log_density_table(ens, test.features)`` when the
-    caller already holds it; its columns for the estimators that do not
-    train are used as the held-out table's.
+    ``test_loglik`` is ``log_density_table(ens.estimators, test.features)``
+    when the caller already holds it; its columns for the estimators that
+    do not train are used as the held-out table's.
     """
     if len(train) == 0:
         raise ValueError("calibration needs a nonempty training set")
@@ -349,9 +333,9 @@ def calibrate(
     # score each set once under the estimators that never change; the
     # training mixtures' columns are scored afresh before every use
     if cfg.steps > 0:
-        train_loglik = log_density_table(ens, train.features, parties=plan.fixed)
+        train_loglik = log_density_table(ens.estimators, train.features, parties=plan.fixed)
         if test is not None and test_loglik is None:
-            test_loglik = log_density_table(ens, test.features, parties=plan.fixed)
+            test_loglik = log_density_table(ens.estimators, test.features, parties=plan.fixed)
         elif test is not None:
             test_loglik = np.array(test_loglik, dtype=np.float64)  # written below
     trace: list[TraceRow] = []

@@ -421,20 +421,3 @@ def train(
             flat -= lr * g
     return model if lone else models
 
-
-def cross_entropy(model, ds: LocalDataset) -> float:
-    """Mean negative log posterior of the true local class."""
-    y_local = model._index.to_local(ds.labels)
-    P = model.posterior(ds.features)
-    picked = np.maximum(P[np.arange(len(ds)), y_local], 1e-300)
-    return float(-np.mean(np.log(picked)))
-
-
-def accuracy(model, ds: LocalDataset) -> float:
-    """Fraction of samples whose argmax posterior matches the label."""
-    if len(ds) == 0:
-        raise ValueError("accuracy of an empty dataset is undefined")
-    P = model.posterior(ds.features)
-    pred_local = np.argmax(P, axis=1)
-    space = np.array(model.label_space)
-    return float(np.mean(space[pred_local] == ds.labels))

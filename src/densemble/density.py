@@ -56,8 +56,8 @@ plain formula bit for bit. The kernel is cheap in memory:
   rounds the magnitude alone, so this has the bits of negating it and
   dividing by ``2h^2``.
 - Every step is elementwise or a per-row reduction, so the whole kernel runs
-  on row blocks of about ``_BLOCK_BYTES`` in two reused buffers per worker
-  (below), and no (queries x points) array is formed. Blocking cannot move
+  on row blocks of about ``_BLOCK_BYTES``, one after another in two reused
+  buffers, and no (queries x points) array is formed. Blocking cannot move
   the bits of such steps, and neither can the batch: a batch's rows are
   bitwise the same rows of a full-table call, so callers may score a query
   set once and gather rows from the result.
@@ -73,16 +73,9 @@ plain formula bit for bit. The kernel is cheap in memory:
 - Queries must be finite: a NaN or infinite query row would otherwise
   come out as a floored density instead of NaN.
 
-Large batches are scored by ``workers.threaded``, whose contract (run
-order, joins, errors) that module states. There is one worker per
-``_BLOCKS_PER_WORKER`` (8) row blocks, several ms of kernel work, up to
-``workers.count``'s one per CPU: a batch of fewer than 16 blocks (toy3's
-training and test sets, or a calibration batch) starts no thread. Worker w
-scores blocks w, w + W, w + 2W, ... in its own block buffers, which the
-calling thread allocates, so peak memory is a few blocks per worker plus
-O(queries). Each row goes through the same operations in the same order on
-whichever thread takes it, and each thread writes only its own rows, so the
-result has the same bits for any worker count.
+Both estimators score a batch in the calling process.
+``ensemble.log_density_table`` shares a large table's parties and row spans
+among forked workers, which a row's independence of its batch allows.
 """
 
 from __future__ import annotations
@@ -92,7 +85,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._reduce import reduce_last
-from .workers import count, threaded
 
 # exp(-745) is about 4.9e-324, the smallest positive subnormal double; anything
 # lower is 0 anyway. (The smallest normal double is about exp(-708.40).)
@@ -109,9 +101,6 @@ _BLOCK_BYTES = 1 << 19
 # is a normal double, about 9.9e-305, so every input stays on numpy's fast
 # exp path, and a clamped term is far under half an ulp of the row's 1.0.
 _EXP_CLAMP = -700.0
-# A KDE batch gets one more scoring thread per this many row blocks (several
-# ms of kernel work), up to one thread per CPU.
-_BLOCKS_PER_WORKER = 8
 
 
 def _queries(X: np.ndarray, dim: int) -> np.ndarray:
@@ -171,32 +160,21 @@ class KdeModel:
         Every step runs on row blocks and is elementwise or per-row, and a
         term whose exp input is below ``_EXP_CLAMP`` counts as
         ``exp(_EXP_CLAMP)`` (module docstring): a row's bits never depend on
-        its batch, nor on the number of threads that score the blocks.
+        its batch.
         """
         X = _queries(X, self.dim)
         n, m = X.shape[0], len(self.points)
         h2 = self.bandwidth**2
         pts = self.points.T.copy()  # (d, m): each dimension's row contiguous
         rows = max(1, _BLOCK_BYTES // (8 * m))
-        blocks = -(-n // rows)
-        workers = count(blocks // _BLOCKS_PER_WORKER)
-        # every worker's buffers come from the calling thread, before any
-        # thread starts: buffers allocated in a worker land in its own
-        # malloc arena and raise peak RSS
-        shape = (min(rows, n), m)
-        buffers = [(np.empty(shape), np.empty(shape)) for _ in range(workers)]
+        buf, tmp = np.empty((min(rows, n), m)), np.empty((min(rows, n), m))
         lse = np.empty(n)
-
-        def work(w):
-            # numpy's error state is per thread: a huge finite query's
-            # kernel exponents overflow to -inf, and so does its row's
-            # logsumexp, floored below, without a warning
-            with np.errstate(over="ignore"):
-                for r0 in range(w * rows, n, workers * rows):
-                    rs = slice(r0, r0 + rows)
-                    _kde_block(X[rs], pts, -2.0 * h2, *buffers[w], lse[rs])
-
-        threaded(work, workers)
+        # a huge finite query's kernel exponents overflow to -inf, and so
+        # does its row's logsumexp, floored below, without a warning
+        with np.errstate(over="ignore"):
+            for r0 in range(0, n, rows):
+                rs = slice(r0, r0 + rows)
+                _kde_block(X[rs], pts, -2.0 * h2, buf, tmp, lse[rs])
         norm = np.log(m) + 0.5 * self.dim * np.log(2.0 * np.pi * h2)
         return np.maximum(lse - norm, LOG_DENSITY_FLOOR)
 

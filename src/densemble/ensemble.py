@@ -10,8 +10,8 @@ exponentiating keeps every weight in [0, 1] without moving the argmax, so
 parties whose density underflows simply drop out of the sum.
 
 ``evaluate_objective`` is the only function here that forms J, and
-``log_density_table`` the only one that runs the parties' density
-estimators one party at a time. Every decision rule below is a reduction of
+``log_density_table`` the only one in the package that calls an
+estimator's ``log_density``. Every decision rule below is a reduction of
 the ``ObjectiveMatrix`` that ``evaluate_objective`` returns, so one
 evaluation per query set feeds them all. A caller whose estimators cannot
 change may pass a query set's log-density table back in instead of scoring
@@ -31,6 +31,17 @@ reads one evaluation. A batch of at most one chunk takes exactly the calls of
 the classifiers' matrix products may round a row differently when the
 number of rows around it changes, and a fixed chunk size keeps that
 independent of the batch's length.
+A log-density table of at least ``_FORK_ROWS`` rows is scored as jobs on
+``workers.forked``, under the contract (when it forks, how children exit
+and errors return) stated in that module. A job is one estimator on one
+contiguous span of rows: each of the N columns is cut into
+max(1, cpu_count // N) spans, so a lone estimator (a density plot) still
+uses every CPU, and W = ``workers.job_count(jobs)`` workers share the jobs,
+worker w taking jobs w, w + W, w + 2W, ... The caller scores worker 0's
+jobs and copies every other worker's columns back from its child. A row's
+log-density does not depend on its batch, so W and the spans move no bit.
+A smaller table (a calibration batch, a preset's training or test set) is
+scored here, one whole column at a time.
 ``max_model_decide`` is the degenerate baseline that hands each query to the
 single highest-density party; forcing the ensemble's lambda weights to a
 one-hot at that party reproduces it exactly.
@@ -43,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from ._reduce import reduce_last
 from .classifiers import global_posterior
 
@@ -50,6 +62,9 @@ from .classifiers import global_posterior
 # of posteriors, weights and objective for toy3's three parties and five
 # classes.
 SCORE_CHUNK_ROWS = 4096
+# Rows from which ``log_density_table`` forks its jobs: below it, a fork
+# costs more than the table's scoring.
+_FORK_ROWS = 4096
 
 
 @dataclass
@@ -93,6 +108,10 @@ class EnsembleModel:
     def num_parties(self) -> int:
         return len(self.parties)
 
+    @property
+    def estimators(self) -> list:
+        return [p.estimator for p in self.parties]
+
 
 @dataclass
 class ObjectiveMatrix:
@@ -121,17 +140,29 @@ def build_ensemble(parties: list[PartyModel], num_classes: int | None = None) ->
 
 
 def log_density_table(
-    ens: EnsembleModel, X: np.ndarray, parties: list[int] | None = None
+    estimators: list, X: np.ndarray, parties: list[int] | None = None
 ) -> np.ndarray:
-    """(n, N) log-density of every query under every party's estimator.
+    """(n, N) log-density of every query under each of the N estimators,
+    as forked jobs from ``_FORK_ROWS`` rows on (module docstring).
 
-    ``parties`` limits scoring to those party indices; the other columns are
-    left unset, for a caller that scores those estimators another way.
+    ``parties`` limits scoring to those columns; the other columns are left
+    unset, for a caller that scores those estimators another way.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = np.empty((len(X), ens.num_parties))
-    for j in range(ens.num_parties) if parties is None else parties:
-        out[:, j] = ens.parties[j].estimator.log_density(X)
+    n = len(X)
+    cols = range(len(estimators)) if parties is None else parties
+    fork = n >= _FORK_ROWS
+    spans = max(1, workers.cpu_count() // max(1, len(cols))) if fork else 1
+    jobs = [(j, n * s // spans, n * (s + 1) // spans) for j in cols for s in range(spans)]
+    W = workers.job_count(len(jobs)) if fork else 1
+
+    def score(w: int) -> list[np.ndarray]:
+        return [estimators[j].log_density(X[lo:hi]) for j, lo, hi in jobs[w::W]]
+
+    out = np.empty((n, len(estimators)))
+    for w, share in enumerate(workers.forked(score, W)):
+        for (j, lo, hi), column in zip(jobs[w::W], share):
+            out[lo:hi, j] = column
     return out
 
 
@@ -143,8 +174,9 @@ def evaluate_objective(
 ) -> ObjectiveMatrix:
     """Score every query against every class; pure given frozen parties.
 
-    ``loglik`` is ``log_density_table(ens, queries)`` when the caller already
-    holds it for these queries and estimators; otherwise it is computed here.
+    ``loglik`` is ``log_density_table(ens.estimators, queries)`` when the
+    caller already holds it for these queries and estimators; otherwise it
+    is computed here.
     ``posteriors`` is the (n, N, K) table of every party's zero-filled
     posterior when the caller already holds it, from the forward passes it
     keeps for a backward pass; otherwise each classifier's posterior is
@@ -157,7 +189,7 @@ def evaluate_objective(
     P = posteriors
     if P is None:
         P = np.stack([global_posterior(p.classifier, X, K) for p in ens.parties], axis=1)
-    L = log_density_table(ens, X) if loglik is None else loglik
+    L = log_density_table(ens.estimators, X) if loglik is None else loglik
     rowmax = reduce_last(np.maximum, L)
     W = ens.priors[None, :] * np.exp(L - rowmax[:, None])
     J = np.einsum("njk,nj->nk", P, W)
@@ -176,7 +208,7 @@ def score_chunks(
     X = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if not np.all(np.isfinite(X)):
         raise ValueError("queries must be finite")
-    L = log_density_table(ens, X)
+    L = log_density_table(ens.estimators, X)
     for start in range(0, len(X), SCORE_CHUNK_ROWS):
         rows = slice(start, min(start + SCORE_CHUNK_ROWS, len(X)))
         yield rows, evaluate_objective(ens, X[rows], loglik=L[rows])
@@ -195,16 +227,6 @@ def lambda_weights(om: ObjectiveMatrix) -> np.ndarray:
 def posterior(om: ObjectiveMatrix) -> np.ndarray:
     """Normalized global posterior: lambda-weighted sum of party posteriors."""
     return om.objective / om.weights.sum(axis=1, keepdims=True)
-
-
-def decide_with_weights(om: ObjectiveMatrix, lam: np.ndarray) -> np.ndarray:
-    """Decision under externally supplied per-query party weights.
-
-    Used to state the max-model equivalence as an executable check: passing a
-    one-hot at the argmax-density party must reproduce ``max_model_decide``.
-    """
-    lam = np.atleast_2d(np.asarray(lam, dtype=np.float64))
-    return np.argmax(np.einsum("njk,nj->nk", om.posteriors, lam), axis=1)
 
 
 def max_model_decide(om: ObjectiveMatrix) -> np.ndarray:

@@ -22,7 +22,10 @@ train groups w, w + W, w + 2W, ... One CPU trains every group here. Each
 group runs through the same ``classifiers.train`` call, and each member's
 trained flat buffer is copied into this process's classifier. Every group
 runs the same code on the same inputs and seeds wherever it runs, so the
-bits do not depend on W.
+bits do not depend on W. Density scoring shares the same runner through
+``ensemble.log_density_table``, which forks only from a row bound that a
+preset's training and test sets stay under: a preset's run forks only to
+train.
 All randomness descends from one root seed, split into four named streams
 (data, init, batching, noise) so reruns and sweeps are reproducible while
 stages stay independently perturbable.

@@ -12,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from .ensemble import EnsembleModel, decide, score_chunks
+from .ensemble import EnsembleModel, decide, log_density_table, score_chunks
 
 CANVAS = 480
 
@@ -129,11 +129,15 @@ def plot_decision_boundary(
 
 
 def plot_density(estimator, region, resolution: int, path) -> None:
-    """Log-density heatmap over a 2D box; floored cells render darkest."""
+    """Log-density heatmap over a 2D box; floored cells render darkest.
+
+    The grid is scored as a one-column ``log_density_table``, whose row
+    spans share a fine grid among the CPUs.
+    """
     xs, ys = _grid_centers(region, resolution)
     gx, gy = np.meshgrid(xs, ys)
     queries = np.column_stack([gx.ravel(), gy.ravel()])
-    logd = estimator.log_density(queries).reshape(resolution, resolution)
+    logd = log_density_table([estimator], queries).reshape(resolution, resolution)
     lo, hi = float(logd.min()), float(logd.max())
     span = hi - lo
     t = np.zeros_like(logd) if span == 0 else (logd - lo) / span

@@ -1,44 +1,30 @@
-"""Independent shares of work on several CPUs: the one module that knows
-about CPUs, threads and ``os.fork``.
+"""Independent jobs on several CPUs: the one module that knows about CPUs
+and ``os.fork``.
 
-Two rules size a run, both over the CPUs in this process's affinity mask
-(``taskset -c 0`` gives one). ``count(shares)`` gives one worker per share,
-at most one per CPU. It sizes fine-grained shares of equal cost (KDE row
-blocks), which gain nothing from outnumbering the CPUs. ``job_count(jobs)``
-sizes coarse, indivisible jobs (lockstep training groups). On one CPU it
-gives 1, since time-slicing there only adds the cost of a fork. Otherwise
-it gives one worker per job, and the kernel shares the CPUs among them, so
-no CPU idles while another runs two jobs back to back. Only past
-``MAX_JOBS_PER_CPU`` workers per CPU does a caller deal several jobs to one
-worker.
+``job_count(jobs)`` sizes a run of coarse jobs (lockstep training groups,
+density scoring jobs) over the CPUs in this process's affinity mask
+(``taskset -c 0`` gives one). On one CPU it gives 1, since time-slicing
+there only adds the cost of a fork. Otherwise it gives one worker per job,
+and the kernel shares the CPUs among them, so no CPU idles while another
+runs two jobs back to back. Only past ``MAX_JOBS_PER_CPU`` workers per CPU
+does a caller deal several jobs to one worker.
 
-Both runners take ``work(w)`` for shares w = 0, ..., W - 1 and return
-``[work(0), ..., work(W - 1)]`` in share order, with ``work(0)`` run on the
-calling thread, so W = 1 starts nothing. A share's result never depends on
-where it ran: each share must compute the same bits alone as beside the
-others.
-
-- ``threaded`` runs the other shares on a standard ``concurrent.futures``
-  thread pool (imported only when W > 1). It suits numpy work, which
-  releases the GIL inside each ufunc. A share may write only its own
-  outputs, and numpy's error state is per thread, so a share sets its own.
-  The pool's ``with`` block joins every thread before ``threaded`` returns
-  or raises, and an error on a pool thread is raised on the calling thread:
-  no thread outlives the call.
-- ``forked`` runs each other share in a forked child that pickles its result
-  (or its exception) back through a pipe, so a share may change whatever it
-  likes, and the caller copies back what it needs. A fork copies only the
-  calling thread, and a lock another thread holds stays held in the child,
-  so ``forked`` forks only on Linux while this is the process's one thread
-  (which ``threaded`` guarantees of its own threads); otherwise it runs
-  every share in this process, in share order. It flushes stdout and stderr
-  before the first fork. A child leaves through ``os._exit``, so no handler,
-  buffer flush or ``finally`` of the caller's stack runs twice. Each pipe is
-  read to EOF, then exactly the pids forked here are reaped, never another
-  child of the caller, and only then is a child's exception re-raised here,
-  or a ``RuntimeError`` naming the exit status of a child that sent
-  nothing. If this process raises first, every child is killed and reaped
-  before the exception propagates.
+``forked(work, W)`` returns ``[work(0), ..., work(W - 1)]`` in worker
+order, with ``work(0)`` run here, so W = 1 forks nothing. A worker's result
+never depends on where it ran: each worker must compute the same bits alone
+as beside the others. Every other worker runs in a forked child that
+pickles its result (or its exception) back through a pipe, so a worker may
+change whatever it likes, and the caller copies back what it needs. A fork
+copies only the calling thread, and a lock another thread holds stays held
+in the child, so ``forked`` forks only on Linux while this is the process's
+one thread; otherwise it runs every worker in this process, in worker
+order. It flushes stdout and stderr before the first fork. A child leaves
+through ``os._exit``, so no handler, buffer flush or ``finally`` of the
+caller's stack runs twice. Each pipe is read to EOF, then exactly the pids
+forked here are reaped, never another child of the caller, and only then is
+a child's exception re-raised here, or a ``RuntimeError`` naming the exit
+status of a child that sent nothing. If this process raises first, every
+child is killed and reaped before the exception propagates.
 """
 
 from __future__ import annotations
@@ -59,12 +45,6 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def count(shares: int) -> int:
-    """Workers for ``shares`` independent shares: at least 1, at most one
-    per share and one per CPU."""
-    return max(1, min(cpu_count(), shares))
-
-
 # ``job_count`` gives at most this many workers per CPU, so that a config
 # of very many distinct parties cannot fork without limit. No preset comes
 # near it.
@@ -78,20 +58,6 @@ def job_count(jobs: int) -> int:
     if cpus == 1:
         return 1
     return max(1, min(MAX_JOBS_PER_CPU * cpus, jobs))
-
-
-def threaded(work, workers: int) -> list:
-    """``[work(0), ..., work(workers - 1)]``, the calls after the first on
-    a thread pool (module docstring)."""
-    if workers == 1:
-        return [work(0)]
-    # imported here: only a run that starts threads pays for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(work, w) for w in range(1, workers)]
-        first = work(0)
-        return [first] + [f.result() for f in futures]
 
 
 def forked(work, workers: int) -> list:

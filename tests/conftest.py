@@ -1,4 +1,4 @@
-"""Shared test doubles, parameter oracles, artifact readers, fast
+"""Shared test doubles, parameter and loss oracles, artifact readers, fast
 experiment configs and JSON mutation helpers."""
 
 import copy
@@ -6,11 +6,12 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from densemble.calibration import TraceRow
+from densemble.calibration import TraceRow, _batch_scores, _check_label
 from densemble.classifiers import SoftmaxRegression, _softmax_upstream_to_logits, _views
 from densemble.density import (
     GMM_VARIANCE_FLOOR,
@@ -74,6 +75,47 @@ def posterior_grad(model, x, upstream):
     gz = _softmax_upstream_to_logits(P, U)
     model._backward(params, X, H, gz, _views(g, model._layout))
     return g
+
+
+def cross_entropy(model, ds) -> float:
+    """Mean negative log posterior of the true local class."""
+    y_local = model._index.to_local(ds.labels)
+    P = model.posterior(ds.features)
+    picked = np.maximum(P[np.arange(len(ds)), y_local], 1e-300)
+    return float(-np.mean(np.log(picked)))
+
+
+def accuracy(model, ds) -> float:
+    """Fraction of samples whose argmax posterior matches the label."""
+    if len(ds) == 0:
+        raise ValueError("accuracy of an empty dataset is undefined")
+    P = model.posterior(ds.features)
+    space = np.array(model.label_space)
+    return float(np.mean(space[np.argmax(P, axis=1)] == ds.labels))
+
+
+@dataclass
+class MpceLossValue:
+    """Loss value with the per-party weights that produced it."""
+
+    value: float
+    weights: np.ndarray
+
+
+def mpce_loss(ens, x, y: int) -> MpceLossValue:
+    """Negative log density-weighted true-class score for one sample."""
+    _check_label(ens, y)
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    om, score = _batch_scores(ens, X, np.array([y]))
+    return MpceLossValue(float(-np.log(score[0])), om.weights[0])
+
+
+def decide_with_weights(om, lam) -> np.ndarray:
+    """Decision under externally supplied per-query party weights: a
+    one-hot at the argmax-density party must reproduce
+    ``max_model_decide``."""
+    lam = np.atleast_2d(np.asarray(lam, dtype=np.float64))
+    return np.argmax(np.einsum("njk,nj->nk", om.posteriors, lam), axis=1)
 
 
 def responsibilities(model, X):

@@ -10,21 +10,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import ConstantDensity, posterior_grad, random_simplex, set_params
+from conftest import (
+    ConstantDensity,
+    decide_with_weights,
+    mpce_loss,
+    posterior_grad,
+    random_simplex,
+    set_params,
+)
 
 from densemble.calibration import (
     CalibrationConfig,
     ClipConfig,
     clip_and_noise,
     mpce_grad,
-    mpce_loss,
 )
 from densemble.classifiers import MlpClassifier, SoftmaxRegression
 from densemble.density import gmm_fit, kde_fit
 from densemble.ensemble import (
     PartyModel,
     build_ensemble,
-    decide_with_weights,
     evaluate_objective,
     max_model_decide,
 )

@@ -10,6 +10,7 @@ from conftest import (
     ConstantClassifier,
     ConstantDensity,
     LinearDensity,
+    mpce_loss,
     posterior_grad,
     random_simplex,
     set_params,
@@ -27,7 +28,6 @@ from densemble.calibration import (
     _plan,
     _step_grad,
     mpce_grad,
-    mpce_loss,
 )
 from densemble.classifiers import (
     ClassifierStack,

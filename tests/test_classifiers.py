@@ -6,15 +6,13 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import posterior_grad, set_params
+from conftest import accuracy, cross_entropy, posterior_grad, set_params
 from densemble.classifiers import (
     ClassifierStack,
     FlatClassifier,
     MlpClassifier,
     SoftmaxRegression,
     _views,
-    accuracy,
-    cross_entropy,
     global_posterior,
     softmax,
     train,

@@ -1,15 +1,14 @@
 """Density estimator correctness against probability-domain oracles."""
 
-import sys
-import threading
+import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import responsibilities, set_params
-from densemble import density, workers
+from conftest import assert_reaped, responsibilities, set_params
+from densemble import density, ensemble, workers
 from densemble.density import (
     GMM_VARIANCE_FLOOR,
     LOG_DENSITY_FLOOR,
@@ -19,6 +18,7 @@ from densemble.density import (
     gmm_fit,
     kde_fit,
 )
+from densemble.ensemble import log_density_table
 from densemble.harness import load_config, prepare_data, stream_seeds
 
 
@@ -318,8 +318,7 @@ def test_kde_peak_memory_is_one_product():
     assert peak <= 1.25 * n * m * 8, peak / (n * m * 8)
 
 
-def test_kde_peak_memory_is_a_few_blocks(monkeypatch):
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 1)
+def test_kde_peak_memory_is_a_few_blocks():
     # the distance block and its scratch twin are each at most _BLOCK_BYTES;
     # the output and the finite check are O(n). No (queries x points) array
     # is formed.
@@ -336,38 +335,32 @@ def test_kde_peak_memory_is_a_few_blocks(monkeypatch):
     assert peak <= 4 * density._BLOCK_BYTES + 16 * n, peak / density._BLOCK_BYTES
 
 
+def table_on(monkeypatch, cpus, estimators, X, parties=None):
+    """``log_density_table(estimators, X, parties)`` with ``cpus`` CPUs to
+    run on."""
+    monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
+    return log_density_table(estimators, X, parties)
+
+
 @pytest.mark.parametrize("workers", [2, 3])
-def test_kde_peak_memory_is_a_few_blocks_per_worker(monkeypatch, workers):
-    # each worker has its own blocks (see above); the output and the
-    # finite check stay O(n), whatever the worker count
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: workers)
-    started = count_threads(monkeypatch)
-    n, m = 20000, 560
+def test_kde_peak_memory_is_a_few_blocks_per_worker(monkeypatch, forks, workers):
+    # every worker scores in its own block pair; the caller holds one pair
+    # at a time for its own jobs, plus the table and the columns that come
+    # back from the children: O(n * N), whatever the worker count
+    n, m, N = 20000, 560, 3
     rng = np.random.default_rng(3)
-    model = kde_fit(rng.normal(size=(m, 2)), 0.1)
+    models = [kde_fit(rng.normal(size=(m, 2)), 0.1) for _ in range(N)]
     X = rng.normal(size=(n, 2)) * 4.0
     tracemalloc.start()
     try:
-        model.log_density(X)
+        table_on(monkeypatch, workers, models, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(started) == workers - 1
-    bound = workers * 4 * density._BLOCK_BYTES + 16 * n
+    assert len(forks) == N - 1
+    assert_reaped(forks)
+    bound = 2 * density._BLOCK_BYTES + 4 * 8 * n * N
     assert peak <= bound, peak / density._BLOCK_BYTES
-
-
-def count_threads(monkeypatch):
-    """Record every thread started; returns the list."""
-    started = []
-
-    class CountingThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(workers.threading, "Thread", CountingThread)
-    return started
 
 
 def blocks_of(m, n_blocks, extra):
@@ -376,85 +369,106 @@ def blocks_of(m, n_blocks, extra):
 
 
 @pytest.mark.parametrize(
-    "d, m, h, n, threads",
+    "d, m, h, n, parties",
     [
-        # ragged last block, three workers, wide and narrow kernels
+        # ragged spans across ragged blocks, wide and narrow kernels, tables
+        # of one, two and three parties
         (2, 560, 0.3, blocks_of(560, 30, 17), 2),
         (2, 560, 0.03, blocks_of(560, 30, 17), 2),
-        # 18 blocks give two shares of 8: the third CPU gets no worker
         (3, 701, 0.3, blocks_of(701, 17, 5), 1),
         (3, 701, 0.03, blocks_of(701, 17, 5), 1),
+        (2, 300, 0.3, blocks_of(300, 9, 2), 3),
+        (2, 300, 0.03, blocks_of(300, 9, 2), 3),
     ],
 )
-def test_kde_bits_equal_for_any_worker_count(monkeypatch, d, m, h, n, threads):
+def test_kde_bits_equal_for_any_worker_count(monkeypatch, forks, d, m, h, n, parties):
+    # every batch forks, so that spans of these small batches are scored
+    # in children
+    monkeypatch.setattr(ensemble, "_FORK_ROWS", 1)
     rng = np.random.default_rng(10)
-    model = kde_fit(rng.normal(size=(m, d)) * 2.0, h)
+    models = [kde_fit(rng.normal(size=(m, d)) * 2.0, h) for _ in range(parties)]
     X = rng.normal(size=(n, d)) * rng.choice([0.5, 3.0, 12.0], size=(n, 1))
-    started = count_threads(monkeypatch)
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 1)
-    serial = model.log_density(X)
-    assert started == []
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
-    threaded = model.log_density(X)
-    assert len(started) == threads
-    assert_bitwise_equal(threaded, serial)
-    assert_bitwise_equal(serial, reference_kde_log_density(model, X))
+    serial = np.column_stack([model.log_density(X) for model in models])
+    assert_bitwise_equal(table_on(monkeypatch, 1, models, X), serial)
+    assert forks == []
+    for cpus in (2, 3):
+        assert_bitwise_equal(table_on(monkeypatch, cpus, models, X), serial)
+    assert len(forks) >= 2
+    assert_reaped(forks)
+    for model, column in zip(models, serial.T):
+        assert_bitwise_equal(column, reference_kde_log_density(model, X))
 
 
-def test_kde_threads_take_every_block_once_under_fast_switching(monkeypatch):
-    # more workers than cores, switching every microsecond: a block taken
-    # twice or skipped would leave its rows of the output uninitialised
-    rng = np.random.default_rng(11)
-    model = kde_fit(rng.normal(size=(4000, 2)), 0.2)
-    X = rng.normal(size=(blocks_of(4000, 160, 3), 2)) * 2.0
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 8)
-    started = count_threads(monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = model.log_density(X)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(started) == 7
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 1)
-    assert_bitwise_equal(got, model.log_density(X))
+@pytest.mark.parametrize("cpus, forked", [(1, 0), (2, 3), (3, 5), (4, 6)])
+def test_table_of_seven_mixed_parties_deals_jobs_without_moving_bits(
+    monkeypatch, forks, cpus, forked
+):
+    # splitD's party count: on two or three CPUs there are more parties than
+    # workers, so worker w scores parties w, w + W, ...; KDE and GMM alike
+    rng = np.random.default_rng(20)
+    models = [
+        gmm_fit(rng.normal(size=(200, 2)), 3, seed=j)
+        if j % 2
+        else kde_fit(rng.normal(size=(200, 2)), 0.2)
+        for j in range(7)
+    ]
+    X = rng.normal(size=(ensemble._FORK_ROWS + 11, 2)) * 2.0
+    want = np.column_stack([model.log_density(X) for model in models])
+    assert_bitwise_equal(table_on(monkeypatch, cpus, models, X), want)
+    assert len(forks) == forked
+    assert_reaped(forks)
 
 
-@pytest.mark.parametrize("n_blocks, threads", [(15, 0), (16, 1)])
-def test_kde_starts_a_thread_per_eight_blocks(monkeypatch, n_blocks, threads):
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 4)
-    started = count_threads(monkeypatch)
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_table_scores_only_the_given_parties(monkeypatch, forks, cpus):
+    rng = np.random.default_rng(21)
+    models = [kde_fit(rng.normal(size=(300, 2)), 0.1) for _ in range(3)]
+    X = rng.normal(size=(ensemble._FORK_ROWS, 2))
+    got = table_on(monkeypatch, cpus, models, X, parties=[2, 0])
+    assert got.shape == (len(X), 3)
+    for j in (0, 2):
+        assert_bitwise_equal(got[:, j], models[j].log_density(X))
+    assert len(forks) == (cpus > 1)
+    assert table_on(monkeypatch, cpus, models, X, parties=[]).shape == (len(X), 3)
+    assert len(forks) == (cpus > 1)
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("extra, forked", [(-1, 0), (0, 1)])
+def test_table_forks_from_the_row_bound(monkeypatch, forks, extra, forked):
     rng = np.random.default_rng(12)
     model = kde_fit(rng.normal(size=(560, 2)), 0.1)
-    model.log_density(rng.normal(size=(blocks_of(560, n_blocks, 0), 2)))
-    assert len(started) == threads
+    X = rng.normal(size=(ensemble._FORK_ROWS + extra, 2))
+    got = table_on(monkeypatch, 2, [model], X)
+    assert len(forks) == forked
+    assert_reaped(forks)
+    assert_bitwise_equal(got[:, 0], model.log_density(X))
 
 
-@pytest.mark.parametrize("raiser", ["worker", "caller"])
-def test_kde_error_on_any_thread_is_raised_after_every_join(monkeypatch, raiser):
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 3)
-    worker_ran = threading.Event()
-    score = density._kde_block
+class FailingDensity:
+    """Scores like ``model``, except in a process whose pid ``fails``
+    holds true of: there it raises."""
 
-    def flaky_block(*args):
-        on_worker = threading.current_thread() is not threading.main_thread()
-        if on_worker:
-            worker_ran.set()
-        else:
-            # the caller waits until a worker has taken a block
-            assert worker_ran.wait(timeout=10.0)
-        if on_worker == (raiser == "worker"):
-            raise RuntimeError(f"{raiser} failed")
-        score(*args)
+    def __init__(self, model, fails):
+        self.model, self.fails = model, fails
 
-    monkeypatch.setattr(density, "_kde_block", flaky_block)
+    def log_density(self, X):
+        if self.fails(os.getpid()):
+            raise RuntimeError(f"scoring failed in {os.getpid()}")
+        return self.model.log_density(X)
+
+
+@pytest.mark.parametrize("raiser", ["caller", "child"])
+def test_table_error_is_raised_after_every_reap(monkeypatch, forks, raiser):
+    caller = os.getpid()
     rng = np.random.default_rng(13)
     model = kde_fit(rng.normal(size=(560, 2)), 0.1)
-    X = rng.normal(size=(blocks_of(560, 40, 1), 2))
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"{raiser} failed"):
-        model.log_density(X)
-    assert threading.active_count() == before
+    failing = FailingDensity(model, lambda pid: (pid == caller) == (raiser == "caller"))
+    X = rng.normal(size=(ensemble._FORK_ROWS, 2))
+    with pytest.raises(RuntimeError, match="scoring failed in"):
+        table_on(monkeypatch, 3, [failing] * 3, X)
+    assert len(forks) == 2
+    assert_reaped(forks)
 
 
 def test_kde_empty_batch():
@@ -854,17 +868,14 @@ def test_gmm_apply_grad_matches_set_params_bitwise():
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_huge_finite_queries_floor_without_warnings(monkeypatch, workers):
+def test_huge_finite_queries_floor_without_warnings(monkeypatch, forks, workers):
     # (1e200)^2 overflows to inf: the row's density is the floor, and numpy
-    # must not warn about the overflow or the log of a zero kernel sum, on
-    # the calling thread or on a scoring thread
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: workers)
-    started = count_threads(monkeypatch)
+    # must not warn about the overflow or the log of a zero kernel sum, in
+    # the caller or in a forked worker, where a warning would come back as
+    # an error
     rng = np.random.default_rng(11)
     points = rng.normal(size=(300, 2))
-    # 218 rows per KDE block at 300 points: 6000 rows are 28 blocks, enough
-    # for three workers
-    X = rng.normal(size=(6000, 2))
+    X = rng.normal(size=(ensemble._FORK_ROWS + 7, 2))
     huge = np.arange(0, len(X), 5)
     X[huge, 0] = 1e200
     X[huge[::2], 1] = -1e300
@@ -872,23 +883,23 @@ def test_huge_finite_queries_floor_without_warnings(monkeypatch, workers):
     for model in (kde_fit(points, 0.1), gmm_fit(points, 3, seed=0)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = model.log_density(X)
+            got = table_on(monkeypatch, workers, [model], X)[:, 0]
         assert np.all(got[huge] == LOG_DENSITY_FLOOR)
         assert np.array_equal(got[plain], model.log_density(X[plain]))
-    assert bool(started) == (workers > 1)
+    assert len(forks) == (4 if workers > 1 else 0)
+    assert_reaped(forks)
 
 
-def test_kde_batch_of_overflowed_rows_floors_on_two_threads(monkeypatch):
+def test_kde_table_of_overflowed_rows_floors_on_two_cpus(monkeypatch, forks):
     # every distance of every row overflows: each row's max is -inf, and its
-    # clamped terms must not lift it off the floor, on either thread
-    monkeypatch.setattr("densemble.workers.cpu_count", lambda: 2)
-    started = count_threads(monkeypatch)
+    # clamped terms must not lift it off the floor, in either worker
     rng = np.random.default_rng(15)
     model = kde_fit(rng.normal(size=(300, 2)), 0.1)
-    X = np.where(rng.random((blocks_of(300, 20, 3), 2)) < 0.5, -1e200, 1e200)
+    X = np.where(rng.random((ensemble._FORK_ROWS + 3, 2)) < 0.5, -1e200, 1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = model.log_density(X)
-    assert len(started) == 1
+        got = table_on(monkeypatch, 2, [model], X)[:, 0]
+    assert len(forks) == 1
+    assert_reaped(forks)
     assert not np.isnan(got).any()
     assert np.all(got == LOG_DENSITY_FLOOR)

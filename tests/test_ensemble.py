@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import ConstantClassifier, ConstantDensity, LinearDensity, random_simplex
+from conftest import (
+    ConstantClassifier,
+    ConstantDensity,
+    LinearDensity,
+    decide_with_weights,
+    random_simplex,
+)
 from densemble import ensemble
 from densemble.classifiers import MlpClassifier, SoftmaxRegression
 from densemble.density import gmm_fit, kde_fit
@@ -12,7 +18,6 @@ from densemble.ensemble import (
     PartyModel,
     build_ensemble,
     decide,
-    decide_with_weights,
     evaluate_objective,
     lambda_weights,
     max_model_decide,

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from conftest import assert_reaped
 
-from densemble import classifiers, density, workers
+from densemble import classifiers, density, ensemble, workers
+from densemble.ensemble import log_density_table
 from densemble.harness import (
     ClassifierConfig,
     build_parties,
@@ -244,25 +245,15 @@ def test_no_fork_without_two_groups_two_cpus_and_one_thread(case, monkeypatch):
     assert len(parties) == len(cfg.parties)
 
 
-def test_threaded_kde_scoring_leaves_no_thread_so_training_still_forks(monkeypatch, forks):
-    # forking needs this process to run one thread: a scoring thread that
-    # outlived its batch would make local training run every group here
+def test_forked_scoring_leaves_no_child_so_training_still_forks(monkeypatch, forks):
+    # a scoring worker that outlived its table would be a child of this
+    # process that no one reaps; local training must fork as before
     monkeypatch.setattr("densemble.workers.cpu_count", lambda: 2)
     rng = np.random.default_rng(17)
-    model = density.kde_fit(rng.normal(size=(560, 2)), 0.1)
-    rows = density._BLOCK_BYTES // (8 * 560)
-    scored_on = set()
-    score = density._kde_block
-
-    def recording_block(*args):
-        scored_on.add(threading.get_ident())
-        score(*args)
-
-    monkeypatch.setattr(density, "_kde_block", recording_block)
-    before = threading.active_count()
-    model.log_density(rng.normal(size=(20 * rows, 2)))
-    assert len(scored_on) == 2
-    assert threading.active_count() == before
-    build_parties(*_inputs(load_config("toy3")), pretrain=True)
+    models = [density.kde_fit(rng.normal(size=(560, 2)), 0.1) for _ in range(3)]
+    log_density_table(models, rng.normal(size=(ensemble._FORK_ROWS, 2)))
     assert len(forks) == 2
+    assert_reaped(forks)
+    build_parties(*_inputs(load_config("toy3")), pretrain=True)
+    assert len(forks) == 4
     assert_reaped(forks)

@@ -18,6 +18,7 @@ from conftest import (
     MUTATION_VALUES,
     ConstantClassifier,
     ConstantDensity,
+    accuracy,
     cli_peak_rss_mb,
     fast_experiment_doc,
     json_paths,
@@ -26,7 +27,7 @@ from conftest import (
     toy3_untrained_manifest,
 )
 
-from densemble import classifiers, cli, ensemble, serialize
+from densemble import cli, ensemble, serialize
 from densemble.calibration import CalibrationConfig, ClipConfig
 from densemble.classifiers import ClassifierStack, SoftmaxRegression
 from densemble.datasets import PartitionSpec, generate_toy, read_csv, write_csv
@@ -595,7 +596,7 @@ def test_calibrated_run_reuses_zero_shot_densities(monkeypatch):
 
 def test_local_accuracy_nan_when_no_test_labels_match(pipeline_artifacts):
     # the trained party's accuracy on the rows it could label matches
-    # classifiers.accuracy on that subset; the constant party's is NaN
+    # the accuracy oracle on that subset; the constant party's is NaN
     _, _, out = pipeline_artifacts
     test_ds = read_csv(str(out / "test.csv"), num_classes=10)
     trained = serialize.load_ensemble(str(out / "ensemble.json")).parties[0]
@@ -605,7 +606,7 @@ def test_local_accuracy_nan_when_no_test_labels_match(pipeline_artifacts):
     accs = local_accuracies(om, test_ds.labels, ens.parties)
     clf = trained.classifier
     rows = np.flatnonzero(np.isin(test_ds.labels, clf.label_space))
-    assert accs[0] == classifiers.accuracy(clf, test_ds.subset(rows, clf.label_space))
+    assert accs[0] == accuracy(clf, test_ds.subset(rows, clf.label_space))
     assert math.isnan(accs[1])
 
 

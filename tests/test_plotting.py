@@ -6,8 +6,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import ConstantClassifier, ConstantDensity, cli_peak_rss_mb, toy3_untrained_manifest
-from densemble import ensemble, plotting
+from conftest import (
+    ConstantClassifier,
+    ConstantDensity,
+    assert_reaped,
+    cli_peak_rss_mb,
+    toy3_untrained_manifest,
+)
+from densemble import ensemble, plotting, workers
 from densemble.classifiers import SoftmaxRegression
 from densemble.density import kde_fit
 from densemble.ensemble import PartyModel, build_ensemble
@@ -167,6 +173,24 @@ def test_density_svg_bytes_match_per_cell_reference(tmp_path, resolution):
     model = kde_fit(rng.normal(size=(200, 2)) * 1.5, 0.3)
     region = (-6.0, 6.0, -6.0, 6.0)
     plot_density(model, region, resolution, tmp_path / "new.svg")
+    reference_plot_density(model, region, resolution, tmp_path / "ref.svg")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+@pytest.mark.parametrize("cpus, forked", [(1, 0), (2, 1), (3, 2)])
+def test_density_plot_in_forked_row_spans_matches_per_cell_reference(
+    tmp_path, monkeypatch, forks, cpus, forked
+):
+    # a grid of at least the fork bound is one estimator's column cut into
+    # one row span per CPU, all but the first scored in children
+    monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
+    rng = np.random.default_rng(4)
+    model = kde_fit(rng.normal(size=(200, 2)) * 1.5, 0.3)
+    region = (-6.0, 6.0, -6.0, 6.0)
+    resolution = int(np.ceil(np.sqrt(ensemble._FORK_ROWS)))
+    plot_density(model, region, resolution, tmp_path / "new.svg")
+    assert len(forks) == forked
+    assert_reaped(forks)
     reference_plot_density(model, region, resolution, tmp_path / "ref.svg")
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
 

@@ -11,9 +11,9 @@ from densemble import workers
 
 
 def share(w):
-    """A share's result: its index, where it ran, and some numpy work."""
+    """A worker's result: its index, where it ran, and some numpy work."""
     x = np.random.default_rng(w).normal(size=1000)
-    return w, os.getpid(), threading.get_ident(), float(np.sum(np.exp(x)))
+    return w, os.getpid(), float(np.sum(np.exp(x)))
 
 
 def failing_at(bad):
@@ -26,34 +26,14 @@ def failing_at(bad):
 
 
 @pytest.mark.parametrize("W", [1, 2, 3])
-def test_threaded_returns_every_share_in_order_with_share_0_on_the_caller(W):
-    before = threading.active_count()
-    got = workers.threaded(share, W)
-    assert [r[0] for r in got] == list(range(W))
-    assert [r[3] for r in got] == [share(w)[3] for w in range(W)]
-    assert got[0][2] == threading.get_ident()
-    assert all(r[2] != threading.get_ident() for r in got[1:])
-    assert {r[1] for r in got} == {os.getpid()}
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("W", [1, 2, 3])
 def test_forked_returns_every_share_in_order_with_share_0_here(W, forks):
     got = workers.forked(share, W)
     assert [r[0] for r in got] == list(range(W))
-    assert [r[3] for r in got] == [share(w)[3] for w in range(W)]
+    assert [r[2] for r in got] == [share(w)[2] for w in range(W)]
     assert got[0][1] == os.getpid()
     assert [r[1] for r in got[1:]] == forks
     assert len(forks) == W - 1
     assert_reaped(forks)
-
-
-@pytest.mark.parametrize("bad", [0, 1, 2])
-def test_threaded_error_on_any_share_is_raised_after_every_join(bad):
-    before = threading.active_count()
-    with pytest.raises(ValueError, match=f"share {bad} failed"):
-        workers.threaded(failing_at(bad), 3)
-    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2])
@@ -80,13 +60,7 @@ def test_forked_runs_every_share_here_under_a_second_thread(forks):
     assert len(forks) == 2
     assert_reaped(forks)
     assert [r[0] for r in here] == [r[0] for r in apart]
-    assert [r[3] for r in here] == [r[3] for r in apart]
-
-
-@pytest.mark.parametrize("cpus, shares, want", [(1, 5, 1), (3, 0, 1), (3, 2, 2), (3, 7, 3)])
-def test_count_is_one_per_share_and_cpu(monkeypatch, cpus, shares, want):
-    monkeypatch.setattr(workers, "cpu_count", lambda: cpus)
-    assert workers.count(shares) == want
+    assert [r[2] for r in here] == [r[2] for r in apart]
 
 
 @pytest.mark.parametrize(

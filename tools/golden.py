@@ -8,13 +8,15 @@ command's printed output is kept next to its artifacts. Then every file is
 compared byte for byte, except ``metrics.json``, whose ``timings`` differ
 from run to run: both sides are parsed, ``timings`` is dropped, and the
 rest must hold the same values under the same keys in the same order.
-Each side then reruns ``toy3-seed0``, ``gen-data-20k``, ``eval-zeroshot-20k``
-and ``plot-boundary-400`` in ``OUT/<side>-one-cpu``, each command's process
-pinned to one CPU with ``os.sched_setaffinity`` (the pass is skipped where
-that call is missing), and every file there must equal the same side's
-all-CPU file. On one CPU, local training runs every lockstep group in one
-process and KDE scoring every row block on one thread, so the pass compares
-both parallel paths with their in-process fallbacks.
+Each side then reruns ``toy3-seed0``, ``gen-data-20k``, ``eval-zeroshot-20k``,
+``plot-boundary-400`` and ``plot-density`` in ``OUT/<side>-one-cpu``, each
+command's process pinned to one CPU with ``os.sched_setaffinity`` (the pass
+is skipped where that call is missing), and every file there must equal the
+same side's all-CPU file. On one CPU, local training runs every lockstep
+group in one process, and a log-density table scores every party's whole
+column in one process, where more CPUs fork parties and, for the density
+plot's lone estimator, row spans; so the pass compares both forked paths
+with their in-process fallbacks.
 Each side also runs a fixed set of commands that must fail (``MUST_FAIL``):
 ``eval-zeroshot`` on copies of the parent's toy3-seed0 ensemble, written to
 ``OUT/configs`` with one fault in ``party_0.json`` each (no ``classifier.W``,
@@ -265,10 +267,11 @@ MUST_FAIL = {
     "bad-config-key": ["train-local", "--config", "../configs/bad-config-key.json"],
 }
 
-# Rerun on one CPU, where training and KDE scoring run every share in one
-# process and one thread; toy3-seed0 and gen-data-20k make the inputs of
-# the other two.
-ONE_CPU = ("toy3-seed0", "gen-data-20k", "eval-zeroshot-20k", "plot-boundary-400")
+# Rerun on one CPU, where training and density scoring run every job in
+# one process; toy3-seed0 and gen-data-20k make the inputs of the others.
+ONE_CPU = (
+    "toy3-seed0", "gen-data-20k", "eval-zeroshot-20k", "plot-boundary-400", "plot-density"
+)
 
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
