@@ -32,10 +32,13 @@ def reduce_last(ufunc: np.ufunc, a: np.ndarray, keepdims: bool = False) -> np.nd
     width = a.shape[-1]
     if not 0 < width < _CHAIN_LIMIT or a.size < _CHAIN_ROWS[ufunc] * width * width:
         return ufunc.reduce(a, axis=-1, keepdims=keepdims)
-    if ufunc.identity is None:
-        out = a[..., 0].copy()
+    # without an identity, the chain starts from the first two elements
+    if ufunc.identity is not None:
+        out, start = ufunc(a[..., 0], ufunc.identity), 1
+    elif width > 1:
+        out, start = ufunc(a[..., 0], a[..., 1]), 2
     else:
-        out = ufunc(a[..., 0], ufunc.identity)
-    for k in range(1, width):
+        out, start = a[..., 0].copy(), 1
+    for k in range(start, width):
         ufunc(out, a[..., k], out=out)
     return out[..., None] if keepdims else out

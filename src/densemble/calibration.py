@@ -33,27 +33,37 @@ block. Each mixture stack scores the batch into its columns of the
 log-density table, and the same pass feeds its ``nll_grad``, which forms
 every mixture's gradient block at once; the density scope is an (n, S) 0/1
 row mask on the stack's responsibilities. Each stack then takes its
-members' blocks of the flat vector through one ``apply_grad``, which leaves
-every member's arrays as views of its row of the stack. Every mode takes
-this one path (``mpce_grad``, either scope, clipping with or without noise),
-and it gives the bits of the unfused per-party composition, each model's
-backward pass over a fresh forward pass of its rows alone, and of each
-model stepped alone as a stack of one. What a run never changes is computed
-once per run: each party's local label positions over the training labels,
-the flat gradient's block layout and stacks, and the log-densities of the
-training and held-out sets under every estimator that does not train.
+members' blocks of the flat vector through one ``apply_grad``, which steps
+the stack's arrays in place; every member's arrays are views of its row of
+the stack. Every mode takes this one path (``mpce_grad``, either scope,
+clipping with or without noise), and it gives the bits of the unfused
+per-party composition, each model's backward pass over a fresh forward pass
+of its rows alone, and of each model stepped alone as a stack of one, step
+after step of a whole run. What a run never changes is computed once per
+run: the finiteness check of the training and held-out features (so no
+step checks its batch again), each party's local label positions over the
+training labels and, in the "matching" scope, each mixture stack's 0/1 row
+mask over them, both gathered by batch; the flat gradient's block layout
+and stacks, each stack's blocks as a slice where its members' blocks are
+adjacent, so that taking and writing them is a view; the index arrays that
+each step's scatters and gathers share (the stacks' member columns, the
+batch rows); and the log-densities of the training and held-out sets under
+every estimator that does not train. The loss is one sum of the logs of
+the batch's scores, negated and divided by the batch size, which has the
+bits of the mean of their negations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classifiers import ClassifierStack, FlatClassifier, _LocalIndex, global_posterior
 from .datasets import LocalDataset
 from .density import GmmModel, GmmStack
-from .ensemble import EnsembleModel, evaluate_objective, decide, log_density_table
+from .ensemble import EnsembleModel, as_queries, decide, evaluate_objective, log_density_table
 
 PROBABILITY_FLOOR = 1e-12
 
@@ -118,15 +128,6 @@ class TraceRow:
     test_accuracy: float | None = None
 
 
-def _batch_scores(
-    ens: EnsembleModel, X: np.ndarray, y: np.ndarray, loglik=None, posteriors=None
-):
-    """Objective intermediates plus floored true-class scores for a batch;
-    ``loglik`` and ``posteriors`` as in ``evaluate_objective``."""
-    om = evaluate_objective(ens, X, loglik, posteriors)
-    return om, np.maximum(om.objective[np.arange(len(y)), y], PROBABILITY_FLOOR)
-
-
 def _label_positions(ens: EnsembleModel, y: np.ndarray) -> np.ndarray:
     """(n, N) local index of each label in each party's label space, -1
     where the party cannot see it."""
@@ -140,6 +141,16 @@ def _check_label(ens: EnsembleModel, y: int) -> None:
         raise ValueError(f"label {y} outside [0, {ens.num_classes})")
 
 
+def _selector(idx) -> slice | np.ndarray:
+    """The entries of the index ``idx``, in row-major order, as a slice
+    when they count up by one, so that indexing with it takes a view, else
+    as a 1-D index array."""
+    idx = np.asarray(idx).ravel()
+    if np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+        return slice(int(idx[0]), int(idx[0]) + len(idx))
+    return idx
+
+
 @dataclass
 class _Plan:
     """What every step of a run updates, worked out once per run.
@@ -148,34 +159,53 @@ class _Plan:
     with ``update_density``, every mixture's block in party order. The
     trainable models are grouped into stacks by family and parameter
     shapes: ``classifiers`` holds a ``ClassifierStack`` per group and
-    ``mixtures`` a ``GmmStack``, each as (party indices, stack, the (S, P)
-    index of its members' blocks in the flat gradient). ``slots`` indexes,
-    per classifier stack, the (party, class) cells of the (n, N, K)
-    posterior table that its (S, n, m) posteriors fill: an (S, 1) party
-    column and the (S, m) label spaces. ``frozen`` lists the parties whose
-    classifier has no parameters, and ``fixed`` those whose estimator never
-    changes.
+    ``mixtures`` a ``GmmStack``, each as (party indices, stack, the stack's
+    blocks in the flat gradient). The blocks are a slice when the members'
+    blocks are adjacent and an index array otherwise, and either way select
+    the (S, P) gradients row by row. ``slots`` holds, per classifier stack,
+    the (party, class) cells of the (n, N, K) posterior table that its
+    (S, n, m) posteriors fill, an (S, 1) party column and the (S, m) label
+    spaces, then its (S, 1) member column and its party columns (a slice
+    when adjacent, as the blocks). ``columns`` holds each mixture stack's
+    party columns alike. ``frozen`` lists the parties whose classifier has
+    no parameters, and ``fixed`` those whose estimator never changes.
     """
 
     size: int
-    classifiers: list[tuple[list[int], ClassifierStack, np.ndarray]]
-    mixtures: list[tuple[list[int], GmmStack, np.ndarray]]
-    slots: list[tuple[np.ndarray, np.ndarray]]
+    classifiers: list[tuple[list[int], ClassifierStack, slice | np.ndarray]]
+    mixtures: list[tuple[list[int], GmmStack, slice | np.ndarray]]
+    slots: list[tuple[np.ndarray, np.ndarray, np.ndarray, slice | np.ndarray]]
+    columns: list[slice | np.ndarray]
     frozen: list[int]
     fixed: list[int]
+    _rows: np.ndarray = field(default_factory=lambda: np.arange(0))
+
+    def batch(self, n: int) -> np.ndarray:
+        """``np.arange(n)``, made once for the largest batch seen."""
+        if len(self._rows) < n:
+            self._rows = np.arange(n)
+        return self._rows[:n]
+
+    def masks(self, pos: np.ndarray, scope: str) -> list[np.ndarray | None]:
+        """Per mixture stack, the (n, S) 0/1 table of the rows in ``scope``
+        among the rows whose ``_label_positions`` are ``pos``: the rows whose
+        label the party sees, or None for "all" rows."""
+        if scope == "all":
+            return [None] * len(self.mixtures)
+        return [(pos[:, cols] >= 0).astype(np.float64) for cols in self.columns]
 
     def step(self, flat: np.ndarray, lr: float) -> None:
         """Step every trainable model by -lr times its part of ``flat``."""
-        for _, stack, idx in self.classifiers + self.mixtures:
-            stack.apply_grad(flat[idx], lr)
+        for cols, stack, block in self.classifiers + self.mixtures:
+            stack.apply_grad(flat[block].reshape(len(cols), -1), lr)
 
 
 def _stacks(members, key, make, start: int) -> tuple[list, int]:
     """Stacks of the (party index, model) pairs ``members``, whose blocks
     lie from ``start`` on in the flat gradient in that order. Models of equal
     ``(type_tag, key(model))`` share one stack, ``make(models)``, in order of
-    first appearance. Returns (party indices, stack, (S, P) block index) per
-    stack, and the end of the blocks."""
+    first appearance. Returns (party indices, stack, ``_selector`` of the
+    (S, P) block index) per stack, and the end of the blocks."""
     starts, groups = {}, {}
     for j, model in members:
         starts[j] = start
@@ -186,7 +216,7 @@ def _stacks(members, key, make, start: int) -> tuple[list, int]:
     for cols in groups.values():
         width = models[cols[0]].params.size
         idx = np.array([starts[j] for j in cols])[:, None] + np.arange(width)
-        stacks.append((cols, make(models[j] for j in cols), idx))
+        stacks.append((cols, make(models[j] for j in cols), _selector(idx)))
     return stacks, start
 
 
@@ -201,29 +231,36 @@ def _plan(ens: EnsembleModel, update_density: bool) -> _Plan:
     gmms = [(j, g) for j, g in gmms if update_density and isinstance(g, GmmModel)]
     mixtures, size = _stacks(gmms, lambda g: g.means.shape, GmmStack, size)
     slots = [
-        (np.array(cols)[:, None], np.array([ens.parties[j].classifier.label_space for j in cols]))
+        (
+            np.array(cols)[:, None],
+            np.array([ens.parties[j].classifier.label_space for j in cols]),
+            np.arange(len(cols))[:, None],
+            _selector(cols),
+        )
         for cols, _, _ in classifiers
     ]
     frozen = [j for j, c in clfs if not isinstance(c, FlatClassifier)]
     moving = {j for j, _ in gmms}
     fixed = [j for j in range(ens.num_parties) if j not in moving]
-    return _Plan(size, classifiers, mixtures, slots, frozen, fixed)
+    columns = [_selector(cols) for cols, _, _ in mixtures]
+    return _Plan(size, classifiers, mixtures, slots, columns, frozen, fixed)
 
 
-def _step_grad(ens: EnsembleModel, plan: _Plan, X, y, pos, scope: str, loglik=None):
+def _step_grad(ens: EnsembleModel, plan: _Plan, X, y, pos, masks, loglik=None):
     """Floored true-class scores and the flat loss gradient, summed over the
     batch, from one forward pass per stack: each classifier stack's backward
-    pass, then each mixture stack's NLL gradients over the batch rows in
-    ``scope``. A classifier without parameters is scored through its
-    ``posterior`` and takes no gradient. ``pos`` is ``_label_positions`` of
-    y. ``loglik``, when given, is an (n, N) table whose columns for the
-    estimators that do not train already hold the batch's log-densities; the
-    mixture stacks are scored into the others here. Otherwise every party is
-    scored."""
+    pass, then each mixture stack's NLL gradients over the batch rows that
+    its ``masks`` entry selects (``plan.masks``). A classifier without
+    parameters is scored through its ``posterior`` and takes no gradient.
+    ``pos`` is ``_label_positions`` of y. The rows of X must be finite:
+    the caller checks them, once per run. ``loglik``, when given, is an
+    (n, N) table whose columns for the estimators that do not train already
+    hold the batch's log-densities; the mixture stacks are scored into the
+    others here. Otherwise every party is scored."""
     n, K = len(X), ens.num_classes
     post = np.zeros((n, ens.num_parties, K))
     states = []
-    for (_, stack, _), (rows, spaces) in zip(plan.classifiers, plan.slots):
+    for (_, stack, _), (rows, spaces, _, _) in zip(plan.classifiers, plan.slots):
         state = stack.forward(X)
         post[:, rows, spaces] = state[1].transpose(1, 0, 2)
         states.append(state)
@@ -232,23 +269,26 @@ def _step_grad(ens: EnsembleModel, plan: _Plan, X, y, pos, scope: str, loglik=No
     if loglik is None:
         loglik = log_density_table(ens.estimators, X, parties=plan.fixed)
     mixture_states = []
-    for cols, stack, _ in plan.mixtures:
+    for (_, stack, _), cols in zip(plan.mixtures, plan.columns):
         state, loglik[:, cols] = stack.forward(X)
         mixture_states.append(state)
-    om, score = _batch_scores(ens, X, y, loglik, post)
+    om = evaluate_objective(ens, X, loglik, post)
+    batch = plan.batch(n)
+    score = np.maximum(om.objective[batch, y], PROBABILITY_FLOOR)
     grad = np.empty(plan.size)
-    coeff = om.weights / score[:, None]
-    batch = np.arange(n)
-    for (cols, stack, idx), state in zip(plan.classifiers, states):
-        # upstream -coeff at each row's label, where the classifier sees it;
-        # rows it cannot see write into a spare last column, dropped after
-        m = state[1].shape[2]
-        U = np.zeros((len(cols), n, m + 1))
-        U[np.arange(len(cols))[:, None], batch, pos[:, cols].T] = -coeff[:, cols].T
-        grad[idx] = stack.backward(X, state, U[..., :m])
-    for (cols, stack, idx), state in zip(plan.mixtures, mixture_states):
-        mask = None if scope == "all" else (pos[:, cols] >= 0).astype(np.float64)
-        grad[idx] = stack.nll_grad(state, mask)
+    # -w / score: each classifier's upstream at its row's label
+    coeff = om.weights / -score[:, None]
+    for (_, stack, block), (_, _, members, cols), state in zip(
+        plan.classifiers, plan.slots, states
+    ):
+        # rows a classifier cannot see write into a spare last column,
+        # dropped after
+        S, _, m = state[1].shape
+        U = np.zeros((S, n, m + 1))
+        U[members, batch, pos[:, cols].T] = coeff[:, cols].T
+        grad[block] = stack.backward(X, state, U[..., :m]).ravel()
+    for (_, stack, block), state, mask in zip(plan.mixtures, mixture_states, masks):
+        grad[block] = stack.nll_grad(state, mask).ravel()
     return score, grad
 
 
@@ -262,10 +302,11 @@ def mpce_grad(
     """Flat loss gradient: classifier blocks in party order, then the blocks
     of the mixtures."""
     _check_label(ens, y)
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    X = as_queries(x)
     y = np.array([y])
     plan = _plan(ens, update_density)
-    return _step_grad(ens, plan, X, y, _label_positions(ens, y), density_scope)[1]
+    pos = _label_positions(ens, y)
+    return _step_grad(ens, plan, X, y, pos, plan.masks(pos, density_scope))[1]
 
 
 def clip_and_noise(
@@ -308,7 +349,9 @@ def calibrate(
     steps and at the final step. Deterministic for fixed seeds. When there
     is a step to take, every estimator that does not train (all of them
     unless ``update_density`` is on; kernel estimators always) scores the
-    training set and the held-out set once, before the first step: every
+    training set and the held-out set once, before the first step. Both
+    sets' features are checked to be finite once, before anything is
+    scored, and ValueError names the set that is not: every
     batch takes its rows of the training table, and every evaluation the
     whole held-out table. Only the training mixtures are rescored, one
     stack at a time, on each batch and at each evaluation. A row of a table
@@ -321,6 +364,10 @@ def calibrate(
         raise ValueError("calibration needs a nonempty training set")
     if train.labels.size and int(train.labels.max()) >= ens.num_classes:
         raise ValueError("training labels exceed the ensemble's class count")
+    # every row is checked here, once, not in every step
+    as_queries(train.features, "training features")
+    if test is not None:
+        as_queries(test.features, "held-out features")
     rng = np.random.default_rng(seed)
     noise_rng = (
         np.random.default_rng(cfg.clip.seed)
@@ -330,6 +377,7 @@ def calibrate(
     n = len(train)
     plan = _plan(ens, cfg.update_density)
     train_pos = _label_positions(ens, train.labels)
+    train_masks = plan.masks(train_pos, cfg.density_scope)
     # score each set once under the estimators that never change; the
     # training mixtures' columns are scored afresh before every use
     if cfg.steps > 0:
@@ -342,16 +390,16 @@ def calibrate(
     for step in range(1, cfg.steps + 1):
         sel = rng.choice(n, size=min(cfg.batch, n), replace=False)
         X, y = train.features[sel], train.labels[sel]
-        score, grad = _step_grad(
-            ens, plan, X, y, train_pos[sel], cfg.density_scope, train_loglik[sel]
-        )
-        loss = float(np.mean(-np.log(score)))
-        if not np.isfinite(loss):
+        masks = [mask if mask is None else mask[sel] for mask in train_masks]
+        score, grad = _step_grad(ens, plan, X, y, train_pos[sel], masks, train_loglik[sel])
+        # the mean of -log(score): a sum's negation is the negated terms' sum
+        loss = -float(np.add.reduce(np.log(score))) / len(sel)
+        if not math.isfinite(loss):
             raise RuntimeError(f"non-finite calibration loss {loss} at step {step}")
-        flat = grad / len(sel)
+        grad /= len(sel)
         if cfg.clip is not None:
-            flat = clip_and_noise(flat, cfg.clip, noise_rng)
-        plan.step(flat, cfg.lr)
+            grad = clip_and_noise(grad, cfg.clip, noise_rng)
+        plan.step(grad, cfg.lr)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
             for cols, stack, _ in plan.mixtures:

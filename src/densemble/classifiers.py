@@ -61,8 +61,9 @@ all of them.
 
 Both paths have ``_backward`` write into views of the stack's one scratch
 gradient, (S, P), made and viewed when the stack is built and overwritten
-by every step: ``backward`` returns a copy of it, and ``train`` divides it
-by the batch size and subtracts it from the parameters in place. Neither
+by every step: ``backward`` returns it, for the caller to copy out before
+the next pass, and ``train`` divides it by the batch size and subtracts it
+from the parameters in place. Neither
 allocates a gradient per block or concatenates blocks. A classifier's own
 views are its named arrays only, viewed again when it is copied or
 unpickled, since those rebuild each array on its own.
@@ -77,15 +78,15 @@ from .datasets import LocalDataset
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    # in place after the first subtraction; over a local label space of
-    # fewer than 8 classes, reduce_last forms the max and the sum of a large
-    # batch as chains of elementwise ops over its columns, which combine them
-    # in numpy's own order: the bits of ndarray.max and .sum, at a fraction
-    # of the cost
-    e = z - reduce_last(np.maximum, z, keepdims=True)
-    np.exp(e, out=e)
-    e /= reduce_last(np.add, e, keepdims=True)
-    return e
+    # overwrites z, the caller's fresh logits, and returns it; over a local
+    # label space of fewer than 8 classes, reduce_last forms the max and the
+    # sum of a large batch as chains of elementwise ops over its columns,
+    # which combine them in numpy's own order: the bits of ndarray.max and
+    # .sum, at a fraction of the cost
+    z -= reduce_last(np.maximum, z, keepdims=True)
+    np.exp(z, out=z)
+    z /= reduce_last(np.add, z, keepdims=True)
+    return z
 
 
 def _softmax_upstream_to_logits(P: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -335,11 +336,12 @@ class ClassifierStack:
     def backward(self, X: np.ndarray, state: tuple, upstream: np.ndarray) -> np.ndarray:
         """(S, P) gradients of ``sum(upstream * P)``, each summed over its
         batch, from the ``forward(X)`` state of the same batch; ``upstream``
-        is (S, n, m)."""
+        is (S, n, m). The result is the stack's scratch gradient, which the
+        next ``backward`` overwrites."""
         H, P = state
         gz = _softmax_upstream_to_logits(P, upstream)
         self._backward(self._params, X, H, gz, self._grad_views)
-        return self._grad.copy()
+        return self._grad
 
     def apply_grad(self, grad: np.ndarray, lr: float) -> None:
         """One step of -lr * grad, (S, P), on every member."""

@@ -26,13 +26,16 @@ element passes through the same operations either way, so a stacked row
 has the bits of its mixture alone. ``forward`` hands back the component
 table with the floored densities, and ``nll_grad`` takes it back, as a
 classifier stack's ``backward`` takes its ``forward`` state; its 0/1 row
-mask selects each mixture's rows. The tables are built from the queries
-tiled to (n, S*m*d), and the responsibilities repeated over d, so no op
-runs an inner loop of d elements. The sums over d and the max and sum over
-the m components are ``_reduce.reduce_last``: under 8 elements, on all but
-a small table, a chain of elementwise ops over the slices, which adds them
-in numpy's own order (from +0.0, index by index) and so gives the bits of
-``np.sum``; otherwise numpy's reduction itself. Every sum over the batch
+mask selects each mixture's rows. ``forward`` takes rows that were
+already checked: ``log_density`` checks a query batch once, and calibration
+checks its sets once per run. ``apply_grad`` steps the stacked arrays in
+place. The tables are built from the queries tiled to (n, S*m*d), and the
+responsibilities repeated over d (a take on an index made with the stack),
+so no op runs an inner loop of d elements. The sums over d and the max and
+sum over the m components are ``_reduce.reduce_last``: under 8 elements, on
+all but a small table, a chain of elementwise ops over the slices, which
+adds them in numpy's own order (from +0.0, index by index) and so gives the
+bits of ``np.sum``; otherwise numpy's reduction itself. Every sum over the batch
 rows is still numpy's reduction over the leading axis, which adds the rows
 in order.
 
@@ -318,11 +321,16 @@ class GmmStack:
         self.weights = np.stack([g.weights for g in self.models])
         self.means = np.stack([g.means for g in self.models])
         self.variances = np.stack([g.variances for g in self.models])
+        S, m, d = self.means.shape
+        # each of the S*m components' index, once per dimension
+        self._repeat = np.repeat(np.arange(S * m), d)
+        self._bound = False
 
     def forward(self, X: np.ndarray):
         """(state, L): what ``nll_grad`` takes back for these rows, and the
-        (n, S) floored log-densities."""
-        X = _queries(X, self.means.shape[2])
+        (n, S) floored log-densities. X is not checked: it must be an (n, d)
+        float64 matrix of finite rows, as ``log_density`` and calibration
+        check them, once per call and once per run."""
         # a huge finite query's table overflows to -inf and so does its
         # logsumexp, floored below, without a warning
         with np.errstate(over="ignore", divide="ignore"):
@@ -366,7 +374,7 @@ class GmmStack:
         # every table flattened to (n, S*m*d), resp repeated over each
         # component's d dims: one inner loop per row; the sums over the
         # batch still add its rows in order
-        w = np.repeat(resp.reshape(n, S * m), d, axis=1)
+        w = np.take(resp.reshape(n, S * m), self._repeat, axis=1)
         g = w * diff.reshape(n, -1)
         g /= self.variances.reshape(-1)
         grad = np.empty((S, 2 * m * d + m))
@@ -383,19 +391,27 @@ class GmmStack:
         """One step of -lr * grad, (S, 2md + m) in ``params`` layout, or
         ValueError for any other shape: means and log-variances move,
         variances are floored at ``GMM_VARIANCE_FLOOR`` and weights are the
-        softmax of the moved logits. Each model's arrays become views of its
-        row of the new stack."""
+        softmax of the moved logits. The stacked arrays are updated in
+        place. The first step makes each model's arrays views of its row,
+        which every later step moves; a stack that only scores
+        (``GmmModel.log_density``) never rebinds a model."""
         S, m, d = self.means.shape
         if grad.shape != (S, 2 * m * d + m):
             raise ValueError(f"expected {S} x {2 * m * d + m} gradients, got {grad.shape}")
         step = lr * grad
-        self.means = self.means - step[:, : m * d].reshape(S, m, d)
-        log_var = np.log(self.variances) - step[:, m * d : 2 * m * d].reshape(S, m, d)
-        self.variances = np.maximum(np.exp(log_var), GMM_VARIANCE_FLOOR)
-        logits = np.log(self.weights) - step[:, 2 * m * d :]
-        self.weights = np.exp(logits - _logsumexp(logits)[:, None])
-        for model, *arrays in zip(self.models, self.weights, self.means, self.variances):
-            model.weights, model.means, model.variances = arrays
+        self.means -= step[:, : m * d].reshape(S, m, d)
+        log_var = np.log(self.variances)
+        log_var -= step[:, m * d : 2 * m * d].reshape(S, m, d)
+        np.exp(log_var, out=log_var)
+        np.maximum(log_var, GMM_VARIANCE_FLOOR, out=self.variances)
+        logits = np.log(self.weights)
+        logits -= step[:, 2 * m * d :]
+        logits -= _logsumexp(logits)[:, None]
+        np.exp(logits, out=self.weights)
+        if not self._bound:
+            for model, *arrays in zip(self.models, self.weights, self.means, self.variances):
+                model.weights, model.means, model.variances = arrays
+            self._bound = True
 
 
 def _seed_means(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,8 +20,11 @@ depend on the rows scored with it. A calibration step passes in the
 posterior table that its classifier stacks' ``forward`` passes filled and a
 log-density table whose training mixtures' columns its mixture stacks
 filled, and runs each backward pass on the same forward states: one forward
-pass per stack per step. Scoring runs the classifiers here and keeps only
-their posteriors, never the hidden activations a backward pass would need.
+pass per stack per step. ``evaluate_objective`` reads the queries, and
+checks that they are finite, only to score a table it is not given, so
+such a step reads none; calibration checks its sets once per run. Scoring
+runs the classifiers here and keeps only their posteriors, never the hidden
+activations a backward pass would need.
 ``score_chunks`` scores a query batch of any size in bounded memory: it
 scores the whole (n, N) log-density table once, then evaluates the objective
 on fixed runs of ``SCORE_CHUNK_ROWS`` rows, so a caller holds one chunk's
@@ -139,6 +142,15 @@ def build_ensemble(parties: list[PartyModel], num_classes: int | None = None) ->
     return EnsembleModel(parties, sizes / sizes.sum(), num_classes)
 
 
+def as_queries(queries: np.ndarray, name: str = "queries") -> np.ndarray:
+    """``queries`` as a float64 matrix of one row per query, or ValueError
+    naming them ``name`` if any entry is not finite."""
+    X = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{name} must be finite")
+    return X
+
+
 def log_density_table(
     estimators: list, X: np.ndarray, parties: list[int] | None = None
 ) -> np.ndarray:
@@ -181,17 +193,22 @@ def evaluate_objective(
     posterior when the caller already holds it, from the forward passes it
     keeps for a backward pass; otherwise each classifier's posterior is
     computed here and nothing else of its forward pass is kept.
+    The queries are checked to be finite when either table is computed
+    here; a caller that passes both reads no query here, and checks its
+    rows itself.
     """
-    X = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if not np.all(np.isfinite(X)):
-        raise ValueError("queries must be finite")
-    K = ens.num_classes
-    P = posteriors
-    if P is None:
-        P = np.stack([global_posterior(p.classifier, X, K) for p in ens.parties], axis=1)
-    L = log_density_table(ens.estimators, X) if loglik is None else loglik
-    rowmax = reduce_last(np.maximum, L)
-    W = ens.priors[None, :] * np.exp(L - rowmax[:, None])
+    P, L = posteriors, loglik
+    if P is None or L is None:
+        X = as_queries(queries)
+        if P is None:
+            K = ens.num_classes
+            P = np.stack([global_posterior(p.classifier, X, K) for p in ens.parties], axis=1)
+        if L is None:
+            L = log_density_table(ens.estimators, X)
+    # the weights p_j * exp(L_j - max_j L_j), formed in one buffer
+    W = L - reduce_last(np.maximum, L)[:, None]
+    np.exp(W, out=W)
+    W *= ens.priors
     J = np.einsum("njk,nj->nk", P, W)
     return ObjectiveMatrix(P, L, W, J)
 
@@ -205,9 +222,7 @@ def score_chunks(
     The log-density table is scored once for the whole batch, before the
     first chunk, and each chunk reads its rows of it.
     """
-    X = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if not np.all(np.isfinite(X)):
-        raise ValueError("queries must be finite")
+    X = as_queries(queries)
     L = log_density_table(ens.estimators, X)
     for start in range(0, len(X), SCORE_CHUNK_ROWS):
         rows = slice(start, min(start + SCORE_CHUNK_ROWS, len(X)))

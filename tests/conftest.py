@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from densemble.calibration import TraceRow, _batch_scores, _check_label
+from densemble.calibration import PROBABILITY_FLOOR, TraceRow, _check_label
 from densemble.classifiers import SoftmaxRegression, _softmax_upstream_to_logits, _views
 from densemble.density import (
     GMM_VARIANCE_FLOOR,
@@ -21,7 +21,7 @@ from densemble.density import (
     _logsumexp,
     kde_fit,
 )
-from densemble.ensemble import PartyModel, build_ensemble
+from densemble.ensemble import PartyModel, build_ensemble, evaluate_objective
 from densemble.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -106,8 +106,9 @@ def mpce_loss(ens, x, y: int) -> MpceLossValue:
     """Negative log density-weighted true-class score for one sample."""
     _check_label(ens, y)
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    om, score = _batch_scores(ens, X, np.array([y]))
-    return MpceLossValue(float(-np.log(score[0])), om.weights[0])
+    om = evaluate_objective(ens, X)
+    score = np.maximum(om.objective[0, y], PROBABILITY_FLOOR)
+    return MpceLossValue(float(-np.log(score)), om.weights[0])
 
 
 def decide_with_weights(om, lam) -> np.ndarray:

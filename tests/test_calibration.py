@@ -23,7 +23,6 @@ from densemble.calibration import (
     calibrate,
     clip_and_noise,
     ensemble_accuracy,
-    _batch_scores,
     _label_positions,
     _plan,
     _step_grad,
@@ -45,6 +44,12 @@ def softmax(z):
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
+
+
+def _batch_rows(plan, ens, y, scope):
+    """``_step_grad``'s label positions and mixture masks for labels y."""
+    pos = _label_positions(ens, y)
+    return pos, plan.masks(pos, scope)
 
 
 def make_party(rng, classes, kind="softmax", dim=2, hidden=5, center=None):
@@ -418,8 +423,9 @@ def test_theta_grads_match_per_sample_loop_reference():
     X = rng.normal(size=(16, 2))
     y = rng.integers(0, 4, 16)
     plan = _plan(ens, update_density=False)
-    got_score, got = _step_grad(ens, plan, X, y, _label_positions(ens, y), "matching")
-    om, score = _batch_scores(ens, X, y)
+    got_score, got = _step_grad(ens, plan, X, y, *_batch_rows(plan, ens, y, "matching"))
+    om = evaluate_objective(ens, X)
+    score = np.maximum(om.objective[np.arange(len(y)), y], PROBABILITY_FLOOR)
     assert got_score.tobytes() == score.tobytes()
     coeff = om.weights / score[:, None]
     start = 0
@@ -528,12 +534,12 @@ def _fresh_scoring_calibrate(ens, train, cfg, seed, test=None):
     for step in range(1, cfg.steps + 1):
         sel = rng.choice(len(train), size=min(cfg.batch, len(train)), replace=False)
         X, y = train.features[sel], train.labels[sel]
-        pos = _label_positions(ens, y)
         plan = _plan(ens, cfg.update_density)
-        score, grad = _step_grad(ens, plan, X, y, pos, cfg.density_scope)
+        score, grad = _step_grad(ens, plan, X, y, *_batch_rows(plan, ens, y, cfg.density_scope))
         flat = grad / len(sel)
-        for _, stack, idx in plan.classifiers + plan.mixtures:
-            for model, rows in zip(stack.models, idx):
+        blocks = np.arange(len(flat))
+        for cols, stack, block in plan.classifiers + plan.mixtures:
+            for model, rows in zip(stack.models, blocks[block].reshape(len(cols), -1)):
                 type(stack)([model]).apply_grad(flat[rows][None], cfg.lr)
         acc = None
         if test is not None and (step % cfg.eval_every == 0 or step == cfg.steps):
@@ -698,7 +704,7 @@ def test_fused_step_matches_unfused_oracle_bitwise(scope):
     X = rng.normal(size=(24, 2))
     # a mixed batch, then one only the first party can see (zero GMM blocks)
     for y in (rng.integers(0, 4, 24), np.zeros(24, dtype=np.int64)):
-        got_score, got = _step_grad(ens, plan, X, y, _label_positions(ens, y), scope)
+        got_score, got = _step_grad(ens, plan, X, y, *_batch_rows(plan, ens, y, scope))
         want_score, want = _unfused_step_grad(ens, X, y, scope)
         assert got_score.tobytes() == want_score.tobytes()
         assert len(want) == 5
@@ -734,7 +740,7 @@ def test_stacked_step_matches_per_model_oracle_bitwise(scope):
     # a mixed batch, then one only parties 0 and 4 can see: in the matching
     # scope the GMMs of parties 1-3 have no rows and take a zero step
     for first, y in ((True, rng.integers(0, 5, 24)), (False, np.zeros(24, dtype=np.int64))):
-        score, grad = _step_grad(ens, plan, X, y, _label_positions(ens, y), scope)
+        score, grad = _step_grad(ens, plan, X, y, *_batch_rows(plan, ens, y, scope))
         want_score, want = _unfused_step_grad(ens, X, y, scope)
         assert score.tobytes() == want_score.tobytes()
         assert grad.tobytes() == np.concatenate(want).tobytes()
@@ -775,7 +781,7 @@ def test_stacked_step_with_parameterless_party_matches_unfused_oracle_bitwise(up
     assert plan.frozen == [2]
     X = rng.normal(size=(24, 2))
     for y in (rng.integers(0, 5, 24), np.full(24, 4)):
-        score, grad = _step_grad(ens, plan, X, y, _label_positions(ens, y), "matching")
+        score, grad = _step_grad(ens, plan, X, y, *_batch_rows(plan, ens, y, "matching"))
         want_score, want = _unfused_step_grad(ens, X, y, "matching")
         if not update_density:
             want = want[:5]
@@ -834,3 +840,119 @@ def test_calibration_step_runs_one_forward_pass_per_party(monkeypatch, scope):
     per_pass = sorted(per_step + [len(test)] * evals)
     assert list(rows("GmmStack", "forward").values()) == [per_pass] * 2
     assert not any(kind == "GmmModel" for kind, *_ in calls)
+
+
+def _reference_calibrate(ens, train, cfg, seed, test):
+    """``calibrate`` as a loop over public pieces, one model at a time: each
+    step's blocks from ``_unfused_step_grad`` (every party scored afresh),
+    ``clip_and_noise`` on their mean, then a ``set_params`` step per model,
+    classifiers and then mixtures in party order; returns the trace and
+    each step's gradient norm before clipping."""
+    rng = np.random.default_rng(seed)
+    noise_rng = np.random.default_rng(cfg.clip.seed)
+    models = [p.classifier for p in ens.parties if isinstance(p.classifier, FlatClassifier)]
+    models += [p.estimator for p in ens.parties if isinstance(p.estimator, GmmModel)]
+    trace, norms = [], []
+    for step in range(1, cfg.steps + 1):
+        sel = rng.choice(len(train), size=min(cfg.batch, len(train)), replace=False)
+        X, y = train.features[sel], train.labels[sel]
+        score, blocks = _unfused_step_grad(ens, X, y, cfg.density_scope)
+        flat = np.concatenate(blocks) / len(sel)
+        norms.append(np.linalg.norm(flat))
+        flat = clip_and_noise(flat, cfg.clip, noise_rng)
+        start = 0
+        for model in models:
+            stop = start + model.params.size
+            set_params(model, model.params - cfg.lr * flat[start:stop])
+            start = stop
+        acc = None
+        if step % cfg.eval_every == 0 or step == cfg.steps:
+            acc = ensemble_accuracy(ens, test)
+        trace.append(TraceRow(step, float(np.mean(-np.log(score))), acc))
+    return trace, norms
+
+
+@pytest.mark.parametrize("scope", ["matching", "all"])
+def test_calibrate_run_matches_model_by_model_reference_loop_bitwise(scope):
+    # a whole run carries state from step to step: mixtures stepped in place,
+    # per-run masks and label tables gathered by batch, the stacks' scratch
+    # gradients. Parties: a softmax regression on a KDE, then GMMs of 3, 3,
+    # 4 and 3 components under two MLPs, a one-class and a two-class softmax
+    # regression, so adjacent members' blocks (the MLPs) and blocks apart
+    # (the two-class softmax regressions; the 3-component mixtures) both
+    # occur; labels 0 and 4 are seen by one party each
+    rng = np.random.default_rng(51)
+    parties = [make_party(rng, (0, 1))]
+    for space, m, kind in (((1, 2), 3, "mlp"), ((2, 3), 3, "mlp"), ((3,), 4, "softmax"),
+                           ((1, 4), 3, "softmax")):
+        clf = make_party(rng, space, kind=kind).classifier
+        w = rng.random(m) + 0.2
+        gmm = GmmModel(w / w.sum(), rng.normal(size=(m, 2)), rng.uniform(0.05, 2.0, (m, 2)))
+        parties.append(PartyModel(clf, gmm, int(rng.integers(5, 30))))
+    ens = build_ensemble(parties, num_classes=5)
+    ref = copy.deepcopy(ens)
+    space = (0, 1, 2, 3, 4)
+    train = LocalDataset(rng.normal(size=(60, 2)), rng.integers(0, 5, 60), space, 5)
+    test = LocalDataset(rng.normal(size=(25, 2)), rng.integers(0, 5, 25), space, 5)
+    cfg = CalibrationConfig(
+        lr=0.05, batch=16, steps=11, eval_every=4, update_density=True,
+        density_scope=scope, clip=ClipConfig(clip_norm=1.2, noise_sigma=0.05, seed=9),
+    )
+    plan = _plan(ens, update_density=True)
+    assert [cols for cols, _, _ in plan.classifiers] == [[0, 4], [1, 2], [3]]
+    assert [cols for cols, _, _ in plan.mixtures] == [[1, 2, 4], [3]]
+    assert [isinstance(block, slice) for _, _, block in plan.classifiers + plan.mixtures] == [
+        False, True, True, False, True,
+    ]
+    _, trace = calibrate(ens, train, cfg, seed=7, test=test)
+    want, norms = _reference_calibrate(ref, train, cfg, 7, test)
+    assert trace == want
+    assert [r.step for r in trace if r.test_accuracy is not None] == [4, 8, 11]
+    # the clip scaled some steps and left others
+    assert min(norms) < cfg.clip.clip_norm < max(norms)
+    for party, twin in zip(ens.parties, ref.parties):
+        assert party.classifier.params.tobytes() == twin.classifier.params.tobytes()
+        if isinstance(party.estimator, GmmModel):
+            for name in ("weights", "means", "variances"):
+                got, exp = getattr(party.estimator, name), getattr(twin.estimator, name)
+                assert got.tobytes() == exp.tobytes(), name
+
+
+@pytest.mark.parametrize("which", ["train", "test"])
+def test_calibrate_rejects_non_finite_features_before_the_first_step(monkeypatch, which):
+    # the rows are checked once per run, not in every step: a NaN written
+    # into a dataset after it was built still stops the run up front
+    ens = _interleaved_shapes_setup()
+    rng = np.random.default_rng(52)
+    space = (0, 1, 2, 3, 4)
+    sets = {
+        "train": LocalDataset(rng.normal(size=(30, 2)), rng.integers(0, 5, 30), space, 5),
+        "test": LocalDataset(rng.normal(size=(10, 2)), rng.integers(0, 5, 10), space, 5),
+    }
+    bad = sets[which].features.copy()
+    bad[7, 1] = np.nan
+    sets[which].features = bad
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr("densemble.calibration._step_grad", no_step)
+    cfg = CalibrationConfig(lr=0.05, batch=8, steps=3, update_density=True)
+    name = {"train": "training features", "test": "held-out features"}[which]
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        calibrate(ens, sets["train"], cfg, seed=0, test=sets["test"])
+
+
+def test_objective_rejects_non_finite_queries_whenever_it_scores_them():
+    ens = _interleaved_shapes_setup()
+    X = np.random.default_rng(53).normal(size=(6, 2))
+    whole = evaluate_objective(ens, X)
+    X[4, 0] = np.nan
+    for tables in ({}, {"posteriors": whole.posteriors}, {"loglik": whole.loglik}):
+        with pytest.raises(ValueError, match="queries must be finite"):
+            evaluate_objective(ens, X, **tables)
+    # with both tables given no query is read, and the caller checks them
+    both = evaluate_objective(ens, X, whole.loglik, whole.posteriors)
+    assert both.objective.tobytes() == whole.objective.tobytes()
+    with pytest.raises(ValueError, match="queries must be finite"):
+        mpce_grad(ens, X[4], 1, update_density=True)

@@ -528,12 +528,20 @@ def main(argv: list[str]) -> int:
                 )
             ]
             pinned = sorted(files_under(workdir))
+            # a command that failed in the all-CPU run may not have written
+            # its files
+            missing = [p for p in pinned if not os.path.isfile(os.path.join(out, side, p))]
             unequal = [
                 p for p in pinned
-                if not same(os.path.join(workdir, p), os.path.join(out, side, p))
+                if p not in missing
+                and not same(os.path.join(workdir, p), os.path.join(out, side, p))
             ]
-            print(f"{side} on one CPU: {len(pinned)} files compared, {len(unequal)} differ")
+            print(
+                f"{side} on one CPU: {len(pinned)} files compared, {len(unequal)} differ,"
+                f" {len(missing)} missing from the all-CPU run"
+            )
             failed += [f"{side} on one CPU: {p} differs from the all-CPU run" for p in unequal]
+            failed += [f"{side} on one CPU: {p} missing from the all-CPU run" for p in missing]
     else:
         print("one-CPU pass skipped: no os.sched_setaffinity")
     a, b = (os.path.join(out, side) for side in sides)
