@@ -19,7 +19,6 @@ from .calibration import (
 from .classifiers import (
     MlpClassifier,
     SoftmaxRegression,
-    global_posterior,
     train,
 )
 from .datasets import (

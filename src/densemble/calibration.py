@@ -27,8 +27,8 @@ classifier stack scores the batch for all its members at once, and one
 indexed assignment puts the (S, n, m) posteriors into the (n, N, K)
 posterior table that ``evaluate_objective`` takes; the same state feeds the
 stack's ``backward``, whose (S, n, m) upstream is built by one scatter. A
-classifier without parameters joins no stack: it is scored through its
-``posterior``, as an estimator that does not train is, and has no gradient
+classifier without parameters joins no stack: its ``posterior`` fills its
+label space's cells, as ``evaluate_objective``'s do, and it has no gradient
 block. Each mixture stack scores the batch into its columns of the
 log-density table, and the same pass feeds its ``nll_grad``, which forms
 every mixture's gradient block at once; the density scope is an (n, S) 0/1
@@ -40,7 +40,8 @@ clipping with or without noise), and it gives the bits of the unfused
 per-party composition, each model's backward pass over a fresh forward pass
 of its rows alone, and of each model stepped alone as a stack of one, step
 after step of a whole run. What a run never changes is computed once per
-run: the finiteness check of the training and held-out features (so no
+run: the check, before anything is scored, that the training and held-out
+features are finite and as wide as every model the run trains (so no
 step checks its batch again), each party's local label positions over the
 training labels and, in the "matching" scope, each mixture stack's 0/1 row
 mask over them, both gathered by batch; the flat gradient's block layout
@@ -60,10 +61,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import ClassifierStack, FlatClassifier, _LocalIndex, global_posterior
+from .classifiers import ClassifierStack, FlatClassifier, local_positions
 from .datasets import LocalDataset
-from .density import GmmModel, GmmStack
-from .ensemble import EnsembleModel, as_queries, decide, evaluate_objective, log_density_table
+from .density import GmmModel, GmmStack, as_queries
+from .ensemble import EnsembleModel, decide, evaluate_objective, log_density_table
 
 PROBABILITY_FLOOR = 1e-12
 
@@ -131,9 +132,7 @@ class TraceRow:
 def _label_positions(ens: EnsembleModel, y: np.ndarray) -> np.ndarray:
     """(n, N) local index of each label in each party's label space, -1
     where the party cannot see it."""
-    return np.stack(
-        [_LocalIndex(p.classifier.label_space).positions(y) for p in ens.parties], axis=1
-    )
+    return np.stack([local_positions(p.classifier.label_space, y) for p in ens.parties], axis=1)
 
 
 def _check_label(ens: EnsembleModel, y: int) -> None:
@@ -194,6 +193,14 @@ class _Plan:
             return [None] * len(self.mixtures)
         return [(pos[:, cols] >= 0).astype(np.float64) for cols in self.columns]
 
+    def queries(self, X: np.ndarray, name: str | None = None) -> np.ndarray:
+        """``as_queries(X, width, name)`` at the width of every model the
+        plan trains, whose stacks score rows unchecked."""
+        widths = {stack.models[0].dim for _, stack, _ in self.classifiers + self.mixtures}
+        for width in sorted(widths) or [None]:
+            X = as_queries(X, width, name)
+        return X
+
     def step(self, flat: np.ndarray, lr: float) -> None:
         """Step every trainable model by -lr times its part of ``flat``."""
         for cols, stack, block in self.classifiers + self.mixtures:
@@ -251,7 +258,8 @@ def _step_grad(ens: EnsembleModel, plan: _Plan, X, y, pos, masks, loglik=None):
     batch, from one forward pass per stack: each classifier stack's backward
     pass, then each mixture stack's NLL gradients over the batch rows that
     its ``masks`` entry selects (``plan.masks``). A classifier without
-    parameters is scored through its ``posterior`` and takes no gradient.
+    parameters writes its ``posterior`` into its label space's cells of the
+    table and takes no gradient.
     ``pos`` is ``_label_positions`` of y. The rows of X must be finite:
     the caller checks them, once per run. ``loglik``, when given, is an
     (n, N) table whose columns for the estimators that do not train already
@@ -265,7 +273,8 @@ def _step_grad(ens: EnsembleModel, plan: _Plan, X, y, pos, masks, loglik=None):
         post[:, rows, spaces] = state[1].transpose(1, 0, 2)
         states.append(state)
     for j in plan.frozen:
-        post[:, j] = global_posterior(ens.parties[j].classifier, X, K)
+        clf = ens.parties[j].classifier
+        post[:, j, list(clf.label_space)] = clf.posterior(X)
     if loglik is None:
         loglik = log_density_table(ens.estimators, X, parties=plan.fixed)
     mixture_states = []
@@ -302,9 +311,9 @@ def mpce_grad(
     """Flat loss gradient: classifier blocks in party order, then the blocks
     of the mixtures."""
     _check_label(ens, y)
-    X = as_queries(x)
-    y = np.array([y])
     plan = _plan(ens, update_density)
+    X = plan.queries(x)
+    y = np.array([y])
     pos = _label_positions(ens, y)
     return _step_grad(ens, plan, X, y, pos, plan.masks(pos, density_scope))[1]
 
@@ -350,8 +359,9 @@ def calibrate(
     is a step to take, every estimator that does not train (all of them
     unless ``update_density`` is on; kernel estimators always) scores the
     training set and the held-out set once, before the first step. Both
-    sets' features are checked to be finite once, before anything is
-    scored, and ValueError names the set that is not: every
+    sets' features are checked once, before anything is scored, to be
+    finite and as wide as every model that trains, and ValueError names the
+    set that is not: every
     batch takes its rows of the training table, and every evaluation the
     whole held-out table. Only the training mixtures are rescored, one
     stack at a time, on each batch and at each evaluation. A row of a table
@@ -364,10 +374,11 @@ def calibrate(
         raise ValueError("calibration needs a nonempty training set")
     if train.labels.size and int(train.labels.max()) >= ens.num_classes:
         raise ValueError("training labels exceed the ensemble's class count")
+    plan = _plan(ens, cfg.update_density)
     # every row is checked here, once, not in every step
-    as_queries(train.features, "training features")
+    plan.queries(train.features, "training features")
     if test is not None:
-        as_queries(test.features, "held-out features")
+        plan.queries(test.features, "held-out features")
     rng = np.random.default_rng(seed)
     noise_rng = (
         np.random.default_rng(cfg.clip.seed)
@@ -375,7 +386,6 @@ def calibrate(
         else None
     )
     n = len(train)
-    plan = _plan(ens, cfg.update_density)
     train_pos = _label_positions(ens, train.labels)
     train_masks = plan.masks(train_pos, cfg.density_scope)
     # score each set once under the estimators that never change; the

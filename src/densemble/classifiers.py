@@ -42,8 +42,11 @@ same BLAS call for each slice as for that slice alone, and the reductions
 over the batch axis add each slice's rows in the same order, so every row of
 a stack keeps the bits of its classifier alone.
 
-The module function ``global_posterior(model, X, K)`` embeds either family's
-posterior into the K-class simplex, zero-filled outside its label space.
+Column i of a posterior is class ``label_space[i]``: the objective's
+(n, N, K) posterior table takes each party's posterior into its label
+space's columns and holds exact zeros elsewhere, and the module function
+``local_positions(label_space, labels)`` maps global labels the other way,
+to their columns, -1 outside the space, comparing them as integers.
 
 End-to-end calibration saves for backward by hand, as autodiff frameworks
 do: each step runs ``forward`` once per stack, forms the objective from the
@@ -94,13 +97,6 @@ def _softmax_upstream_to_logits(P: np.ndarray, U: np.ndarray) -> np.ndarray:
     return P * (U - reduce_last(np.add, P * U, keepdims=True))
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
-
-
 def _views(buf: np.ndarray, layout, rows: bool = False) -> tuple[np.ndarray, ...]:
     """Views of a parameter or gradient buffer, one per named array in
     ``_names`` order: a classifier's (P,) buffer gives each array its own
@@ -115,26 +111,16 @@ def _views(buf: np.ndarray, layout, rows: bool = False) -> tuple[np.ndarray, ...
     )
 
 
-class _LocalIndex:
-    """Maps global labels into a classifier's contiguous local index range."""
-
-    def __init__(self, label_space: tuple[int, ...]):
-        self.label_space = tuple(sorted(label_space))
-        # the trailing +inf keeps every searchsorted position a valid index
-        self._sorted = np.array(self.label_space + (np.inf,))
-
-    def positions(self, labels: np.ndarray) -> np.ndarray:
-        """Local index of each label, -1 where it lies outside the space."""
-        labels = np.asarray(labels)
-        pos = np.searchsorted(self._sorted, labels)
-        return np.where(self._sorted[pos] == labels, pos, -1)
-
-    def to_local(self, labels: np.ndarray) -> np.ndarray:
-        pos = self.positions(labels)
-        if np.any(pos < 0):
-            bad = int(np.asarray(labels)[pos < 0][0])
-            raise ValueError(f"label {bad} outside label_space {self.label_space}")
-        return pos
+def local_positions(label_space, labels) -> np.ndarray:
+    """Position of each label in the increasing ``label_space``, -1 where
+    it lies outside. Labels are compared as integers, exact for every
+    int64."""
+    space = np.array(label_space, dtype=np.int64)
+    labels = np.asarray(labels)
+    pos = np.searchsorted(space, labels)
+    # the appended entry is read only at pos == len(space), which is outside
+    found = (pos < len(space)) & (np.append(space, 0)[pos] == labels)
+    return np.where(found, pos, -1)
 
 
 class FlatClassifier:
@@ -171,7 +157,6 @@ class FlatClassifier:
         ends = np.cumsum([a.size for a in arrays]).tolist()
         self._layout = [(i, j, a.shape) for i, j, a in zip([0] + ends, ends, arrays)]
         self._bind_views()
-        self._index = _LocalIndex(self.label_space)
 
     def _bind_views(self) -> None:
         for name, view in zip(self._names, _views(self._flat, self._layout)):
@@ -201,9 +186,9 @@ class FlatClassifier:
 
     def posterior(self, x: np.ndarray) -> np.ndarray:
         # scored as a stack of one: views of the buffer with a stack axis
-        X, single = _as_batch(x)
-        P = self._forward(_views(self._flat[None], self._layout, rows=True), X)[1]
-        return P[0, 0] if single else P[0]
+        X = np.asarray(x, dtype=np.float64)
+        P = self._forward(_views(self._flat[None], self._layout, rows=True), np.atleast_2d(X))[1]
+        return P[0, 0] if X.ndim == 1 else P[0]
 
 
 class SoftmaxRegression(FlatClassifier):
@@ -348,24 +333,6 @@ class ClassifierStack:
         self._flat -= lr * grad
 
 
-def global_posterior(model, x: np.ndarray, K: int) -> np.ndarray:
-    """Embed the local posterior into the K-class simplex, zeros elsewhere.
-
-    Entries for classes outside the model's label space are identically 0 so
-    absent classes stay silent in any downstream weighted sum.
-    """
-    space = model.label_space
-    if K < len(space) or (space and K <= max(space)):
-        raise ValueError(f"K={K} cannot hold label_space {space}")
-    X, single = _as_batch(x)
-    # the posterior first, so that its forward pass's temporaries are freed
-    # before the output is allocated
-    P = model.posterior(X)
-    out = np.zeros((X.shape[0], K))
-    out[:, list(space)] = P
-    return out[0] if single else out
-
-
 def train(
     model,
     ds: LocalDataset,
@@ -402,9 +369,13 @@ def train(
     # every dataset's rows, one dataset after another: row i of dataset s is
     # row s * n + i
     X = np.concatenate([d.features for d in datasets])
-    onehot = np.concatenate(
-        [np.eye(m.num_classes_local)[m._index.to_local(d.labels)] for m, d in zip(models, datasets)]
-    )
+    onehot = []
+    for m, d in zip(models, datasets):
+        pos = local_positions(m.label_space, d.labels)
+        if np.any(pos < 0):
+            raise ValueError(f"label {d.labels[pos < 0][0]} outside label_space {m.label_space}")
+        onehot.append(np.eye(m.num_classes_local)[pos])
+    onehot = np.concatenate(onehot)
     first = n * np.arange(len(models))[:, None]
     stack = ClassifierStack(models)
     batches = [np.s_[:, start : start + batch] for start in range(0, n, batch)]

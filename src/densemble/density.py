@@ -27,11 +27,15 @@ has the bits of its mixture alone. ``forward`` hands back the component
 table with the floored densities, and ``nll_grad`` takes it back, as a
 classifier stack's ``backward`` takes its ``forward`` state; its 0/1 row
 mask selects each mixture's rows. ``forward`` takes rows that were
-already checked: ``log_density`` checks a query batch once, and calibration
-checks its sets once per run. ``apply_grad`` steps the stacked arrays in
-place. The tables are built from the queries tiled to (n, S*m*d), and the
-responsibilities repeated over d (a take on an index made with the stack),
-so no op runs an inner loop of d elements. The sums over d and the max and
+already checked. ``as_queries`` is the package's one check of a query
+batch: a float64 matrix of finite entries and, when given a width, of that
+width. Each estimator's ``log_density`` checks a batch with it once, at the
+estimator's own width; ``ensemble`` checks the queries it scores with it,
+and ``calibration`` its sets, once per run, at the width of the models it
+trains. ``apply_grad`` steps the stacked arrays in place. The tables are
+built from the queries tiled to (n, S*m*d), and the responsibilities
+repeated over d (a take on an index made with the stack), so no op runs an
+inner loop of d elements. The sums over d and the max and
 sum over the m components are ``_reduce.reduce_last``: under 8 elements, on
 all but a small table, a chain of elementwise ops over the slices, which
 adds them in numpy's own order (from +0.0, index by index) and so gives the
@@ -106,13 +110,16 @@ _BLOCK_BYTES = 1 << 19
 _EXP_CLAMP = -700.0
 
 
-def _queries(X: np.ndarray, dim: int) -> np.ndarray:
-    """Queries as a finite (n, dim) float64 matrix, or ValueError."""
+def as_queries(X: np.ndarray, dim: int | None = None, name: str | None = None) -> np.ndarray:
+    """Queries as a float64 matrix of one row per query, or ValueError if
+    its width is not ``dim`` (when given) or any entry is not finite. The
+    message names the set ``name`` when given."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != dim:
-        raise ValueError(f"query dim {X.shape[1]} != model dim {dim}")
+    if dim is not None and X.shape[1] != dim:
+        prefix = f"{name}: " if name else ""
+        raise ValueError(f"{prefix}query dim {X.shape[1]} != model dim {dim}")
     if not np.isfinite(X).all():
-        raise ValueError("queries must be finite")
+        raise ValueError(f"{name or 'queries'} must be finite")
     return X
 
 
@@ -165,7 +172,7 @@ class KdeModel:
         ``exp(_EXP_CLAMP)`` (module docstring): a row's bits never depend on
         its batch.
         """
-        X = _queries(X, self.dim)
+        X = as_queries(X, self.dim)
         n, m = X.shape[0], len(self.points)
         h2 = self.bandwidth**2
         pts = self.points.T.copy()  # (d, m): each dimension's row contiguous
@@ -346,7 +353,7 @@ class GmmStack:
         count. Every step of ``forward`` is elementwise or a reduction within
         a row, so the blocks give the bits of one whole-batch ``forward``.
         """
-        X = _queries(X, self.means.shape[2])
+        X = as_queries(X, self.means.shape[2])
         rows = max(1, _BLOCK_BYTES // (8 * self.means.size))
         out = np.empty((len(X), len(self.models)))
         for r0 in range(0, len(X), rows):

@@ -13,17 +13,21 @@ parties whose density underflows simply drop out of the sum.
 ``log_density_table`` the only one in the package that calls an
 estimator's ``log_density``. Every decision rule below is a reduction of
 the ``ObjectiveMatrix`` that ``evaluate_objective`` returns, so one
-evaluation per query set feeds them all. A caller whose estimators cannot
-change may pass a query set's log-density table back in instead of scoring
-it again, or the rows of a larger set's table: a row's log-densities do not
-depend on the rows scored with it. A calibration step passes in the
-posterior table that its classifier stacks' ``forward`` passes filled and a
-log-density table whose training mixtures' columns its mixture stacks
-filled, and runs each backward pass on the same forward states: one forward
-pass per stack per step. ``evaluate_objective`` reads the queries, and
-checks that they are finite, only to score a table it is not given, so
-such a step reads none; calibration checks its sets once per run. Scoring
-runs the classifiers here and keeps only their posteriors, never the hidden
+evaluation per query set feeds them all. The posteriors form one (n, N, K)
+table, allocated as zeros: party j's posterior fills the cells
+``[:, j, label_space]`` of its label space and every other cell of the
+party stays an exact zero, so an absent class adds nothing to J. A caller
+whose estimators cannot change may pass a query set's log-density table
+back in instead of scoring it again, or the rows of a larger set's table: a
+row's log-densities do not depend on the rows scored with it. A calibration
+step passes in the posterior table that its classifier stacks' ``forward``
+passes filled the same way and a log-density table whose training
+mixtures' columns its mixture stacks filled, and runs each backward pass on
+the same forward states: one forward pass per stack per step.
+``evaluate_objective`` reads the queries, and checks them with
+``density.as_queries``, only to score a table it is not given, so such a
+step reads none; calibration checks its sets once per run. Scoring runs
+the classifiers here and keeps only their posteriors, never the hidden
 activations a backward pass would need.
 ``score_chunks`` scores a query batch of any size in bounded memory: it
 scores the whole (n, N) log-density table once, then evaluates the objective
@@ -59,7 +63,7 @@ import numpy as np
 
 from . import workers
 from ._reduce import reduce_last
-from .classifiers import global_posterior
+from .density import as_queries
 
 # Rows of a query batch that ``score_chunks`` evaluates at once: under 1 MB
 # of posteriors, weights and objective for toy3's three parties and five
@@ -142,15 +146,6 @@ def build_ensemble(parties: list[PartyModel], num_classes: int | None = None) ->
     return EnsembleModel(parties, sizes / sizes.sum(), num_classes)
 
 
-def as_queries(queries: np.ndarray, name: str = "queries") -> np.ndarray:
-    """``queries`` as a float64 matrix of one row per query, or ValueError
-    naming them ``name`` if any entry is not finite."""
-    X = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if not np.all(np.isfinite(X)):
-        raise ValueError(f"{name} must be finite")
-    return X
-
-
 def log_density_table(
     estimators: list, X: np.ndarray, parties: list[int] | None = None
 ) -> np.ndarray:
@@ -189,10 +184,11 @@ def evaluate_objective(
     ``loglik`` is ``log_density_table(ens.estimators, queries)`` when the
     caller already holds it for these queries and estimators; otherwise it
     is computed here.
-    ``posteriors`` is the (n, N, K) table of every party's zero-filled
-    posterior when the caller already holds it, from the forward passes it
-    keeps for a backward pass; otherwise each classifier's posterior is
-    computed here and nothing else of its forward pass is kept.
+    ``posteriors`` is the (n, N, K) table of every party's posterior, zero
+    outside its label space, when the caller already holds it, from the
+    forward passes it keeps for a backward pass; otherwise the table is
+    allocated here as zeros, each classifier's posterior is written into
+    its label space's cells, and nothing else of its forward pass is kept.
     The queries are checked to be finite when either table is computed
     here; a caller that passes both reads no query here, and checks its
     rows itself.
@@ -201,8 +197,12 @@ def evaluate_objective(
     if P is None or L is None:
         X = as_queries(queries)
         if P is None:
-            K = ens.num_classes
-            P = np.stack([global_posterior(p.classifier, X, K) for p in ens.parties], axis=1)
+            # the posteriors before the table, so that no forward pass's
+            # temporaries are alive next to it
+            local = [p.classifier.posterior(X) for p in ens.parties]
+            P = np.zeros((len(X), ens.num_parties, ens.num_classes))
+            for j, (party, post) in enumerate(zip(ens.parties, local)):
+                P[:, j, list(party.classifier.label_space)] = post
         if L is None:
             L = log_density_table(ens.estimators, X)
     # the weights p_j * exp(L_j - max_j L_j), formed in one buffer

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from densemble.calibration import PROBABILITY_FLOOR, TraceRow, _check_label
-from densemble.classifiers import SoftmaxRegression, _softmax_upstream_to_logits, _views
+from densemble.classifiers import (
+    SoftmaxRegression,
+    _softmax_upstream_to_logits,
+    _views,
+    local_positions,
+)
 from densemble.density import (
     GMM_VARIANCE_FLOOR,
     GmmModel,
@@ -79,7 +84,7 @@ def posterior_grad(model, x, upstream):
 
 def cross_entropy(model, ds) -> float:
     """Mean negative log posterior of the true local class."""
-    y_local = model._index.to_local(ds.labels)
+    y_local = local_positions(model.label_space, ds.labels)
     P = model.posterior(ds.features)
     picked = np.maximum(P[np.arange(len(ds)), y_local], 1e-300)
     return float(-np.mean(np.log(picked)))

@@ -943,6 +943,68 @@ def test_calibrate_rejects_non_finite_features_before_the_first_step(monkeypatch
         calibrate(ens, sets["train"], cfg, seed=0, test=sets["test"])
 
 
+def _toy3_raw_ensemble():
+    cfg = load_config("toy3")
+    train, test, shards = prepare_data(cfg, stream_seeds(0, len(cfg.parties)))
+    rng = np.random.default_rng(0)
+    parties = [
+        PartyModel(
+            SoftmaxRegression.init_random(2, shard.label_space, rng),
+            kde_fit(shard.features, pcfg.estimator.bandwidth),
+            len(shard),
+        )
+        for pcfg, shard in zip(cfg.parties, shards)
+    ]
+    return build_ensemble(parties, num_classes=cfg.data.num_classes), train, test
+
+
+@pytest.mark.parametrize(
+    "setup,which,width",
+    [
+        ("softmax+gmm", "train", 1),
+        ("softmax+gmm", "train", 3),
+        ("softmax+gmm", "test", 3),
+        ("toy3", "train", 3),
+        ("toy3", "test", 3),
+    ],
+)
+def test_calibrate_rejects_features_of_another_width_before_scoring(
+    monkeypatch, setup, which, width
+):
+    # the trainable models score their rows unchecked, so the run checks
+    # both sets against their width before anything is scored
+    rng = np.random.default_rng(55)
+    if setup == "toy3":
+        ens, train, test = _toy3_raw_ensemble()
+    else:
+        train = test = generate_toy(12, 60, 2)
+        gmm = GmmModel(np.array([0.5, 0.5]), rng.normal(size=(2, 2)), np.ones((2, 2)))
+        clf = SoftmaxRegression.init_random(2, (0, 1), rng)
+        ens = build_ensemble([PartyModel(clf, gmm, len(train))], num_classes=2)
+    sets = {"train": train, "test": test}
+    ds = sets[which]
+    sets[which] = LocalDataset(
+        rng.normal(size=(len(ds), width)), ds.labels, ds.label_space, ds.num_classes
+    )
+
+    def params():
+        models = [m for p in ens.parties for m in (p.classifier, p.estimator)]
+        return [m.params.tobytes() for m in models if not isinstance(m, KdeModel)]
+
+    before = params()
+
+    def scored(*args, **kwargs):
+        raise AssertionError("a set was scored")
+
+    monkeypatch.setattr("densemble.calibration._step_grad", scored)
+    monkeypatch.setattr("densemble.calibration.log_density_table", scored)
+    cfg = CalibrationConfig(lr=0.05, batch=8, steps=3, eval_every=1, update_density=True)
+    name = {"train": "training features", "test": "held-out features"}[which]
+    with pytest.raises(ValueError, match=f"^{name}: query dim {width} != model dim 2$"):
+        calibrate(ens, sets["train"], cfg, seed=0, test=sets["test"])
+    assert params() == before
+
+
 def test_objective_rejects_non_finite_queries_whenever_it_scores_them():
     ens = _interleaved_shapes_setup()
     X = np.random.default_rng(53).normal(size=(6, 2))

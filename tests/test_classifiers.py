@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from densemble.classifiers import (
     MlpClassifier,
     SoftmaxRegression,
     _views,
-    global_posterior,
+    local_positions,
     softmax,
     train,
 )
 from densemble.datasets import LocalDataset, generate_toy, partition, PartitionSpec, PartyRule
+from densemble.density import kde_fit
+from densemble.ensemble import PartyModel, build_ensemble, evaluate_objective
 
 
 def random_softmax(rng, dim=3, classes=(0, 1)):
@@ -60,13 +63,22 @@ def test_posterior_keeps_the_bits_of_the_arrays_without_stack_axis(make, rows):
     assert model.posterior(X).tobytes() == (P[0] if rows is None else P).tobytes()
 
 
+def one_party(clf, K):
+    return build_ensemble([PartyModel(clf, kde_fit(np.zeros((1, clf.dim)), 1.0), 1)], K)
+
+
+def table_rows(clf, X, K):
+    """The classifier's rows of the posterior table of a one-party ensemble."""
+    return evaluate_objective(one_party(clf, K), X).posteriors[:, 0]
+
+
 def test_global_posterior_zero_fill_exact():
     # local posterior (0.7, 0.3) on classes {1, 3} embeds into K=5 with
     # exact zeros at the absent classes
     clf = SoftmaxRegression(
         np.zeros((2, 2)), np.log(np.array([0.7, 0.3])), (1, 3)
     )
-    out = global_posterior(clf, np.zeros(2), 5)
+    (out,) = table_rows(clf, np.zeros((1, 2)), 5)
     assert out[0] == 0.0 and out[2] == 0.0 and out[4] == 0.0
     assert np.allclose(out[[1, 3]], [0.7, 0.3], atol=1e-12)
     assert np.isclose(out.sum(), 1.0, atol=1e-12)
@@ -76,19 +88,19 @@ def test_global_posterior_full_space_identity():
     rng = np.random.default_rng(1)
     clf = random_softmax(rng, classes=(0, 1, 2))
     x = rng.normal(size=3)
-    assert np.array_equal(global_posterior(clf, x, 3), clf.posterior(x))
+    assert np.array_equal(table_rows(clf, x[None], 3)[0], clf.posterior(x))
 
 
 def test_global_posterior_uniform_two_of_five():
     clf = SoftmaxRegression(np.zeros((2, 2)), np.zeros(2), (1, 3))
-    out = global_posterior(clf, np.zeros(2), 5)
+    (out,) = table_rows(clf, np.zeros((1, 2)), 5)
     assert np.array_equal(out, np.array([0.0, 0.5, 0.0, 0.5, 0.0]))
 
 
 def test_global_posterior_k_too_small():
     clf = SoftmaxRegression(np.zeros((2, 2)), np.zeros(2), (1, 3))
-    with pytest.raises(ValueError):
-        global_posterior(clf, np.zeros(2), 3)
+    with pytest.raises(ValueError, match="exceeds num_classes 3"):
+        one_party(clf, 3)
 
 
 def test_train_separable_points_perfect_accuracy():
@@ -115,6 +127,23 @@ def test_train_label_outside_space_rejected():
     ds = LocalDataset(rng.normal(size=(4, 2)), np.array([0, 1, 2, 2]), (0, 1, 2), 3)
     with pytest.raises(ValueError, match="label"):
         train(clf, ds, lr=0.1, epochs=1, batch=2, seed=0)
+
+
+def test_train_compares_labels_as_integers_above_2_53():
+    # 2**62 + 1 is within one float64 spacing of 2**62; a search through
+    # float64 would read it as that label
+    big = 2**62
+    clf = SoftmaxRegression(np.zeros((2, 2)), np.zeros(2), (0, big))
+    ds = LocalDataset(np.zeros((2, 2)), np.array([0, big + 1]), (0, big + 1), big + 2)
+    assert local_positions(clf.label_space, ds.labels).tolist() == [0, -1]
+    others = [big, big - 1, -1, big + 2]
+    assert local_positions(clf.label_space, others).tolist() == [1, -1, -1, -1]
+    assert local_positions((), others).tolist() == [-1, -1, -1, -1]
+    before = clf.params
+    msg = f"label {big + 1} outside label_space (0, {big})"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        train(clf, ds, lr=0.1, epochs=1, batch=2, seed=0)
+    assert np.array_equal(clf.params, before)
 
 
 @pytest.mark.parametrize(
@@ -167,7 +196,7 @@ def reference_train(model, ds, lr, epochs, batch, seed):
     """The unfused SGD loop on the classifier's own arrays: per batch a
     forward pass, the cross-entropy logit gradient P - onehot, ``_backward``
     into a fresh flat buffer, then a step through ``set_params``."""
-    y_local = model._index.to_local(ds.labels)
+    y_local = local_positions(model.label_space, ds.labels)
     rng = np.random.default_rng(seed)
     onehot = np.eye(model.num_classes_local)[y_local]
     for _ in range(epochs):
@@ -186,7 +215,7 @@ def reference_train(model, ds, lr, epochs, batch, seed):
 def jacobian_chain_train(model, ds, lr, epochs, batch, seed):
     """SGD that chains dCE/dP = -onehot/P through the softmax Jacobian with
     the ``posterior_grad`` oracle: algebraically the same step as ``train``."""
-    y_local = model._index.to_local(ds.labels)
+    y_local = local_positions(model.label_space, ds.labels)
     rng = np.random.default_rng(seed)
     onehot = np.eye(model.num_classes_local)[y_local]
     for _ in range(epochs):
